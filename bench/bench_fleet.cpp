@@ -11,8 +11,6 @@
 //                       counting operator new below; the flyweight contract
 //                       says ≤1 in steady state (scripts/bench_gate.py
 //                       enforces the ceiling)
-// BM_FleetHeap runs the same trial on the reference binary-heap scheduler,
-// so the artifact records the wheel's speedup at city scale alongside.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -54,21 +52,19 @@ using namespace streamlab;
 // keeps the benchmark wall-clock reasonable at N = 10⁵ while preserving the
 // workload shape: the turbulence window still covers the middle of every
 // stream, and pending-event depth still equals the session count.
-FleetConfig bench_fleet_config(std::size_t sessions,
-                               EventLoop::Scheduler scheduler) {
+FleetConfig bench_fleet_config(std::size_t sessions) {
   FleetConfig config;
   config.sessions = sessions;
   config.seed = 1;
   config.episode = Duration::seconds(2);
   config.turbulence_start = Duration::millis(500);
   config.turbulence_duration = Duration::millis(900);
-  config.scheduler = scheduler;
   return config;
 }
 
-void fleet_bench(benchmark::State& state, EventLoop::Scheduler scheduler) {
+void BM_Fleet(benchmark::State& state) {
   const std::size_t sessions = static_cast<std::size_t>(state.range(0));
-  const FleetConfig config = bench_fleet_config(sessions, scheduler);
+  const FleetConfig config = bench_fleet_config(sessions);
   std::uint64_t events = 0;
   std::uint64_t sent = 0;
   std::uint64_t delivered = 0;
@@ -99,17 +95,7 @@ void fleet_bench(benchmark::State& state, EventLoop::Scheduler scheduler) {
       sent == 0 ? 0.0
                 : static_cast<double>(delivered) / static_cast<double>(sent);
 }
-
-void BM_Fleet(benchmark::State& state) {
-  fleet_bench(state, EventLoop::Scheduler::kWheel);
-}
 BENCHMARK(BM_Fleet)->Arg(1000)->Arg(10000)->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_FleetHeap(benchmark::State& state) {
-  fleet_bench(state, EventLoop::Scheduler::kHeap);
-}
-BENCHMARK(BM_FleetHeap)->Arg(1000)->Arg(10000)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

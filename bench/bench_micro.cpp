@@ -1,7 +1,7 @@
 // Micro-benchmarks of the substrate hot paths, including the ablations
 // DESIGN.md calls out: checksum throughput, fragmentation/reassembly cost,
-// event-loop scheduling (wheel vs reference heap at constant pending depth,
-// plus steady-state allocations per event), display-filter evaluation,
+// event-loop scheduling (the timing wheel at constant pending depth, plus
+// steady-state allocations per event), display-filter evaluation,
 // histogram insertion, and an end-to-end short experiment.
 #include <benchmark/benchmark.h>
 
@@ -105,10 +105,9 @@ BENCHMARK(BM_EventLoopScheduleRun)->Arg(1000)->Arg(100000);
 
 // A self-rescheduling timer ring: `depth` timers stay pending forever, each
 // firing reposts itself one staggered interval ahead. This is the
-// constant-depth workload the timing-wheel migration is judged on — the
-// binary heap pays O(log depth) per event, the wheel O(1) amortized, and
-// the handle-free post path with an inline EventFn capture allocates
-// nothing once the bucket vectors are warm.
+// constant-depth workload the timing wheel is judged on — O(1) amortized
+// per event, and the handle-free post path with an inline EventFn capture
+// allocates nothing once the bucket vectors are warm.
 struct TimerRing {
   EventLoop* loop;
   void arm(std::uint32_t i) {
@@ -119,13 +118,13 @@ struct TimerRing {
   }
 };
 
-void constant_depth_bench(benchmark::State& state, EventLoop::Scheduler sched) {
+void BM_EventLoopWheelDepth(benchmark::State& state) {
   const std::int64_t depth = state.range(0);
   // Fire a multiple of the depth per iteration so every pending timer
   // cycles several times (steady state, not drain).
   const std::uint64_t budget = static_cast<std::uint64_t>(depth) * 8;
   for (auto _ : state) {
-    EventLoop loop(sched);
+    EventLoop loop;
     TimerRing ring{&loop};
     for (std::uint32_t i = 0; i < depth; ++i) ring.arm(i);
     const std::uint64_t fired = loop.run(budget);
@@ -133,16 +132,7 @@ void constant_depth_bench(benchmark::State& state, EventLoop::Scheduler sched) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(budget));
 }
-
-void BM_EventLoopWheelDepth(benchmark::State& state) {
-  constant_depth_bench(state, EventLoop::Scheduler::kWheel);
-}
 BENCHMARK(BM_EventLoopWheelDepth)->Arg(100)->Arg(10000)->Arg(100000);
-
-void BM_EventLoopHeapDepth(benchmark::State& state) {
-  constant_depth_bench(state, EventLoop::Scheduler::kHeap);
-}
-BENCHMARK(BM_EventLoopHeapDepth)->Arg(100)->Arg(10000)->Arg(100000);
 
 // Steady-state allocations per fired event, via the counting operator new
 // above. The loop and ring are built and warmed outside the timed region,

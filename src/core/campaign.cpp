@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <bit>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <condition_variable>
@@ -14,6 +15,7 @@
 #include <stdexcept>
 #include <system_error>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/flightrec.hpp"
@@ -112,20 +114,6 @@ std::optional<std::string> json_value(const std::string& line, const std::string
   return out;
 }
 
-std::uint64_t json_u64(const std::string& line, const std::string& key,
-                       std::uint64_t fallback = 0) {
-  const auto v = json_value(line, key);
-  if (!v || v->empty()) return fallback;
-  return std::stoull(*v);
-}
-
-std::int64_t json_i64(const std::string& line, const std::string& key,
-                      std::int64_t fallback = 0) {
-  const auto v = json_value(line, key);
-  if (!v || v->empty()) return fallback;
-  return std::stoll(*v);
-}
-
 }  // namespace
 
 namespace campaign_detail {
@@ -200,10 +188,24 @@ TrialOutcome parse_manifest_line(const std::string& line, const std::string& con
          "): refusing to mix trials from different configurations");
   const auto status = json_value(line, "status");
   if (!status) fail("missing status");
+  // Numeric fields: absent or empty reads as `fallback`; anything else must
+  // be a whole number that fits the field, or the line is rejected.
+  const auto number = [&](const std::string& key, auto fallback, int base = 10) {
+    decltype(fallback) out = fallback;
+    const auto v = json_value(line, key);
+    if (!v || v->empty()) return out;
+    const char* end = v->data() + v->size();
+    const auto [ptr, ec] = std::from_chars(v->data(), end, out, base);
+    if (ec != std::errc() || ptr != end)
+      fail("bad number for \"" + key + "\": '" + *v + "'");
+    return out;
+  };
+  const auto u64 = [&](const char* key) { return number(key, std::uint64_t{0}); };
+  const auto i64 = [&](const char* key) { return number(key, std::int64_t{0}); };
 
   TrialOutcome t;
-  t.index = json_u64(line, "trial");
-  t.seed = json_u64(line, "seed");
+  t.index = u64("trial");
+  t.seed = u64("seed");
   if (*status == to_string(TrialStatus::kCompleted)) {
     t.status = TrialStatus::kCompleted;
   } else if (*status == to_string(TrialStatus::kQuarantined)) {
@@ -212,37 +214,36 @@ TrialOutcome parse_manifest_line(const std::string& line, const std::string& con
     fail("unknown status '" + *status + "'");
   }
   t.reason = json_value(line, "reason").value_or("");
-  t.checks = json_u64(line, "checks");
-  t.violations = json_u64(line, "violations");
-  t.sim_events = json_u64(line, "sim_events");
-  t.budget_exhausted = json_u64(line, "budget_exhausted") != 0;
-  if (const auto digest = json_value(line, "digest"); digest && !digest->empty())
-    t.digest = std::stoull(*digest, nullptr, 16);
-  if (const std::int64_t div = json_i64(line, "divergence", -1); div >= 0)
+  t.checks = u64("checks");
+  t.violations = u64("violations");
+  t.sim_events = u64("sim_events");
+  t.budget_exhausted = u64("budget_exhausted") != 0;
+  t.digest = number("digest", std::uint64_t{0}, 16);
+  if (const std::int64_t div = number("divergence", std::int64_t{-1}); div >= 0)
     t.divergence = static_cast<std::uint64_t>(div);
   t.from_manifest = true;
-  t.sessions = json_u64(line, "sessions");
-  t.sessions_completed = json_u64(line, "sessions_completed");
-  t.sessions_failed = json_u64(line, "sessions_failed");
-  t.frames_rendered = json_u64(line, "frames_rendered");
-  t.frames_dropped = json_u64(line, "frames_dropped");
-  t.packets_received = json_u64(line, "packets_received");
-  t.packets_lost = json_u64(line, "packets_lost");
-  t.rebuffer_events = json_u64(line, "rebuffers");
-  t.reroutes = json_u64(line, "reroutes");
-  t.route_restores = json_u64(line, "route_restores");
-  t.failovers = json_u64(line, "failovers");
-  t.packets_recovered = json_u64(line, "packets_recovered");
-  t.nacks_sent = json_u64(line, "nacks_sent");
-  t.retransmissions_sent = json_u64(line, "retx_sent");
-  t.parity_packets = json_u64(line, "parity_packets");
-  t.path_switches = json_u64(line, "path_switches");
-  t.nack_suppressed = json_u64(line, "nacks_suppressed");
-  t.router_down_stall = Duration::nanos(json_i64(line, "router_down_stall_ns"));
-  t.stall_time = Duration::nanos(json_i64(line, "stall_ns"));
+  t.sessions = u64("sessions");
+  t.sessions_completed = u64("sessions_completed");
+  t.sessions_failed = u64("sessions_failed");
+  t.frames_rendered = u64("frames_rendered");
+  t.frames_dropped = u64("frames_dropped");
+  t.packets_received = u64("packets_received");
+  t.packets_lost = u64("packets_lost");
+  t.rebuffer_events = u64("rebuffers");
+  t.reroutes = u64("reroutes");
+  t.route_restores = u64("route_restores");
+  t.failovers = u64("failovers");
+  t.packets_recovered = u64("packets_recovered");
+  t.nacks_sent = u64("nacks_sent");
+  t.retransmissions_sent = u64("retx_sent");
+  t.parity_packets = u64("parity_packets");
+  t.path_switches = u64("path_switches");
+  t.nack_suppressed = u64("nacks_suppressed");
+  t.router_down_stall = Duration::nanos(i64("router_down_stall_ns"));
+  t.stall_time = Duration::nanos(i64("stall_ns"));
   if (t.status == TrialStatus::kQuarantined) {
-    t.attempts = static_cast<std::uint32_t>(json_u64(line, "attempts"));
-    t.worker_exit_status = static_cast<int>(json_i64(line, "worker_exit_status"));
+    t.attempts = static_cast<std::uint32_t>(u64("attempts"));
+    t.worker_exit_status = static_cast<int>(i64("worker_exit_status"));
     t.stderr_tail = json_value(line, "stderr_tail").value_or("");
   }
   if (const auto telemetry = json_value(line, "telemetry"); telemetry && !telemetry->empty()) {
@@ -728,8 +729,12 @@ std::size_t resolve_workers(const CampaignConfig& config, std::size_t pending) {
 
 CampaignResult run_campaign(const CampaignConfig& config) {
   const std::string config_hex = hex64(campaign_config_digest(config));
-  const auto is_cancelled = [&config] {
-    return config.cancel != nullptr && config.cancel->load(std::memory_order_relaxed);
+  // Set when the commit loop throws, so the runners stop claiming and can
+  // be joined before the state they share unwinds.
+  std::atomic<bool> abandoned{false};
+  const auto is_cancelled = [&] {
+    return abandoned.load(std::memory_order_relaxed) ||
+           (config.cancel != nullptr && config.cancel->load(std::memory_order_relaxed));
   };
 
   // Restore finished trials from an existing manifest (resume), tolerating
@@ -758,90 +763,97 @@ CampaignResult run_campaign(const CampaignConfig& config) {
 
   campaign_detail::Committer committer(config, config_hex, workers);
 
-  // Worker pool. Each worker claims the next pending index, runs the trial
+  // Worker pool: the calling thread is worker 0 and `workers - 1` threads
+  // join it. Each runner claims the next pending index, runs the trial
   // entirely on its own thread (run_trial contains every exception inside
-  // the outcome), and parks the result in `finished`. The coordinator below
-  // consumes outcomes strictly in index order, so everything order-sensitive
-  // — manifest lines, aggregate folds, quarantine counts — is identical to a
-  // serial run. With workers == 1 no thread is spawned at all.
+  // the outcome), and parks the result in `finished`. This thread also
+  // commits, strictly in index order, so everything order-sensitive —
+  // manifest lines, aggregate folds, quarantine counts — is identical at
+  // any worker count. At workers == 1 no thread is spawned and each trial
+  // commits before the next is claimed.
   std::vector<std::optional<TrialOutcome>> finished(config.trials);
   std::mutex mu;
   std::condition_variable trial_done;
   std::atomic<std::size_t> next_claim{0};
-  std::size_t workers_alive = 0;  // guarded by mu
+  std::size_t workers_alive = workers - 1;  // spawned threads; guarded by mu
   const bool want_scratch_obs =
       config.collect_telemetry && config.scenario.obs == nullptr;
-  const auto worker_body = [&] {
-    // One reusable Obs per worker thread: registry maps and the intern table
-    // are built on the first trial, later trials only reset values.
+  // Claims and runs one pending trial; false once none is left to claim.
+  // Each runner passes its own reusable scratch Obs, built on its first
+  // trial: registry maps and the intern table persist, later trials only
+  // reset values.
+  const auto run_next = [&](std::optional<obs::Obs>& scratch) {
+    const std::size_t k = next_claim.fetch_add(1, std::memory_order_relaxed);
+    if (k >= pending.size()) return false;
+    const std::size_t index = pending[k];
+    if (want_scratch_obs && !scratch)
+      scratch.emplace(campaign_detail::trial_obs_config(config));
+    TrialOutcome outcome = campaign_detail::run_trial(config, index, config_hex,
+                                                      scratch ? &*scratch : nullptr);
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      finished[index] = std::move(outcome);
+    }
+    trial_done.notify_all();
+    return true;
+  };
+
+  const auto runner = [&] {
     std::optional<obs::Obs> scratch;
-    if (want_scratch_obs) scratch.emplace(campaign_detail::trial_obs_config(config));
-    while (!is_cancelled()) {
-      const std::size_t k = next_claim.fetch_add(1, std::memory_order_relaxed);
-      if (k >= pending.size()) break;
-      const std::size_t index = pending[k];
-      TrialOutcome outcome = campaign_detail::run_trial(config, index, config_hex,
-                                                        scratch ? &*scratch : nullptr);
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        finished[index] = std::move(outcome);
-      }
-      trial_done.notify_all();
+    while (!is_cancelled() && run_next(scratch)) {
     }
     {
       std::lock_guard<std::mutex> lock(mu);
       --workers_alive;
     }
-    // The coordinator's cancellation predicate watches workers_alive.
+    // The commit loop's cancellation predicate watches workers_alive.
     trial_done.notify_all();
   };
 
-  std::vector<std::thread> pool;
-  if (workers > 1) {
-    workers_alive = workers;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker_body);
-  }
-
-  // The serial path runs trials on this thread; it gets the same reusable
-  // scratch Obs a pool worker would.
-  std::optional<obs::Obs> serial_scratch;
-  if (workers <= 1 && want_scratch_obs)
-    serial_scratch.emplace(campaign_detail::trial_obs_config(config));
-
-  bool interrupted = false;
-  for (std::size_t i = 0; i < config.trials; ++i) {
-    if (auto it = restored.find(i); it != restored.end()) {
-      committer.commit(std::move(it->second));
-      continue;
-    }
-    TrialOutcome outcome;
-    if (workers > 1) {
-      std::unique_lock<std::mutex> lock(mu);
-      // A cancelled pool stops claiming; once every worker has parked, a
-      // trial with no outcome will never get one — that is where the
-      // interrupted campaign's manifest ends. Everything that did finish
-      // in contiguous order is still committed below.
+  // Trial i's outcome, once it is in. Until then this thread runs pending
+  // trials itself, and once none is left to claim (or the campaign is
+  // cancelled) it waits for the other runners. A cancelled pool stops
+  // claiming; once every thread has parked, a trial with no outcome will
+  // never get one (nullopt) — that is where the interrupted campaign's
+  // manifest ends.
+  std::optional<obs::Obs> scratch;
+  const auto await_trial = [&](std::size_t i) -> std::optional<TrialOutcome> {
+    std::unique_lock<std::mutex> lock(mu);
+    while (!finished[i].has_value()) {
+      lock.unlock();
+      const bool ran = !is_cancelled() && run_next(scratch);
+      lock.lock();
+      if (ran) continue;
       trial_done.wait(lock, [&] {
         return finished[i].has_value() || (is_cancelled() && workers_alive == 0);
       });
-      if (!finished[i].has_value()) {
-        interrupted = true;
-        break;
-      }
-      outcome = std::move(*finished[i]);
-      finished[i].reset();
-    } else {
-      if (is_cancelled()) {
-        interrupted = true;
-        break;
-      }
-      outcome = campaign_detail::run_trial(config, i, config_hex,
-                                           serial_scratch ? &*serial_scratch : nullptr);
+      if (!finished[i].has_value()) return std::nullopt;
     }
-    committer.commit(std::move(outcome));
-  }
+    return std::exchange(finished[i], std::nullopt);
+  };
 
+  std::vector<std::thread> pool;
+  pool.reserve(workers - 1);
+  bool interrupted = false;
+  try {
+    for (std::size_t w = 1; w < workers; ++w) pool.emplace_back(runner);
+    for (std::size_t i = 0; i < config.trials; ++i) {
+      if (auto it = restored.find(i); it != restored.end()) {
+        committer.commit(std::move(it->second));
+        continue;
+      }
+      std::optional<TrialOutcome> outcome = await_trial(i);
+      if (!outcome) {
+        interrupted = true;
+        break;
+      }
+      committer.commit(std::move(*outcome));
+    }
+  } catch (...) {
+    abandoned.store(true, std::memory_order_relaxed);
+    for (std::thread& t : pool) t.join();
+    throw;
+  }
   for (std::thread& t : pool) t.join();
   CampaignResult result = committer.finish();
   result.interrupted = interrupted;

@@ -15,14 +15,14 @@
 // compares the replay digests event-for-event, reporting the index of the
 // first divergent event when the runs part ways (see audit::DeterminismProbe).
 //
-// Campaigns run their trials on a pool of `workers` threads. Trials share
-// nothing — each owns a private EventLoop, Network, Rng, Auditor and
-// DeterminismProbe, all created and destroyed on its worker thread — and the
-// coordinator thread commits finished trials (manifest line, aggregate fold,
-// quarantine count) strictly in trial-index order, so the manifest bytes,
-// aggregate stats and quarantine records of a `workers=N` run are identical
-// to a `workers=1` run of the same config. See DESIGN.md §10 for the
-// isolation argument.
+// Campaigns run their trials on a pool of `workers` runners: the calling
+// thread plus `workers - 1` spawned threads. Trials share nothing — each
+// owns a private EventLoop, Network, Rng, Auditor and DeterminismProbe, all
+// created and destroyed on the thread that runs it — and the calling thread
+// commits finished trials (manifest line, aggregate fold, quarantine count)
+// strictly in trial-index order, so the manifest bytes, aggregate stats and
+// quarantine records of a `workers=N` run are identical to a `workers=1` run
+// of the same config. See DESIGN.md §10 for the isolation argument.
 //
 // The campaign_detail namespace at the bottom exposes the trial runner,
 // manifest codec and ordered-commit sink to the distributed
@@ -60,11 +60,13 @@ struct CampaignConfig {
   std::uint64_t base_seed = 1;
   /// NDJSON resume manifest path; empty = no manifest (and no resume).
   std::string manifest_path;
-  /// Worker threads running trials concurrently. 0 = one per hardware
-  /// thread; 1 = serial on the calling thread (the pre-parallel behaviour).
-  /// Results are committed in trial-index order regardless, so the manifest
-  /// and aggregate are byte-identical across worker counts. Not part of the
-  /// config digest: a manifest written serially resumes under any `workers`.
+  /// Trial runners. The calling thread is always one of them and
+  /// `workers - 1` threads are spawned beside it; 0 = one per hardware
+  /// thread. At 1 the campaign is serial: each trial commits before the next
+  /// is claimed. Results are committed in trial-index order regardless, so
+  /// the manifest and aggregate are byte-identical across worker counts. Not
+  /// part of the config digest: a manifest written serially resumes under
+  /// any `workers`.
   std::size_t workers = 0;
   /// Run each trial twice with the same seed and compare replay digests.
   bool verify_determinism = false;

@@ -57,9 +57,6 @@ struct FleetConfig {
   /// A delivery gap above this mid-stream counts as a rebuffer event.
   Duration rebuffer_gap = Duration::millis(600);
 
-  /// Scheduling backend for the fleet's loop.
-  EventLoop::Scheduler scheduler = EventLoop::default_scheduler();
-
   /// Optional instrumentation (not owned). The auditor is attached to the
   /// loop (monotone-dispatch checks on every event under full audit) and
   /// receives a packet-conservation check at trial end; the probe folds one

@@ -6,8 +6,7 @@
 // is a bare pointer into storage with stable addresses. An update through a
 // handle is one predictable branch plus one add — and when the registry is
 // disabled (or the component was never given one) the handle's slot is null
-// and the update is just the branch. Defining STREAMLAB_OBS_DISABLE removes
-// even that at compile time.
+// and the update is just the branch.
 #pragma once
 
 #include <cstdint>
@@ -19,23 +18,13 @@
 
 namespace streamlab::obs {
 
-#ifdef STREAMLAB_OBS_DISABLE
-inline constexpr bool kObsCompiledIn = false;
-#else
-inline constexpr bool kObsCompiledIn = true;
-#endif
-
 /// Monotonically increasing count. Default-constructed handles are inert.
 class Counter {
  public:
   Counter() = default;
 
   void add(std::uint64_t n = 1) {
-    if constexpr (kObsCompiledIn) {
-      if (slot_ != nullptr) *slot_ += n;
-    } else {
-      (void)n;
-    }
+    if (slot_ != nullptr) *slot_ += n;
   }
   std::uint64_t value() const { return slot_ ? *slot_ : 0; }
   bool live() const { return slot_ != nullptr; }
@@ -52,18 +41,10 @@ class Gauge {
   Gauge() = default;
 
   void set(std::int64_t v) {
-    if constexpr (kObsCompiledIn) {
-      if (slot_ != nullptr) *slot_ = v;
-    } else {
-      (void)v;
-    }
+    if (slot_ != nullptr) *slot_ = v;
   }
   void add(std::int64_t d) {
-    if constexpr (kObsCompiledIn) {
-      if (slot_ != nullptr) *slot_ += d;
-    } else {
-      (void)d;
-    }
+    if (slot_ != nullptr) *slot_ += d;
   }
   std::int64_t value() const { return slot_ ? *slot_ : 0; }
   bool live() const { return slot_ != nullptr; }
@@ -88,21 +69,17 @@ class Histogram {
   Histogram() = default;
 
   void record(double v) {
-    if constexpr (kObsCompiledIn) {
-      if (data_ == nullptr) return;
-      std::size_t idx = 0;
-      if (v > 0.0) {
-        const double scaled = v / data_->bucket_width;
-        idx = scaled >= static_cast<double>(data_->buckets.size() - 1)
-                  ? data_->buckets.size() - 1
-                  : static_cast<std::size_t>(scaled);
-      }
-      ++data_->buckets[idx];
-      ++data_->total;
-      data_->sum += v;
-    } else {
-      (void)v;
+    if (data_ == nullptr) return;
+    std::size_t idx = 0;
+    if (v > 0.0) {
+      const double scaled = v / data_->bucket_width;
+      idx = scaled >= static_cast<double>(data_->buckets.size() - 1)
+                ? data_->buckets.size() - 1
+                : static_cast<std::size_t>(scaled);
     }
+    ++data_->buckets[idx];
+    ++data_->total;
+    data_->sum += v;
   }
   const HistogramData* data() const { return data_; }
   bool live() const { return data_ != nullptr; }
@@ -118,7 +95,7 @@ class Histogram {
 /// metric without coordination.
 class Registry {
  public:
-  explicit Registry(bool enabled = true) : enabled_(enabled && kObsCompiledIn) {}
+  explicit Registry(bool enabled = true) : enabled_(enabled) {}
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 

@@ -16,7 +16,7 @@ const char* to_string(RecordKind kind) {
 }
 
 Tracer::Tracer(Config config)
-    : enabled_(config.enabled && kObsCompiledIn),
+    : enabled_(config.enabled),
       capacity_(config.capacity > 0 ? config.capacity : 1),
       sample_interval_(config.sample_interval) {
   strings_.emplace_back();  // id 0 = empty string

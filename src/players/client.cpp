@@ -32,37 +32,35 @@ StreamClient::StreamClient(Host& host, const EncodedClip& clip, Endpoint server,
         });
   }
 
-  if constexpr (obs::kObsCompiledIn) {
-    if (obs::Obs* obs = host_.loop().observer(); obs != nullptr) {
-      obs_ = std::make_unique<ObsState>();
-      obs_->obs = obs;
-      const std::string tag =
-          config_.kind == PlayerKind::kRealPlayer ? "real" : "media";
-      const std::string prefix = "player." + tag + ".";
-      obs_->play_attempts = obs->registry().counter(prefix + "play_attempts");
-      obs_->play_retries = obs->registry().counter(prefix + "play_retries");
-      obs_->watchdog_fired = obs->registry().counter(prefix + "watchdog_fired");
-      obs_->rebuffers = obs->registry().counter(prefix + "rebuffer_events");
-      obs_->failovers = obs->registry().counter(prefix + "failovers");
-      obs_->unreachables = obs->registry().counter(prefix + "icmp_unreachables");
-      obs_->recovered = obs->registry().counter(prefix + "packets_recovered");
-      obs_->nacks = obs->registry().counter(prefix + "nacks_sent");
-      obs_->nack_suppressed = obs->registry().counter(prefix + "nacks_suppressed");
-      obs_->path_reports = obs->registry().counter(prefix + "path_reports_sent");
-      obs_->repair_latency =
-          obs->registry().histogram(prefix + "repair_latency_ms", 5.0, 100);
-      obs::Tracer& tracer = obs->tracer();
-      obs_->track = tracer.intern("player." + tag);
-      obs_->retry_name = tracer.intern("play-retry");
-      obs_->established_name = tracer.intern("session-established");
-      obs_->dead_name = tracer.intern("stream-dead");
-      obs_->abandoned_name = tracer.intern("session-abandoned");
-      obs_->rebuffer_name = tracer.intern("rebuffer");
-      obs_->goodput_name = tracer.intern(prefix + "goodput_kbps");
-      obs_->failover_name = tracer.intern("failover");
-      obs_->unreachable_name = tracer.intern("icmp-unreachable");
-      obs_->recovered_name = tracer.intern("packet-recovered");
-    }
+  if (obs::Obs* obs = host_.loop().observer(); obs != nullptr) {
+    obs_ = std::make_unique<ObsState>();
+    obs_->obs = obs;
+    const std::string tag =
+        config_.kind == PlayerKind::kRealPlayer ? "real" : "media";
+    const std::string prefix = "player." + tag + ".";
+    obs_->play_attempts = obs->registry().counter(prefix + "play_attempts");
+    obs_->play_retries = obs->registry().counter(prefix + "play_retries");
+    obs_->watchdog_fired = obs->registry().counter(prefix + "watchdog_fired");
+    obs_->rebuffers = obs->registry().counter(prefix + "rebuffer_events");
+    obs_->failovers = obs->registry().counter(prefix + "failovers");
+    obs_->unreachables = obs->registry().counter(prefix + "icmp_unreachables");
+    obs_->recovered = obs->registry().counter(prefix + "packets_recovered");
+    obs_->nacks = obs->registry().counter(prefix + "nacks_sent");
+    obs_->nack_suppressed = obs->registry().counter(prefix + "nacks_suppressed");
+    obs_->path_reports = obs->registry().counter(prefix + "path_reports_sent");
+    obs_->repair_latency =
+        obs->registry().histogram(prefix + "repair_latency_ms", 5.0, 100);
+    obs::Tracer& tracer = obs->tracer();
+    obs_->track = tracer.intern("player." + tag);
+    obs_->retry_name = tracer.intern("play-retry");
+    obs_->established_name = tracer.intern("session-established");
+    obs_->dead_name = tracer.intern("stream-dead");
+    obs_->abandoned_name = tracer.intern("session-abandoned");
+    obs_->rebuffer_name = tracer.intern("rebuffer");
+    obs_->goodput_name = tracer.intern(prefix + "goodput_kbps");
+    obs_->failover_name = tracer.intern("failover");
+    obs_->unreachable_name = tracer.intern("icmp-unreachable");
+    obs_->recovered_name = tracer.intern("packet-recovered");
   }
 }
 
@@ -92,18 +90,14 @@ void StreamClient::enter_phase(audit::SessionPhase to) {
 }
 
 void StreamClient::obs_instant(std::uint16_t name, SimTime now, double value) {
-  if constexpr (obs::kObsCompiledIn) {
-    if (obs_ && obs_->obs->tracing())
-      obs_->obs->tracer().instant(name, obs_->track, now, value);
-  }
+  if (obs_ && obs_->obs->tracing())
+    obs_->obs->tracer().instant(name, obs_->track, now, value);
 }
 
 void StreamClient::obs_end_rebuffer(SimTime now) {
-  if constexpr (obs::kObsCompiledIn) {
-    if (obs_ && obs_->rebuffer_span != 0) {
-      obs_->obs->tracer().end_span(obs_->rebuffer_span, now);
-      obs_->rebuffer_span = 0;
-    }
+  if (obs_ && obs_->rebuffer_span != 0) {
+    obs_->obs->tracer().end_span(obs_->rebuffer_span, now);
+    obs_->rebuffer_span = 0;
   }
 }
 
@@ -822,11 +816,9 @@ void StreamClient::decode_frame_rebuffering(std::size_t index) {
       attribute_stall();
       if (obs_) {
         obs_->rebuffers.add();
-        if constexpr (obs::kObsCompiledIn) {
-          if (obs_->obs->tracing())
-            obs_->rebuffer_span = obs_->obs->tracer().begin_span(
-                obs_->rebuffer_name, obs_->track, host_.loop().now());
-        }
+        if (obs_->obs->tracing())
+          obs_->rebuffer_span = obs_->obs->tracer().begin_span(
+              obs_->rebuffer_name, obs_->track, host_.loop().now());
       }
     }
     const Duration poll = Duration::millis(100);

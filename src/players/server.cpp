@@ -12,22 +12,20 @@ StreamServer::StreamServer(Host& host, EncodedClip clip, std::uint16_t port)
     : host_(host), clip_(std::move(clip)), port_(port) {
   host_.udp_bind(port_, [this](std::span<const std::uint8_t> payload, Endpoint from,
                                SimTime) { handle_control(payload, from); });
-  if constexpr (obs::kObsCompiledIn) {
-    if (obs::Obs* obs = host_.loop().observer(); obs != nullptr) {
-      obs_ = std::make_unique<ObsState>();
-      obs_->obs = obs;
-      const std::string tag = port_ == kRealServerPort  ? "rm"
-                              : port_ == kMediaServerPort ? "wm"
-                                                          : std::to_string(port_);
-      obs_->switches = obs->registry().counter("server." + tag + ".scaling_switches");
-      obs_->parity_sent = obs->registry().counter("server." + tag + ".parity_sent");
-      obs_->retx_sent = obs->registry().counter("server." + tag + ".retx_sent");
-      obs_->nacks_received = obs->registry().counter("server." + tag + ".nacks_received");
-      obs::Tracer& tracer = obs->tracer();
-      obs_->track = tracer.intern("server." + tag);
-      obs_->switch_name = tracer.intern("scaling-switch");
-      obs_->keep_name = tracer.intern("server." + tag + ".keep_fraction");
-    }
+  if (obs::Obs* obs = host_.loop().observer(); obs != nullptr) {
+    obs_ = std::make_unique<ObsState>();
+    obs_->obs = obs;
+    const std::string tag = port_ == kRealServerPort  ? "rm"
+                            : port_ == kMediaServerPort ? "wm"
+                                                        : std::to_string(port_);
+    obs_->switches = obs->registry().counter("server." + tag + ".scaling_switches");
+    obs_->parity_sent = obs->registry().counter("server." + tag + ".parity_sent");
+    obs_->retx_sent = obs->registry().counter("server." + tag + ".retx_sent");
+    obs_->nacks_received = obs->registry().counter("server." + tag + ".nacks_received");
+    obs::Tracer& tracer = obs->tracer();
+    obs_->track = tracer.intern("server." + tag);
+    obs_->switch_name = tracer.intern("scaling-switch");
+    obs_->keep_name = tracer.intern("server." + tag + ".keep_fraction");
   }
 }
 
@@ -310,14 +308,12 @@ std::size_t StreamServer::send_media(std::size_t media_len, bool buffering_phase
 }
 
 void StreamServer::on_scaling_switch() {
-  if constexpr (obs::kObsCompiledIn) {
-    const SimTime now = host_.loop().now();
-    const double keep = scaling_->controller.keep_fraction();
-    obs_->switches.add();
-    if (obs_->obs->tracing()) {
-      obs_->obs->tracer().instant(obs_->switch_name, obs_->track, now, keep);
-      obs_->obs->tracer().sample_always(obs_->keep_name, now, keep);
-    }
+  const SimTime now = host_.loop().now();
+  const double keep = scaling_->controller.keep_fraction();
+  obs_->switches.add();
+  if (obs_->obs->tracing()) {
+    obs_->obs->tracer().instant(obs_->switch_name, obs_->track, now, keep);
+    obs_->obs->tracer().sample_always(obs_->keep_name, now, keep);
   }
 }
 

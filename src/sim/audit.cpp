@@ -131,10 +131,6 @@ void Auditor::violation(Invariant invariant, SimTime now, std::string detail,
 }
 
 void Auditor::attach_obs(obs::Obs& obs) {
-  if constexpr (!obs::kObsCompiledIn) {
-    (void)obs;
-    return;
-  }
   obs_checks_ = obs.registry().counter("audit.checks");
   obs_violations_ = obs.registry().counter("audit.violations");
   // Checks already performed before attachment (rare; attach happens at run

@@ -1,6 +1,5 @@
 #include "sim/event_loop.hpp"
 
-#include <atomic>
 #include <utility>
 #include <vector>
 
@@ -27,8 +26,6 @@ CtlPool& ctl_pool() {
   thread_local CtlPool pool;
   return pool;
 }
-
-std::atomic<EventLoop::Scheduler> g_default_scheduler{EventLoop::Scheduler::kWheel};
 
 }  // namespace
 
@@ -58,32 +55,14 @@ void EventCtl::release(EventCtl* ctl) {
 
 EventCtl::PoolStats EventCtl::pool_stats() { return ctl_pool().stats; }
 
-EventLoop::Scheduler EventLoop::default_scheduler() {
-  return g_default_scheduler.load(std::memory_order_relaxed);
-}
-
-void EventLoop::set_default_scheduler(Scheduler scheduler) {
-  g_default_scheduler.store(scheduler, std::memory_order_relaxed);
-}
-
-EventLoop::EventLoop(Scheduler scheduler) {
-  if (scheduler == Scheduler::kWheel)
-    wheel_ = std::make_unique<detail::TimingWheel<Event>>();
-}
+EventLoop::EventLoop() : wheel_(std::make_unique<detail::TimingWheel<Event>>()) {}
 
 EventLoop::~EventLoop() {
   // Handles may outlive the loop: detach their count pointer so a late
   // cancel() flips the flag without touching freed memory.
-  if (wheel_ != nullptr) {
-    wheel_->for_each([](Event& ev) {
-      if (EventCtl* ctl = ev.ctl.get()) ctl->live = nullptr;
-    });
-  } else {
-    while (!heap_.empty()) {
-      if (EventCtl* ctl = heap_.top().ctl.get()) ctl->live = nullptr;
-      heap_.pop();
-    }
-  }
+  wheel_->for_each([](Event& ev) {
+    if (EventCtl* ctl = ev.ctl.get()) ctl->live = nullptr;
+  });
 }
 
 void EventLoop::enqueue(SimTime when, EventFn fn, obs::EventCategory category,
@@ -92,11 +71,7 @@ void EventLoop::enqueue(SimTime when, EventFn fn, obs::EventCategory category,
   Event ev{when,
            (next_seq_++ << kCategoryBits) | static_cast<std::uint64_t>(category),
            std::move(fn), std::move(ctl)};
-  if (wheel_ != nullptr) {
-    wheel_->push(std::move(ev));
-  } else {
-    heap_.push(std::move(ev));
-  }
+  wheel_->push(std::move(ev));
   ++live_count_;
 }
 
@@ -122,34 +97,17 @@ void EventLoop::post_in(Duration delay, EventFn fn, obs::EventCategory category)
   post_at(now_ + delay, std::move(fn), category);
 }
 
-EventLoop::Event* EventLoop::peek_next() {
-  if (wheel_ != nullptr) return wheel_->peek();
-  if (heap_.empty()) return nullptr;
-  // The heap backend mutates the top entry in place when taking it; see
-  // take_next().
-  return const_cast<Event*>(&heap_.top());
-}
-
-EventLoop::Event EventLoop::take_next() {
-  if (wheel_ != nullptr) return wheel_->pop();
-  // Move out before popping: fn may schedule new events and reallocate.
-  Event& top = const_cast<Event&>(heap_.top());
-  Event ev{top.when, top.seq, std::move(top.fn), std::move(top.ctl)};
-  heap_.pop();
-  return ev;
-}
-
 bool EventLoop::fire_next(SimTime deadline) {
   for (;;) {
-    Event* top = peek_next();
+    Event* top = wheel_->peek();
     if (top == nullptr) return false;
     if (top->when > deadline) return false;
     if (EventCtl* ctl = top->ctl.get(); ctl != nullptr && !ctl->alive) {
       // Cancelled: the live count was settled at cancel() time.
-      (void)take_next();
+      (void)wheel_->pop();
       continue;
     }
-    Event ev = take_next();
+    Event ev = wheel_->pop();
     if (auditor_ != nullptr) auditor_->on_event_dispatch(ev.when, now_);
     now_ = ev.when;
     // Settle the bookkeeping whether fn returns or throws: the event *did*
@@ -170,11 +128,9 @@ bool EventLoop::fire_next(SimTime deadline) {
         --live_count_;
       }
       ++executed_;
-      if constexpr (obs::kObsCompiledIn) {
-        if (obs_ != nullptr)
-          obs_->on_loop_event(static_cast<obs::EventCategory>(ev.seq & kCategoryMask),
-                              live_count_, now_);
-      }
+      if (obs_ != nullptr)
+        obs_->on_loop_event(static_cast<obs::EventCategory>(ev.seq & kCategoryMask),
+                            live_count_, now_);
     };
     try {
       ev.fn();

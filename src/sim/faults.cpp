@@ -175,14 +175,12 @@ void FaultScheduler::apply_router(std::size_t index) {
   Router& target = e.detour ? network_->detour_router(e.router_index)
                             : network_->router(e.router_index);
   target.set_offline(true);
-  if constexpr (obs::kObsCompiledIn) {
-    if (obs::Obs* obs = loop_.observer(); obs != nullptr && obs->tracing()) {
-      obs::Tracer& tracer = obs->tracer();
-      const std::uint16_t name = tracer.intern(
-          std::string("fault:") + to_string(e.kind) +
-          (e.label.empty() ? std::string() : ":" + e.label));
-      state.span = tracer.begin_span(name, tracer.intern("faults"), loop_.now());
-    }
+  if (obs::Obs* obs = loop_.observer(); obs != nullptr && obs->tracing()) {
+    obs::Tracer& tracer = obs->tracer();
+    const std::uint16_t name = tracer.intern(
+        std::string("fault:") + to_string(e.kind) +
+        (e.label.empty() ? std::string() : ":" + e.label));
+    state.span = tracer.begin_span(name, tracer.intern("faults"), loop_.now());
   }
   open_router_downs_[index] = state;
 }
@@ -208,11 +206,9 @@ void FaultScheduler::settle_router(std::size_t index, const RouterDownState& sta
                                         : network_->router(router_index);
     target.set_offline(false);
   }
-  if constexpr (obs::kObsCompiledIn) {
-    if (state.span != 0) {
-      if (obs::Obs* obs = loop_.observer(); obs != nullptr)
-        obs->tracer().end_span(state.span, loop_.now());
-    }
+  if (state.span != 0) {
+    if (obs::Obs* obs = loop_.observer(); obs != nullptr)
+      obs->tracer().end_span(state.span, loop_.now());
   }
 }
 
@@ -254,14 +250,12 @@ void FaultScheduler::apply(std::size_t index) {
 
   // Episode span on the shared "faults" track: begin here, end when the
   // episode clears or a successor pre-empts it.
-  if constexpr (obs::kObsCompiledIn) {
-    if (obs::Obs* obs = loop_.observer(); obs != nullptr && obs->tracing()) {
-      obs::Tracer& tracer = obs->tracer();
-      const std::uint16_t name = tracer.intern(
-          std::string("fault:") + to_string(e.kind) +
-          (e.label.empty() ? std::string() : ":" + e.label));
-      active_span_ = tracer.begin_span(name, tracer.intern("faults"), loop_.now());
-    }
+  if (obs::Obs* obs = loop_.observer(); obs != nullptr && obs->tracing()) {
+    obs::Tracer& tracer = obs->tracer();
+    const std::uint16_t name = tracer.intern(
+        std::string("fault:") + to_string(e.kind) +
+        (e.label.empty() ? std::string() : ":" + e.label));
+    active_span_ = tracer.begin_span(name, tracer.intern("faults"), loop_.now());
   }
 }
 
@@ -297,12 +291,10 @@ void FaultScheduler::close_accounting(std::size_t index) {
   EpisodeRecord& rec = records_[index];
   rec.packets_dropped += drops_for_kind(rec.episode.kind) - drops_at_apply_;
   rec.cleared = true;
-  if constexpr (obs::kObsCompiledIn) {
-    if (active_span_ != 0) {
-      if (obs::Obs* obs = loop_.observer(); obs != nullptr)
-        obs->tracer().end_span(active_span_, loop_.now());
-      active_span_ = 0;
-    }
+  if (active_span_ != 0) {
+    if (obs::Obs* obs = loop_.observer(); obs != nullptr)
+      obs->tracer().end_span(active_span_, loop_.now());
+    active_span_ = 0;
   }
 }
 

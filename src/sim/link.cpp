@@ -14,11 +14,6 @@ Link::Link(EventLoop& loop, Rng rng, LinkConfig config, Node& a, int a_iface, No
 }
 
 void Link::set_observer(obs::Obs& obs, const std::string& label) {
-  if constexpr (!obs::kObsCompiledIn) {
-    (void)obs;
-    (void)label;
-    return;
-  }
   obs_ = std::make_unique<ObsState>();
   obs_->obs = &obs;
   const std::string prefix = "link." + label + ".";

@@ -64,15 +64,13 @@ void RouteRepair::withdraw(Span& span) {
   for (auto& [router, id] : span.primaries) router->withdraw_route(id);
   span.withdrawn = true;
   ++stats_.reroutes;
-  if constexpr (obs::kObsCompiledIn) {
-    obs_state_.reroutes.add();
-    if (obs_ != nullptr && obs_->tracing()) {
-      obs::Tracer& tracer = obs_->tracer();
-      span.trace_span = tracer.begin_span(
-          tracer.intern("reroute:span" + std::to_string(span.first) + "-" +
-                        std::to_string(span.last)),
-          tracer.intern("repair"), network_.loop().now());
-    }
+  obs_state_.reroutes.add();
+  if (obs_ != nullptr && obs_->tracing()) {
+    obs::Tracer& tracer = obs_->tracer();
+    span.trace_span = tracer.begin_span(
+        tracer.intern("reroute:span" + std::to_string(span.first) + "-" +
+                      std::to_string(span.last)),
+        tracer.intern("repair"), network_.loop().now());
   }
   // A bad withdraw is exactly how forwarding loops are born; check now, not
   // at trial end.
@@ -83,32 +81,24 @@ void RouteRepair::restore(Span& span) {
   for (auto& [router, id] : span.primaries) router->restore_route(id);
   span.withdrawn = false;
   ++stats_.restores;
-  if constexpr (obs::kObsCompiledIn) {
-    obs_state_.restores.add();
-    if (span.trace_span != 0) {
-      if (obs_ != nullptr) obs_->tracer().end_span(span.trace_span, network_.loop().now());
-      span.trace_span = 0;
-    }
+  obs_state_.restores.add();
+  if (span.trace_span != 0) {
+    if (obs_ != nullptr) obs_->tracer().end_span(span.trace_span, network_.loop().now());
+    span.trace_span = 0;
   }
   network_.audit_routing();
 }
 
 void RouteRepair::finish() {
-  if constexpr (obs::kObsCompiledIn) {
-    for (Span& span : spans_) {
-      if (span.trace_span != 0) {
-        if (obs_ != nullptr) obs_->tracer().end_span(span.trace_span, network_.loop().now());
-        span.trace_span = 0;
-      }
+  for (Span& span : spans_) {
+    if (span.trace_span != 0) {
+      if (obs_ != nullptr) obs_->tracer().end_span(span.trace_span, network_.loop().now());
+      span.trace_span = 0;
     }
   }
 }
 
 void RouteRepair::set_observer(obs::Obs& obs) {
-  if constexpr (!obs::kObsCompiledIn) {
-    (void)obs;
-    return;
-  }
   obs_ = &obs;
   obs_state_.reroutes = obs.registry().counter("repair.reroutes");
   obs_state_.restores = obs.registry().counter("repair.restores");

@@ -5,11 +5,6 @@
 namespace streamlab {
 
 void Router::set_observer(obs::Obs& obs, const std::string& label) {
-  if constexpr (!obs::kObsCompiledIn) {
-    (void)obs;
-    (void)label;
-    return;
-  }
   obs_ = std::make_unique<ObsState>();
   const std::string prefix = "router." + label + ".";
   obs_->forwarded = obs.registry().counter(prefix + "forwarded");

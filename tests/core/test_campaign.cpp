@@ -344,6 +344,18 @@ TEST(CampaignParallel, SharedObsRejectedWhenTrialsWouldRunConcurrently) {
   EXPECT_NO_THROW(run_campaign(single));
 }
 
+/// A throwing progress hook propagates out of a pooled campaign: the
+/// runners stop claiming and are joined first instead of ending the program.
+TEST(CampaignParallel, ThrowingProgressHookPropagatesAfterJoiningRunners) {
+  CampaignConfig config = tiny_campaign(8);
+  config.workers = 4;
+  config.progress_every = 1;
+  config.progress_hook = [](const CampaignProgress&) {
+    throw std::runtime_error("hook failed");
+  };
+  EXPECT_THROW(run_campaign(config), std::runtime_error);
+}
+
 /// workers=0 (one per hardware thread) must behave like any explicit count.
 TEST(CampaignParallel, DefaultWorkerCountProducesSameResults) {
   CampaignConfig serial = tiny_campaign(4);
@@ -566,6 +578,7 @@ TEST(CampaignTelemetry, QuarantineWritesPostmortemFlightRecord) {
 /// end, with a monotone trial count and a live telemetry pointer.
 TEST(CampaignTelemetry, ProgressHookFiresOnCadenceAndAtCompletion) {
   CampaignConfig config = tiny_campaign(5);
+  config.workers = 1;
   config.progress_every = 2;
   std::vector<std::size_t> done_at_call;
   std::vector<std::uint64_t> folded_at_call;
@@ -580,6 +593,40 @@ TEST(CampaignTelemetry, ProgressHookFiresOnCadenceAndAtCompletion) {
   EXPECT_EQ(result.completed, 5u);
   EXPECT_EQ(done_at_call, (std::vector<std::size_t>{2, 4, 5}));
   EXPECT_EQ(folded_at_call, (std::vector<std::uint64_t>{2, 4, 5}));
+}
+
+/// The same cadence under a 4-runner pool: the hook runs on the committing
+/// thread in commit order, so it sees exactly the serial sequence.
+TEST(CampaignTelemetry, ProgressHookKeepsCadenceUnderFourWorkers) {
+  CampaignConfig config = tiny_campaign(9);
+  config.workers = 4;
+  config.progress_every = 2;
+  std::vector<std::size_t> done_at_call;
+  config.progress_hook = [&](const CampaignProgress& p) {
+    EXPECT_EQ(p.trials_total, 9u);
+    EXPECT_EQ(p.workers, 4u);
+    ASSERT_NE(p.telemetry, nullptr);
+    EXPECT_EQ(p.telemetry->trials_folded(), p.trials_done);
+    done_at_call.push_back(p.trials_done);
+  };
+  const CampaignResult result = run_campaign(config);
+  EXPECT_EQ(result.completed, 9u);
+  EXPECT_EQ(done_at_call, (std::vector<std::size_t>{2, 4, 6, 8, 9}));
+}
+
+/// At workers = 1 the calling thread is the only runner: no thread is
+/// spawned, and every trial (and so its fault hook) runs where
+/// run_campaign was called.
+TEST(Campaign, SerialRunsEveryTrialOnTheCallingThread) {
+  CampaignConfig config = tiny_campaign(3);
+  config.workers = 1;
+  std::vector<std::thread::id> ran_on;
+  config.fault_hook = [&ran_on](audit::Auditor&, std::size_t, std::uint64_t) {
+    ran_on.push_back(std::this_thread::get_id());
+  };
+  const CampaignResult result = run_campaign(config);
+  EXPECT_EQ(result.completed, 3u);
+  EXPECT_EQ(ran_on, std::vector<std::thread::id>(3, std::this_thread::get_id()));
 }
 
 TEST(Campaign, ThrowingTrialIsQuarantinedOthersSalvaged) {
@@ -654,6 +701,37 @@ TEST(CampaignCrash, CompleteButForeignFinalLineStillRejected) {
   EXPECT_THROW(run_campaign(config), std::runtime_error);
 }
 
+/// A complete line whose number does not parse (or does not fit) is
+/// corruption: resuming over it throws the documented std::runtime_error,
+/// naming the line and the key.
+TEST(CampaignCrash, BadNumberInCompleteLineThrowsTaggedRuntimeError) {
+  CampaignConfig config = tiny_campaign(2);
+  config.workers = 1;
+  config.manifest_path = temp_manifest("bad_number");
+  run_campaign(config);
+  const std::string whole = slurp(config.manifest_path);
+  const std::size_t key = whole.find("\"checks\":", whole.find('\n'));
+  ASSERT_NE(key, std::string::npos);
+  const std::size_t value = key + std::string("\"checks\":").size();
+  const std::size_t value_end = whole.find(',', value);
+
+  for (const char* bad : {"abc", "-5", "99999999999999999999999"}) {
+    {
+      std::ofstream out(config.manifest_path, std::ios::binary | std::ios::trunc);
+      out << whole.substr(0, value) << bad << whole.substr(value_end);
+    }
+    try {
+      run_campaign(config);
+      ADD_FAILURE() << "no throw for checks=" << bad;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+      EXPECT_NE(what.find("\"checks\""), std::string::npos) << what;
+      EXPECT_NE(what.find(bad), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(CampaignCrash, InProcessQuarantineRecordsEmptyWorkerEvidence) {
   CampaignConfig config = tiny_campaign(3);
   config.manifest_path = temp_manifest("evidence");
@@ -683,6 +761,7 @@ TEST(CampaignCrash, InProcessQuarantineRecordsEmptyWorkerEvidence) {
 TEST(CampaignCrash, CancelFlagFlushesCommittedPrefixAndResumes) {
   std::atomic<bool> cancel{false};
   CampaignConfig config = tiny_campaign(6);
+  config.workers = 1;
   config.manifest_path = temp_manifest("cancel_serial");
   config.cancel = &cancel;
   config.progress_every = 1;

@@ -5,7 +5,7 @@
 // spare-only single-path baseline burns a failover per flap. Plus the
 // determinism story: bit-identical replays, campaign config digests that
 // separate multipath variants, and manifests that are byte-identical serial
-// vs 4 workers and heap vs wheel.
+// vs 4 workers.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -18,7 +18,6 @@
 #include "core/turbulence.hpp"
 #include "media/catalog.hpp"
 #include "sim/audit.hpp"
-#include "sim/event_loop.hpp"
 
 namespace streamlab {
 namespace {
@@ -210,7 +209,7 @@ CampaignConfig multipath_campaign(std::size_t workers, const char* name) {
   return cfg;
 }
 
-TEST(MultipathStriping, ManifestBytesIdenticalSerialVsWorkersAndHeapVsWheel) {
+TEST(MultipathStriping, ManifestBytesIdenticalSerialVsWorkers) {
   CampaignConfig serial_cfg = multipath_campaign(1, "serial");
   const CampaignResult serial = run_campaign(serial_cfg);
   ASSERT_EQ(serial.completed, 4u);
@@ -226,15 +225,6 @@ TEST(MultipathStriping, ManifestBytesIdenticalSerialVsWorkersAndHeapVsWheel) {
   EXPECT_EQ(slurp(parallel_cfg.manifest_path), serial_manifest);
   EXPECT_EQ(parallel.aggregate.path_switches, serial.aggregate.path_switches);
   EXPECT_EQ(parallel.aggregate.nack_suppressed, serial.aggregate.nack_suppressed);
-
-  // Same campaign on the heap scheduler backend: same bytes again.
-  const EventLoop::Scheduler saved = EventLoop::default_scheduler();
-  EventLoop::set_default_scheduler(EventLoop::Scheduler::kHeap);
-  CampaignConfig heap_cfg = multipath_campaign(1, "heap");
-  const CampaignResult heap = run_campaign(heap_cfg);
-  EventLoop::set_default_scheduler(saved);
-  ASSERT_EQ(heap.completed, 4u);
-  EXPECT_EQ(slurp(heap_cfg.manifest_path), serial_manifest);
 }
 
 }  // namespace

@@ -253,7 +253,6 @@ TEST(TrialTelemetry, SerializeRoundTrips) {
   EXPECT_FALSE(TrialTelemetry::parse("").has_value());
 }
 
-#ifndef STREAMLAB_OBS_DISABLE
 TEST(TrialTelemetry, FromRegistryRollsUpFamilies) {
   Registry registry;
   registry.counter("link.chain0-1.delivered").add(100);
@@ -270,7 +269,6 @@ TEST(TrialTelemetry, FromRegistryRollsUpFamilies) {
   ASSERT_TRUE(t.sample("player.repair_latency_ms").has_value());
   EXPECT_DOUBLE_EQ(*t.sample("player.repair_latency_ms"), 20.0);
 }
-#endif
 
 TrialTelemetry trial_record(std::uint64_t seed) {
   std::mt19937_64 rng(seed);

@@ -5,22 +5,6 @@
 namespace streamlab::obs {
 namespace {
 
-#ifdef STREAMLAB_OBS_DISABLE
-
-// With the layer compiled out, the only contract left is that handles and
-// registries are total no-ops.
-TEST(Metrics, DisabledBuildIsInert) {
-  EXPECT_FALSE(kObsCompiledIn);
-  Registry registry;
-  EXPECT_FALSE(registry.enabled());
-  Counter c = registry.counter("x");
-  c.add(100);
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_TRUE(registry.counters().empty());
-}
-
-#else
-
 TEST(Metrics, CounterAddsThroughHandle) {
   Registry registry;
   Counter c = registry.counter("loop.events_fired");
@@ -120,8 +104,6 @@ TEST(Metrics, SnapshotsAreNameSorted) {
   ASSERT_EQ(gauges.size(), 1u);
   EXPECT_EQ(gauges[0].second, -5);
 }
-
-#endif  // STREAMLAB_OBS_DISABLE
 
 }  // namespace
 }  // namespace streamlab::obs

@@ -52,10 +52,6 @@ ObservedRun& observed_run() {
   return run;
 }
 
-// Everything below up to the determinism test asserts on recorded data,
-// which STREAMLAB_OBS_DISABLE compiles out by contract.
-#ifndef STREAMLAB_OBS_DISABLE
-
 std::uint64_t counter_value(const obs::Obs& obs, const std::string& name) {
   for (const auto& [n, v] : obs.registry().counters())
     if (n == name) return v;
@@ -156,8 +152,6 @@ TEST(ObsIntegration, ExportedTimeseriesRoundTripsMonotone) {
     prev = t;
   }
 }
-
-#endif  // STREAMLAB_OBS_DISABLE
 
 TEST(ObsIntegration, RunIsDeterministicUnderObservation) {
   // Attaching an observer must not perturb the simulation itself.

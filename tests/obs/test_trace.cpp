@@ -13,10 +13,6 @@
 namespace streamlab::obs {
 namespace {
 
-// The whole file asserts on recorded data; with STREAMLAB_OBS_DISABLE the
-// tracer records nothing by contract, so there is nothing to test here.
-#ifndef STREAMLAB_OBS_DISABLE
-
 std::vector<TraceRecord> records_of(const Tracer& tracer) {
   std::vector<TraceRecord> out;
   tracer.for_each([&](const TraceRecord& r) { out.push_back(r); });
@@ -242,8 +238,6 @@ TEST(TraceExport, MetricsCsvSnapshotsEveryKind) {
   EXPECT_NE(csv.find("histogram_bucket,demo.hist"), std::string::npos);
   EXPECT_NE(csv.find("histogram_total,demo.hist,,1"), std::string::npos);
 }
-
-#endif  // STREAMLAB_OBS_DISABLE
 
 }  // namespace
 }  // namespace streamlab::obs

@@ -154,7 +154,6 @@ TEST(Auditor, SummaryReadsCleanOrFirstViolation) {
 }
 
 TEST(Auditor, AttachObsMirrorsCountsOnRegistry) {
-  if constexpr (!obs::kObsCompiledIn) GTEST_SKIP() << "obs compiled out";
   Auditor auditor(check_everything());
   auditor.force_violation("before attach");
   obs::Obs obs;

@@ -1,15 +1,18 @@
-// Differential and contract tests for the two scheduling backends.
+// Differential and contract tests for the event loop's timing wheel.
 //
-// The timing wheel (EventLoop::Scheduler::kWheel) must be observationally
-// identical to the reference heap (kHeap): same fire order, same clocks, same
-// pending/executed accounting — on adversarial schedules with same-instant
-// clusters, cancels, nested scheduling, budget-truncated runs and far-future
-// events. The differential driver below replays one deterministic
-// pseudo-random "schedule program" through both backends and compares the
-// full recordings.
+// The wheel must be observationally identical to a plain binary heap on
+// (time, insertion-seq): same fire order, same clocks, same pending/executed
+// accounting — on adversarial schedules with same-instant clusters, cancels,
+// nested scheduling, budget-truncated runs and far-future events. The
+// differential driver below replays one deterministic pseudo-random
+// "schedule program" through EventLoop and through ReferenceHeapLoop, a
+// test-only `std::priority_queue` oracle, and compares the full recordings.
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <queue>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,18 +24,96 @@
 namespace streamlab {
 namespace {
 
-using Scheduler = EventLoop::Scheduler;
+// The oracle: the textbook discrete-event queue, a min-heap on (when, seq).
+// It mirrors EventLoop's contract (past times clamp to now, cancel settles
+// the live count at once, a budget-truncated run_until leaves the clock at
+// the last fired event) and nothing else: no pooling, no categories, no
+// observer, no exception bookkeeping.
+class ReferenceHeapLoop {
+  struct Control {
+    bool alive = true;
+    std::size_t* live = nullptr;
+  };
 
-class BothSchedulers : public ::testing::TestWithParam<Scheduler> {};
+ public:
+  class Handle {
+   public:
+    void cancel() {
+      if (ctl_ != nullptr && ctl_->alive) {
+        ctl_->alive = false;
+        --*ctl_->live;
+      }
+    }
 
-INSTANTIATE_TEST_SUITE_P(Backends, BothSchedulers,
-                         ::testing::Values(Scheduler::kWheel, Scheduler::kHeap),
-                         [](const auto& info) {
-                           return info.param == Scheduler::kWheel ? "Wheel" : "Heap";
-                         });
+   private:
+    friend class ReferenceHeapLoop;
+    explicit Handle(std::shared_ptr<Control> ctl) : ctl_(std::move(ctl)) {}
+    std::shared_ptr<Control> ctl_;
+  };
+
+  SimTime now() const { return now_; }
+  bool empty() const { return live_ == 0; }
+  std::size_t pending_events() const { return live_; }
+  std::uint64_t executed_events() const { return executed_; }
+
+  Handle schedule_at(SimTime when, std::function<void()> fn) {
+    auto ctl = std::make_shared<Control>();
+    ctl->live = &live_;
+    push(when, std::move(fn), ctl);
+    return Handle(std::move(ctl));
+  }
+  void post_at(SimTime when, std::function<void()> fn) { push(when, std::move(fn), nullptr); }
+  void post_in(Duration delay, std::function<void()> fn) { post_at(now_ + delay, std::move(fn)); }
+
+  std::uint64_t run_until(SimTime deadline, std::uint64_t limit) {
+    std::uint64_t n = 0;
+    while (n < limit && fire_next(deadline)) ++n;
+    if (n < limit && now_ < deadline) now_ = deadline;
+    return n;
+  }
+
+ private:
+  struct Event {
+    SimTime when;
+    std::uint64_t seq;
+    std::function<void()> fn;
+    std::shared_ptr<Control> ctl;  // null for post_* events
+  };
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const {
+      return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+    }
+  };
+
+  void push(SimTime when, std::function<void()> fn, std::shared_ptr<Control> ctl) {
+    heap_.push(Event{std::max(when, now_), next_seq_++, std::move(fn), std::move(ctl)});
+    ++live_;
+  }
+
+  bool fire_next(SimTime deadline) {
+    while (!heap_.empty() && heap_.top().when <= deadline) {
+      Event ev = heap_.top();
+      heap_.pop();
+      if (ev.ctl != nullptr && !ev.ctl->alive) continue;  // cancelled
+      now_ = ev.when;
+      ev.fn();
+      if (ev.ctl == nullptr || ev.ctl->alive) --live_;
+      if (ev.ctl != nullptr) ev.ctl->alive = false;
+      ++executed_;
+      return true;
+    }
+    return false;
+  }
+
+  SimTime now_;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t executed_ = 0;
+  std::size_t live_ = 0;
+  std::priority_queue<Event, std::vector<Event>, Later> heap_;
+};
 
 // Deterministic 64-bit LCG so the "random" program is identical across
-// backends, runs and platforms.
+// loops, runs and platforms.
 struct Lcg {
   std::uint64_t x;
   std::uint64_t next() {
@@ -54,11 +135,12 @@ struct Recording {
 // same-instant clusters, nested children, random cancels (including
 // cancel-from-inside-run), handle-free posts, far-future events at coarse
 // wheel levels, and budget-truncated resumed runs.
-Recording run_program(Scheduler kind, std::uint64_t seed) {
+template <typename Loop>
+Recording run_program(std::uint64_t seed) {
   Recording rec;
-  EventLoop loop(kind);
+  Loop loop;
   Lcg rng{seed};
-  std::vector<EventHandle> handles;
+  std::vector<decltype(loop.schedule_at(SimTime(), [] {}))> handles;
   int next_id = 100000;
 
   const auto record = [&rec, &loop](int id) {
@@ -98,7 +180,7 @@ Recording run_program(Scheduler kind, std::uint64_t seed) {
   for (int i = 0; i < 20; ++i) {
     const SimTime when = SimTime(static_cast<std::int64_t>(
         1'000'000'000ULL + rng.below(1'000'000'000'000ULL)));  // 1s .. ~17min
-    EventHandle h = loop.schedule_at(when, [&, id = 2000 + i] { record(id); });
+    auto h = loop.schedule_at(when, [&, id = 2000 + i] { record(id); });
     if (i % 2 == 0) h.cancel();
   }
   loop.schedule_at(SimTime::max(), [&] { record(9999); }).cancel();
@@ -119,8 +201,8 @@ Recording run_program(Scheduler kind, std::uint64_t seed) {
 
 TEST(SchedulerDifferential, WheelMatchesHeapOnAdversarialPrograms) {
   for (const std::uint64_t seed : {1ULL, 7ULL, 1234567ULL, 0xDEADBEEFULL}) {
-    const Recording wheel = run_program(Scheduler::kWheel, seed);
-    const Recording heap = run_program(Scheduler::kHeap, seed);
+    const Recording wheel = run_program<EventLoop>(seed);
+    const Recording heap = run_program<ReferenceHeapLoop>(seed);
     ASSERT_FALSE(wheel.fired.empty());
     EXPECT_EQ(wheel, heap) << "divergence at seed " << seed;
   }
@@ -129,8 +211,8 @@ TEST(SchedulerDifferential, WheelMatchesHeapOnAdversarialPrograms) {
 // Satellite: a budget-truncated run resumed mid-bucket must keep the
 // same-instant scheduling order across the resume boundary — including
 // events scheduled for that same instant *during* the pause.
-TEST_P(BothSchedulers, TruncatedRunResumedMidBucketKeepsOrder) {
-  EventLoop loop(GetParam());
+TEST(EventLoopContract, TruncatedRunResumedMidBucketKeepsOrder) {
+  EventLoop loop;
   std::vector<int> order;
   const SimTime t = SimTime::from_seconds(1.0);
   loop.post_at(SimTime::from_seconds(0.5), [&] { order.push_back(-1); });
@@ -155,8 +237,8 @@ TEST_P(BothSchedulers, TruncatedRunResumedMidBucketKeepsOrder) {
 // pending_events()/empty() must stay truthful throughout, the lazily-purged
 // slots must not disturb the survivors' order, and nothing may leak (this
 // suite runs under the ASan job).
-TEST_P(BothSchedulers, CancelHeavyWorkloadStaysTruthful) {
-  EventLoop loop(GetParam());
+TEST(EventLoopContract, CancelHeavyWorkloadStaysTruthful) {
+  EventLoop loop;
   constexpr int kN = 5000;
   std::vector<EventHandle> handles;
   handles.reserve(kN);
@@ -204,8 +286,8 @@ TEST_P(BothSchedulers, CancelHeavyWorkloadStaysTruthful) {
   EXPECT_TRUE(again);
 }
 
-TEST_P(BothSchedulers, PostAndScheduleShareOneTotalOrder) {
-  EventLoop loop(GetParam());
+TEST(EventLoopContract, PostAndScheduleShareOneTotalOrder) {
+  EventLoop loop;
   std::vector<int> order;
   const SimTime t = SimTime::from_seconds(1.0);
   loop.post_at(t, [&] { order.push_back(0); });
@@ -218,8 +300,8 @@ TEST_P(BothSchedulers, PostAndScheduleShareOneTotalOrder) {
   EXPECT_TRUE(loop.empty());
 }
 
-TEST_P(BothSchedulers, FarFutureEventsFireExactly) {
-  EventLoop loop(GetParam());
+TEST(EventLoopContract, FarFutureEventsFireExactly) {
+  EventLoop loop;
   std::vector<std::int64_t> at;
   // Spread across wheel levels: ~66µs, ~4ms, ~270ms, ~17s, ~18min, ~2 days.
   const std::int64_t whens[] = {70'000,         4'300'000,      300'000'000,
@@ -244,10 +326,10 @@ TEST_P(BothSchedulers, FarFutureEventsFireExactly) {
 // A pending SimTime::max() event held by a handle across loop destruction:
 // the destructor must detach the control block so the late cancel is a no-op
 // on freed memory (exercised under ASan).
-TEST_P(BothSchedulers, HandleOutlivesLoopHarmlessly) {
+TEST(EventLoopContract, HandleOutlivesLoopHarmlessly) {
   EventHandle h;
   {
-    EventLoop loop(GetParam());
+    EventLoop loop;
     h = loop.schedule_at(SimTime::max(), [] {});
     EXPECT_TRUE(h.pending());
   }
