@@ -94,6 +94,7 @@
 // scenario finished so far before exiting nonzero, so a crashed lab leaves
 // salvageable partial exports rather than nothing.
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -101,6 +102,7 @@
 #include <exception>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -588,14 +590,24 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A numeric flag's whole value must parse and fit `out` (so no sign on
+    // an unsigned one), or the lab exits naming the flag.
+    const auto number = [&]<class T>(const char* flag, T& out) {
+      const char* text = flag_value(flag);
+      const char* end = text + std::strlen(text);
+      if (const auto [ptr, ec] = std::from_chars(text, end, out); ec != std::errc() || ptr != end) {
+        std::fprintf(stderr, "%s needs a whole number that fits, got '%s'\n", flag, text);
+        std::exit(1);
+      }
+    };
     if (std::strcmp(argv[i], "--trace") == 0) {
       trace_dir = flag_value("--trace");
     } else if (std::strcmp(argv[i], "--campaign") == 0) {
-      campaign_trials = static_cast<std::size_t>(std::atoll(flag_value("--campaign")));
+      number("--campaign", campaign_trials);
     } else if (std::strcmp(argv[i], "--workers") == 0) {
-      campaign_workers = static_cast<std::size_t>(std::atoll(flag_value("--workers")));
+      number("--workers", campaign_workers);
     } else if (std::strcmp(argv[i], "--fleet") == 0) {
-      fleet_sessions = static_cast<std::size_t>(std::atoll(flag_value("--fleet")));
+      number("--fleet", fleet_sessions);
       if (fleet_sessions == 0) {
         std::fprintf(stderr, "--fleet needs a positive session count\n");
         return 1;
@@ -603,13 +615,14 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--manifest") == 0) {
       manifest_path = flag_value("--manifest");
     } else if (std::strcmp(argv[i], "--seed") == 0) {
-      base_seed = static_cast<std::uint64_t>(std::atoll(flag_value("--seed")));
+      number("--seed", base_seed);
     } else if (std::strcmp(argv[i], "--progress-every") == 0) {
-      progress_every = static_cast<std::size_t>(std::atoll(flag_value("--progress-every")));
+      number("--progress-every", progress_every);
     } else if (std::strcmp(argv[i], "--plant-quarantine") == 0) {
-      plant_quarantine = std::atoll(flag_value("--plant-quarantine"));
+      number("--plant-quarantine", plant_quarantine);
     } else if (std::strcmp(argv[i], "--fec") == 0) {
-      const int k = std::atoi(flag_value("--fec"));
+      int k = 0;
+      number("--fec", k);
       if (k < 1 || k > 64) {
         std::fprintf(stderr, "--fec k must be 1..64\n");
         return 1;
@@ -629,11 +642,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--distributed") == 0) {
       distrib.enabled = true;
     } else if (std::strcmp(argv[i], "--max-worker-restarts") == 0) {
-      distrib.max_worker_restarts =
-          static_cast<std::size_t>(std::atoll(flag_value("--max-worker-restarts")));
+      number("--max-worker-restarts", distrib.max_worker_restarts);
     } else if (std::strcmp(argv[i], "--kill-worker-after") == 0) {
-      distrib.kill_worker_after =
-          static_cast<std::size_t>(std::atoll(flag_value("--kill-worker-after")));
+      number("--kill-worker-after", distrib.kill_worker_after);
     } else if (std::strcmp(argv[i], "--worker") == 0) {
       worker_player = flag_value("--worker");
     } else {

@@ -1,30 +1,47 @@
 #include "core/campaign.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <charconv>
 #include <chrono>
-#include <cstdlib>
 #include <condition_variable>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iterator>
 #include <map>
 #include <mutex>
 #include <stdexcept>
+#include <string_view>
 #include <system_error>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "core/flightrec.hpp"
+#include "obs/export.hpp"
 #include "obs/obs.hpp"
+#include "util/arity.hpp"
 
 namespace streamlab {
 namespace {
 
-// --- Config digest (FNV-1a over the parameters that shape trial results) ---
+// --- Config digest (FNV-1a over every knob that shapes trial results) ---
+//
+// Each config struct has one visit listing its digested fields in fold
+// order; the Digester picks each field's fold from its type. Beside every
+// visit a static_assert checks that the fields it folds plus the ones it
+// excludes by name make up the whole struct, so a new member that is
+// neither folded nor deliberately excluded fails the build.
+
+/// True when aggregate T has `folded` members plus the `excluded` ones.
+template <class T>
+consteval bool covers(std::size_t folded, std::initializer_list<const char*> excluded = {}) {
+  return aggregate_arity<T> == folded + excluded.size();
+}
 
 struct Digester {
   std::uint64_t h = 0xcbf29ce484222325ull;
@@ -37,45 +54,131 @@ struct Digester {
   }
   void u64(std::uint64_t v) { bytes(&v, sizeof v); }
   void i64(std::int64_t v) { bytes(&v, sizeof v); }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void str(const std::string& s) {
-    u64(s.size());
-    bytes(s.data(), s.size());
+
+  template <class... T>
+  void operator()(const T&... fields) {
+    (fold(fields), ...);
   }
+  void fold(Duration d) { i64(d.ns()); }
+  void fold(SimTime t) { i64(t.ns()); }
+  void fold(BitRate r) { i64(r.bits_per_second()); }
+  void fold(std::chrono::milliseconds d) { i64(d.count()); }
+  void fold(std::string_view tag) {
+    u64(tag.size());
+    bytes(tag.data(), tag.size());
+  }
+  template <class T>
+  void fold(const std::optional<T>& field) {
+    u64(field ? 1 : 0);
+    if (field) fold(*field);
+  }
+  template <class T>
+  void fold(const std::vector<T>& items) {
+    u64(items.size());
+    for (const T& item : items) fold(item);
+  }
+  /// Scalars by type; config structs through their visit below.
+  template <class T>
+  void fold(const T& field);
 };
 
-void fold_episode(Digester& d, const FaultEpisode& e) {
-  d.u64(static_cast<std::uint64_t>(e.kind));
-  d.i64(e.router_index);
-  d.u64(e.detour ? 1 : 0);
-  d.i64(e.start.ns());
-  d.i64(e.duration.ns());
-  d.i64(e.bandwidth.bits_per_second());
-  d.i64(e.extra_delay.ns());
-  d.f64(e.loss_probability);
-  d.f64(e.gilbert.p_good_to_bad);
-  d.f64(e.gilbert.p_bad_to_good);
-  d.f64(e.gilbert.loss_good);
-  d.f64(e.gilbert.loss_bad);
+void visit(Digester& v, const ClipInfo& c) {
+  v(c.data_set, c.content, c.player, c.tier, c.encoded_rate, c.advertised_rate, c.length);
 }
+static_assert(covers<ClipInfo>(7));
 
-// --- NDJSON helpers (hand-rolled: the repo carries no JSON dependency) ---
+void visit(Digester& v, const DetourConfig& d) { v(d.span_first, d.span_last, d.hops, d.metric); }
+static_assert(covers<DetourConfig>(4));
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        out += (static_cast<unsigned char>(c) < 0x20) ? ' ' : c;
-    }
-  }
-  return out;
+// path.seed is overwritten with each trial's seed.
+void visit(Digester& v, const PathConfig& p) {
+  v(p.hop_count, p.access_bandwidth, p.backbone_bandwidth, p.bottleneck_bandwidth,
+    p.one_way_propagation, p.jitter_stddev, p.loss_probability, p.queue_limit_bytes, p.detour);
+}
+static_assert(covers<PathConfig>(9, {"seed"}));
+
+void visit(Digester& v, const RouteRepairConfig& r) { v(r.detection_delay, r.hold_down); }
+static_assert(covers<RouteRepairConfig>(2));
+
+void visit(Digester& v, const RepairLayerConfig& r) {
+  v(r.fec_k, r.fec_stride, r.nack, r.nack_rtt_multiplier, r.nack_min_delay, r.nack_max_delay,
+    r.nack_max_retries, r.retx_buffer_packets, r.pacer_rate_fraction, r.pacer_burst_bytes,
+    r.nack_reorder_tolerance);
+}
+static_assert(covers<RepairLayerConfig>(11));
+
+// The policy folds only when striping is on. The aliases are session wiring
+// the harness fills in.
+void visit(Digester& v, const MultipathConfig& m) {
+  v(m.enabled);
+  if (m.enabled)
+    v(m.primary_weight, m.detour_weight, m.loss_unhealthy, m.loss_healthy, m.ewma_alpha,
+      m.strike_limit, m.report_interval, m.hold_down, m.join_buffer_packets, m.join_hold,
+      m.nack_reorder_tolerance);
+}
+static_assert(covers<MultipathConfig>(12, {"client_alias", "server_alias"}));
+
+void visit(Digester& v, const SessionRecoveryConfig& r) {
+  v(r.play_retry, r.play_timeout, r.backoff, r.max_play_attempts, r.inactivity_timeout);
+}
+static_assert(covers<SessionRecoveryConfig>(5));
+
+void visit(Digester& v, const GilbertElliottConfig& g) {
+  v(g.p_good_to_bad, g.p_bad_to_good, g.loss_good, g.loss_bad);
+}
+static_assert(covers<GilbertElliottConfig>(4));
+
+void visit(Digester& v, const FaultEpisode& e) {
+  v(e.kind, e.router_index, e.detour, e.start, e.duration, e.bandwidth, e.extra_delay,
+    e.loss_probability, e.gilbert);
+}
+static_assert(covers<FaultEpisode>(9, {"label"}));
+
+void visit(Digester& v, const WmBehavior& b) {
+  v(b.frame_interval, b.min_media_per_datagram, b.preroll, b.app_batch_interval);
+}
+static_assert(covers<WmBehavior>(4));
+
+void visit(Digester& v, const RmBehavior& b) {
+  v(b.ratio_at_low, b.ratio_exponent, b.ratio_floor, b.burst_at_low, b.burst_at_high,
+    b.burst_max_fraction_of_clip, b.preroll, b.size_cv, b.size_spread_min, b.size_spread_max,
+    b.max_media_per_datagram, b.min_media_per_datagram, b.interarrival_cv);
+}
+static_assert(covers<RmBehavior>(13));
+
+// The seed and the obs/auditor/probe hooks are set per trial. The player
+// behaviours fold, tagged, only when they differ from the defaults, which
+// keeps every digest taken under the default players unchanged.
+void visit(Digester& v, const TurbulenceScenarioConfig& s) {
+  v(s.path, s.repair, s.repair_span_first, s.repair_span_last, s.mirror_server,
+    s.icmp_unreachable_threshold, s.repair_layer, s.multipath, s.recovery, s.rebuffering,
+    s.max_stall, s.episodes, s.extra_sim_time, s.max_sim_events, s.max_wall_time);
+  if (s.wm != WmBehavior{}) v(std::string_view("wm"), s.wm);
+  if (s.rm != RmBehavior{}) v(std::string_view("rm"), s.rm);
+}
+static_assert(covers<TurbulenceScenarioConfig>(17, {"seed", "obs", "auditor", "probe"}));
+
+// Execution and telemetry knobs change how a campaign runs, never what a
+// trial computes: a manifest resumes across them.
+void visit(Digester& v, const CampaignConfig& c) {
+  v(c.clip, c.scenario, c.trials, c.base_seed, c.verify_determinism, c.verify_seed_skew);
+}
+static_assert(covers<CampaignConfig>(
+    6, {"manifest_path", "workers", "fault_hook", "collect_telemetry", "flight_recorder_records",
+        "postmortem_prefix", "progress_every", "progress_hook", "cancel"}));
+
+template <class T>
+void Digester::fold(const T& field) {
+  if constexpr (std::is_enum_v<T> || std::is_same_v<T, bool>)
+    u64(static_cast<std::uint64_t>(field));
+  else if constexpr (std::is_floating_point_v<T>)
+    u64(std::bit_cast<std::uint64_t>(field));
+  else if constexpr (std::is_signed_v<T>)
+    i64(field);
+  else if constexpr (std::is_unsigned_v<T>)
+    u64(field);
+  else
+    visit(*this, field);
 }
 
 std::string hex64(std::uint64_t v) {
@@ -84,34 +187,76 @@ std::string hex64(std::uint64_t v) {
   return buf;
 }
 
-/// Value of `"key":` in a one-line JSON object: unescaped content for
-/// strings, the raw token for numbers. nullopt when the key is absent.
-std::optional<std::string> json_value(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  std::size_t pos = line.find(needle);
-  if (pos == std::string::npos) return std::nullopt;
-  pos += needle.size();
-  while (pos < line.size() && line[pos] == ' ') ++pos;
-  if (pos >= line.size()) return std::nullopt;
-  if (line[pos] == '"') {
+// --- Manifest line reader (the repo carries no JSON dependency) ---
+
+[[noreturn]] void bad_line(std::size_t line_no, const std::string& why) {
+  throw std::runtime_error("resume manifest line " + std::to_string(line_no) + ": " + why);
+}
+
+/// Reads one manifest line strictly, as manifest_line writes it: a single
+/// flat JSON object whose values are strings (returned unescaped) or bare
+/// number tokens. A syntax error or a duplicate key throws.
+std::map<std::string, std::string> read_members(const std::string& line, std::size_t line_no) {
+  std::size_t pos = 0;
+  const auto expect = [&](char c) {
+    if (pos >= line.size() || line[pos] != c)
+      bad_line(line_no, std::string("expected '") + c + "' at byte " + std::to_string(pos));
+    ++pos;
+  };
+  // The rest of a string up to its closing quote, decoding what
+  // obs::json_escape writes.
+  const auto read_string = [&] {
     std::string out;
-    for (++pos; pos < line.size() && line[pos] != '"'; ++pos) {
-      char c = line[pos];
-      if (c == '\\' && pos + 1 < line.size()) {
-        c = line[++pos];
-        if (c == 'n') c = '\n';
-        else if (c == 'r') c = '\r';
-        else if (c == 't') c = '\t';
+    while (pos < line.size() && line[pos] != '"') {
+      char c = line[pos++];
+      if (c == '\\' && pos < line.size()) {
+        c = line[pos++];
+        if (c == 'n') {
+          c = '\n';
+        } else if (c == 'r') {
+          c = '\r';
+        } else if (c == 't') {
+          c = '\t';
+        } else if (c == 'u') {
+          unsigned code = 0;
+          const char* hex = line.data() + pos;
+          const auto [ptr, ec] =
+              std::from_chars(hex, hex + std::min<std::size_t>(4, line.size() - pos), code, 16);
+          if (ec != std::errc() || ptr != hex + 4 || code >= 0x80)
+            bad_line(line_no, "unsupported \\u escape at byte " + std::to_string(pos));
+          pos += 4;
+          c = static_cast<char>(code);
+        }
       }
       out += c;
     }
+    expect('"');
     return out;
+  };
+
+  std::map<std::string, std::string> members;
+  expect('{');
+  for (bool more = true; more;) {
+    expect('"');
+    std::string key = read_string();
+    expect(':');
+    std::string value;
+    if (pos < line.size() && line[pos] == '"') {
+      ++pos;
+      value = read_string();
+    } else {
+      const std::size_t end = std::min(line.find_first_of(",}", pos), line.size());
+      value = line.substr(pos, end - pos);
+      pos = end;
+    }
+    if (!members.emplace(key, std::move(value)).second)
+      bad_line(line_no, "duplicate key \"" + key + "\"");
+    more = pos < line.size() && line[pos] == ',';
+    pos += more ? 1 : 0;
   }
-  const std::size_t end = line.find_first_of(",}", pos);
-  if (end == std::string::npos) return std::nullopt;
-  std::string out = line.substr(pos, end - pos);
-  while (!out.empty() && out.back() == ' ') out.pop_back();
-  return out;
+  expect('}');
+  if (pos != line.size()) bad_line(line_no, "trailing bytes after the closing brace");
+  return members;
 }
 
 }  // namespace
@@ -123,134 +268,110 @@ std::string config_hex(const CampaignConfig& config) {
 }
 
 std::string manifest_line(const TrialOutcome& t, const std::string& config_hex) {
-  std::string line = "{";
-  const auto num = [&line](const char* key, std::uint64_t v) {
-    line += "\"" + std::string(key) + "\":" + std::to_string(v) + ",";
+  std::string line;
+  const auto field = [&line](const char* key, const std::string& value) {
+    line += line.empty() ? "{\"" : ",\"";
+    line += key;
+    line += "\":";
+    line += value;
   };
-  num("trial", t.index);
-  num("seed", t.seed);
-  line += "\"config\":\"" + config_hex + "\",";
-  line += "\"status\":\"" + std::string(to_string(t.status)) + "\",";
-  line += "\"reason\":\"" + json_escape(t.reason) + "\",";
-  num("checks", t.checks);
-  num("violations", t.violations);
-  num("sim_events", t.sim_events);
-  num("budget_exhausted", t.budget_exhausted ? 1 : 0);
-  line += "\"digest\":\"" + hex64(t.digest) + "\",";
-  line += "\"divergence\":" +
-          std::to_string(t.divergence ? static_cast<std::int64_t>(*t.divergence) : -1) +
-          ",";
-  num("sessions", t.sessions);
-  num("sessions_completed", t.sessions_completed);
-  num("sessions_failed", t.sessions_failed);
-  num("frames_rendered", t.frames_rendered);
-  num("frames_dropped", t.frames_dropped);
-  num("packets_received", t.packets_received);
-  num("packets_lost", t.packets_lost);
-  num("rebuffers", t.rebuffer_events);
-  num("reroutes", t.reroutes);
-  num("route_restores", t.route_restores);
-  num("failovers", t.failovers);
-  num("packets_recovered", t.packets_recovered);
-  num("nacks_sent", t.nacks_sent);
-  num("retx_sent", t.retransmissions_sent);
-  num("parity_packets", t.parity_packets);
-  num("path_switches", t.path_switches);
-  num("nacks_suppressed", t.nack_suppressed);
-  line += "\"router_down_stall_ns\":" + std::to_string(t.router_down_stall.ns()) + ",";
-  line += "\"stall_ns\":" + std::to_string(t.stall_time.ns());
+  const auto quoted = [](std::string_view s) { return "\"" + obs::json_escape(s) + "\""; };
+  field("trial", std::to_string(t.index));
+  field("seed", std::to_string(t.seed));
+  field("config", quoted(config_hex));
+  field("status", quoted(to_string(t.status)));
+  field("reason", quoted(t.reason));
+  field("checks", std::to_string(t.checks));
+  field("violations", std::to_string(t.violations));
+  field("sim_events", std::to_string(t.sim_events));
+  field("budget_exhausted", t.budget_exhausted ? "1" : "0");
+  field("digest", quoted(hex64(t.digest)));
+  field("divergence",
+        std::to_string(t.divergence ? static_cast<std::int64_t>(*t.divergence) : -1));
+  TrialMetrics::for_each_metric([&](const char* key, auto member) {
+    if constexpr (std::is_same_v<decltype(t.*member), const Duration&>)
+      field(key, std::to_string((t.*member).ns()));
+    else
+      field(key, std::to_string(t.*member));
+  });
   if (t.status == TrialStatus::kQuarantined) {
     // Worker post-mortem evidence rides quarantined records only: completed
     // lines must stay byte-identical with the serial path no matter how
     // many process-worker reassignments the trial survived.
-    line += ",\"attempts\":" + std::to_string(t.attempts);
-    line += ",\"worker_exit_status\":" + std::to_string(t.worker_exit_status);
-    line += ",\"stderr_tail\":\"" + json_escape(t.stderr_tail) + "\"";
+    field("attempts", std::to_string(t.attempts));
+    field("worker_exit_status", std::to_string(t.worker_exit_status));
+    field("stderr_tail", quoted(t.stderr_tail));
   }
   // Optional trailing field so manifests from pre-telemetry builds (and
   // collect_telemetry=false runs) parse identically.
-  if (t.telemetry && !t.telemetry->empty())
-    line += ",\"telemetry\":\"" + json_escape(t.telemetry->serialize()) + "\"";
+  if (t.telemetry && !t.telemetry->empty()) field("telemetry", quoted(t.telemetry->serialize()));
   line += "}";
   return line;
 }
 
 TrialOutcome parse_manifest_line(const std::string& line, const std::string& config_hex,
                                  std::size_t line_no) {
-  const auto fail = [line_no](const std::string& why) {
-    throw std::runtime_error("resume manifest line " + std::to_string(line_no) + ": " +
-                             why);
+  std::map<std::string, std::string> members = read_members(line, line_no);
+  // Takes a member out by key: a missing one rejects the line, and so does
+  // any member left over once every known key is taken.
+  const auto text = [&](const std::string& key) {
+    const auto it = members.find(key);
+    if (it == members.end()) bad_line(line_no, "missing key \"" + key + "\"");
+    std::string value = std::move(it->second);
+    members.erase(it);
+    return value;
   };
-  const auto config = json_value(line, "config");
-  if (!config) fail("missing config digest");
-  if (*config != config_hex)
-    fail("config digest mismatch (manifest " + *config + ", campaign " + config_hex +
-         "): refusing to mix trials from different configurations");
-  const auto status = json_value(line, "status");
-  if (!status) fail("missing status");
-  // Numeric fields: absent or empty reads as `fallback`; anything else must
-  // be a whole number that fits the field, or the line is rejected.
-  const auto number = [&](const std::string& key, auto fallback, int base = 10) {
-    decltype(fallback) out = fallback;
-    const auto v = json_value(line, key);
-    if (!v || v->empty()) return out;
-    const char* end = v->data() + v->size();
-    const auto [ptr, ec] = std::from_chars(v->data(), end, out, base);
-    if (ec != std::errc() || ptr != end)
-      fail("bad number for \"" + key + "\": '" + *v + "'");
-    return out;
+  // A whole number that fits `out`, or the line is rejected.
+  const auto number = [&]<class T>(const std::string& key, T& out, int base = 10) {
+    const std::string v = text(key);
+    const auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), out, base);
+    if (ec != std::errc() || ptr != v.data() + v.size())
+      bad_line(line_no, "bad number for \"" + key + "\": '" + v + "'");
   };
-  const auto u64 = [&](const char* key) { return number(key, std::uint64_t{0}); };
-  const auto i64 = [&](const char* key) { return number(key, std::int64_t{0}); };
 
+  const std::string config = text("config");
+  if (config != config_hex)
+    bad_line(line_no, "config digest mismatch (manifest " + config + ", campaign " +
+                          config_hex + "): refusing to mix trials from different configurations");
   TrialOutcome t;
-  t.index = u64("trial");
-  t.seed = u64("seed");
-  if (*status == to_string(TrialStatus::kCompleted)) {
-    t.status = TrialStatus::kCompleted;
-  } else if (*status == to_string(TrialStatus::kQuarantined)) {
-    t.status = TrialStatus::kQuarantined;
-  } else {
-    fail("unknown status '" + *status + "'");
-  }
-  t.reason = json_value(line, "reason").value_or("");
-  t.checks = u64("checks");
-  t.violations = u64("violations");
-  t.sim_events = u64("sim_events");
-  t.budget_exhausted = u64("budget_exhausted") != 0;
-  t.digest = number("digest", std::uint64_t{0}, 16);
-  if (const std::int64_t div = number("divergence", std::int64_t{-1}); div >= 0)
-    t.divergence = static_cast<std::uint64_t>(div);
   t.from_manifest = true;
-  t.sessions = u64("sessions");
-  t.sessions_completed = u64("sessions_completed");
-  t.sessions_failed = u64("sessions_failed");
-  t.frames_rendered = u64("frames_rendered");
-  t.frames_dropped = u64("frames_dropped");
-  t.packets_received = u64("packets_received");
-  t.packets_lost = u64("packets_lost");
-  t.rebuffer_events = u64("rebuffers");
-  t.reroutes = u64("reroutes");
-  t.route_restores = u64("route_restores");
-  t.failovers = u64("failovers");
-  t.packets_recovered = u64("packets_recovered");
-  t.nacks_sent = u64("nacks_sent");
-  t.retransmissions_sent = u64("retx_sent");
-  t.parity_packets = u64("parity_packets");
-  t.path_switches = u64("path_switches");
-  t.nack_suppressed = u64("nacks_suppressed");
-  t.router_down_stall = Duration::nanos(i64("router_down_stall_ns"));
-  t.stall_time = Duration::nanos(i64("stall_ns"));
-  if (t.status == TrialStatus::kQuarantined) {
-    t.attempts = static_cast<std::uint32_t>(u64("attempts"));
-    t.worker_exit_status = static_cast<int>(i64("worker_exit_status"));
-    t.stderr_tail = json_value(line, "stderr_tail").value_or("");
+  number("trial", t.index);
+  number("seed", t.seed);
+  const std::string status = text("status");
+  if (status == to_string(TrialStatus::kQuarantined))
+    t.status = TrialStatus::kQuarantined;
+  else if (status != to_string(TrialStatus::kCompleted))
+    bad_line(line_no, "unknown status '" + status + "'");
+  t.reason = text("reason");
+  number("checks", t.checks);
+  number("violations", t.violations);
+  number("sim_events", t.sim_events);
+  std::uint64_t budget_exhausted = 0;
+  number("budget_exhausted", budget_exhausted);
+  t.budget_exhausted = budget_exhausted != 0;
+  number("digest", t.digest, 16);
+  std::int64_t divergence = -1;
+  number("divergence", divergence);
+  if (divergence >= 0) t.divergence = static_cast<std::uint64_t>(divergence);
+  TrialMetrics::for_each_metric([&](const char* key, auto member) {
+    if constexpr (std::is_same_v<decltype(t.*member), Duration&>) {
+      std::int64_t ns = 0;
+      number(key, ns);
+      t.*member = Duration::nanos(ns);
+    } else {
+      number(key, t.*member);
+    }
+  });
+  // Optional: worker evidence (quarantined lines only) and telemetry.
+  if (members.contains("attempts")) number("attempts", t.attempts);
+  if (members.contains("worker_exit_status")) number("worker_exit_status", t.worker_exit_status);
+  if (members.contains("stderr_tail")) t.stderr_tail = text("stderr_tail");
+  if (members.contains("telemetry")) {
+    auto telemetry = obs::TrialTelemetry::parse(text("telemetry"));
+    if (!telemetry) bad_line(line_no, "unparseable telemetry snapshot");
+    t.telemetry = std::move(*telemetry);
   }
-  if (const auto telemetry = json_value(line, "telemetry"); telemetry && !telemetry->empty()) {
-    auto parsed = obs::TrialTelemetry::parse(*telemetry);
-    if (!parsed) fail("unparseable telemetry snapshot");
-    t.telemetry = std::move(*parsed);
-  }
+  if (!members.empty()) bad_line(line_no, "unknown key \"" + members.begin()->first + "\"");
   return t;
 }
 
@@ -602,25 +723,7 @@ const char* to_string(TrialStatus status) {
 
 void CampaignAggregate::fold(const TrialOutcome& trial) {
   ++trials;
-  sessions += trial.sessions;
-  sessions_completed += trial.sessions_completed;
-  sessions_failed += trial.sessions_failed;
-  frames_rendered += trial.frames_rendered;
-  frames_dropped += trial.frames_dropped;
-  packets_received += trial.packets_received;
-  packets_lost += trial.packets_lost;
-  rebuffer_events += trial.rebuffer_events;
-  stall_time = stall_time + trial.stall_time;
-  reroutes += trial.reroutes;
-  route_restores += trial.route_restores;
-  failovers += trial.failovers;
-  router_down_stall = router_down_stall + trial.router_down_stall;
-  packets_recovered += trial.packets_recovered;
-  nacks_sent += trial.nacks_sent;
-  retransmissions_sent += trial.retransmissions_sent;
-  parity_packets += trial.parity_packets;
-  path_switches += trial.path_switches;
-  nack_suppressed += trial.nack_suppressed;
+  for_each_metric([&](const char*, auto member) { this->*member = this->*member + trial.*member; });
 }
 
 std::vector<std::uint64_t> CampaignResult::quarantined_seeds() const {
@@ -632,88 +735,7 @@ std::vector<std::uint64_t> CampaignResult::quarantined_seeds() const {
 
 std::uint64_t campaign_config_digest(const CampaignConfig& config) {
   Digester d;
-  const ClipInfo& clip = config.clip;
-  d.i64(clip.data_set);
-  d.u64(static_cast<std::uint64_t>(clip.content));
-  d.u64(static_cast<std::uint64_t>(clip.player));
-  d.u64(static_cast<std::uint64_t>(clip.tier));
-  d.i64(clip.encoded_rate.bits_per_second());
-  d.i64(clip.advertised_rate.bits_per_second());
-  d.i64(clip.length.ns());
-
-  const TurbulenceScenarioConfig& s = config.scenario;
-  d.i64(s.path.hop_count);
-  d.i64(s.path.access_bandwidth.bits_per_second());
-  d.i64(s.path.backbone_bandwidth.bits_per_second());
-  d.i64(s.path.bottleneck_bandwidth.bits_per_second());
-  d.i64(s.path.one_way_propagation.ns());
-  d.i64(s.path.jitter_stddev.ns());
-  d.f64(s.path.loss_probability);
-  d.u64(s.path.queue_limit_bytes);
-  // Self-healing topology/control-plane knobs: trials run with a different
-  // detour, repair policy or mirror setup are not comparable.
-  d.u64(s.path.detour ? 1 : 0);
-  if (s.path.detour) {
-    d.i64(s.path.detour->span_first);
-    d.i64(s.path.detour->span_last);
-    d.i64(s.path.detour->hops);
-    d.i64(s.path.detour->metric);
-  }
-  d.u64(s.repair ? 1 : 0);
-  if (s.repair) {
-    d.i64(s.repair->detection_delay.ns());
-    d.i64(s.repair->hold_down.ns());
-  }
-  d.i64(s.repair_span_first);
-  d.i64(s.repair_span_last);
-  d.u64(s.mirror_server ? 1 : 0);
-  d.i64(s.icmp_unreachable_threshold);
-  // Loss-repair policy: trials with different FEC/NACK/pacer parameters
-  // produce different wire traffic and are not comparable.
-  d.i64(s.repair_layer.fec_k);
-  d.i64(s.repair_layer.fec_stride);
-  d.u64(s.repair_layer.nack ? 1 : 0);
-  d.f64(s.repair_layer.nack_rtt_multiplier);
-  d.i64(s.repair_layer.nack_min_delay.ns());
-  d.i64(s.repair_layer.nack_max_delay.ns());
-  d.i64(s.repair_layer.nack_max_retries);
-  d.u64(s.repair_layer.retx_buffer_packets);
-  d.f64(s.repair_layer.pacer_rate_fraction);
-  d.u64(s.repair_layer.pacer_burst_bytes);
-  d.i64(s.repair_layer.nack_reorder_tolerance);
-  // Multipath striping policy: striped and single-path trials produce
-  // different wire traffic, as do different weights or health thresholds.
-  d.u64(s.multipath.enabled ? 1 : 0);
-  if (s.multipath.enabled) {
-    d.i64(s.multipath.primary_weight);
-    d.i64(s.multipath.detour_weight);
-    d.f64(s.multipath.loss_unhealthy);
-    d.f64(s.multipath.loss_healthy);
-    d.f64(s.multipath.ewma_alpha);
-    d.i64(s.multipath.strike_limit);
-    d.i64(s.multipath.report_interval.ns());
-    d.i64(s.multipath.hold_down.ns());
-    d.u64(s.multipath.join_buffer_packets);
-    d.i64(s.multipath.join_hold.ns());
-    d.i64(s.multipath.nack_reorder_tolerance);
-  }
-  d.u64(s.recovery.play_retry ? 1 : 0);
-  d.i64(s.recovery.play_timeout.ns());
-  d.f64(s.recovery.backoff);
-  d.i64(s.recovery.max_play_attempts);
-  d.i64(s.recovery.inactivity_timeout.ns());
-  d.u64(s.rebuffering ? 1 : 0);
-  d.i64(s.max_stall.ns());
-  d.u64(s.episodes.size());
-  for (const FaultEpisode& e : s.episodes) fold_episode(d, e);
-  d.i64(s.extra_sim_time.ns());
-  d.u64(s.max_sim_events);
-  d.i64(s.max_wall_time.count());
-
-  d.u64(config.trials);
-  d.u64(config.base_seed);
-  d.u64(config.verify_determinism ? 1 : 0);
-  d.u64(config.verify_seed_skew);
+  d(config);
   return d.h;
 }
 

@@ -135,8 +135,56 @@ struct CampaignProgress {
 enum class TrialStatus : std::uint8_t { kCompleted, kQuarantined };
 const char* to_string(TrialStatus status);
 
+// The salvage metrics, each declared once as (type, member, manifest key),
+// in manifest order: the manifest codec and the aggregate fold loop over
+// this list, so a new metric takes one entry here plus the line in
+// fill_salvage (campaign.cpp) that says where its value comes from.
+#define STREAMLAB_TRIAL_METRICS(X)                                       \
+  X(std::uint64_t, sessions, "sessions")                                 \
+  X(std::uint64_t, sessions_completed, "sessions_completed")             \
+  X(std::uint64_t, sessions_failed, "sessions_failed")                   \
+  X(std::uint64_t, frames_rendered, "frames_rendered")                   \
+  X(std::uint64_t, frames_dropped, "frames_dropped")                     \
+  X(std::uint64_t, packets_received, "packets_received")                 \
+  X(std::uint64_t, packets_lost, "packets_lost")                         \
+  X(std::uint64_t, rebuffer_events, "rebuffers")                         \
+  /* route-repair withdraw and restore transitions */                    \
+  X(std::uint64_t, reroutes, "reroutes")                                 \
+  X(std::uint64_t, route_restores, "route_restores")                     \
+  X(std::uint64_t, failovers, "failovers") /* mirror failovers */        \
+  /* loss repair (zero when the repair layer is disabled) */             \
+  X(std::uint64_t, packets_recovered, "packets_recovered")               \
+  X(std::uint64_t, nacks_sent, "nacks_sent")                             \
+  X(std::uint64_t, retransmissions_sent, "retx_sent")                    \
+  X(std::uint64_t, parity_packets, "parity_packets")                     \
+  /* multipath (zero when striping is disabled) */                       \
+  X(std::uint64_t, path_switches, "path_switches")                       \
+  X(std::uint64_t, nack_suppressed, "nacks_suppressed")                  \
+  /* stall time overlapping kRouterDown windows, and all stall time */   \
+  X(Duration, router_down_stall, "router_down_stall_ns")                 \
+  X(Duration, stall_time, "stall_ns")
+
+/// Per-trial salvage metrics: what a manifest line keeps of a trial's run
+/// (unlike TrialOutcome::result, they survive the round-trip) and what the
+/// study aggregate sums.
+struct TrialMetrics {
+#define STREAMLAB_METRIC_MEMBER(type, member, key) type member{};
+  STREAMLAB_TRIAL_METRICS(STREAMLAB_METRIC_MEMBER)
+#undef STREAMLAB_METRIC_MEMBER
+
+  /// Calls f(manifest_key, &TrialMetrics::member) for every metric, in
+  /// manifest order.
+  template <class F>
+  static void for_each_metric(F&& f) {
+#define STREAMLAB_METRIC_ENTRY(type, member, key) f(key, &TrialMetrics::member);
+    STREAMLAB_TRIAL_METRICS(STREAMLAB_METRIC_ENTRY)
+#undef STREAMLAB_METRIC_ENTRY
+  }
+};
+#undef STREAMLAB_TRIAL_METRICS
+
 /// One trial's ledger entry — also the unit the resume manifest stores.
-struct TrialOutcome {
+struct TrialOutcome : TrialMetrics {
   std::size_t index = 0;
   std::uint64_t seed = 0;
   TrialStatus status = TrialStatus::kCompleted;
@@ -153,31 +201,6 @@ struct TrialOutcome {
   /// Full run metrics; absent when the trial threw before collection or was
   /// restored from a manifest (whose lines keep only the aggregate fields).
   std::optional<TurbulenceRunResult> result;
-
-  // Salvage fields folded into the study aggregate (survive the manifest
-  // round-trip, unlike `result`).
-  std::uint64_t sessions = 0;
-  std::uint64_t sessions_completed = 0;
-  std::uint64_t sessions_failed = 0;
-  std::uint64_t frames_rendered = 0;
-  std::uint64_t frames_dropped = 0;
-  std::uint64_t packets_received = 0;
-  std::uint64_t packets_lost = 0;
-  std::uint64_t rebuffer_events = 0;
-  Duration stall_time;
-  std::uint64_t reroutes = 0;        ///< route-repair withdraw transitions
-  std::uint64_t route_restores = 0;  ///< route-repair restore transitions
-  std::uint64_t failovers = 0;       ///< mirror failovers committed
-  /// Stall time overlapping kRouterDown episode windows.
-  Duration router_down_stall;
-  // Loss-repair salvage (zero when the repair layer is disabled).
-  std::uint64_t packets_recovered = 0;  ///< FEC + retransmission repairs
-  std::uint64_t nacks_sent = 0;         ///< client NACK messages
-  std::uint64_t retransmissions_sent = 0;  ///< server retx answered
-  std::uint64_t parity_packets = 0;     ///< parity packets received
-  // Multipath salvage (zero when striping is disabled).
-  std::uint64_t path_switches = 0;    ///< healthy<->draining transitions
-  std::uint64_t nack_suppressed = 0;  ///< NACKs deferred by reorder tolerance
 
   // Worker post-mortem evidence (distributed campaigns; see
   // src/campaign/distributed.hpp). Zero/empty for in-process trials, so a
@@ -205,27 +228,8 @@ struct TrialOutcome {
 };
 
 /// Study-level totals over every *completed* trial, live or restored.
-struct CampaignAggregate {
+struct CampaignAggregate : TrialMetrics {
   std::uint64_t trials = 0;
-  std::uint64_t sessions = 0;
-  std::uint64_t sessions_completed = 0;
-  std::uint64_t sessions_failed = 0;
-  std::uint64_t frames_rendered = 0;
-  std::uint64_t frames_dropped = 0;
-  std::uint64_t packets_received = 0;
-  std::uint64_t packets_lost = 0;
-  std::uint64_t rebuffer_events = 0;
-  Duration stall_time;
-  std::uint64_t reroutes = 0;
-  std::uint64_t route_restores = 0;
-  std::uint64_t failovers = 0;
-  Duration router_down_stall;
-  std::uint64_t packets_recovered = 0;
-  std::uint64_t nacks_sent = 0;
-  std::uint64_t retransmissions_sent = 0;
-  std::uint64_t parity_packets = 0;
-  std::uint64_t path_switches = 0;
-  std::uint64_t nack_suppressed = 0;
 
   void fold(const TrialOutcome& trial);
 };

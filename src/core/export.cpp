@@ -121,39 +121,62 @@ int export_study(const StudyResults& study, const std::string& directory) {
 
 namespace {
 
-void append_recovery_row(std::ostream& out, const std::string& scenario,
-                         const SessionRecoveryMetrics& m) {
-  out << scenario << "," << m.clip.id() << "," << player_tag(m.clip.player) << ","
-      << (m.established ? 1 : 0) << "," << m.play_attempts << ","
-      << (m.abandoned ? 1 : 0) << "," << (m.stream_dead ? 1 : 0) << ","
-      << (m.completed ? 1 : 0) << ","
-      << (m.time_to_recover ? fmt_double(m.time_to_recover->to_seconds(), 3)
-                            : std::string())
-      << "," << m.rebuffer_events << "," << fmt_double(m.stall_time.to_seconds(), 3)
-      << "," << m.frames_rendered << "," << m.frames_dropped << ","
-      << m.frames_dropped_during_episodes << "," << m.frames_dropped_after_episodes
-      << "," << m.packets_received << "," << m.packets_lost << ","
-      << m.duplicate_packets << "," << m.packets_recovered << ","
-      << fmt_double(m.recovery_ratio(), 4) << ","
-      << fmt_double(m.repair_latency_mean_ms, 3) << ","
-      << fmt_double(m.repair_overhead(), 4) << "," << m.path_switches << ","
-      << fmt_double(m.primary_loss_ratio(), 4) << ","
-      << fmt_double(m.detour_loss_ratio(), 4) << ","
-      << fmt_double(m.primary_goodput_kbps, 1) << ","
-      << fmt_double(m.detour_goodput_kbps, 1) << "," << m.reorder_depth_p95
-      << "," << m.nack_suppressed << "\n";
+using R = SessionRecoveryMetrics;
+
+std::string count(std::uint64_t v) { return std::to_string(v); }
+std::string flag(bool v) { return v ? "1" : "0"; }
+
+/// turbulence.csv's columns after `scenario`: the header and every row.
+const struct RecoveryColumn {
+  const char* name;
+  std::string (*cell)(const R&);
+} kRecoveryColumns[] = {
+    {"clip_id", [](const R& m) { return m.clip.id(); }},
+    {"player", [](const R& m) { return player_tag(m.clip.player); }},
+    {"established", [](const R& m) { return flag(m.established); }},
+    {"play_attempts", [](const R& m) { return count(m.play_attempts); }},
+    {"abandoned", [](const R& m) { return flag(m.abandoned); }},
+    {"stream_dead", [](const R& m) { return flag(m.stream_dead); }},
+    {"completed", [](const R& m) { return flag(m.completed); }},
+    {"time_to_recover_s",
+     [](const R& m) {
+       return m.time_to_recover ? fmt_double(m.time_to_recover->to_seconds(), 3) : "";
+     }},
+    {"rebuffer_events", [](const R& m) { return count(m.rebuffer_events); }},
+    {"stall_s", [](const R& m) { return fmt_double(m.stall_time.to_seconds(), 3); }},
+    {"frames_rendered", [](const R& m) { return count(m.frames_rendered); }},
+    {"frames_dropped", [](const R& m) { return count(m.frames_dropped); }},
+    {"dropped_during", [](const R& m) { return count(m.frames_dropped_during_episodes); }},
+    {"dropped_after", [](const R& m) { return count(m.frames_dropped_after_episodes); }},
+    {"packets", [](const R& m) { return count(m.packets_received); }},
+    {"lost", [](const R& m) { return count(m.packets_lost); }},
+    {"duplicates", [](const R& m) { return count(m.duplicate_packets); }},
+    {"recovered", [](const R& m) { return count(m.packets_recovered); }},
+    {"recovery_ratio", [](const R& m) { return fmt_double(m.recovery_ratio(), 4); }},
+    {"repair_latency_mean_ms", [](const R& m) { return fmt_double(m.repair_latency_mean_ms, 3); }},
+    {"repair_overhead", [](const R& m) { return fmt_double(m.repair_overhead(), 4); }},
+    {"path_switches", [](const R& m) { return count(m.path_switches); }},
+    {"primary_loss", [](const R& m) { return fmt_double(m.primary_loss_ratio(), 4); }},
+    {"detour_loss", [](const R& m) { return fmt_double(m.detour_loss_ratio(), 4); }},
+    {"primary_goodput_kbps", [](const R& m) { return fmt_double(m.primary_goodput_kbps, 1); }},
+    {"detour_goodput_kbps", [](const R& m) { return fmt_double(m.detour_goodput_kbps, 1); }},
+    {"reorder_depth_p95", [](const R& m) { return count(m.reorder_depth_p95); }},
+    {"nack_suppressed", [](const R& m) { return count(m.nack_suppressed); }},
+};
+
+void append_recovery_row(std::ostream& out, const std::string& scenario, const R& m) {
+  out << scenario;
+  for (const RecoveryColumn& column : kRecoveryColumns) out << "," << column.cell(m);
+  out << "\n";
 }
 
 }  // namespace
 
 void turbulence_csv(const std::vector<std::pair<std::string, TurbulenceRunResult>>& runs,
                     std::ostream& out) {
-  out << "scenario,clip_id,player,established,play_attempts,abandoned,stream_dead,"
-         "completed,time_to_recover_s,rebuffer_events,stall_s,frames_rendered,"
-         "frames_dropped,dropped_during,dropped_after,packets,lost,duplicates,"
-         "recovered,recovery_ratio,repair_latency_mean_ms,repair_overhead,"
-         "path_switches,primary_loss,detour_loss,primary_goodput_kbps,"
-         "detour_goodput_kbps,reorder_depth_p95,nack_suppressed\n";
+  out << "scenario";
+  for (const RecoveryColumn& column : kRecoveryColumns) out << "," << column.name;
+  out << "\n";
   for (const auto& [scenario, run] : runs) {
     if (run.real) append_recovery_row(out, scenario, *run.real);
     if (run.media) append_recovery_row(out, scenario, *run.media);

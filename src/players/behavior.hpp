@@ -39,6 +39,8 @@ struct WmBehavior {
   std::size_t media_per_datagram(BitRate rate) const;
   /// Constant send interval preserving the encoding rate (CBR pacing).
   Duration send_interval(BitRate rate, std::size_t media_len) const;
+
+  bool operator==(const WmBehavior&) const = default;
 };
 
 /// RealPlayer server/client behaviour.
@@ -85,6 +87,8 @@ struct RmBehavior {
   Duration burst_duration_for_clip(BitRate rate, Duration clip_length) const;
   /// Mean media bytes per datagram at this rate.
   std::size_t mean_media_per_datagram(BitRate rate) const;
+
+  bool operator==(const RmBehavior&) const = default;
 };
 
 }  // namespace streamlab
