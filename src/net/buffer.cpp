@@ -103,11 +103,18 @@ thread_local Slab t_slab;
 
 }  // namespace
 
+Buffer Buffer::build(std::size_t n, ByteFill fill) {
+  if (n == 0) return {};
+  Block* b = t_slab.allocate(n);
+  Buffer out(b, 0, n);
+  fill({b->payload(), n});
+  return out;
+}
+
 Buffer Buffer::copy_of(std::span<const std::uint8_t> bytes) {
-  if (bytes.empty()) return {};
-  Block* b = t_slab.allocate(bytes.size());
-  std::memcpy(b->payload(), bytes.data(), bytes.size());
-  return Buffer(b, 0, bytes.size());
+  return build(bytes.size(), [bytes](std::span<std::uint8_t> out) {
+    std::memcpy(out.data(), bytes.data(), out.size());
+  });
 }
 
 Buffer Buffer::view(std::size_t offset, std::size_t length) const {

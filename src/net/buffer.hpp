@@ -8,8 +8,9 @@
 // fragmentation allocates nothing for payload bytes.
 //
 // Ownership rules (also DESIGN.md §10):
-//  - The bytes behind a Buffer are immutable for its whole lifetime. Anyone
-//    needing different bytes builds a new Buffer.
+//  - A block's bytes are written exactly once, by the fill callback handed
+//    to Buffer::build, and are immutable from then on. Anyone needing
+//    different bytes builds a new Buffer.
 //  - Refcounts are NOT atomic and the slab recycler below is per-thread:
 //    a Buffer must never be shared across threads. This is the same
 //    thread-confinement contract as EventCtl — everything reachable from one
@@ -24,7 +25,13 @@
 #include <span>
 #include <vector>
 
+#include "util/function_ref.hpp"
+
 namespace streamlab::net {
+
+/// Writes a new block's bytes in place; handed exactly the block's span and
+/// expected to write all of it.
+using ByteFill = FunctionRef<void(std::span<std::uint8_t>)>;
 
 class Buffer {
  public:
@@ -33,6 +40,13 @@ class Buffer {
   /// so packet-building call sites and tests can assign byte vectors
   /// directly; the copy happens once, at packet *creation* — never per hop.
   Buffer(const std::vector<std::uint8_t>& bytes) : Buffer(copy_of(bytes)) {}
+  /// Hands `fill` a fresh (or recycled) block of `n` bytes to write once;
+  /// the Buffer owns the block before `fill` runs, so a throwing fill leaks
+  /// nothing. This is how a packet is written straight into its block
+  /// instead of being assembled elsewhere and copied in. `fill` is not
+  /// called for n == 0, which yields an empty Buffer.
+  static Buffer build(std::size_t n, ByteFill fill);
+  /// build() plus memcpy.
   static Buffer copy_of(std::span<const std::uint8_t> bytes);
 
   Buffer(const Buffer& other) noexcept
@@ -118,4 +132,5 @@ class Buffer {
 
 namespace streamlab {
 using net::Buffer;
+using net::ByteFill;
 }  // namespace streamlab

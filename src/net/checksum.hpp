@@ -9,7 +9,8 @@
 namespace streamlab {
 
 /// Running one's-complement sum; fold() produces the final checksum value.
-/// Sections may be added piecewise (header, pseudo-header, payload).
+/// Sections may be added piecewise (header, pseudo-header, payload), cut
+/// anywhere, odd lengths included; add() sums eight bytes per step.
 class ChecksumAccumulator {
  public:
   void add(std::span<const std::uint8_t> data);
@@ -26,9 +27,11 @@ class ChecksumAccumulator {
 /// One-shot checksum of a buffer.
 std::uint16_t internet_checksum(std::span<const std::uint8_t> data);
 
-/// UDP/TCP checksum including the IPv4 pseudo-header. `segment` is the full
-/// transport header + payload with its checksum field zeroed.
+/// UDP/TCP checksum including the IPv4 pseudo-header over the transport
+/// header (checksum field zeroed) followed by the payload: either the whole
+/// segment as `header`, or the two parts where they live apart.
 std::uint16_t transport_checksum(Ipv4Address src, Ipv4Address dst, std::uint8_t protocol,
-                                 std::span<const std::uint8_t> segment);
+                                 std::span<const std::uint8_t> header,
+                                 std::span<const std::uint8_t> payload = {});
 
 }  // namespace streamlab

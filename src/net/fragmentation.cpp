@@ -1,6 +1,7 @@
 #include "net/fragmentation.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 namespace streamlab {
 
@@ -48,14 +49,9 @@ std::optional<Ipv4Packet> Reassembler::offer(const Ipv4Packet& packet, SimTime n
 
   const std::size_t off = packet.header.fragment_offset_bytes();
   const std::size_t end = off + packet.payload.size();
-  if (end > p.bytes.size()) {
-    p.bytes.resize(end);
-    p.have.resize(end, false);
-  }
-  std::copy(packet.payload.begin(), packet.payload.end(),
-            p.bytes.begin() + static_cast<std::ptrdiff_t>(off));
-  std::fill(p.have.begin() + static_cast<std::ptrdiff_t>(off),
-            p.have.begin() + static_cast<std::ptrdiff_t>(end), true);
+  p.extent = std::max(p.extent, end);
+  p.coverage.insert(off, end);
+  p.pieces.push_back({off, packet.payload});
 
   if (!packet.header.more_fragments) p.total_size = end;
   if (packet.header.fragment_offset_units == 0) {
@@ -63,8 +59,8 @@ std::optional<Ipv4Packet> Reassembler::offer(const Ipv4Packet& packet, SimTime n
     p.have_first = true;
   }
 
-  if (!p.total_size || !p.have_first || p.bytes.size() != *p.total_size ||
-      !std::all_of(p.have.begin(), p.have.end(), [](bool b) { return b; })) {
+  if (!p.total_size || !p.have_first || p.extent != *p.total_size ||
+      !p.coverage.covers(0, p.extent)) {
     return std::nullopt;
   }
 
@@ -72,9 +68,13 @@ std::optional<Ipv4Packet> Reassembler::offer(const Ipv4Packet& packet, SimTime n
   whole.header = p.first_header;
   whole.header.more_fragments = false;
   whole.header.fragment_offset_units = 0;
-  // One copy per *reassembled* datagram (the assembly scratch vector into a
-  // refcounted block); unfragmented packets above never reach this path.
-  whole.payload = Buffer::copy_of(p.bytes);
+  // The one copy per *reassembled* datagram: each fragment straight into
+  // the new block; unfragmented packets above never reach this path.
+  whole.payload = Buffer::build(p.extent, [&p](std::span<std::uint8_t> out) {
+    for (const Partial::Piece& piece : p.pieces)
+      if (!piece.bytes.empty())
+        std::memcpy(out.data() + piece.offset, piece.bytes.data(), piece.bytes.size());
+  });
   whole.header.total_length = static_cast<std::uint16_t>(whole.total_length());
   partial_.erase(it);
   ++stats_.datagrams_delivered;

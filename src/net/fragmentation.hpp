@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "net/packet.hpp"
+#include "util/interval_set.hpp"
 #include "util/time.hpp"
 
 namespace streamlab {
@@ -58,9 +59,18 @@ class Reassembler {
     std::uint16_t id;
     auto operator<=>(const Key&) const = default;
   };
+  /// A datagram still missing bytes. Its fragments are kept as views, in
+  /// arrival order, and copied once into the datagram's block when the
+  /// coverage is complete; replaying them in arrival order makes the later
+  /// arrival win wherever fragments overlap.
   struct Partial {
-    std::vector<std::uint8_t> bytes;
-    std::vector<bool> have;          // per-byte coverage map
+    struct Piece {
+      std::size_t offset;
+      Buffer bytes;
+    };
+    std::vector<Piece> pieces;
+    IntervalSet coverage;
+    std::size_t extent = 0;  ///< furthest byte any fragment reached
     std::optional<std::size_t> total_size;
     Ipv4Header first_header;
     bool have_first = false;

@@ -70,20 +70,22 @@ Expected<Ipv4Header> Ipv4Header::decode(ByteReader& r) {
   return h;
 }
 
-void UdpHeader::encode(ByteWriter& w, Ipv4Address src_ip, Ipv4Address dst_ip,
-                       std::span<const std::uint8_t> payload) const {
-  // Build the segment with a zero checksum, then compute over pseudo-header.
-  ByteWriter seg(kUdpHeaderSize + payload.size());
-  seg.u16be(src_port);
-  seg.u16be(dst_port);
-  seg.u16be(length);
-  seg.u16be(0);
-  seg.bytes(payload);
-  const std::uint16_t c = transport_checksum(src_ip, dst_ip, kIpProtoUdp, seg.view());
+void UdpHeader::write(SpanWriter& w) const {
   w.u16be(src_port);
   w.u16be(dst_port);
   w.u16be(length);
-  w.u16be(c);
+  w.u16be(checksum);
+}
+
+void UdpHeader::encode(ByteWriter& w, Ipv4Address src_ip, Ipv4Address dst_ip,
+                       std::span<const std::uint8_t> payload) const {
+  UdpHeader h = *this;
+  h.checksum = 0;
+  std::uint8_t bytes[kUdpHeaderSize];
+  SpanWriter out(bytes);
+  h.write(out);
+  store_u16be(bytes + 6, transport_checksum(src_ip, dst_ip, kIpProtoUdp, bytes, payload));
+  w.bytes(bytes);
 }
 
 Expected<UdpHeader> UdpHeader::decode(ByteReader& r) {
@@ -97,35 +99,32 @@ Expected<UdpHeader> UdpHeader::decode(ByteReader& r) {
   return h;
 }
 
-void TcpHeader::encode(ByteWriter& w, Ipv4Address src_ip, Ipv4Address dst_ip,
-                       std::span<const std::uint8_t> payload) const {
+void TcpHeader::write(SpanWriter& w) const {
   std::uint16_t off_flags = static_cast<std::uint16_t>(5u << 12);
   if (flag_fin) off_flags |= 0x001;
   if (flag_syn) off_flags |= 0x002;
   if (flag_rst) off_flags |= 0x004;
   if (flag_psh) off_flags |= 0x008;
   if (flag_ack) off_flags |= 0x010;
-
-  ByteWriter seg(kTcpHeaderSize + payload.size());
-  seg.u16be(src_port);
-  seg.u16be(dst_port);
-  seg.u32be(seq);
-  seg.u32be(ack);
-  seg.u16be(off_flags);
-  seg.u16be(window);
-  seg.u16be(0);  // checksum
-  seg.u16be(0);  // urgent pointer
-  seg.bytes(payload);
-  const std::uint16_t c = transport_checksum(src_ip, dst_ip, kIpProtoTcp, seg.view());
-
   w.u16be(src_port);
   w.u16be(dst_port);
   w.u32be(seq);
   w.u32be(ack);
   w.u16be(off_flags);
   w.u16be(window);
-  w.u16be(c);
-  w.u16be(0);
+  w.u16be(checksum);
+  w.u16be(0);  // urgent pointer
+}
+
+void TcpHeader::encode(ByteWriter& w, Ipv4Address src_ip, Ipv4Address dst_ip,
+                       std::span<const std::uint8_t> payload) const {
+  TcpHeader h = *this;
+  h.checksum = 0;
+  std::uint8_t bytes[kTcpHeaderSize];
+  SpanWriter out(bytes);
+  h.write(out);
+  store_u16be(bytes + 16, transport_checksum(src_ip, dst_ip, kIpProtoTcp, bytes, payload));
+  w.bytes(bytes);
 }
 
 Expected<TcpHeader> TcpHeader::decode(ByteReader& r) {
@@ -152,21 +151,25 @@ Expected<TcpHeader> TcpHeader::decode(ByteReader& r) {
   return h;
 }
 
-void IcmpHeader::encode(ByteWriter& w, std::span<const std::uint8_t> payload) const {
-  ByteWriter msg(kIcmpHeaderSize + payload.size());
-  msg.u8(static_cast<std::uint8_t>(type));
-  msg.u8(code);
-  msg.u16be(0);
-  msg.u16be(identifier);
-  msg.u16be(sequence);
-  msg.bytes(payload);
-  const std::uint16_t c = internet_checksum(msg.view());
-
+void IcmpHeader::write(SpanWriter& w) const {
   w.u8(static_cast<std::uint8_t>(type));
   w.u8(code);
-  w.u16be(c);
+  w.u16be(checksum);
   w.u16be(identifier);
   w.u16be(sequence);
+}
+
+void IcmpHeader::encode(ByteWriter& w, std::span<const std::uint8_t> payload) const {
+  IcmpHeader h = *this;
+  h.checksum = 0;
+  std::uint8_t bytes[kIcmpHeaderSize];
+  SpanWriter out(bytes);
+  h.write(out);
+  ChecksumAccumulator acc;
+  acc.add(bytes);
+  acc.add(payload);
+  store_u16be(bytes + 2, acc.fold());
+  w.bytes(bytes);
 }
 
 Expected<IcmpHeader> IcmpHeader::decode(ByteReader& r) {

@@ -1,6 +1,9 @@
 // Wire-format codecs for the protocol headers that appear in the study:
 // Ethernet II, IPv4 (no options), UDP, TCP and ICMP. Encoders compute
 // checksums; decoders validate lengths and report failures via Expected.
+// The transport headers also have write(), which lays the fields out as
+// they are (checksum included) — the packet builders use it to write a
+// header in place and patch the checksum once the payload is beside it.
 #pragma once
 
 #include <cstdint>
@@ -81,6 +84,7 @@ struct UdpHeader {
   /// Encodes with the checksum computed over the pseudo-header and payload.
   void encode(ByteWriter& w, Ipv4Address src_ip, Ipv4Address dst_ip,
               std::span<const std::uint8_t> payload) const;
+  void write(SpanWriter& w) const;
   static Expected<UdpHeader> decode(ByteReader& r);
 };
 
@@ -99,6 +103,7 @@ struct TcpHeader {
 
   void encode(ByteWriter& w, Ipv4Address src_ip, Ipv4Address dst_ip,
               std::span<const std::uint8_t> payload) const;
+  void write(SpanWriter& w) const;
   static Expected<TcpHeader> decode(ByteReader& r);
 };
 
@@ -117,6 +122,7 @@ struct IcmpHeader {
   std::uint16_t sequence = 0;    ///< echo sequence, or unused
 
   void encode(ByteWriter& w, std::span<const std::uint8_t> payload) const;
+  void write(SpanWriter& w) const;
   static Expected<IcmpHeader> decode(ByteReader& r);
 };
 

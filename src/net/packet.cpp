@@ -1,68 +1,103 @@
 #include "net/packet.hpp"
 
+#include <cstring>
+
+#include "net/checksum.hpp"
+
 namespace streamlab {
 
-Ipv4Packet make_udp_packet(Endpoint src, Endpoint dst, std::span<const std::uint8_t> payload,
-                           std::uint16_t ip_id, std::uint8_t ttl) {
+namespace {
+
+Ipv4Packet ipv4_packet(std::uint8_t protocol, Ipv4Address src, Ipv4Address dst,
+                       std::uint16_t ip_id, std::uint8_t ttl, Buffer payload) {
   Ipv4Packet pkt;
-  pkt.header.protocol = kIpProtoUdp;
+  pkt.header.protocol = protocol;
   pkt.header.identification = ip_id;
   pkt.header.ttl = ttl;
-  pkt.header.src = src.ip;
-  pkt.header.dst = dst.ip;
+  pkt.header.src = src;
+  pkt.header.dst = dst;
+  pkt.payload = std::move(payload);
+  pkt.header.total_length = static_cast<std::uint16_t>(pkt.total_length());
+  return pkt;
+}
 
+/// Writes one transport segment into a fresh slab block: `header` with a
+/// zero checksum field, the payload by `fill`, then `checksum` of the whole
+/// block stored at byte `checksum_at`.
+template <typename Header, typename Checksum>
+Buffer build_segment(Header header, std::size_t header_size, std::size_t checksum_at,
+                     std::size_t payload_len, ByteFill fill, Checksum checksum) {
+  header.checksum = 0;
+  return Buffer::build(header_size + payload_len, [&](std::span<std::uint8_t> out) {
+    SpanWriter w(out);
+    header.write(w);
+    fill(w.rest());
+    store_u16be(out.data() + checksum_at, checksum(std::span<const std::uint8_t>(out)));
+  });
+}
+
+/// The fill that copies an existing payload.
+auto copy_from(std::span<const std::uint8_t> payload) {
+  return [payload](std::span<std::uint8_t> out) {
+    if (!out.empty()) std::memcpy(out.data(), payload.data(), out.size());
+  };
+}
+
+}  // namespace
+
+Ipv4Packet make_udp_packet(Endpoint src, Endpoint dst, std::size_t payload_len,
+                           ByteFill fill, std::uint16_t ip_id, std::uint8_t ttl) {
   UdpHeader udp;
   udp.src_port = src.port;
   udp.dst_port = dst.port;
-  udp.length = static_cast<std::uint16_t>(kUdpHeaderSize + payload.size());
+  udp.length = static_cast<std::uint16_t>(kUdpHeaderSize + payload_len);
+  Buffer segment = build_segment(udp, kUdpHeaderSize, 6, payload_len, fill,
+                                 [&](std::span<const std::uint8_t> seg) {
+                                   return transport_checksum(src.ip, dst.ip, kIpProtoUdp, seg);
+                                 });
+  return ipv4_packet(kIpProtoUdp, src.ip, dst.ip, ip_id, ttl, std::move(segment));
+}
 
-  ByteWriter w(kUdpHeaderSize + payload.size());
-  udp.encode(w, src.ip, dst.ip, payload);
-  w.bytes(payload);
-  pkt.payload = Buffer::copy_of(w.view());
-  pkt.header.total_length = static_cast<std::uint16_t>(pkt.total_length());
+Ipv4Packet make_udp_packet(Endpoint src, Endpoint dst, std::span<const std::uint8_t> payload,
+                           std::uint16_t ip_id, std::uint8_t ttl) {
+  return make_udp_packet(src, dst, payload.size(), copy_from(payload), ip_id, ttl);
+}
+
+Ipv4Packet make_tcp_packet(Endpoint src, Endpoint dst, const TcpHeader& tcp,
+                           std::size_t payload_len, ByteFill fill, std::uint16_t ip_id,
+                           std::uint8_t ttl) {
+  TcpHeader seg = tcp;
+  seg.src_port = src.port;
+  seg.dst_port = dst.port;
+  Buffer segment = build_segment(seg, kTcpHeaderSize, 16, payload_len, fill,
+                                 [&](std::span<const std::uint8_t> bytes) {
+                                   return transport_checksum(src.ip, dst.ip, kIpProtoTcp, bytes);
+                                 });
+  Ipv4Packet pkt = ipv4_packet(kIpProtoTcp, src.ip, dst.ip, ip_id, ttl, std::move(segment));
+  pkt.header.dont_fragment = true;  // TCP segments honour path MTU
   return pkt;
 }
 
 Ipv4Packet make_tcp_packet(Endpoint src, Endpoint dst, const TcpHeader& tcp,
                            std::span<const std::uint8_t> payload, std::uint16_t ip_id,
                            std::uint8_t ttl) {
-  Ipv4Packet pkt;
-  pkt.header.protocol = kIpProtoTcp;
-  pkt.header.identification = ip_id;
-  pkt.header.ttl = ttl;
-  pkt.header.src = src.ip;
-  pkt.header.dst = dst.ip;
-  pkt.header.dont_fragment = true;  // TCP segments honour path MTU
+  return make_tcp_packet(src, dst, tcp, payload.size(), copy_from(payload), ip_id, ttl);
+}
 
-  TcpHeader seg = tcp;
-  seg.src_port = src.port;
-  seg.dst_port = dst.port;
-
-  ByteWriter w(kTcpHeaderSize + payload.size());
-  seg.encode(w, src.ip, dst.ip, payload);
-  w.bytes(payload);
-  pkt.payload = Buffer::copy_of(w.view());
-  pkt.header.total_length = static_cast<std::uint16_t>(pkt.total_length());
-  return pkt;
+Ipv4Packet make_icmp_packet(Ipv4Address src, Ipv4Address dst, const IcmpHeader& icmp,
+                            std::size_t payload_len, ByteFill fill, std::uint16_t ip_id,
+                            std::uint8_t ttl) {
+  Buffer message = build_segment(icmp, kIcmpHeaderSize, 2, payload_len, fill,
+                                 [](std::span<const std::uint8_t> bytes) {
+                                   return internet_checksum(bytes);
+                                 });
+  return ipv4_packet(kIpProtoIcmp, src, dst, ip_id, ttl, std::move(message));
 }
 
 Ipv4Packet make_icmp_packet(Ipv4Address src, Ipv4Address dst, const IcmpHeader& icmp,
                             std::span<const std::uint8_t> payload, std::uint16_t ip_id,
                             std::uint8_t ttl) {
-  Ipv4Packet pkt;
-  pkt.header.protocol = kIpProtoIcmp;
-  pkt.header.identification = ip_id;
-  pkt.header.ttl = ttl;
-  pkt.header.src = src;
-  pkt.header.dst = dst;
-
-  ByteWriter w(kIcmpHeaderSize + payload.size());
-  icmp.encode(w, payload);
-  w.bytes(payload);
-  pkt.payload = Buffer::copy_of(w.view());
-  pkt.header.total_length = static_cast<std::uint16_t>(pkt.total_length());
-  return pkt;
+  return make_icmp_packet(src, dst, icmp, payload.size(), copy_from(payload), ip_id, ttl);
 }
 
 Frame frame_ipv4(MacAddress src_mac, MacAddress dst_mac, const Ipv4Packet& packet) {

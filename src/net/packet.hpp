@@ -63,16 +63,28 @@ struct ParsedFrame {
   Buffer payload;
 };
 
-/// Builds a UDP/IPv4 datagram (not yet fragmented or framed).
+/// Builds a UDP/IPv4 datagram (not yet fragmented or framed). The transport
+/// segment is one slab block, written once: the UDP header, then `fill`
+/// writes the `payload_len` payload bytes in place, then the checksum is
+/// computed over the block and patched in.
+Ipv4Packet make_udp_packet(Endpoint src, Endpoint dst, std::size_t payload_len,
+                           ByteFill fill, std::uint16_t ip_id, std::uint8_t ttl = 64);
 Ipv4Packet make_udp_packet(Endpoint src, Endpoint dst, std::span<const std::uint8_t> payload,
                            std::uint16_t ip_id, std::uint8_t ttl = 64);
 
-/// Builds a TCP/IPv4 packet with the given segment fields.
+/// Builds a TCP/IPv4 packet with the given segment fields, in place as above.
+Ipv4Packet make_tcp_packet(Endpoint src, Endpoint dst, const TcpHeader& tcp,
+                           std::size_t payload_len, ByteFill fill, std::uint16_t ip_id,
+                           std::uint8_t ttl = 64);
 Ipv4Packet make_tcp_packet(Endpoint src, Endpoint dst, const TcpHeader& tcp,
                            std::span<const std::uint8_t> payload, std::uint16_t ip_id,
                            std::uint8_t ttl = 64);
 
-/// Builds an ICMP/IPv4 packet (echo request/reply, time exceeded, ...).
+/// Builds an ICMP/IPv4 packet (echo request/reply, time exceeded, ...), in
+/// place as above.
+Ipv4Packet make_icmp_packet(Ipv4Address src, Ipv4Address dst, const IcmpHeader& icmp,
+                            std::size_t payload_len, ByteFill fill, std::uint16_t ip_id,
+                            std::uint8_t ttl = 64);
 Ipv4Packet make_icmp_packet(Ipv4Address src, Ipv4Address dst, const IcmpHeader& icmp,
                             std::span<const std::uint8_t> payload, std::uint16_t ip_id,
                             std::uint8_t ttl = 64);

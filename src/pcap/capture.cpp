@@ -1,16 +1,28 @@
 #include "pcap/capture.hpp"
 
+#include <algorithm>
+
 namespace streamlab {
 
 void CaptureTrace::add_packet(SimTime when, MacAddress src_mac, MacAddress dst_mac,
                               const Ipv4Packet& packet) {
-  Frame frame = frame_ipv4(src_mac, dst_mac, packet);
+  // Only what the snaplen keeps is framed: the Ethernet and IPv4 headers,
+  // then the payload prefix, written once into the record.
+  constexpr std::size_t kHeaders = kEthernetHeaderSize + kIpv4HeaderSize;
+  const std::size_t wire = kEthernetHeaderSize + packet.total_length();
+  const std::size_t keep = std::min<std::size_t>(wire, snaplen_);
+  ByteWriter w(std::max(keep, kHeaders));
+  EthernetHeader eth;
+  eth.src = src_mac;
+  eth.dst = dst_mac;
+  eth.encode(w);
+  packet.header.encode(w);
+  if (keep > kHeaders) w.bytes(packet.payload.bytes().first(keep - kHeaders));
   CaptureRecord rec;
   rec.timestamp = when;
-  rec.original_length = static_cast<std::uint32_t>(frame.size());
-  auto bytes = frame.bytes();
-  const std::size_t keep = std::min<std::size_t>(bytes.size(), snaplen_);
-  rec.data.assign(bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(keep));
+  rec.original_length = static_cast<std::uint32_t>(wire);
+  rec.data = w.take();
+  rec.data.resize(keep);
   records_.push_back(std::move(rec));
 }
 

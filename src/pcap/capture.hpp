@@ -23,7 +23,8 @@ class CaptureTrace {
   explicit CaptureTrace(std::uint32_t snaplen) : snaplen_(snaplen) {}
 
   void add(CaptureRecord record) { records_.push_back(std::move(record)); }
-  /// Convenience: frames an IPv4 packet and appends it, truncating to snaplen.
+  /// Appends the record of an IPv4 packet's Ethernet frame, truncated to
+  /// snaplen: the same bytes as frame_ipv4() cut to the snaplen.
   void add_packet(SimTime when, MacAddress src_mac, MacAddress dst_mac,
                   const Ipv4Packet& packet);
 

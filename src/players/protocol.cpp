@@ -1,5 +1,9 @@
 #include "players/protocol.hpp"
 
+#include <algorithm>
+#include <array>
+#include <cstring>
+
 namespace streamlab {
 
 std::vector<std::uint8_t> ControlMessage::encode() const {
@@ -30,22 +34,49 @@ std::optional<ControlMessage> ControlMessage::decode(std::span<const std::uint8_
   return msg;
 }
 
+namespace {
+
+// Two periods of the 256-byte synthetic media pattern: the period that
+// starts at any phase is one contiguous run of it.
+constexpr auto kMediaPattern = [] {
+  std::array<std::uint8_t, 512> table{};
+  for (std::size_t i = 0; i < table.size(); ++i) table[i] = static_cast<std::uint8_t>(i);
+  return table;
+}();
+
+/// Synthetic media payload: deterministic by stream offset, compressible but
+/// nonzero so captures are visually distinguishable from padding.
+void fill_media(std::span<std::uint8_t> out, std::uint64_t media_offset) {
+  const std::uint8_t* period = kMediaPattern.data() + (media_offset & 0xFF);
+  for (std::size_t at = 0; at < out.size(); at += 256)
+    std::memcpy(out.data() + at, period, std::min<std::size_t>(256, out.size() - at));
+}
+
+}  // namespace
+
+std::size_t DataHeader::wire_size(std::size_t media_len) const {
+  const bool multipath = (flags & kFlagMultipath) != 0;
+  return kDataHeaderSize + (multipath ? kMultipathExtensionSize : 0) + media_len;
+}
+
+void DataHeader::write(std::span<std::uint8_t> out) const {
+  const bool multipath = (flags & kFlagMultipath) != 0;
+  SpanWriter w(out);
+  w.u16be(kDataMagic);
+  w.u8(flags);
+  w.u8(multipath ? subflow_id : std::uint8_t{0});  // reserved pre-multipath
+  w.u32be(seq);
+  w.u32be(static_cast<std::uint32_t>(media_offset >> 32));
+  w.u32be(static_cast<std::uint32_t>(media_offset));
+  if (multipath) w.u32be(subflow_seq);
+  fill_media(w.rest(), media_offset);
+}
+
 std::vector<std::uint8_t> DataHeader::make_packet(const DataHeader& header,
                                                   std::size_t media_len) {
-  const bool multipath = (header.flags & kFlagMultipath) != 0;
-  ByteWriter w(kDataHeaderSize + (multipath ? kMultipathExtensionSize : 0) + media_len);
-  w.u16be(kDataMagic);
-  w.u8(header.flags);
-  w.u8(multipath ? header.subflow_id : std::uint8_t{0});  // reserved pre-multipath
-  w.u32be(header.seq);
-  w.u32be(static_cast<std::uint32_t>(header.media_offset >> 32));
-  w.u32be(static_cast<std::uint32_t>(header.media_offset));
-  if (multipath) w.u32be(header.subflow_seq);
-  // Synthetic media payload: deterministic pattern, compressible but nonzero
-  // so captures are visually distinguishable from padding.
-  for (std::size_t i = 0; i < media_len; ++i)
-    w.u8(static_cast<std::uint8_t>((header.media_offset + i) & 0xFF));
-  return w.take();
+  std::vector<std::uint8_t> out(header.wire_size(media_len));
+  header.write(out);
+  return out;
 }
 
 std::optional<DataHeader> DataHeader::decode(std::span<const std::uint8_t> payload,
@@ -71,20 +102,26 @@ bool ParityHeader::covers(std::uint32_t seq) const {
   return delta % stride == 0 && delta / stride < k;
 }
 
+void ParityHeader::write(std::span<std::uint8_t> out) const {
+  SpanWriter w(out);
+  w.u16be(kParityMagic);
+  w.u8(k);
+  w.u8(stride);
+  w.u32be(block_base);
+  w.u32be(static_cast<std::uint32_t>(xor_media_offset >> 32));
+  w.u32be(static_cast<std::uint32_t>(xor_media_offset));
+  w.u32be(xor_media_len);
+  w.u8(xor_flags);
+  w.u8(0);  // reserved
+  const std::span<std::uint8_t> pad = w.rest();
+  std::memset(pad.data(), 0xFE, pad.size());
+}
+
 std::vector<std::uint8_t> ParityHeader::make_packet(const ParityHeader& header,
                                                     std::size_t pad_len) {
-  ByteWriter w(kParityHeaderSize + pad_len);
-  w.u16be(kParityMagic);
-  w.u8(header.k);
-  w.u8(header.stride);
-  w.u32be(header.block_base);
-  w.u32be(static_cast<std::uint32_t>(header.xor_media_offset >> 32));
-  w.u32be(static_cast<std::uint32_t>(header.xor_media_offset));
-  w.u32be(header.xor_media_len);
-  w.u8(header.xor_flags);
-  w.u8(0);  // reserved
-  for (std::size_t i = 0; i < pad_len; ++i) w.u8(0xFE);
-  return w.take();
+  std::vector<std::uint8_t> out(wire_size(pad_len));
+  header.write(out);
+  return out;
 }
 
 std::optional<ParityHeader> ParityHeader::decode(std::span<const std::uint8_t> payload) {

@@ -82,7 +82,13 @@ struct DataHeader {
   std::uint8_t subflow_id = 0;
   std::uint32_t subflow_seq = 0;
 
-  /// Serializes header followed by `media_len` synthetic payload bytes.
+  /// Wire bytes of this header followed by `media_len` payload bytes.
+  std::size_t wire_size(std::size_t media_len) const;
+  /// Writes the header and then synthetic media bytes into all of `out`
+  /// (sized by wire_size), in place in a datagram's buffer. The media byte
+  /// at stream offset o is o & 0xFF.
+  void write(std::span<std::uint8_t> out) const;
+  /// write() into a fresh vector.
   static std::vector<std::uint8_t> make_packet(const DataHeader& header,
                                                std::size_t media_len);
   /// Parses the header; returns the media byte count via `media_len`.
@@ -108,7 +114,12 @@ struct ParityHeader {
   /// True when `seq` is one of the k covered sequence numbers.
   bool covers(std::uint32_t seq) const;
 
-  /// Serializes header followed by `pad_len` filler bytes (bandwidth model).
+  /// Wire bytes of the header followed by `pad_len` filler bytes.
+  static std::size_t wire_size(std::size_t pad_len) { return kParityHeaderSize + pad_len; }
+  /// Writes the header and then 0xFE filler (bandwidth model) into all of
+  /// `out`, in place in a datagram's buffer.
+  void write(std::span<std::uint8_t> out) const;
+  /// write() into a fresh vector.
   static std::vector<std::uint8_t> make_packet(const ParityHeader& header,
                                                std::size_t pad_len);
   static std::optional<ParityHeader> decode(std::span<const std::uint8_t> payload);

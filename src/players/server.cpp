@@ -176,19 +176,21 @@ void StreamServer::handle_nack(const ControlMessage& msg) {
     header.seq = entry->seq;
     header.media_offset = entry->media_offset;
     header.flags = entry->flags | kFlagRetransmit;
-    const auto packet = DataHeader::make_packet(header, entry->media_len);
-    host_.udp_send(port_, client_, packet);
+    const std::size_t size = header.wire_size(entry->media_len);
+    host_.udp_send(port_, client_, size,
+                   [&header](std::span<std::uint8_t> out) { header.write(out); });
     ++repair_->retx_packets;
-    repair_->retx_bytes += packet.size();
+    repair_->retx_bytes += size;
     if (obs_) obs_->retx_sent.add();
   }
 }
 
 void StreamServer::send_parity(const ParityOut& parity) {
-  const auto packet = ParityHeader::make_packet(parity.header, parity.pad_len);
-  host_.udp_send(port_, client_, packet);
+  const std::size_t size = ParityHeader::wire_size(parity.pad_len);
+  host_.udp_send(port_, client_, size,
+                 [&parity](std::span<std::uint8_t> out) { parity.header.write(out); });
   ++repair_->parity_packets;
-  repair_->parity_bytes += packet.size();
+  repair_->parity_bytes += size;
   if (obs_) obs_->parity_sent.add();
 }
 
@@ -216,15 +218,15 @@ void StreamServer::emit(std::uint64_t offset, std::size_t media_len, std::uint8_
     wire.flags |= kFlagMultipath;
     wire.subflow_id = static_cast<std::uint8_t>(id);
     wire.subflow_seq = multipath_->scheduler.stamp(id, media_len, now);
-    const auto wire_packet = DataHeader::make_packet(wire, media_len);
+    const auto fill = [&wire](std::span<std::uint8_t> out) { wire.write(out); };
     if (id == 0)
-      host_.udp_send(port_, client_, wire_packet);
+      host_.udp_send(port_, client_, wire.wire_size(media_len), fill);
     else
       host_.udp_send_from(multipath_->config.server_alias, port_,
-                          subflow1_destination(), wire_packet);
+                          subflow1_destination(), wire.wire_size(media_len), fill);
   } else {
-    const auto packet = DataHeader::make_packet(header, media_len);
-    host_.udp_send(port_, client_, packet);
+    host_.udp_send(port_, client_, header.wire_size(media_len),
+                   [&header](std::span<std::uint8_t> out) { header.write(out); });
   }
   send_log_.push_back(
       SendEvent{host_.loop().now(), header.seq, offset, media_len, buffering_phase});

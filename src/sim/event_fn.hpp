@@ -3,11 +3,13 @@
 // `std::function<void()>` heap-allocates for any capture larger than two
 // pointers, which at city-scale fleet sizes means one allocation per
 // scheduled event. EventFn is a move-only callable with 48 bytes of inline
-// storage — enough for every capture the players, links and fleet sessions
-// actually schedule (a couple of pointers, an index, a Buffer) — so the
-// common path stores the closure directly inside the queued event. Larger
-// or throwing-move captures fall back to a single heap cell, preserving
-// std::function semantics for the rare big capture.
+// storage — enough for the captures the players, links and fleet sessions
+// schedule (a couple of pointers and an index) — so the common path stores
+// the closure directly inside the queued event. Larger or throwing-move
+// captures fall back to a single heap cell, preserving std::function
+// semantics for the rare big capture. A packet is one such capture: an
+// Ipv4Packet is 48 bytes on its own, so a link's delivery event captures
+// only (this, dir) and the packet waits in the link's in-flight FIFO.
 #pragma once
 
 #include <cstddef>

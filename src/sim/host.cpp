@@ -1,7 +1,7 @@
 #include "sim/host.hpp"
 
 #include <algorithm>
-#include <vector>
+#include <cstring>
 
 namespace streamlab {
 
@@ -34,15 +34,28 @@ void Host::udp_bind(std::uint16_t port, UdpHandler handler) {
 
 void Host::udp_unbind(std::uint16_t port) { udp_ports_.erase(port); }
 
+void Host::udp_send(std::uint16_t src_port, Endpoint dst, std::size_t payload_len,
+                    ByteFill fill, std::uint8_t ttl) {
+  udp_send_from(address_, src_port, dst, payload_len, fill, ttl);
+}
+
 void Host::udp_send(std::uint16_t src_port, Endpoint dst,
                     std::span<const std::uint8_t> payload, std::uint8_t ttl) {
   udp_send_from(address_, src_port, dst, payload, ttl);
 }
 
 void Host::udp_send_from(Ipv4Address src, std::uint16_t src_port, Endpoint dst,
+                         std::size_t payload_len, ByteFill fill, std::uint8_t ttl) {
+  send_datagram(make_udp_packet(Endpoint{src, src_port}, dst, payload_len, fill,
+                                next_ip_id_++, ttl));
+}
+
+void Host::udp_send_from(Ipv4Address src, std::uint16_t src_port, Endpoint dst,
                          std::span<const std::uint8_t> payload, std::uint8_t ttl) {
-  const Ipv4Packet datagram =
-      make_udp_packet(Endpoint{src, src_port}, dst, payload, next_ip_id_++, ttl);
+  send_datagram(make_udp_packet(Endpoint{src, src_port}, dst, payload, next_ip_id_++, ttl));
+}
+
+void Host::send_datagram(const Ipv4Packet& datagram) {
   ++stats_.udp_datagrams_sent;
   for (const auto& fragment : fragment_packet(datagram, mtu_)) transmit(fragment);
 }
@@ -53,9 +66,10 @@ void Host::send_icmp_echo(Ipv4Address dst, std::uint16_t identifier, std::uint16
   icmp.type = IcmpType::kEchoRequest;
   icmp.identifier = identifier;
   icmp.sequence = sequence;
-  const std::vector<std::uint8_t> padding(payload_bytes, 0xA5);
-  Ipv4Packet pkt = make_icmp_packet(address_, dst, icmp, padding, next_ip_id_++, ttl);
-  transmit(pkt);
+  transmit(make_icmp_packet(
+      address_, dst, icmp, payload_bytes,
+      [](std::span<std::uint8_t> out) { std::memset(out.data(), 0xA5, out.size()); },
+      next_ip_id_++, ttl));
 }
 
 void Host::transmit(const Ipv4Packet& packet) {
@@ -77,12 +91,18 @@ void Host::handle_packet(const Ipv4Packet& packet, int /*ingress_iface*/) {
   deliver_datagram(*whole);
 }
 
+void Host::tcp_send(const TcpHeader& segment, Ipv4Address dst, std::size_t payload_len,
+                    ByteFill fill, std::uint8_t ttl) {
+  transmit(make_tcp_packet(Endpoint{address_, segment.src_port},
+                           Endpoint{dst, segment.dst_port}, segment, payload_len, fill,
+                           next_ip_id_++, ttl));
+}
+
 void Host::tcp_send(const TcpHeader& segment, Ipv4Address dst,
                     std::span<const std::uint8_t> payload, std::uint8_t ttl) {
-  const Ipv4Packet pkt = make_tcp_packet(Endpoint{address_, segment.src_port},
-                                         Endpoint{dst, segment.dst_port}, segment,
-                                         payload, next_ip_id_++, ttl);
-  transmit(pkt);
+  transmit(make_tcp_packet(Endpoint{address_, segment.src_port},
+                           Endpoint{dst, segment.dst_port}, segment, payload,
+                           next_ip_id_++, ttl));
 }
 
 void Host::deliver_datagram(const Ipv4Packet& whole) {

@@ -70,14 +70,22 @@ class Host : public Node {
   void udp_bind(std::uint16_t port, UdpHandler handler);
   void udp_unbind(std::uint16_t port);
 
-  /// Sends a UDP datagram. Payloads whose IP datagram exceeds the MTU are
-  /// fragmented by this host's IP layer (the MediaPlayer path in the paper).
+  /// Sends a UDP datagram of `payload_len` bytes, which `fill` writes in
+  /// place in the datagram's buffer (see make_udp_packet). Payloads whose
+  /// IP datagram exceeds the MTU are fragmented by this host's IP layer
+  /// (the MediaPlayer path in the paper); the fragments are views of that
+  /// one buffer.
+  void udp_send(std::uint16_t src_port, Endpoint dst, std::size_t payload_len, ByteFill fill,
+                std::uint8_t ttl = 64);
+  /// Sends a copy of `payload`.
   void udp_send(std::uint16_t src_port, Endpoint dst, std::span<const std::uint8_t> payload,
                 std::uint8_t ttl = 64);
 
   /// udp_send with an explicit source address (the primary address or a
   /// registered alias) — how a multipath subflow pins its return path.
   /// Shares the IP id sequence with every other send from this host.
+  void udp_send_from(Ipv4Address src, std::uint16_t src_port, Endpoint dst,
+                     std::size_t payload_len, ByteFill fill, std::uint8_t ttl = 64);
   void udp_send_from(Ipv4Address src, std::uint16_t src_port, Endpoint dst,
                      std::span<const std::uint8_t> payload, std::uint8_t ttl = 64);
 
@@ -89,7 +97,10 @@ class Host : public Node {
   void set_tcp_handler(TcpHandler handler) { tcp_handler_ = std::move(handler); }
 
   /// Sends a raw TCP segment (the TCP stack builds headers; the host owns
-  /// IP id assignment and framing).
+  /// IP id assignment and framing) whose `payload_len` payload bytes `fill`
+  /// writes in place, as for udp_send.
+  void tcp_send(const TcpHeader& segment, Ipv4Address dst, std::size_t payload_len,
+                ByteFill fill, std::uint8_t ttl = 64);
   void tcp_send(const TcpHeader& segment, Ipv4Address dst,
                 std::span<const std::uint8_t> payload, std::uint8_t ttl = 64);
   /// Installs the sniffer tap (pass nullptr-equivalent {} to remove).
@@ -107,6 +118,8 @@ class Host : public Node {
   const Reassembler::Stats& reassembly_stats() const { return reassembler_.stats(); }
 
  private:
+  /// Fragments a UDP datagram to the MTU and transmits the pieces.
+  void send_datagram(const Ipv4Packet& datagram);
   void transmit(const Ipv4Packet& packet);
   void deliver_datagram(const Ipv4Packet& whole);
 

@@ -127,16 +127,16 @@ void Link::finish_transmission(int dir) {
     SimTime deliver_at = loop_.now() + delay;
     if (deliver_at < d.last_delivery) deliver_at = d.last_delivery;
     d.last_delivery = deliver_at;
-    ++d.in_flight;
-    loop_.post_at(deliver_at, [this, dir, p = std::move(packet)] { deliver(dir, p); },
-                      obs::EventCategory::kLink);
+    d.in_flight.push_back(std::move(packet));
+    loop_.post_at(deliver_at, [this, dir] { deliver(dir); }, obs::EventCategory::kLink);
   }
   start_transmission(dir);
 }
 
-void Link::deliver(int dir, Ipv4Packet packet) {
+void Link::deliver(int dir) {
   Direction& d = dir_[dir];
-  --d.in_flight;
+  const Ipv4Packet packet = std::move(d.in_flight.front());
+  d.in_flight.pop_front();
   ++d.stats.packets_delivered;
   d.stats.bytes_delivered += wire_size(packet);
   if (obs_) obs_->delivered.add();
@@ -154,7 +154,7 @@ void Link::audit_conservation(audit::Auditor& auditor, SimTime now) const {
                                   s.packets_dropped_outage + s.packets_dropped_burst;
     auditor.check_conservation(audit_label_ + kDirName[dir], s.packets_sent,
                                s.packets_delivered, dropped, d.queue.size(),
-                               d.in_flight, now);
+                               d.in_flight.size(), now);
   }
 }
 

@@ -114,7 +114,11 @@ class Link {
     std::size_t queued_bytes = 0;
     bool transmitting = false;
     SimTime last_delivery;  // FIFO guard: jitter never reorders a direction
-    std::uint64_t in_flight = 0;  ///< serialized, propagation pending
+    /// Serialized packets whose propagation is pending, oldest first. The
+    /// delivery events carry only (this, dir): delivery times never
+    /// decrease (the last_delivery clamp) and equal times fire in post
+    /// order, so each delivery takes the front packet.
+    std::deque<Ipv4Packet> in_flight;
     DirectionStats stats;
   };
 
@@ -138,7 +142,7 @@ class Link {
   bool drop_on_wire(DirectionStats& stats);
   void start_transmission(int dir);
   void finish_transmission(int dir);
-  void deliver(int dir, Ipv4Packet packet);
+  void deliver(int dir);
   void sample_queue(int dir);
 
   EventLoop& loop_;

@@ -1,7 +1,7 @@
 #include "tcp/sender.hpp"
 
 #include <algorithm>
-#include <vector>
+#include <cstring>
 
 namespace streamlab {
 
@@ -147,10 +147,10 @@ void TcpBulkSender::send_segment(std::uint64_t offset, bool retransmission, SimT
   seg.flag_ack = true;
   seg.seq = iss_ + 1 + static_cast<std::uint32_t>(offset);
   seg.ack = 1;  // we carry no reverse data; peer ISN+1 is implied
-  // Synthetic payload bytes.
-  const std::vector<std::uint8_t> payload(len,
-                                          static_cast<std::uint8_t>(offset & 0xFF));
-  demux_.host().tcp_send(seg, remote_.ip, payload);
+  // Synthetic payload bytes, written in place in the segment.
+  demux_.host().tcp_send(seg, remote_.ip, len, [offset](std::span<std::uint8_t> out) {
+    std::memset(out.data(), static_cast<std::uint8_t>(offset & 0xFF), out.size());
+  });
   ++stats_.segments_sent;
   if (retransmission) {
     ++stats_.retransmissions;

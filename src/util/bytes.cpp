@@ -97,8 +97,7 @@ void ByteWriter::bytes(std::span<const std::uint8_t> data) {
 
 void ByteWriter::patch_u16be(std::size_t offset, std::uint16_t v) {
   if (offset + 2 > buf_.size()) return;
-  buf_[offset] = static_cast<std::uint8_t>(v >> 8);
-  buf_[offset + 1] = static_cast<std::uint8_t>(v);
+  store_u16be(buf_.data() + offset, v);
 }
 
 std::string hex_dump(std::span<const std::uint8_t> data, std::size_t max_bytes) {

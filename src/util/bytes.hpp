@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <cstddef>
+#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
@@ -63,6 +64,45 @@ class ByteWriter {
 
  private:
   std::vector<std::uint8_t> buf_;
+};
+
+/// Stores a big-endian 16-bit value at `p` (patching a checksum field).
+inline void store_u16be(std::uint8_t* p, std::uint16_t v) {
+  p[0] = static_cast<std::uint8_t>(v >> 8);
+  p[1] = static_cast<std::uint8_t>(v);
+}
+
+/// Big-endian writer into a caller-sized span: how a packet is built in
+/// place in its buffer. The span is sized from the wire size of what is
+/// written, so a write past its end is a caller bug; it is dropped rather
+/// than written out of bounds.
+class SpanWriter {
+ public:
+  explicit SpanWriter(std::span<std::uint8_t> out) : out_(out) {}
+
+  /// The bytes not yet written: where a payload goes after its header.
+  std::span<std::uint8_t> rest() const { return out_.subspan(pos_); }
+
+  void u8(std::uint8_t v) { put(&v, 1); }
+  void u16be(std::uint16_t v) {
+    std::uint8_t b[2];
+    store_u16be(b, v);
+    put(b, 2);
+  }
+  void u32be(std::uint32_t v) {
+    u16be(static_cast<std::uint16_t>(v >> 16));
+    u16be(static_cast<std::uint16_t>(v));
+  }
+
+ private:
+  void put(const std::uint8_t* p, std::size_t n) {
+    if (n == 0 || n > out_.size() - pos_) return;
+    std::memcpy(out_.data() + pos_, p, n);
+    pos_ += n;
+  }
+
+  std::span<std::uint8_t> out_;
+  std::size_t pos_ = 0;
 };
 
 /// Hex dump ("de ad be ef ..."), mostly for test failure messages.

@@ -1,0 +1,130 @@
+// Heap-allocation pins for the per-packet path. This binary replaces the
+// global operator new with a counting one (the bench_micro technique), so
+// it lives apart from the other suites: every allocation in the process is
+// counted, and each test measures only the window around the operation.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+#include "net/buffer.hpp"
+#include "players/protocol.hpp"
+#include "sim/event_loop.hpp"
+#include "sim/host.hpp"
+#include "sim/link.hpp"
+
+namespace {
+std::atomic<std::uint64_t> g_calls{0};
+std::atomic<std::uint64_t> g_bytes{0};
+std::atomic<std::uint64_t> g_largest{0};
+
+void* counted(std::size_t size) {
+  g_calls.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
+  std::uint64_t prev = g_largest.load(std::memory_order_relaxed);
+  while (size > prev && !g_largest.compare_exchange_weak(prev, size)) {
+  }
+  return std::malloc(size ? size : 1);
+}
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (void* p = counted(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept { return counted(size); }
+void* operator new[](std::size_t size) { return operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace streamlab {
+namespace {
+
+/// Allocation ledger over a window: calls, bytes and the largest request.
+struct AllocWindow {
+  std::uint64_t calls0 = g_calls.load();
+  std::uint64_t bytes0 = g_bytes.load();
+  AllocWindow() { g_largest.store(0); }
+  std::uint64_t calls() const { return g_calls.load() - calls0; }
+  std::uint64_t bytes() const { return g_bytes.load() - bytes0; }
+  std::uint64_t largest() const { return g_largest.load(); }
+};
+
+/// Counts deliveries without storing them, so the sink allocates nothing.
+class CountingNode : public Node {
+ public:
+  CountingNode() : Node("sink") {}
+  void handle_packet(const Ipv4Packet&, int) override { ++delivered; }
+  std::uint64_t delivered = 0;
+};
+
+// Each hop queues the packet, serializes it and delivers it after the
+// propagation delay. The delivery closure used to carry the packet itself,
+// which overflowed EventFn's inline buffer and cost one heap cell per hop;
+// the link's own FIFO now carries it.
+TEST(Allocations, ForwardingOverAWarmedLinkAllocatesWellUnderOncePerPacket) {
+  EventLoop loop;
+  CountingNode a;
+  CountingNode b;
+  LinkConfig cfg;
+  cfg.jitter_stddev = Duration::millis(1);
+  Link link(loop, Rng(3), cfg, a, 0, b, 0);
+  const std::vector<std::uint8_t> payload(1200, 0x5A);
+  const Ipv4Packet pkt = make_udp_packet(Endpoint{Ipv4Address(10, 0, 0, 1), 1},
+                                         Endpoint{Ipv4Address(10, 0, 0, 2), 2}, payload, 1);
+  auto burst = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      link.send_from_a(pkt);
+      loop.run_until(loop.now() + Duration::millis(2));
+    }
+    loop.run();
+  };
+  burst(256);  // warm the scheduler, the queues and the slab
+
+  constexpr int kPackets = 2000;
+  const std::uint64_t before = b.delivered;
+  const AllocWindow window;
+  burst(kPackets);
+  const std::uint64_t allocs = window.calls();
+  ASSERT_EQ(b.delivered - before, static_cast<std::uint64_t>(kPackets));
+  EXPECT_LT(allocs, static_cast<std::uint64_t>(kPackets / 4)) << allocs << " allocations";
+}
+
+// A 3125-byte WM application frame goes out as three IP fragments. Its bytes
+// are written once into a recycled slab block and the fragments are views
+// of it, so no heap allocation is anywhere near payload-sized.
+TEST(Allocations, SendingAFragmentedDataDatagramAllocatesNoPayloadBytes) {
+  EventLoop loop;
+  Host host(loop, "server", Ipv4Address(192, 168, 100, 10));
+  std::uint64_t fragments = 0;
+  host.attach_interface([&fragments](const Ipv4Packet&) { ++fragments; });
+  const Endpoint client{Ipv4Address(10, 0, 0, 2), kMediaClientPort};
+  constexpr std::size_t kMedia = 3125;
+  auto send = [&](std::uint32_t seq) {
+    DataHeader h;
+    h.seq = seq;
+    h.media_offset = std::uint64_t{seq} * kMedia;
+    host.udp_send(kMediaServerPort, client, h.wire_size(kMedia),
+                  [&h](std::span<std::uint8_t> out) { h.write(out); });
+  };
+  for (std::uint32_t seq = 0; seq < 8; ++seq) send(seq);  // warm the slab
+
+  const std::uint64_t fragments_before = fragments;
+  const Buffer::SlabStats slab_before = Buffer::slab_stats();
+  const AllocWindow window;
+  send(8);
+  const std::uint64_t bytes = window.bytes();
+  const std::uint64_t largest = window.largest();
+  EXPECT_EQ(fragments - fragments_before, 3u);
+  EXPECT_EQ(Buffer::slab_stats().fresh_blocks, slab_before.fresh_blocks);
+  EXPECT_EQ(Buffer::slab_stats().recycled_blocks, slab_before.recycled_blocks + 1);
+  EXPECT_LT(largest, 1480u) << "a fragment-sized heap allocation";
+  EXPECT_LT(bytes, kMedia) << bytes << " heap bytes for one datagram";
+}
+
+}  // namespace
+}  // namespace streamlab

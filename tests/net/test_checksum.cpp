@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -61,6 +62,59 @@ TEST(ChecksumAccumulator, OddCutsChainCorrectly) {
   acc.add(std::span(data).subspan(1, 3));
   acc.add(std::span(data).subspan(4, 3));
   EXPECT_EQ(acc.fold(), internet_checksum(data));
+}
+
+/// RFC 1071 by the book: big-endian 16-bit words, one at a time, the odd
+/// tail byte padded with a zero low half.
+std::uint16_t reference_checksum(std::span<const std::uint8_t> data) {
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < data.size(); i += 2) {
+    const std::uint32_t lo = i + 1 < data.size() ? data[i + 1] : 0;
+    sum += (static_cast<std::uint32_t>(data[i]) << 8) | lo;
+  }
+  while (sum >> 16) sum = (sum & 0xFFFF) + (sum >> 16);
+  return static_cast<std::uint16_t>(~sum & 0xFFFF);
+}
+
+// Random lengths, random cut points (odd ones included) and starts at
+// every alignment: however the bytes are split across add() calls, the
+// accumulator must equal the byte-pair reference over the whole stream.
+TEST(ChecksumAccumulator, MatchesBytePairReferenceForAnySplit) {
+  Rng rng(0xC5);
+  std::vector<std::uint8_t> storage(4096 + 16);
+  for (int round = 0; round < 2000; ++round) {
+    const auto len = static_cast<std::size_t>(rng.uniform_int(0, 4096));
+    const auto start = static_cast<std::size_t>(rng.uniform_int(0, 15));
+    const auto fill = rng.uniform_int(0, 9);
+    for (auto& b : storage)
+      b = fill == 0 ? 0x00 : fill == 1 ? 0xFF : static_cast<std::uint8_t>(rng.next_u64());
+    const std::span<const std::uint8_t> data(storage.data() + start, len);
+
+    ChecksumAccumulator acc;
+    std::size_t at = 0;
+    const auto pieces = rng.uniform_int(1, 5);
+    for (std::int64_t piece = 1; piece < pieces && at < len; ++piece) {
+      const auto cut = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(len - at)));
+      acc.add(data.subspan(at, cut));
+      at += cut;
+    }
+    acc.add(data.subspan(at));
+    ASSERT_EQ(acc.fold(), reference_checksum(data))
+        << "round " << round << " len " << len << " start " << start;
+    ASSERT_EQ(internet_checksum(data), reference_checksum(data)) << "round " << round;
+  }
+}
+
+TEST(ChecksumAccumulator, AllZeroAndAllOnesKeepTheirDistinctFolds) {
+  // A zero sum folds to 0xFFFF; a nonzero sum that is 0 mod 0xFFFF folds
+  // to 0x0000. Wide additions must not confuse the two.
+  for (const std::size_t len : {0UL, 1UL, 2UL, 7UL, 8UL, 9UL, 64UL, 1481UL}) {
+    const std::vector<std::uint8_t> zeros(len, 0x00);
+    const std::vector<std::uint8_t> ones(len, 0xFF);
+    EXPECT_EQ(internet_checksum(zeros), reference_checksum(zeros)) << len;
+    EXPECT_EQ(internet_checksum(ones), reference_checksum(ones)) << len;
+  }
 }
 
 TEST(ChecksumAccumulator, AddU16AndU32) {

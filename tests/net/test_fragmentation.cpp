@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <map>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -184,6 +188,135 @@ TEST(Reassembler, DuplicateFragmentIsIdempotent) {
   const auto whole = r.offer(frags[2], SimTime::zero());
   ASSERT_TRUE(whole.has_value());
   EXPECT_EQ(whole->payload, pkt.payload);
+}
+
+/// A hand-built fragment of datagram `id`: `len` copies of `fill` at byte
+/// offset `off` (a multiple of 8).
+Ipv4Packet fragment_of(std::uint16_t id, std::size_t off, std::size_t len, std::uint8_t fill,
+                       bool more) {
+  Ipv4Packet p;
+  p.header.protocol = kIpProtoUdp;
+  p.header.identification = id;
+  p.header.src = kServer.ip;
+  p.header.dst = kClient.ip;
+  p.header.fragment_offset_units = static_cast<std::uint16_t>(off / 8);
+  p.header.more_fragments = more;
+  p.payload = Buffer::copy_of(std::vector<std::uint8_t>(len, fill));
+  p.header.total_length = static_cast<std::uint16_t>(p.total_length());
+  return p;
+}
+
+std::vector<std::uint8_t> runs(std::initializer_list<std::pair<std::size_t, std::uint8_t>> rs) {
+  std::vector<std::uint8_t> out;
+  for (const auto& [n, b] : rs) out.insert(out.end(), n, b);
+  return out;
+}
+
+TEST(Reassembler, OverlapLaterArrivalWins) {
+  {
+    Reassembler r;
+    EXPECT_FALSE(r.offer(fragment_of(1, 0, 40, 0xAA, true), SimTime::zero()));
+    const auto whole = r.offer(fragment_of(1, 24, 40, 0xBB, false), SimTime::zero());
+    ASSERT_TRUE(whole.has_value());
+    EXPECT_EQ(whole->payload, runs({{24, 0xAA}, {40, 0xBB}}));
+    EXPECT_EQ(whole->header.total_length, kIpv4HeaderSize + 64);
+  }
+  {
+    Reassembler r;
+    EXPECT_FALSE(r.offer(fragment_of(1, 24, 40, 0xBB, false), SimTime::zero()));
+    const auto whole = r.offer(fragment_of(1, 0, 40, 0xAA, true), SimTime::zero());
+    ASSERT_TRUE(whole.has_value());
+    EXPECT_EQ(whole->payload, runs({{40, 0xAA}, {24, 0xBB}}));
+  }
+  {
+    // A late fragment bridging a hole overwrites both of its neighbours.
+    Reassembler r;
+    EXPECT_FALSE(r.offer(fragment_of(1, 0, 16, 0xAA, true), SimTime::zero()));
+    EXPECT_FALSE(r.offer(fragment_of(1, 32, 16, 0xCC, false), SimTime::zero()));
+    EXPECT_FALSE(r.offer(fragment_of(1, 0, 8, 0x11, true), SimTime::zero()));
+    const auto whole = r.offer(fragment_of(1, 8, 32, 0xBB, true), SimTime::zero());
+    ASSERT_TRUE(whole.has_value());
+    EXPECT_EQ(whole->payload, runs({{8, 0x11}, {32, 0xBB}, {8, 0xCC}}));
+    EXPECT_EQ(r.stats().fragments_received, 4u);
+  }
+}
+
+TEST(Reassembler, FragmentPastTheFinalEndBlocksCompletion) {
+  // The datagram ends at 32 by its last fragment, but a fragment reaching
+  // byte 48 arrived too: the parts disagree, so nothing is delivered.
+  Reassembler r;
+  EXPECT_FALSE(r.offer(fragment_of(2, 16, 32, 0xBB, true), SimTime::zero()));
+  EXPECT_FALSE(r.offer(fragment_of(2, 16, 16, 0xCC, false), SimTime::zero()));
+  EXPECT_FALSE(r.offer(fragment_of(2, 0, 16, 0xAA, true), SimTime::zero()));
+  EXPECT_EQ(r.pending(), 1u);
+  EXPECT_EQ(r.stats().datagrams_delivered, 0u);
+}
+
+TEST(Reassembler, DuplicateLastFragment) {
+  Reassembler r;
+  const Ipv4Packet pkt = make_udp_packet(kServer, kClient, pattern(4000), 12);
+  const auto frags = fragment_packet(pkt, kDefaultMtu);
+  ASSERT_EQ(frags.size(), 3u);
+  EXPECT_FALSE(r.offer(frags[0], SimTime::zero()));
+  EXPECT_FALSE(r.offer(frags[2], SimTime::zero()));
+  EXPECT_FALSE(r.offer(frags[2], SimTime::zero()));
+  const auto whole = r.offer(frags[1], SimTime::zero());
+  ASSERT_TRUE(whole.has_value());
+  EXPECT_EQ(whole->payload, pkt.payload);
+  EXPECT_EQ(r.stats().fragments_received, 4u);
+  EXPECT_EQ(r.pending(), 0u);
+  // A straggling copy after delivery opens a fresh partial that never
+  // completes; it expires like any other and counts as waste.
+  EXPECT_FALSE(r.offer(frags[2], SimTime::from_seconds(1)));
+  EXPECT_EQ(r.pending(), 1u);
+  r.expire(SimTime::from_seconds(40));
+  EXPECT_EQ(r.stats().datagrams_expired, 1u);
+  EXPECT_EQ(r.stats().fragments_wasted, 1u);
+  EXPECT_EQ(r.stats().datagrams_delivered, 1u);
+}
+
+TEST(Reassembler, HoleNeverDeliversAndExpiresWithAllItsFragments) {
+  Reassembler r(Duration::seconds(30));
+  const Ipv4Packet pkt = make_udp_packet(kServer, kClient, pattern(6000), 13);
+  const auto frags = fragment_packet(pkt, kDefaultMtu);
+  ASSERT_EQ(frags.size(), 5u);
+  for (std::size_t i = 0; i < frags.size(); ++i) {
+    if (i == 2) continue;  // the hole
+    EXPECT_FALSE(r.offer(frags[i], SimTime::from_seconds(static_cast<double>(i))));
+  }
+  EXPECT_FALSE(r.offer(frags[4], SimTime::from_seconds(5)));  // duplicate counts too
+  r.expire(SimTime::from_seconds(30));  // exactly the timeout: kept
+  EXPECT_EQ(r.pending(), 1u);
+  r.expire(SimTime::from_seconds(30.001));
+  EXPECT_EQ(r.pending(), 0u);
+  EXPECT_EQ(r.stats().datagrams_expired, 1u);
+  EXPECT_EQ(r.stats().fragments_wasted, 5u);
+  EXPECT_EQ(r.stats().datagrams_delivered, 0u);
+}
+
+TEST(Reassembler, InterleavedIdsOutOfOrder) {
+  Rng rng(91);
+  Reassembler r;
+  std::vector<Ipv4Packet> originals;
+  std::vector<Ipv4Packet> frags;
+  for (std::uint16_t id = 200; id < 206; ++id) {
+    originals.push_back(make_udp_packet(kServer, kClient, pattern(1000 + id * 37u), id));
+    for (auto& f : fragment_packet(originals.back(), kDefaultMtu)) frags.push_back(f);
+  }
+  rng.shuffle(std::span(frags));
+  std::map<std::uint16_t, int> delivered;
+  for (const auto& f : frags) {
+    if (auto whole = r.offer(f, SimTime::zero())) {
+      const std::uint16_t id = whole->header.identification;
+      ++delivered[id];
+      EXPECT_EQ(whole->payload, originals[id - 200u].payload) << id;
+      EXPECT_EQ(whole->header.total_length, originals[id - 200u].header.total_length);
+    }
+  }
+  EXPECT_EQ(delivered.size(), originals.size());
+  for (const auto& [id, n] : delivered) EXPECT_EQ(n, 1) << id;
+  EXPECT_EQ(r.pending(), 0u);
+  EXPECT_EQ(r.stats().fragments_received, frags.size());
 }
 
 // Property sweep: every payload size reassembles to the original bytes.

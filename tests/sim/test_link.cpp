@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "sim/audit.hpp"
+
 namespace streamlab {
 namespace {
 
@@ -154,6 +156,90 @@ TEST(Link, JitterPerturbsButNeverReorders) {
     if (gap != tx) any_late = true;
   }
   EXPECT_TRUE(any_late);
+}
+
+std::size_t payload_for(std::uint16_t id) { return 20 + id * 7u % 1400; }
+
+/// True when `delivered` (the ids of a sink's deliveries) is a subsequence
+/// of `sent`: dropped packets vanish, the survivors keep their order.
+bool is_subsequence(const std::vector<SinkNode::Delivery>& delivered,
+                    const std::vector<std::uint16_t>& sent) {
+  std::size_t next = 0;
+  for (const auto& d : delivered) {
+    while (next < sent.size() && sent[next] != d.packet.header.identification) ++next;
+    if (next == sent.size()) return false;
+    ++next;
+  }
+  return true;
+}
+
+// The link's in-flight FIFO hands each delivery the packet that entered the
+// pipe first. Under jitter, random loss and an outage episode, both
+// directions must deliver a subsequence of their send order, each packet
+// with its own bytes, and the conservation ledger must balance both mid-run
+// (packets queued and in flight) and at the end.
+TEST(Link, DeliveryOrderEqualsEnqueueOrderUnderImpairments) {
+  LinkFixture f;
+  audit::Auditor auditor;
+  f.loop.set_auditor(&auditor);
+  LinkConfig cfg;
+  cfg.bandwidth = BitRate::mbps(2);
+  cfg.propagation = Duration::millis(3);
+  cfg.jitter_stddev = Duration::millis(8);
+  cfg.loss_probability = 0.1;
+  auto link = f.make(cfg, 29);
+
+  Rng rng(31);
+  std::vector<std::uint16_t> sent_ab;
+  std::vector<std::uint16_t> sent_ba;
+  for (std::uint16_t id = 0; id < 600; ++id) {
+    const SimTime at = SimTime::from_seconds(rng.uniform(0.0, 2.0));
+    f.loop.post_at(at, [&, id] {
+      const Ipv4Packet pkt = small_packet(id, payload_for(id));
+      if (id % 3 != 0) {
+        sent_ab.push_back(id);
+        link->send_from_a(pkt);
+      } else {
+        sent_ba.push_back(id);
+        link->send_from_b(pkt);
+      }
+    });
+  }
+  f.loop.post_at(SimTime::from_seconds(0.7), [&link] {
+    LinkImpairment outage;
+    outage.outage = true;
+    link->set_impairment(outage);
+  });
+  f.loop.post_at(SimTime::from_seconds(0.9), [&link] { link->clear_impairment(); });
+
+  f.loop.run_until(SimTime::from_seconds(1.0));
+  link->audit_conservation(auditor, f.loop.now());
+  EXPECT_TRUE(auditor.report().clean()) << auditor.report().summary();
+  f.loop.run();
+  link->audit_conservation(auditor, f.loop.now());
+  EXPECT_TRUE(auditor.report().clean()) << auditor.report().summary();
+
+  const auto& ab = link->stats_a_to_b();
+  const auto& ba = link->stats_b_to_a();
+  EXPECT_GT(ab.packets_dropped_loss, 0u);
+  EXPECT_GT(ab.packets_dropped_outage, 0u);
+  EXPECT_GT(ba.packets_dropped_outage, 0u);
+  EXPECT_EQ(f.b.deliveries.size(), ab.packets_delivered);
+  EXPECT_EQ(f.a.deliveries.size(), ba.packets_delivered);
+  EXPECT_GT(f.b.deliveries.size(), 200u);
+  EXPECT_GT(f.a.deliveries.size(), 100u);
+  EXPECT_TRUE(is_subsequence(f.b.deliveries, sent_ab));
+  EXPECT_TRUE(is_subsequence(f.a.deliveries, sent_ba));
+  for (const auto* sink : {&f.a, &f.b}) {
+    for (std::size_t i = 0; i < sink->deliveries.size(); ++i) {
+      const auto& d = sink->deliveries[i];
+      if (i > 0) {
+        EXPECT_LE(sink->deliveries[i - 1].when, d.when);
+      }
+      EXPECT_EQ(d.packet.payload.size(),
+                kUdpHeaderSize + payload_for(d.packet.header.identification));
+    }
+  }
 }
 
 TEST(Link, StatsCountBytes) {
