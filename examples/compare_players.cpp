@@ -5,7 +5,6 @@
 //
 // Usage: compare_players [set 1-6] [low|high|very-high]
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "analysis/stats.hpp"
@@ -16,12 +15,6 @@
 using namespace streamlab;
 
 namespace {
-
-RateTier parse_tier(const char* text) {
-  if (std::strcmp(text, "high") == 0) return RateTier::kHigh;
-  if (std::strcmp(text, "very-high") == 0) return RateTier::kVeryHigh;
-  return RateTier::kLow;
-}
 
 std::string describe(const ClipRunResult& r) {
   std::string out;
@@ -50,12 +43,14 @@ std::string describe(const ClipRunResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int set_id = argc > 1 ? std::atoi(argv[1]) : 1;
-  const RateTier tier = argc > 2 ? parse_tier(argv[2]) : RateTier::kLow;
-  if (set_id < 1 || set_id > 6) {
-    std::fprintf(stderr, "set must be 1..6\n");
+  const auto parsed_set = argc > 1 ? parse_data_set(argv[1]) : 1;
+  const auto parsed_tier = argc > 2 ? parse_rate_tier(argv[2]) : RateTier::kLow;
+  if (!parsed_set || !parsed_tier) {
+    std::fprintf(stderr, "usage: compare_players [set 1-6] [low|high|very-high]\n");
     return 1;
   }
+  const int set_id = *parsed_set;
+  const RateTier tier = *parsed_tier;
   const ClipSet& set = table1_catalog()[static_cast<std::size_t>(set_id - 1)];
   if (!set.pair(tier)) {
     std::fprintf(stderr, "set %d has no %s tier (only set 6 has very-high)\n", set_id,

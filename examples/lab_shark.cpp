@@ -7,6 +7,7 @@
 //
 // Generate an input with the capture_filter example, or feed a capture of
 // your own.
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -31,7 +32,13 @@ int main(int argc, char** argv) {
   std::size_t max_rows = 20;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--max") == 0 && i + 1 < argc) {
-      max_rows = static_cast<std::size_t>(std::atoi(argv[++i]));
+      const char* text = argv[++i];
+      const char* end = text + std::strlen(text);
+      if (const auto [ptr, ec] = std::from_chars(text, end, max_rows);
+          ec != std::errc() || ptr != end) {
+        std::fprintf(stderr, "--max needs a whole number of rows, got '%s'\n", text);
+        return 1;
+      }
     } else {
       filter_expr = argv[i];
     }

@@ -5,7 +5,6 @@
 //
 // Usage: path_probe [data-set 1-6]     (default: probe all six)
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/study.hpp"
 #include "sim/tools.hpp"
@@ -43,12 +42,12 @@ void probe(int data_set) {
 
 int main(int argc, char** argv) {
   if (argc > 1) {
-    const int set = std::atoi(argv[1]);
-    if (set < 1 || set > 6) {
+    const auto set = parse_data_set(argv[1]);
+    if (!set) {
       std::fprintf(stderr, "data set must be 1..6\n");
       return 1;
     }
-    probe(set);
+    probe(*set);
     return 0;
   }
   for (int set = 1; set <= 6; ++set) probe(set);

@@ -121,12 +121,6 @@ using namespace streamlab;
 
 namespace {
 
-RateTier parse_tier(const char* text) {
-  if (std::strcmp(text, "high") == 0) return RateTier::kHigh;
-  if (std::strcmp(text, "very-high") == 0) return RateTier::kVeryHigh;
-  return RateTier::kLow;
-}
-
 /// Repair layer selected by --fec/--nack; folded into every scenario config
 /// (including the chaos and campaign variants) through base_config().
 RepairLayerConfig g_repair;
@@ -656,14 +650,17 @@ int main(int argc, char** argv) {
   if (fleet_sessions > 0)
     return run_fleet_mode(fleet_sessions, base_seed, verify_determinism);
 
-  const int set_id = positional.size() > 0 ? std::atoi(positional[0]) : 1;
-  const RateTier tier = positional.size() > 1 ? parse_tier(positional[1]) : RateTier::kLow;
-  const std::string export_dir =
-      positional.size() > 2 ? positional[2] : "/tmp/streamlab_turbulence";
-  if (set_id < 1 || set_id > 6) {
-    std::fprintf(stderr, "set must be 1..6\n");
+  const auto parsed_set = positional.size() > 0 ? parse_data_set(positional[0]) : 1;
+  const auto parsed_tier =
+      positional.size() > 1 ? parse_rate_tier(positional[1]) : RateTier::kLow;
+  if (!parsed_set || !parsed_tier) {
+    std::fprintf(stderr, "set must be 1..6 and tier low, high or very-high\n");
     return 1;
   }
+  const int set_id = *parsed_set;
+  const RateTier tier = *parsed_tier;
+  const std::string export_dir =
+      positional.size() > 2 ? positional[2] : "/tmp/streamlab_turbulence";
   const ClipSet& set = table1_catalog()[static_cast<std::size_t>(set_id - 1)];
   if (!set.pair(tier)) {
     std::fprintf(stderr, "set %d has no %s tier\n", set_id, to_string(tier).c_str());

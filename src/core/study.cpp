@@ -48,6 +48,12 @@ std::vector<const ClipRunResult*> StudyResults::clips_for(PlayerKind player) con
   return out;
 }
 
+const ClipRunResult* StudyResults::find(std::string_view id) const {
+  for (const auto* c : clips())
+    if (c->clip.id() == id) return c;
+  return nullptr;
+}
+
 StudyResults run_study_subset(const StudyConfig& config,
                               const std::vector<int>& data_sets) {
   StudyResults results;

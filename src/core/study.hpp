@@ -3,11 +3,15 @@
 // figures consume.
 #pragma once
 
+#include <string_view>
 #include <vector>
 
 #include "core/experiment.hpp"
 
 namespace streamlab {
+
+/// The seed every paper output is reproduced with: the publication month.
+inline constexpr std::uint64_t kPaperSeed = 20020501;
 
 struct StudyConfig {
   std::uint64_t seed = 2002;  ///< year of the study; any value reproduces deterministically
@@ -31,6 +35,8 @@ struct StudyResults {
   /// Flattened per-clip results across all runs.
   std::vector<const ClipRunResult*> clips() const;
   std::vector<const ClipRunResult*> clips_for(PlayerKind player) const;
+  /// The result for clip `id` (e.g. "set5/M-h"), or nullptr if it did not run.
+  const ClipRunResult* find(std::string_view id) const;
 };
 
 /// Runs all 13 clip pairs (26 clips). Deterministic in config.seed.

@@ -15,6 +15,17 @@ std::string to_string(RateTier t) {
   return "?";
 }
 
+std::optional<RateTier> parse_rate_tier(std::string_view text) {
+  for (const RateTier t : {RateTier::kLow, RateTier::kHigh, RateTier::kVeryHigh})
+    if (text == to_string(t)) return t;
+  return std::nullopt;
+}
+
+std::optional<int> parse_data_set(std::string_view text) {
+  if (text.size() != 1 || text[0] < '1' || text[0] > '6') return std::nullopt;
+  return text[0] - '0';
+}
+
 std::string to_string(ContentClass c) {
   switch (c) {
     case ContentClass::kSports: return "Sports";

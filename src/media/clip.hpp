@@ -1,7 +1,9 @@
 // Clip metadata: the workload unit of the study (Table 1).
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "util/rate.hpp"
 #include "util/time.hpp"
@@ -19,6 +21,10 @@ enum class ContentClass { kSports, kCommercial, kMusicTv, kNews, kMovie };
 
 std::string to_string(PlayerKind k);
 std::string to_string(RateTier t);
+/// Inverse of to_string(RateTier): exactly "low", "high" or "very-high".
+std::optional<RateTier> parse_rate_tier(std::string_view text);
+/// A Table 1 data set number: exactly one of "1".."6", no sign or spaces.
+std::optional<int> parse_data_set(std::string_view text);
 std::string to_string(ContentClass c);
 /// Short label like "R-h" / "M-v", as Table 1 writes it.
 std::string tier_label(PlayerKind k, RateTier t);

@@ -10,15 +10,14 @@ namespace streamlab::testutil {
 inline const StudyResults& study() {
   static const StudyResults cached = [] {
     StudyConfig config;
-    config.seed = 20020501;  // the paper's publication month
+    config.seed = kPaperSeed;
     return run_study_subset(config, {1, 6});
   }();
   return cached;
 }
 
 inline const ClipRunResult& clip_result(const std::string& id) {
-  for (const auto* c : study().clips())
-    if (c->clip.id() == id) return *c;
+  if (const auto* c = study().find(id)) return *c;
   static const ClipRunResult empty{};
   return empty;
 }
