@@ -724,15 +724,18 @@ int main(int argc, char** argv) {
 
   std::vector<std::pair<std::string, TurbulenceRunResult>> runs;
 
-  // One Obs per scenario: sim time restarts at zero for every run, so each
-  // gets its own registry/trace and its own export directory.
-  const auto run_scenario = [&](const char* name, TurbulenceScenarioConfig cfg) {
+  // Runs the pair, or `clip` alone when given. One Obs per scenario: sim
+  // time restarts at zero for every run, so each gets its own
+  // registry/trace and its own export directory.
+  const auto run_scenario = [&](const std::string& name, TurbulenceScenarioConfig cfg,
+                                const ClipInfo* clip = nullptr) {
     std::unique_ptr<obs::Obs> obs;
     if (!trace_dir.empty()) {
       obs = std::make_unique<obs::Obs>();
       cfg.obs = obs.get();
     }
-    runs.emplace_back(name, run_turbulence_pair(set, tier, cfg));
+    runs.emplace_back(name, clip != nullptr ? run_turbulence_clip(*clip, cfg)
+                                            : run_turbulence_pair(set, tier, cfg));
     if (obs) {
       const std::string dir = trace_dir + "/" + name;
       const int files = obs::export_trace(*obs, dir);
@@ -747,20 +750,6 @@ int main(int argc, char** argv) {
     const auto clip_pair = *set.pair(tier);
     // Mirror/multipath scenarios are single-server per session, so they use
     // the clip form, one run per player.
-    const auto run_clip_scenario = [&](const std::string& name, const ClipInfo& clip,
-                                       TurbulenceScenarioConfig cfg) {
-      std::unique_ptr<obs::Obs> obs;
-      if (!trace_dir.empty()) {
-        obs = std::make_unique<obs::Obs>();
-        cfg.obs = obs.get();
-      }
-      runs.emplace_back(name, run_turbulence_clip(clip, cfg));
-      if (obs) {
-        const std::string dir = trace_dir + "/" + name;
-        const int files = obs::export_trace(*obs, dir);
-        std::printf("trace: wrote %d files to %s\n", files, dir.c_str());
-      }
-    };
     try {
       if (chaos) {
         run_scenario("router-down-reroute", chaos_reroute_config());
@@ -768,7 +757,7 @@ int main(int argc, char** argv) {
           const std::string name =
               std::string("router-down-failover-") +
               (clip->player == PlayerKind::kMediaPlayer ? "media" : "real");
-          run_clip_scenario(name, *clip, chaos_failover_config());
+          run_scenario(name, chaos_failover_config(), clip);
         }
       }
       if (g_multipath) {
@@ -776,7 +765,7 @@ int main(int argc, char** argv) {
           const std::string name =
               std::string("multipath-flap-") +
               (clip->player == PlayerKind::kMediaPlayer ? "media" : "real");
-          run_clip_scenario(name, *clip, chaos_multipath_config());
+          run_scenario(name, chaos_multipath_config(), clip);
         }
       }
     } catch (const std::exception& e) {

@@ -19,23 +19,14 @@ CongestionResult run_congestion_experiment(const ClipInfo& clip,
 
   Network net(path);
   Host& server_host = net.add_server("server");
-  const EncodedClip encoded = encode_clip(clip, config.seed);
-
-  const bool is_media = clip.player == PlayerKind::kMediaPlayer;
-  const std::uint16_t port = is_media ? kMediaServerPort : kRealServerPort;
-  std::unique_ptr<StreamServer> server;
-  if (is_media)
-    server = std::make_unique<WmServer>(server_host, encoded, config.wm, port);
-  else
-    server = std::make_unique<RmServer>(server_host, encoded, config.rm, port,
-                                        config.seed ^ 0x524D);
+  const auto server = make_server(server_host, encode_clip(clip, config.seed), config.wm,
+                                 config.rm, config.seed ^ 0x524D);
 
   StreamClient::Config cc;
   cc.kind = clip.player;
   cc.wm = config.wm;
   cc.rm = config.rm;
-  StreamClient client(net.client(), server->clip(),
-                      Endpoint{server_host.address(), port}, cc);
+  StreamClient client(net.client(), server->clip(), server->endpoint(), cc);
   PlayerTracker tracker(client);
 
   Sniffer::Options sniff_opts;

@@ -24,22 +24,14 @@ FriendlinessResult run_friendliness_experiment(const ClipInfo& clip,
   Host& tcp_host = net.add_server("tcp-server");
 
   // Media session.
-  const EncodedClip encoded = encode_clip(clip, config.seed);
-  const bool is_media = clip.player == PlayerKind::kMediaPlayer;
-  const std::uint16_t media_port = is_media ? kMediaServerPort : kRealServerPort;
-  std::unique_ptr<StreamServer> media_server;
-  if (is_media)
-    media_server =
-        std::make_unique<WmServer>(media_host, encoded, config.wm, media_port);
-  else
-    media_server = std::make_unique<RmServer>(media_host, encoded, config.rm,
-                                              media_port, config.seed ^ 0x524D);
+  const auto media_server = make_server(media_host, encode_clip(clip, config.seed),
+                                       config.wm, config.rm, config.seed ^ 0x524D);
   StreamClient::Config cc;
   cc.kind = clip.player;
   cc.wm = config.wm;
   cc.rm = config.rm;
-  StreamClient media_client(net.client(), media_server->clip(),
-                            Endpoint{media_host.address(), media_port}, cc);
+  StreamClient media_client(net.client(), media_server->clip(), media_server->endpoint(),
+                            cc);
 
   // TCP bulk transfer in the same downstream direction (server -> client):
   // the *sender* sits on the far host, the sink on the client.

@@ -4,96 +4,51 @@
 #include <cmath>
 
 #include "analysis/stats.hpp"
-#include "dissect/dissector.hpp"
-#include "pcap/sniffer.hpp"
-#include "players/server.hpp"
-#include "trackers/tracker.hpp"
 
 namespace streamlab {
 
 AggregateResult run_aggregate_experiment(const AggregateConfig& config) {
-  AggregateResult result;
-
-  Network net(config.path);
-
-  struct Session {
-    ClipInfo clip;
-    Host* server_host = nullptr;
-    std::unique_ptr<StreamServer> server;
-    std::unique_ptr<StreamClient> client;
-    std::unique_ptr<PlayerTracker> tracker;
-  };
-  std::vector<Session> sessions;
-
-  std::uint16_t next_client_port = 20000;
-  Duration longest_clip = Duration::zero();
+  std::vector<SessionSpec> specs;
   for (const auto& id : config.clip_ids) {
     const auto clip = find_clip(id);
     if (!clip) continue;
-    Session s;
-    s.clip = *clip;
-    s.server_host = &net.add_server("server-" + id);
-    const EncodedClip encoded = encode_clip(*clip, config.seed);
-    const bool is_media = clip->player == PlayerKind::kMediaPlayer;
-    const std::uint16_t port = is_media ? kMediaServerPort : kRealServerPort;
-    if (is_media)
-      s.server = std::make_unique<WmServer>(*s.server_host, encoded, config.wm, port);
-    else
-      s.server = std::make_unique<RmServer>(*s.server_host, encoded, config.rm, port,
-                                            config.seed ^ sessions.size());
-
-    StreamClient::Config cc;
-    cc.kind = clip->player;
-    cc.wm = config.wm;
-    cc.rm = config.rm;
-    cc.local_port = next_client_port++;
-    s.client = std::make_unique<StreamClient>(
-        net.client(), s.server->clip(), Endpoint{s.server_host->address(), port}, cc);
-    s.tracker = std::make_unique<PlayerTracker>(*s.client);
-    longest_clip = std::max(longest_clip, clip->length);
-    sessions.push_back(std::move(s));
+    const std::uint64_t index = specs.size();
+    specs.push_back({*clip, config.seed ^ index,
+                     static_cast<std::uint16_t>(20000 + index)});
   }
 
-  Sniffer::Options sniff_opts;
-  sniff_opts.snaplen = 96;
-  sniff_opts.capture_outbound = false;
-  Sniffer sniffer(net.client(), sniff_opts);
+  ExperimentConfig experiment;
+  experiment.path = config.path;
+  experiment.seed = config.seed;
+  experiment.wm = config.wm;
+  experiment.rm = config.rm;
+  experiment.bandwidth_window = config.bandwidth_window;
+  experiment.keep_capture = true;  // the boundary statistics read every record
+  const StreamRunResult run = stream_sessions(specs, /*probe_path=*/false, experiment);
 
-  for (auto& s : sessions) {
-    s.client->start();
-    s.tracker->start();
-  }
-  net.loop().run_until(net.loop().now() + longest_clip + Duration::seconds(90));
-
-  const auto dissected = dissect_trace(sniffer.trace());
-
-  // Per-session summaries via per-server flow extraction.
-  for (auto& s : sessions) {
-    const std::uint16_t client_port =
-        static_cast<std::uint16_t>(20000 + (&s - sessions.data()));
-    const FlowTrace flow =
-        FlowTrace::extract(dissected, s.server_host->address(), client_port);
+  AggregateResult result;
+  for (const ClipRunResult& s : run.sessions) {
     AggregateSessionSummary summary;
     summary.clip = s.clip;
-    summary.packets = flow.size();
-    summary.mean_rate_kbps = flow.mean_rate_kbps();
-    summary.fragment_fraction = flow.fragment_fraction();
-    const auto report = s.tracker->report();
-    summary.frame_rate = report.average_frame_rate;
-    summary.reception_quality = report.reception_quality();
+    summary.packets = s.flow.size();
+    summary.mean_rate_kbps = s.flow.mean_rate_kbps();
+    summary.fragment_fraction = s.flow.fragment_fraction();
+    summary.frame_rate = s.tracker.average_frame_rate;
+    summary.reception_quality = s.tracker.reception_quality();
     result.sessions.push_back(summary);
   }
 
   // Boundary-level aggregate: every inbound packet regardless of flow.
-  result.total_packets = dissected.size();
+  const std::vector<CaptureRecord>& records = run.capture->records();
+  result.total_packets = records.size();
   std::vector<double> gaps;
   std::optional<SimTime> prev;
   std::optional<SimTime> first, last;
   std::uint64_t total_bytes = 0;
-  for (const auto& p : dissected) {
+  for (const CaptureRecord& p : records) {
     if (!first) first = p.timestamp;
     last = p.timestamp;
-    total_bytes += p.frame_length;
+    total_bytes += p.original_length;
     if (prev) gaps.push_back((p.timestamp - *prev).to_seconds());
     prev = p.timestamp;
   }
@@ -106,9 +61,9 @@ AggregateResult run_aggregate_experiment(const AggregateConfig& config) {
     std::size_t i = 0;
     for (double w = 0.0; w < duration; w += win) {
       std::uint64_t bytes = 0;
-      while (i < dissected.size() &&
-             (dissected[i].timestamp - *first).to_seconds() < w + win) {
-        bytes += dissected[i].frame_length;
+      while (i < records.size() &&
+             (records[i].timestamp - *first).to_seconds() < w + win) {
+        bytes += records[i].original_length;
         ++i;
       }
       const double kbps = static_cast<double>(bytes) * 8.0 / win / 1000.0;

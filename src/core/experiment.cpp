@@ -10,133 +10,107 @@
 namespace streamlab {
 namespace {
 
-struct SessionHandles {
-  std::unique_ptr<StreamServer> server;
-  std::unique_ptr<StreamClient> client;
-  std::unique_ptr<PlayerTracker> tracker;
-};
-
-SessionHandles make_session(Network& net, Host& server_host, const ClipInfo& clip,
-                            const ExperimentConfig& config) {
-  SessionHandles s;
-  const EncodedClip encoded = encode_clip(clip, config.seed);
-  const bool is_media = clip.player == PlayerKind::kMediaPlayer;
-  const std::uint16_t server_port = is_media ? kMediaServerPort : kRealServerPort;
-
-  if (is_media) {
-    s.server = std::make_unique<WmServer>(server_host, encoded, config.wm, server_port);
-  } else {
-    s.server = std::make_unique<RmServer>(server_host, encoded, config.rm, server_port,
-                                          config.seed ^ 0x524D);
-  }
-
-  StreamClient::Config cc;
-  cc.kind = clip.player;
-  cc.wm = config.wm;
-  cc.rm = config.rm;
-  s.client = std::make_unique<StreamClient>(
-      net.client(), s.server->clip(), Endpoint{server_host.address(), server_port}, cc);
-  s.tracker = std::make_unique<PlayerTracker>(*s.client);
-  return s;
-}
-
-ClipRunResult collect(const ClipInfo& clip, const SessionHandles& session,
-                      const std::vector<DissectedPacket>& dissected,
-                      Ipv4Address server_addr, const ExperimentConfig& config) {
-  ClipRunResult r;
-  r.clip = clip;
-  r.tracker = session.tracker->report();
-  const std::uint16_t client_port = clip.player == PlayerKind::kMediaPlayer
-                                        ? kMediaClientPort
-                                        : kRealClientPort;
-  r.flow = FlowTrace::extract(dissected, server_addr, client_port);
-  r.buffering =
-      analyze_buffering(r.flow.bandwidth_timeline(config.bandwidth_window),
-                        config.bandwidth_window);
-  r.app_packets = session.client->packets();
-  r.server_streaming_duration = session.server->streaming_duration();
-  return r;
-}
-
-void run_to_completion(Network& net, const ClipInfo& clip, const ExperimentConfig& config) {
-  const SimTime deadline =
-      net.loop().now() + clip.length + config.extra_sim_time;
-  net.loop().run_until(deadline);
+/// The clip and pair forms seed the path from the experiment seed.
+ExperimentConfig seeded_path(const ExperimentConfig& config) {
+  ExperimentConfig seeded = config;
+  seeded.path.seed = config.seed;
+  return seeded;
 }
 
 }  // namespace
 
-ClipRunResult run_single_clip(const ClipInfo& clip, const ExperimentConfig& config) {
-  PathConfig path = config.path;
-  path.seed = config.seed;
-  Network net(path);
-  Host& server_host = net.add_server("server");
+StreamRunResult stream_sessions(const std::vector<SessionSpec>& specs, bool probe_path,
+                                const ExperimentConfig& config) {
+  Network net(config.path);
+  std::vector<Host*> hosts;
+  hosts.reserve(specs.size());
+  for (const SessionSpec& spec : specs)
+    hosts.push_back(&net.add_server("server-" + spec.clip.id()));
 
-  auto session = make_session(net, server_host, clip, config);
+  // Path characterisation before streaming, as the paper does with
+  // ping/tracert before each run.
+  StreamRunResult result;
+  if (probe_path && !hosts.empty()) {
+    result.ping = run_ping(net, hosts.front()->address(), /*count=*/10);
+    result.route = run_traceroute(net, hosts.front()->address());
+  }
+
+  struct Session {
+    std::unique_ptr<StreamServer> server;
+    std::unique_ptr<StreamClient> client;
+    std::unique_ptr<PlayerTracker> tracker;
+  };
+  std::vector<Session> sessions;
+  sessions.reserve(specs.size());
+  Duration longest = Duration::zero();
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const ClipInfo& clip = specs[i].clip;
+    Session& s = sessions.emplace_back();
+    s.server = make_server(*hosts[i], encode_clip(clip, config.seed), config.wm,
+                           config.rm, specs[i].rm_seed);
+    StreamClient::Config cc;
+    cc.kind = clip.player;
+    cc.wm = config.wm;
+    cc.rm = config.rm;
+    cc.local_port = specs[i].client_port;
+    s.client = std::make_unique<StreamClient>(net.client(), s.server->clip(),
+                                              s.server->endpoint(), cc);
+    s.tracker = std::make_unique<PlayerTracker>(*s.client);
+    longest = std::max(longest, clip.length);
+  }
+
   Sniffer::Options sniff_opts;
   sniff_opts.snaplen = config.snaplen;
   sniff_opts.capture_outbound = false;  // the study analyses inbound traffic
   Sniffer sniffer(net.client(), sniff_opts);
 
-  session.client->start();
-  session.tracker->start();
-  run_to_completion(net, clip, config);
+  // Every player starts simultaneously (Section 2.A).
+  for (Session& s : sessions) s.client->start();
+  for (Session& s : sessions) s.tracker->start();
+  net.loop().run_until(net.loop().now() + longest + config.extra_sim_time);
 
   const auto dissected = dissect_trace(sniffer.trace());
-  ClipRunResult result =
-      collect(clip, session, dissected, server_host.address(), config);
+  result.sessions.reserve(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const Session& s = sessions[i];
+    ClipRunResult& r = result.sessions.emplace_back();
+    r.clip = specs[i].clip;
+    r.tracker = s.tracker->report();
+    r.flow = FlowTrace::extract(dissected, s.server->endpoint().ip, s.client->port());
+    r.buffering = analyze_buffering(r.flow.bandwidth_timeline(config.bandwidth_window),
+                                    config.bandwidth_window);
+    r.app_packets = s.client->packets();
+    r.server_streaming_duration = s.server->streaming_duration();
+  }
   if (config.keep_capture) result.capture = sniffer.take_trace();
+  return result;
+}
+
+ClipRunResult run_single_clip(const ClipInfo& clip, const ExperimentConfig& config) {
+  StreamRunResult run = stream_sessions({{clip, config.seed ^ 0x524D}},
+                                        /*probe_path=*/false, seeded_path(config));
+  ClipRunResult result = std::move(run.sessions.front());
+  result.capture = std::move(run.capture);
   return result;
 }
 
 PairRunResult run_clip_pair(const ClipSet& set, RateTier tier,
                             const ExperimentConfig& config) {
   const auto pair = set.pair(tier);
-  if (!pair) {
-    // A tier the set lacks: run whatever exists standalone; callers check
-    // tiers via the catalog first, so this is a programming error guard.
-    PairRunResult empty;
-    return empty;
-  }
-  const auto& [real_clip, media_clip] = *pair;
+  // A tier the set lacks: callers check tiers via the catalog first, so
+  // this is a programming error guard.
+  if (!pair) return {};
 
-  PathConfig path = config.path;
-  path.seed = config.seed;
-  Network net(path);
-  Host& real_host = net.add_server("real-server");
-  Host& media_host = net.add_server("media-server");
-
-  // Path characterisation before streaming, as the paper does with
-  // ping/tracert before each run.
+  StreamRunResult run = stream_sessions(
+      {{pair->first, config.seed ^ 0x524D}, {pair->second, config.seed ^ 0x524D}},
+      /*probe_path=*/true, seeded_path(config));
   PairRunResult result;
-  result.ping = run_ping(net, real_host.address(), /*count=*/10);
-  result.route = run_traceroute(net, real_host.address());
-
-  auto real_session = make_session(net, real_host, real_clip, config);
-  auto media_session = make_session(net, media_host, media_clip, config);
-
-  Sniffer::Options sniff_opts;
-  sniff_opts.snaplen = config.snaplen;
-  sniff_opts.capture_outbound = false;
-  Sniffer sniffer(net.client(), sniff_opts);
-
-  // Both players start simultaneously (Section 2.A).
-  real_session.client->start();
-  media_session.client->start();
-  real_session.tracker->start();
-  media_session.tracker->start();
-
-  const Duration longest = std::max(real_clip.length, media_clip.length);
-  net.loop().run_until(net.loop().now() + longest + config.extra_sim_time);
-
-  const auto dissected = dissect_trace(sniffer.trace());
-  result.real = collect(real_clip, real_session, dissected, real_host.address(), config);
-  result.media =
-      collect(media_clip, media_session, dissected, media_host.address(), config);
-  if (config.keep_capture) {
-    // The pair shares one capture; attach it to the Real result arbitrarily.
-    result.real.capture = sniffer.take_trace();
-  }
+  result.real = std::move(run.sessions[0]);
+  result.media = std::move(run.sessions[1]);
+  result.ping = std::move(run.ping);
+  result.route = std::move(run.route);
+  // The pair shares one capture; it travels with the Real result.
+  result.real.capture = std::move(run.capture);
   return result;
 }
 

@@ -51,6 +51,30 @@ struct PairRunResult {
   TracerouteResult route;
 };
 
+/// One session of a measurement run: a clip streamed from its own server.
+struct SessionSpec {
+  ClipInfo clip;
+  std::uint64_t rm_seed = 0;      ///< RmServer seed (RealPlayer clips only)
+  std::uint16_t client_port = 0;  ///< 0 = the player's default port
+};
+
+/// Everything stream_sessions measured.
+struct StreamRunResult {
+  std::vector<ClipRunResult> sessions;   ///< one per spec, in spec order
+  PingResult ping;                       ///< when the path was probed
+  TracerouteResult route;                ///< when the path was probed
+  std::optional<CaptureTrace> capture;   ///< the shared capture when keep_capture
+};
+
+/// The measurement procedure of Section 2.A: every spec's clip streamed at
+/// once from co-located servers over `config.path` (taken as given, seed
+/// included) to one client, with a sniffer on the client NIC and a tracker
+/// on each player. With `probe_path`, ping and traceroute characterise the
+/// path to the first server before streaming. The capture is dissected
+/// once and one flow extracted per session.
+StreamRunResult stream_sessions(const std::vector<SessionSpec>& specs, bool probe_path,
+                                const ExperimentConfig& config);
+
 /// Streams one clip over a fresh network; the building block of the study.
 ClipRunResult run_single_clip(const ClipInfo& clip, const ExperimentConfig& config);
 

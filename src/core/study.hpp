@@ -19,8 +19,6 @@ struct StudyConfig {
   RmBehavior rm;
   Duration bandwidth_window = Duration::seconds(2);
   bool keep_captures = false;
-  /// Pings per path when characterising the network (Figure 1).
-  int ping_count = 10;
 };
 
 /// Per-data-set path parameters. The paper measured six distinct Internet

@@ -15,31 +15,19 @@ struct FaultedSession {
   std::unique_ptr<StreamClient> client;
 };
 
-std::unique_ptr<StreamServer> make_server(Host& host, const EncodedClip& encoded,
-                                          std::uint16_t port, bool is_media,
-                                          const TurbulenceScenarioConfig& config,
-                                          std::uint64_t rm_seed) {
-  if (is_media)
-    return std::make_unique<WmServer>(host, encoded, config.wm, port);
-  return std::make_unique<RmServer>(host, encoded, config.rm, port, rm_seed);
-}
-
 FaultedSession make_session(Network& net, Host& server_host, Host* mirror_host,
                             const ClipInfo& clip,
                             const TurbulenceScenarioConfig& config) {
   FaultedSession s;
   const EncodedClip encoded = encode_clip(clip, config.seed);
-  const bool is_media = clip.player == PlayerKind::kMediaPlayer;
-  const std::uint16_t server_port = is_media ? kMediaServerPort : kRealServerPort;
-
-  s.server = make_server(server_host, encoded, server_port, is_media, config,
-                         config.seed ^ 0x524D);
+  s.server =
+      make_server(server_host, encoded, config.wm, config.rm, config.seed ^ 0x524D);
   if (config.repair_layer.enabled()) s.server->enable_repair(config.repair_layer);
   if (mirror_host != nullptr) {
     // The mirror serves the same clip on the same port from its own host; a
     // failover PLAY carrying a resume offset continues the stream there.
-    s.mirror = make_server(*mirror_host, encoded, server_port, is_media, config,
-                           config.seed ^ 0x6D69);
+    s.mirror =
+        make_server(*mirror_host, encoded, config.wm, config.rm, config.seed ^ 0x6D69);
     if (config.repair_layer.enabled()) s.mirror->enable_repair(config.repair_layer);
   }
 
@@ -68,11 +56,11 @@ FaultedSession make_session(Network& net, Host& server_host, Host* mirror_host,
       cc.repair.nack_reorder_tolerance = mp.nack_reorder_tolerance;
   }
   if (mirror_host != nullptr) {
-    cc.failover.mirrors.push_back(Endpoint{mirror_host->address(), server_port});
+    cc.failover.mirrors.push_back(s.mirror->endpoint());
     cc.failover.icmp_unreachable_threshold = config.icmp_unreachable_threshold;
   }
-  s.client = std::make_unique<StreamClient>(
-      net.client(), s.server->clip(), Endpoint{server_host.address(), server_port}, cc);
+  s.client = std::make_unique<StreamClient>(net.client(), s.server->clip(),
+                                            s.server->endpoint(), cc);
   return s;
 }
 
@@ -279,28 +267,43 @@ void run_budgeted(EventLoop& loop, SimTime deadline,
   }
 }
 
-}  // namespace
+/// A clip and the name of the host that serves it (the name labels the
+/// host's link in obs traces and audit reports).
+struct ServedClip {
+  ClipInfo clip;
+  const char* host;
+};
 
-TurbulenceRunResult run_turbulence_clip(const ClipInfo& clip,
-                                        const TurbulenceScenarioConfig& config) {
+/// The clip and pair forms: every clip streams from its own server over one
+/// path, and one fault schedule on the bottleneck link hits them all — the
+/// "same path, same turbulence" comparison the paper's simultaneous runs
+/// were designed to guarantee. With `mirror`, a mirror host serves each
+/// clip too, for failover.
+TurbulenceRunResult run_sessions(const std::vector<ServedClip>& served, bool mirror,
+                                 const TurbulenceScenarioConfig& config) {
   PathConfig path = config.path;
   path.seed = config.seed;
   Network net(path);
   attach_instrumentation(net, config);
-  Host& server_host = net.add_server("server");
-  Host* mirror_host = config.mirror_server ? &net.add_server("mirror") : nullptr;
+  std::vector<Host*> hosts;
+  for (const ServedClip& c : served) hosts.push_back(&net.add_server(c.host));
+  Host* mirror_host = mirror ? &net.add_server("mirror") : nullptr;
   auto repair = make_repair(net, config);
 
-  auto session = make_session(net, server_host, mirror_host, clip, config);
+  std::vector<FaultedSession> sessions;
+  Duration longest = Duration::zero();
+  for (std::size_t i = 0; i < served.size(); ++i) {
+    sessions.push_back(make_session(net, *hosts[i], mirror_host, served[i].clip, config));
+    longest = std::max(longest, served[i].clip.length);
+  }
 
   FaultScheduler faults(net.loop(), net.bottleneck_link(), net);
   for (const FaultEpisode& e : config.episodes) faults.add(e);
   faults.arm();
 
-  session.client->start();
+  for (FaultedSession& s : sessions) s.client->start();
   TurbulenceRunResult result;
-  run_budgeted(net.loop(), run_deadline(net.loop(), clip.length, config), config,
-               result);
+  run_budgeted(net.loop(), run_deadline(net.loop(), longest, config), config, result);
   // Close any episode whose obs span is still open at the horizon (a budget
   // truncation can stop the loop mid-episode) and run the trial-end ledgers.
   faults.finish();
@@ -311,57 +314,29 @@ TurbulenceRunResult run_turbulence_clip(const ClipInfo& clip,
     result.reroutes = repair->stats().reroutes;
     result.route_restores = repair->stats().restores;
   }
-  auto metrics = collect(clip, *session.client, session.server.get(),
-                         session.mirror.get(), config.episodes);
-  (clip.player == PlayerKind::kMediaPlayer ? result.media : result.real) =
-      std::move(metrics);
+  for (std::size_t i = 0; i < served.size(); ++i) {
+    const ClipInfo& clip = served[i].clip;
+    const FaultedSession& s = sessions[i];
+    (clip.player == PlayerKind::kMediaPlayer ? result.media : result.real) =
+        collect(clip, *s.client, s.server.get(), s.mirror.get(), config.episodes);
+  }
   result.episodes = faults.records();
   return result;
 }
 
+}  // namespace
+
+TurbulenceRunResult run_turbulence_clip(const ClipInfo& clip,
+                                        const TurbulenceScenarioConfig& config) {
+  return run_sessions({{clip, "server"}}, config.mirror_server, config);
+}
+
 TurbulenceRunResult run_turbulence_pair(const ClipSet& set, RateTier tier,
                                         const TurbulenceScenarioConfig& config) {
-  TurbulenceRunResult result;
   const auto pair = set.pair(tier);
-  if (!pair) return result;
-  const auto& [real_clip, media_clip] = *pair;
-
-  PathConfig path = config.path;
-  path.seed = config.seed;
-  Network net(path);
-  attach_instrumentation(net, config);
-  Host& real_host = net.add_server("real-server");
-  Host& media_host = net.add_server("media-server");
-  auto repair = make_repair(net, config);
-
-  auto real_session = make_session(net, real_host, nullptr, real_clip, config);
-  auto media_session = make_session(net, media_host, nullptr, media_clip, config);
-
-  // Both streams cross the bottleneck link, so one scheduler hits both —
-  // the "same path, same turbulence" comparison the paper's simultaneous
-  // runs were designed to guarantee.
-  FaultScheduler faults(net.loop(), net.bottleneck_link(), net);
-  for (const FaultEpisode& e : config.episodes) faults.add(e);
-  faults.arm();
-
-  real_session.client->start();
-  media_session.client->start();
-  const Duration longest = std::max(real_clip.length, media_clip.length);
-  run_budgeted(net.loop(), run_deadline(net.loop(), longest, config), config, result);
-  faults.finish();  // close spans left open by a mid-episode truncation
-  if (repair) repair->finish();
-  if (config.auditor != nullptr) net.audit_finalize(*config.auditor);
-
-  if (repair) {
-    result.reroutes = repair->stats().reroutes;
-    result.route_restores = repair->stats().restores;
-  }
-  result.real = collect(real_clip, *real_session.client, real_session.server.get(),
-                        nullptr, config.episodes);
-  result.media = collect(media_clip, *media_session.client, media_session.server.get(),
-                         nullptr, config.episodes);
-  result.episodes = faults.records();
-  return result;
+  if (!pair) return {};
+  return run_sessions({{pair->first, "real-server"}, {pair->second, "media-server"}},
+                      /*mirror=*/false, config);
 }
 
 }  // namespace streamlab

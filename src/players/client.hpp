@@ -116,6 +116,8 @@ class StreamClient {
 
   /// Sends the PLAY request now (and arms the retry timer when enabled).
   void start();
+  /// The local UDP port: Config::local_port, or the player's default.
+  std::uint16_t port() const { return port_; }
 
   // --- Results (valid once the event loop has drained) ---
   const std::vector<PacketEvent>& packets() const { return packets_; }

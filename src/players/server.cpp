@@ -387,4 +387,12 @@ void RmServer::send_next() {
                            obs::EventCategory::kTimer);
 }
 
+std::unique_ptr<StreamServer> make_server(Host& host, const EncodedClip& encoded,
+                                          const WmBehavior& wm, const RmBehavior& rm,
+                                          std::uint64_t rm_seed) {
+  if (encoded.info().player == PlayerKind::kMediaPlayer)
+    return std::make_unique<WmServer>(host, encoded, wm, kMediaServerPort);
+  return std::make_unique<RmServer>(host, encoded, rm, kRealServerPort, rm_seed);
+}
+
 }  // namespace streamlab

@@ -45,6 +45,8 @@ class StreamServer {
 
   const EncodedClip& clip() const { return clip_; }
   std::uint16_t port() const { return port_; }
+  /// Where clients address this server: {host address, port}.
+  Endpoint endpoint() const { return Endpoint{host_.address(), port_}; }
   bool started() const { return started_; }
   bool finished() const { return finished_; }
   /// Lifecycle phase as reported to the invariant auditor
@@ -249,5 +251,12 @@ class RmServer : public StreamServer {
   SimTime burst_end_;
   std::size_t mean_media_ = 0;
 };
+
+/// The server model for `encoded`'s player: a WmServer on kMediaServerPort
+/// for MediaPlayer clips, an RmServer on kRealServerPort seeded with
+/// `rm_seed` for RealPlayer clips.
+std::unique_ptr<StreamServer> make_server(Host& host, const EncodedClip& encoded,
+                                          const WmBehavior& wm, const RmBehavior& rm,
+                                          std::uint64_t rm_seed);
 
 }  // namespace streamlab

@@ -42,17 +42,11 @@ struct Session {
   explicit Session(const ClipInfo& clip, PathConfig path = fast_path(),
                    std::uint64_t seed = 7)
       : net(path), server_host(net.add_server("srv")), encoded(encode_clip(clip, seed)) {
-    const bool is_media = clip.player == PlayerKind::kMediaPlayer;
-    const std::uint16_t port = is_media ? kMediaServerPort : kRealServerPort;
-    if (is_media)
-      server = std::make_unique<WmServer>(server_host, encoded, WmBehavior{}, port);
-    else
-      server = std::make_unique<RmServer>(server_host, encoded, RmBehavior{}, port, seed);
-
+    server = make_server(server_host, encoded, WmBehavior{}, RmBehavior{}, seed);
     StreamClient::Config cc;
     cc.kind = clip.player;
     client = std::make_unique<StreamClient>(net.client(), server->clip(),
-                                            Endpoint{server_host.address(), port}, cc);
+                                            server->endpoint(), cc);
   }
 
   /// Starts and runs to quiescence (clip length + slack).

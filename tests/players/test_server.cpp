@@ -87,6 +87,41 @@ TEST(StreamServer, PlayOffsetPastEndClampsToEnd) {
   EXPECT_EQ(sent, 0u);  // nothing left to send, and no crash or underflow
 }
 
+TEST(MakeServer, PortsFollowThePlayer) {
+  struct Case {
+    PlayerKind player;
+    std::uint16_t local_port;  // 0 = the client's default
+    std::uint16_t server_port;
+    std::uint16_t client_port;
+  };
+  const Case cases[] = {
+      {PlayerKind::kMediaPlayer, 0, kMediaServerPort, 7000},
+      {PlayerKind::kRealPlayer, 0, kRealServerPort, 6970},
+      {PlayerKind::kMediaPlayer, 20001, kMediaServerPort, 20001},
+      {PlayerKind::kRealPlayer, 20002, kRealServerPort, 20002},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message() << to_string(c.player) << " local_port "
+                                      << c.local_port);
+    Network net(testutil::fast_path());
+    Host& host = net.add_server("srv");
+    const auto server = make_server(host, encode_clip(short_clip(c.player, 100), 7),
+                                    WmBehavior{}, RmBehavior{}, 7);
+    EXPECT_EQ(server->port(), c.server_port);
+    EXPECT_EQ(server->endpoint(), (Endpoint{host.address(), c.server_port}));
+    if (c.player == PlayerKind::kMediaPlayer)
+      EXPECT_NE(dynamic_cast<WmServer*>(server.get()), nullptr);
+    else
+      EXPECT_NE(dynamic_cast<RmServer*>(server.get()), nullptr);
+
+    StreamClient::Config cc;
+    cc.kind = c.player;
+    cc.local_port = c.local_port;
+    const StreamClient client(net.client(), server->clip(), server->endpoint(), cc);
+    EXPECT_EQ(client.port(), c.client_port);
+  }
+}
+
 TEST(WmServer, ConstantPacketSizeAndInterval) {
   Session s(short_clip(PlayerKind::kMediaPlayer, 250, 20));
   s.run();
