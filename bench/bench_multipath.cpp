@@ -66,10 +66,10 @@ TurbulenceScenarioConfig stripe_scenario(bool multipath, bool flaps) {
 void report_multipath_counters(benchmark::State& state,
                                const SessionRecoveryMetrics& m) {
   state.counters["path_switches"] = static_cast<double>(m.path_switches);
-  state.counters["primary_goodput_kbps"] = m.primary_goodput_kbps;
-  state.counters["detour_goodput_kbps"] = m.detour_goodput_kbps;
-  state.counters["primary_loss"] = m.primary_loss_ratio();
-  state.counters["detour_loss"] = m.detour_loss_ratio();
+  state.counters["primary_goodput_kbps"] = m.goodput_kbps(0);
+  state.counters["detour_goodput_kbps"] = m.goodput_kbps(1);
+  state.counters["primary_loss"] = m.subflow[0].loss_ratio();
+  state.counters["detour_loss"] = m.subflow[1].loss_ratio();
   state.counters["reorder_depth_p95"] = static_cast<double>(m.reorder_depth_p95);
   state.counters["nacks_suppressed"] = static_cast<double>(m.nack_suppressed);
   state.counters["join_duplicates"] = static_cast<double>(m.join_duplicates);

@@ -95,7 +95,7 @@ void report_repair_counters(benchmark::State& state,
   state.counters["repair_latency_mean_ms"] = m.repair_latency_mean_ms;
   state.counters["repair_latency_p95_ms"] = m.repair_latency_p95_ms;
   state.counters["repair_overhead"] = m.repair_overhead();
-  state.counters["packets_recovered"] = static_cast<double>(m.packets_recovered);
+  state.counters["packets_recovered"] = static_cast<double>(m.packets_recovered());
   state.counters["packets_lost_residual"] = static_cast<double>(m.packets_lost);
   state.counters["nacks_sent"] = static_cast<double>(m.nacks_sent);
   state.counters["retx_sent"] = static_cast<double>(m.retransmissions_sent);
@@ -113,7 +113,7 @@ void run_session_benchmark(benchmark::State& state,
     }
     last = *run.media;
     packets += last.packets_received;
-    benchmark::DoNotOptimize(last.packets_recovered);
+    benchmark::DoNotOptimize(last.recovered_by_fec);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(packets));
   report_repair_counters(state, last);

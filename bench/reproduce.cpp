@@ -633,7 +633,7 @@ AdaptiveRun run_adaptive(const ClipInfo& clip, BitRate bottleneck, std::uint64_t
   out.keep_fraction = server.scaling_keep_fraction();
   out.level_changes = server.scaling_level_changes();
   out.frames_thinned = server.frames_thinned();
-  out.frames_rendered = client.frames_rendered();
+  out.frames_rendered = client.stats().frames_rendered;
   out.frames_total = static_cast<std::uint32_t>(encoded.frames().size());
   out.reports = client.receiver_reports_sent();
   const double sent = static_cast<double>(out.frames_total) - out.frames_thinned;

@@ -242,23 +242,24 @@ void describe(const char* name, const TurbulenceRunResult& run) {
       std::printf("  router-down-stall=%.1fs",
                   m.stall_during_router_down.to_seconds());
     std::printf("\n");
-    if (m.primary_packets + m.detour_packets > 0)
+    const auto& [primary, detour] = m.subflow;
+    if (primary.packets + detour.packets > 0)
       std::printf(
           "        multipath: primary %llu pkts (loss %.1f%%, %.0f kbps) | "
           "detour %llu pkts (loss %.1f%%, %.0f kbps) | switches %llu | "
           "reorder-p95 %u | nack-suppressed %llu | stalls %u/%u%s\n",
-          static_cast<unsigned long long>(m.primary_packets),
-          100.0 * m.primary_loss_ratio(), m.primary_goodput_kbps,
-          static_cast<unsigned long long>(m.detour_packets),
-          100.0 * m.detour_loss_ratio(), m.detour_goodput_kbps,
+          static_cast<unsigned long long>(primary.packets),
+          100.0 * primary.loss_ratio(), m.goodput_kbps(0),
+          static_cast<unsigned long long>(detour.packets),
+          100.0 * detour.loss_ratio(), m.goodput_kbps(1),
           static_cast<unsigned long long>(m.path_switches), m.reorder_depth_p95,
-          static_cast<unsigned long long>(m.nack_suppressed), m.primary_stalls,
-          m.detour_stalls, m.multipath_degraded ? " DEGRADED" : "");
-    if (m.packets_recovered > 0 || m.parity_packets > 0 || m.nacks_sent > 0)
+          static_cast<unsigned long long>(m.nack_suppressed), primary.stalls,
+          detour.stalls, m.multipath_degraded ? " DEGRADED" : "");
+    if (m.packets_recovered() > 0 || m.parity_packets > 0 || m.nacks_sent > 0)
       std::printf(
           "        repair: recovered=%llu (fec=%llu retx=%llu) ratio=%.1f%% "
           "latency=%.1f/%.1fms nacks=%llu overhead=%.2f%%\n",
-          static_cast<unsigned long long>(m.packets_recovered),
+          static_cast<unsigned long long>(m.packets_recovered()),
           static_cast<unsigned long long>(m.recovered_by_fec),
           static_cast<unsigned long long>(m.recovered_by_retx),
           100.0 * m.recovery_ratio(), m.repair_latency_mean_ms,
@@ -326,7 +327,7 @@ CampaignConfig build_campaign_config(const ClipInfo& clip, std::size_t trials,
 }
 
 /// --distributed knobs gathered from the CLI, plus the worker command line
-/// (this binary + the digest-relevant flags, minus the per-player
+/// (this binary + the coordinator's own arguments, minus the per-player
 /// --worker selector appended in run_campaign_mode).
 struct DistributedCli {
   bool enabled = false;
@@ -689,8 +690,11 @@ int main(int argc, char** argv) {
     std::signal(SIGINT, handle_stop_signal);
     std::signal(SIGTERM, handle_stop_signal);
     if (distrib.enabled) {
-      // Worker command line: this binary re-exec'd with every
-      // digest-relevant flag; run_campaign_mode appends --worker <player>.
+      // Worker command line: this binary re-exec'd with our own arguments,
+      // so every digest-relevant flag reaches the worker as given;
+      // run_campaign_mode appends --worker <player>. The worker branch above
+      // returns before any coordinator-only flag (--distributed, --workers,
+      // --manifest, --trace) is used, so forwarding those is harmless.
       char exe[4096];
       const ssize_t n = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
       std::string exe_path;
@@ -700,22 +704,8 @@ int main(int argc, char** argv) {
       } else {
         exe_path = argv[0];
       }
-      distrib.worker_argv_base = {exe_path, std::to_string(set_id),
-                                  positional.size() > 1 ? positional[1] : "low",
-                                  "--campaign", std::to_string(campaign_trials),
-                                  "--seed", std::to_string(base_seed)};
-      if (verify_determinism) distrib.worker_argv_base.push_back("--verify-determinism");
-      if (chaos) distrib.worker_argv_base.push_back("--chaos");
-      if (g_repair.fec_k > 0) {
-        distrib.worker_argv_base.push_back("--fec");
-        distrib.worker_argv_base.push_back(std::to_string(g_repair.fec_k));
-      }
-      if (g_repair.nack) distrib.worker_argv_base.push_back("--nack");
-      if (g_multipath) distrib.worker_argv_base.push_back("--multipath");
-      if (plant_quarantine >= 0) {
-        distrib.worker_argv_base.push_back("--plant-quarantine");
-        distrib.worker_argv_base.push_back(std::to_string(plant_quarantine));
-      }
+      distrib.worker_argv_base = {exe_path};
+      distrib.worker_argv_base.insert(distrib.worker_argv_base.end(), argv + 1, argv + argc);
     }
     return run_campaign_mode(set, tier, campaign_trials, base_seed, verify_determinism,
                              manifest_path, campaign_workers, chaos, progress_every,

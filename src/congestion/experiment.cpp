@@ -45,7 +45,7 @@ CongestionResult run_congestion_experiment(const ClipInfo& clip,
   result.offered_load = clip.encoded_rate / config.bottleneck;
 
   const auto sent = server->send_log().size();
-  const auto received = client.packets_received();
+  const auto received = client.stats().packets_received;
   // Count at the datagram level the client could observe; fragments lost
   // upstream surface as incomplete datagrams below.
   result.packet_loss =

@@ -72,13 +72,13 @@ FriendlinessResult run_friendliness_experiment(const ClipInfo& clip,
   result.contention_seconds = window;
 
   result.media_share_kbps =
-      static_cast<double>(media_client.wire_bytes_received()) * 8.0 / window / 1000.0;
+      static_cast<double>(media_client.stats().wire_bytes) * 8.0 / window / 1000.0;
   result.media_fairness_index = result.media_share_kbps / result.fair_share_kbps;
   const auto sent = media_server->send_log().size();
   result.media_loss =
       sent == 0 ? 0.0
                 : 1.0 - static_cast<double>(std::min<std::uint64_t>(
-                            media_client.packets_received(), sent)) /
+                            media_client.stats().packets_received, sent)) /
                             static_cast<double>(sent);
 
   // TCP bytes delivered inside [t0, t1], from the per-second snapshots.

@@ -398,7 +398,7 @@ void fill_salvage(TrialOutcome& t) {
     t.stall_time = t.stall_time + m->stall_time;
     t.failovers += m->failovers;
     t.router_down_stall = t.router_down_stall + m->stall_during_router_down;
-    t.packets_recovered += m->packets_recovered;
+    t.packets_recovered += m->packets_recovered();
     t.nacks_sent += m->nacks_sent;
     t.retransmissions_sent += m->retransmissions_sent;
     t.parity_packets += m->parity_packets;
@@ -423,8 +423,8 @@ obs::TrialTelemetry snapshot_trial(const TrialOutcome& t, const ClipInfo& clip,
     std::size_t latency_sessions = 0;
     const auto scan = [&](const std::optional<SessionRecoveryMetrics>& m) {
       if (!m) return;
-      wire_bytes += m->total_wire_bytes;
-      if (m->packets_recovered > 0) {
+      wire_bytes += m->total_wire_bytes();
+      if (m->packets_recovered() > 0) {
         latency_sum += m->repair_latency_mean_ms;
         ++latency_sessions;
       }

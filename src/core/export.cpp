@@ -151,15 +151,15 @@ const struct RecoveryColumn {
     {"packets", [](const R& m) { return count(m.packets_received); }},
     {"lost", [](const R& m) { return count(m.packets_lost); }},
     {"duplicates", [](const R& m) { return count(m.duplicate_packets); }},
-    {"recovered", [](const R& m) { return count(m.packets_recovered); }},
+    {"recovered", [](const R& m) { return count(m.packets_recovered()); }},
     {"recovery_ratio", [](const R& m) { return fmt_double(m.recovery_ratio(), 4); }},
     {"repair_latency_mean_ms", [](const R& m) { return fmt_double(m.repair_latency_mean_ms, 3); }},
     {"repair_overhead", [](const R& m) { return fmt_double(m.repair_overhead(), 4); }},
     {"path_switches", [](const R& m) { return count(m.path_switches); }},
-    {"primary_loss", [](const R& m) { return fmt_double(m.primary_loss_ratio(), 4); }},
-    {"detour_loss", [](const R& m) { return fmt_double(m.detour_loss_ratio(), 4); }},
-    {"primary_goodput_kbps", [](const R& m) { return fmt_double(m.primary_goodput_kbps, 1); }},
-    {"detour_goodput_kbps", [](const R& m) { return fmt_double(m.detour_goodput_kbps, 1); }},
+    {"primary_loss", [](const R& m) { return fmt_double(m.subflow[0].loss_ratio(), 4); }},
+    {"detour_loss", [](const R& m) { return fmt_double(m.subflow[1].loss_ratio(), 4); }},
+    {"primary_goodput_kbps", [](const R& m) { return fmt_double(m.goodput_kbps(0), 1); }},
+    {"detour_goodput_kbps", [](const R& m) { return fmt_double(m.goodput_kbps(1), 1); }},
     {"reorder_depth_p95", [](const R& m) { return count(m.reorder_depth_p95); }},
     {"nack_suppressed", [](const R& m) { return count(m.nack_suppressed); }},
 };

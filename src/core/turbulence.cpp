@@ -69,83 +69,19 @@ bool inside_any_episode(const std::vector<FaultEpisode>& episodes, SimTime t) {
                      [t](const FaultEpisode& e) { return e.covers(t); });
 }
 
-/// Mean and 95th percentile of the recovered packets' repair delays.
-void fill_repair_latency(const std::vector<Duration>& latencies,
-                         SessionRecoveryMetrics& m) {
-  if (latencies.empty()) return;
-  double sum_ms = 0.0;
-  std::vector<double> ms;
-  ms.reserve(latencies.size());
-  for (const Duration d : latencies) {
-    ms.push_back(d.to_millis());
-    sum_ms += d.to_millis();
-  }
-  std::sort(ms.begin(), ms.end());
-  m.repair_latency_mean_ms = sum_ms / static_cast<double>(ms.size());
-  const std::size_t idx =
-      std::min(ms.size() - 1,
-               static_cast<std::size_t>(0.95 * static_cast<double>(ms.size())));
-  m.repair_latency_p95_ms = ms[idx];
-}
-
 SessionRecoveryMetrics collect(const ClipInfo& clip, const StreamClient& client,
-                               const StreamServer* server, const StreamServer* mirror,
+                               const StreamServer& server, const StreamServer* mirror,
                                const std::vector<FaultEpisode>& episodes) {
   SessionRecoveryMetrics m;
+  static_cast<StreamClient::Stats&>(m) = client.stats();
   m.clip = clip;
-  m.established = client.session_established();
-  m.abandoned = client.session_abandoned();
-  m.stream_dead = client.stream_dead();
-  m.completed = client.playback_finished();
-  m.play_attempts = client.play_attempts();
-  m.rebuffer_events = client.rebuffer_events();
-  m.stall_time = client.total_stall_time();
-  m.frames_rendered = client.frames_rendered();
-  m.frames_dropped = client.frames_dropped();
-  m.packets_received = client.packets_received();
-  m.packets_lost = client.packets_lost();
-  m.duplicate_packets = client.duplicate_packets();
-  m.failovers = client.failover_count();
-  m.icmp_unreachables = client.icmp_unreachables();
-  m.resume_offset = client.resume_offset();
-
-  m.packets_recovered = client.packets_recovered();
-  m.recovered_by_fec = client.recovered_by_fec();
-  m.recovered_by_retx = client.recovered_by_retx();
-  m.nacks_sent = client.nacks_sent();
-  m.parity_packets = client.parity_packets_received();
-  m.repair_wire_bytes = client.parity_wire_bytes() + client.retx_wire_bytes();
-  m.total_wire_bytes = client.wire_bytes_received() + client.parity_wire_bytes();
-  fill_repair_latency(client.repair_latencies(), m);
-  for (const StreamServer* s : {server, mirror}) {
+  for (const StreamServer* s : {&server, mirror}) {
     if (s == nullptr) continue;
-    m.retransmissions_sent += s->retransmissions_sent();
-    m.retx_suppressed_pacer += s->retx_suppressed_pacer();
+    m.retransmissions_sent += s->stats().retx_packets;
+    m.retx_suppressed_pacer += s->stats().retx_suppressed;
   }
-
-  if (server != nullptr && server->multipath_enabled()) {
-    m.path_switches = server->path_switches();
-    m.multipath_degraded = server->multipath_degraded();
-    m.primary_packets = client.subflow_packets_received(0);
-    m.detour_packets = client.subflow_packets_received(1);
-    m.primary_lost = client.subflow_packets_lost(0);
-    m.detour_lost = client.subflow_packets_lost(1);
-    m.reorder_depth_p95 = client.reorder_depth_p95();
-    m.primary_stalls = client.subflow_stall_attributions(0);
-    m.detour_stalls = client.subflow_stall_attributions(1);
-    m.join_duplicates = client.join_duplicates_dropped();
-    m.join_forced = client.join_forced_releases();
-    // Per-path goodput over the nominal clip length: comparable across
-    // runs of the same clip regardless of how long the tail dragged on.
-    const double secs = clip.length.to_seconds();
-    if (secs > 0.0) {
-      m.primary_goodput_kbps =
-          static_cast<double>(client.subflow_media_bytes(0)) * 8.0 / secs / 1000.0;
-      m.detour_goodput_kbps =
-          static_cast<double>(client.subflow_media_bytes(1)) * 8.0 / secs / 1000.0;
-    }
-  }
-  m.nack_suppressed = client.nack_suppressed();
+  m.path_switches = server.path_switches();
+  m.multipath_degraded = server.multipath_degraded();
 
   // Attribute stall time to router failure: overlap each stall interval
   // with the merged kRouterDown windows.
@@ -318,7 +254,7 @@ TurbulenceRunResult run_sessions(const std::vector<ServedClip>& served, bool mir
     const ClipInfo& clip = served[i].clip;
     const FaultedSession& s = sessions[i];
     (clip.player == PlayerKind::kMediaPlayer ? result.media : result.real) =
-        collect(clip, *s.client, s.server.get(), s.mirror.get(), config.episodes);
+        collect(clip, *s.client, *s.server, s.mirror.get(), config.episodes);
   }
   result.episodes = faults.records();
   return result;

@@ -14,6 +14,7 @@
 
 #include "core/experiment.hpp"
 #include "obs/obs.hpp"
+#include "players/client.hpp"
 #include "players/multipath.hpp"
 #include "players/repair.hpp"
 #include "sim/audit.hpp"
@@ -103,83 +104,38 @@ struct TurbulenceScenarioConfig {
   MultipathConfig multipath;
 };
 
-/// How one player session fared through the scripted turbulence.
-struct SessionRecoveryMetrics {
+/// How one player session fared through the scripted turbulence: the
+/// client's own statistics plus what only the servers or the episode script
+/// can tell.
+struct SessionRecoveryMetrics : StreamClient::Stats {
   ClipInfo clip;
 
-  // Session outcome.
-  bool established = false;       ///< server ever answered
-  bool abandoned = false;         ///< PLAY retries exhausted
-  bool stream_dead = false;       ///< inactivity watchdog fired mid-stream
-  bool completed = false;         ///< playback ran to the final frame
-  std::uint32_t play_attempts = 0;
-
-  // Recovery behaviour.
+  // Episode attribution.
   /// Gap from the end of the first episode to the next data packet
   /// delivered afterwards; unset when no data ever followed the episode.
   std::optional<Duration> time_to_recover;
-  std::uint32_t rebuffer_events = 0;
-  Duration stall_time;
-
-  // Frame accounting, split around the episode windows.
-  std::uint32_t frames_rendered = 0;
-  std::uint32_t frames_dropped = 0;
   std::uint32_t frames_dropped_during_episodes = 0;  ///< decode deadline inside a window
   std::uint32_t frames_dropped_after_episodes = 0;   ///< after the last covering window
-
-  // Datagram accounting.
-  std::uint64_t packets_received = 0;
-  std::uint64_t packets_lost = 0;
-  std::uint64_t duplicate_packets = 0;
-
-  // Self-healing behaviour.
-  std::uint32_t failovers = 0;            ///< mirror failovers committed
-  std::uint64_t icmp_unreachables = 0;    ///< Destination Unreachable observed
-  std::uint64_t resume_offset = 0;        ///< media position of the last failover PLAY
   /// Stall time overlapping a kRouterDown episode window — the rebuffering
   /// attributable to router failure rather than ambient turbulence.
   Duration stall_during_router_down;
 
-  // Loss repair behaviour (all zero when repair_layer is disabled).
-  std::uint64_t packets_recovered = 0;   ///< FEC + retransmission repairs
-  std::uint64_t recovered_by_fec = 0;
-  std::uint64_t recovered_by_retx = 0;
-  std::uint64_t nacks_sent = 0;          ///< client NACK messages
-  std::uint64_t parity_packets = 0;      ///< parity packets received
-  std::uint64_t repair_wire_bytes = 0;   ///< parity + retransmission wire bytes
-  std::uint64_t total_wire_bytes = 0;    ///< all wire bytes (media + repair)
-  double repair_latency_mean_ms = 0.0;   ///< gap notice -> repair delivery
-  double repair_latency_p95_ms = 0.0;
-  std::uint64_t retransmissions_sent = 0;   ///< server-side retx answered
-  std::uint64_t retx_suppressed_pacer = 0;  ///< server retx dropped by pacer
+  // Server side: retransmissions summed over the primary and the mirror,
+  // striping from the primary.
+  std::uint64_t retransmissions_sent = 0;   ///< retx answered
+  std::uint64_t retx_suppressed_pacer = 0;  ///< retx dropped by the pacer
+  std::uint64_t path_switches = 0;          ///< healthy<->draining transitions
+  bool multipath_degraded = false;          ///< every subflow draining at run end
 
-  // Multipath striping behaviour (all zero when multipath is disabled).
-  std::uint64_t path_switches = 0;     ///< healthy<->draining transitions
-  std::uint64_t primary_packets = 0;   ///< subflow-0 datagrams delivered
-  std::uint64_t detour_packets = 0;    ///< subflow-1 datagrams delivered
-  std::uint64_t primary_lost = 0;      ///< subflow-0 sequence holes
-  std::uint64_t detour_lost = 0;       ///< subflow-1 sequence holes
-  double primary_goodput_kbps = 0.0;   ///< subflow-0 media rate over the stream
-  double detour_goodput_kbps = 0.0;    ///< subflow-1 media rate over the stream
-  std::uint32_t reorder_depth_p95 = 0; ///< join-buffer occupancy p95
-  std::uint64_t nack_suppressed = 0;   ///< NACKs deferred by reorder tolerance
-  std::uint32_t primary_stalls = 0;    ///< stalls attributed to subflow 0
-  std::uint32_t detour_stalls = 0;     ///< stalls attributed to subflow 1
-  std::uint64_t join_duplicates = 0;   ///< cross-subflow duplicates dropped
-  std::uint64_t join_forced = 0;       ///< join-buffer hold-expiry releases
-  bool multipath_degraded = false;     ///< every subflow draining at run end
+  bool operator==(const SessionRecoveryMetrics&) const = default;
 
-  /// Per-subflow loss ratio: holes / (holes + delivered).
-  double subflow_loss_ratio(std::uint64_t lost, std::uint64_t received) const {
-    const std::uint64_t denom = lost + received;
-    return denom == 0 ? 0.0
-                      : static_cast<double>(lost) / static_cast<double>(denom);
-  }
-  double primary_loss_ratio() const {
-    return subflow_loss_ratio(primary_lost, primary_packets);
-  }
-  double detour_loss_ratio() const {
-    return subflow_loss_ratio(detour_lost, detour_packets);
+  /// One subflow's media rate over the nominal clip length: comparable
+  /// across runs of the same clip however long the tail dragged on.
+  double goodput_kbps(int subflow_id) const {
+    const double secs = clip.length.to_seconds();
+    return secs > 0.0
+               ? static_cast<double>(subflow[subflow_id].media_bytes) * 8.0 / secs / 1000.0
+               : 0.0;
   }
   /// Rebuffering exposure: stall time per nominal clip second.
   double rebuffer_ratio() const {
@@ -193,15 +149,15 @@ struct SessionRecoveryMetrics {
   /// Fraction of the packets the network lost that the repair layer
   /// delivered anyway: recovered / (recovered + still-lost).
   double recovery_ratio() const {
-    const std::uint64_t denom = packets_recovered + packets_lost;
-    return denom == 0 ? 0.0 : static_cast<double>(packets_recovered) /
+    const std::uint64_t denom = packets_recovered() + packets_lost;
+    return denom == 0 ? 0.0 : static_cast<double>(packets_recovered()) /
                                   static_cast<double>(denom);
   }
   /// Repair bandwidth overhead: repair wire bytes per media wire byte.
   double repair_overhead() const {
-    const std::uint64_t media = total_wire_bytes - repair_wire_bytes;
+    const std::uint64_t media = total_wire_bytes() - repair_wire_bytes();
     return media == 0 ? 0.0
-                      : static_cast<double>(repair_wire_bytes) / static_cast<double>(media);
+                      : static_cast<double>(repair_wire_bytes()) / static_cast<double>(media);
   }
 };
 

@@ -42,6 +42,7 @@ struct ClipInfo {
   std::string id() const;
   /// Total media payload bytes in the encoded clip.
   std::int64_t media_bytes() const { return encoded_rate.bytes_in(length); }
+  bool operator==(const ClipInfo&) const = default;
 };
 
 }  // namespace streamlab

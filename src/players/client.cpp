@@ -120,18 +120,18 @@ void StreamClient::obs_goodput(std::size_t bytes, SimTime now) {
 }
 
 void StreamClient::send_play() {
-  ++play_attempts_;
+  ++stats_.play_attempts;
   ++play_attempts_current_;
   if (obs_) {
     obs_->play_attempts.add();
-    if (play_attempts_ > 1) {
+    if (stats_.play_attempts > 1) {
       obs_->play_retries.add();
       obs_instant(obs_->retry_name, host_.loop().now(),
-                  static_cast<double>(play_attempts_));
+                  static_cast<double>(stats_.play_attempts));
     }
   }
   ControlMessage play{ControlType::kPlayRequest, clip_.info().id()};
-  play.offset = resume_offset_;  // nonzero only after a failover
+  play.offset = stats_.resume_offset;  // nonzero only after a failover
   const auto bytes = play.encode();
   if (repair_) repair_->play_sent_at = host_.loop().now();
   host_.udp_send(port_, server_, bytes);
@@ -144,10 +144,10 @@ void StreamClient::send_play() {
 }
 
 void StreamClient::on_play_timeout() {
-  // `current_server_answered_` (not the sticky session_established()) gates
+  // `current_server_answered_` (not the sticky Stats::established) gates
   // the retry loop so a post-failover PLAY keeps retrying against the mirror
   // even though the original server once answered.
-  if (current_server_answered_ || session_abandoned_ || stream_dead_) return;
+  if (current_server_answered_ || stats_.abandoned || stats_.stream_dead) return;
   if (play_attempts_current_ >= static_cast<std::uint32_t>(
                                     std::max(1, config_.recovery.max_play_attempts))) {
     // This server never answered: move to the next mirror if one remains,
@@ -156,7 +156,7 @@ void StreamClient::on_play_timeout() {
       failover(host_.loop().now());
       return;
     }
-    session_abandoned_ = true;
+    stats_.abandoned = true;
     failure_time_ = host_.loop().now();
     enter_phase(audit::SessionPhase::kAbandoned);
     if (repair_) repair_->nack_timer.cancel();
@@ -206,10 +206,10 @@ void StreamClient::arm_watchdog(Duration delay) {
 }
 
 void StreamClient::on_watchdog() {
-  // playback_finished_ covers sessions whose end-of-stream marker was lost:
+  // A completed playback covers sessions whose end-of-stream marker was lost:
   // the drop-late timeline still completes them, and a completed session
   // must never be re-declared dead by a stale silence window.
-  if (eos_received_ || stream_dead_ || session_abandoned_ || playback_finished_)
+  if (eos_received_ || stats_.stream_dead || stats_.abandoned || stats_.completed)
     return;
   const Duration window = config_.recovery.inactivity_timeout;
   const SimTime now = host_.loop().now();
@@ -235,7 +235,7 @@ void StreamClient::on_watchdog() {
     return;
   }
   // Silence exceeded the window with no end-of-stream: the session is dead.
-  stream_dead_ = true;
+  stats_.stream_dead = true;
   failure_time_ = now;
   enter_phase(audit::SessionPhase::kDead);
   play_timer_.cancel();
@@ -249,14 +249,14 @@ void StreamClient::on_watchdog() {
 void StreamClient::on_icmp(const IcmpHeader& icmp, std::span<const std::uint8_t> payload,
                            SimTime now) {
   if (icmp.type != IcmpType::kDestinationUnreachable) return;
-  if (eos_received_ || stream_dead_ || session_abandoned_) return;
+  if (eos_received_ || stats_.stream_dead || stats_.abandoned) return;
   // The error quotes the offending IP header; only errors about traffic we
   // sent toward the *active* server count (stale errors about an abandoned
   // server must not re-trigger a failover).
   ByteReader reader(payload);
   const auto quoted = Ipv4Header::decode(reader);
   if (!quoted || quoted->dst != server_.ip) return;
-  ++icmp_unreachables_;
+  ++stats_.icmp_unreachables;
   ++unreachable_streak_;
   if (obs_) {
     obs_->unreachables.add();
@@ -272,18 +272,14 @@ void StreamClient::failover(SimTime now) {
   if (!mirror_available()) return;
   play_timer_.cancel();
   watchdog_timer_.cancel();
-  ++failover_count_;
+  ++stats_.failovers;
   server_ = config_.failover.mirrors[next_mirror_++];
 
   // The mirror is a fresh server whose sequence numbering restarts at 0:
   // fold the finished epoch's losses into the accumulator and track the new
   // epoch's sequence space from scratch. In-flight packets from the old
   // server are rejected by handle_datagram's source filter.
-  if (any_seq_seen_) {
-    const std::uint64_t expected = max_seq_seen_ + 1;
-    const std::uint64_t unique = seq_seen_.total_covered();
-    lost_prior_epochs_ += expected > unique ? expected - unique : 0;
-  }
+  lost_prior_epochs_ += epoch_packets_lost();
   seq_seen_ = IntervalSet();
   max_seq_seen_ = 0;
   any_seq_seen_ = false;
@@ -326,13 +322,13 @@ void StreamClient::failover(SimTime now) {
   next_play_timeout_ = config_.recovery.play_timeout;
   // Ask the mirror to resume at the longest contiguous prefix already
   // received — everything past it may have holes and will be re-sent.
-  resume_offset_ = coverage_.contiguous_prefix();
+  stats_.resume_offset = coverage_.contiguous_prefix();
 
   if (phase_ == audit::SessionPhase::kEstablished)
     enter_phase(audit::SessionPhase::kConnecting);
   if (obs_) {
     obs_->failovers.add();
-    obs_instant(obs_->failover_name, now, static_cast<double>(failover_count_));
+    obs_instant(obs_->failover_name, now, static_cast<double>(stats_.failovers));
   }
   send_play();
 }
@@ -366,12 +362,12 @@ void StreamClient::handle_datagram(std::span<const std::uint8_t> payload, Endpoi
 
 void StreamClient::on_parity(const ParityHeader& header, std::size_t wire_len,
                              SimTime now) {
-  if (stream_dead_) return;
+  if (stats_.stream_dead) return;
   unreachable_streak_ = 0;  // parity is live traffic from the server too
   if (!current_server_answered_) on_session_established(now);
   last_data_ = now;
-  ++repair_->parity_packets;
-  repair_->parity_bytes += wire_len;
+  ++stats_.parity_packets;
+  stats_.parity_bytes += wire_len;
   if (auto recovered = repair_->decoder->on_parity(header))
     accept_recovered(*recovered, now);
 }
@@ -406,7 +402,7 @@ void StreamClient::record_repair_latency(std::uint32_t seq, SimTime now) {
 }
 
 void StreamClient::accept_recovered(const RecoveredPacket& packet, SimTime now) {
-  if (stream_dead_) return;
+  if (stats_.stream_dead) return;
   if (seq_seen_.covers(packet.seq, std::uint64_t{packet.seq} + 1)) return;
   seq_seen_.insert(packet.seq, std::uint64_t{packet.seq} + 1);
   if (!any_seq_seen_ || packet.seq > max_seq_seen_) {
@@ -416,7 +412,7 @@ void StreamClient::accept_recovered(const RecoveredPacket& packet, SimTime now) 
   if (packet.flags & kFlagEndOfStream) eos_received_ = true;
   coverage_.insert(packet.media_offset, packet.media_offset + packet.media_len);
 
-  ++repair_->recovered_by_fec;
+  ++stats_.recovered_by_fec;
   record_repair_latency(packet.seq, now);
   if (config_.repair.nack) {
     repair_->nack.note_arrival(packet.seq);
@@ -446,13 +442,13 @@ void StreamClient::accept_recovered(const RecoveredPacket& packet, SimTime now) 
 void StreamClient::schedule_nack_timer() {
   repair_->nack_timer.cancel();
   const auto next = repair_->nack.next_deadline();
-  if (!next || stream_dead_ || session_abandoned_) return;
+  if (!next || stats_.stream_dead || stats_.abandoned) return;
   repair_->nack_timer = host_.loop().schedule_at(*next, [this] { on_nack_timer(); },
                                                  obs::EventCategory::kControl);
 }
 
 void StreamClient::on_nack_timer() {
-  if (stream_dead_ || session_abandoned_) return;
+  if (stats_.stream_dead || stats_.abandoned) return;
   const SimTime now = host_.loop().now();
   const auto due = repair_->nack.due(now);
   if (obs_) {
@@ -466,7 +462,7 @@ void StreamClient::on_nack_timer() {
     for (const ControlMessage& msg : make_nack_messages(clip_.info().id(), due)) {
       const auto bytes = msg.encode();
       host_.udp_send(port_, server_, bytes);
-      ++repair_->nacks_sent;
+      ++stats_.nacks_sent;
       if (obs_) obs_->nacks.add();
     }
   }
@@ -474,7 +470,7 @@ void StreamClient::on_nack_timer() {
 }
 
 void StreamClient::on_data(const DataHeader& header, std::size_t media_len, SimTime now) {
-  if (stream_dead_) return;  // the watchdog already tore the session down
+  if (stats_.stream_dead) return;  // the watchdog already tore the session down
   unreachable_streak_ = 0;   // data disproves an unreachable path
   if (!first_data_) {
     first_data_ = now;
@@ -494,7 +490,7 @@ void StreamClient::on_data(const DataHeader& header, std::size_t media_len, SimT
   const std::size_t wire_len =
       kDataHeaderSize + media_len +
       ((header.flags & kFlagMultipath) != 0 ? kMultipathExtensionSize : 0);
-  wire_media_bytes_ += wire_len;
+  stats_.wire_bytes += wire_len;
   if (obs_) obs_goodput(wire_len, now);
   if (multipath_ && (header.flags & kFlagMultipath) != 0)
     note_subflow_arrival(header, media_len, now);
@@ -503,15 +499,15 @@ void StreamClient::on_data(const DataHeader& header, std::size_t media_len, SimT
   if (duplicate) {
     // Late originals of already-repaired sequences land here, so a repair
     // never double-delivers media to the application.
-    ++duplicate_packets_;
+    ++stats_.duplicate_packets;
   } else {
     seq_seen_.insert(header.seq, std::uint64_t{header.seq} + 1);
   }
 
   if (repair_) {
     if (header.flags & kFlagRetransmit) {
-      ++repair_->retx_packets;
-      repair_->retx_bytes += kDataHeaderSize + media_len;
+      ++stats_.retx_packets;
+      stats_.retx_bytes += kDataHeaderSize + media_len;
     }
     if (!duplicate) {
       // A forward jump over unseen sequence numbers is the gap detector:
@@ -525,7 +521,7 @@ void StreamClient::on_data(const DataHeader& header, std::size_t media_len, SimT
       if (header.flags & kFlagRetransmit) {
         // A retransmission filling a gap is a repair; count it and its
         // gap-to-fill latency.
-        ++repair_->recovered_by_retx;
+        ++stats_.recovered_by_retx;
         record_repair_latency(header.seq, now);
       } else {
         // A late natural arrival closes the gap without being a repair.
@@ -602,7 +598,7 @@ void StreamClient::send_receiver_report() {
   host_.udp_send(port_, server_, bytes);
   ++reports_sent_;
 
-  if (!eos_received_ && !stream_dead_) {
+  if (!eos_received_ && !stats_.stream_dead) {
     host_.loop().post_in(config_.scaling.report_interval,
                          [this] { send_receiver_report(); },
                              obs::EventCategory::kControl);
@@ -661,8 +657,8 @@ void StreamClient::note_subflow_arrival(const DataHeader& header, std::size_t me
                                         SimTime now) {
   const int id = header.subflow_id < 2 ? header.subflow_id : 1;
   SubflowRx& rx = multipath_->rx[id];
-  ++rx.packets_received;
-  rx.media_bytes += media_len;
+  ++stats_.subflow[id].packets;
+  stats_.subflow[id].media_bytes += media_len;
   if (!rx.any || header.subflow_seq > rx.max_subflow_seq)
     rx.max_subflow_seq = header.subflow_seq;
   rx.any = true;
@@ -678,7 +674,7 @@ void StreamClient::note_subflow_arrival(const DataHeader& header, std::size_t me
 
 void StreamClient::send_path_reports() {
   multipath_->report_timer_armed = false;
-  if (multipath_->stopped || eos_received_ || stream_dead_ || session_abandoned_)
+  if (multipath_->stopped || eos_received_ || stats_.stream_dead || stats_.abandoned)
     return;
   // One report per subflow that has ever delivered data, each sent over the
   // path it describes — so a dead path's report dies with it and the
@@ -689,7 +685,7 @@ void StreamClient::send_path_reports() {
     ControlMessage report{ControlType::kPathReport, clip_.info().id()};
     report.value = static_cast<std::uint16_t>(id);
     report.offset = (std::uint64_t{rx.max_subflow_seq} << 32) |
-                    (rx.packets_received & 0xFFFFFFFFull);
+                    (stats_.subflow[id].packets & 0xFFFFFFFFull);
     const auto bytes = report.encode();
     if (id == 0)
       host_.udp_send(port_, server_, bytes);
@@ -697,7 +693,6 @@ void StreamClient::send_path_reports() {
       host_.udp_send_from(config_.multipath.client_alias, port_,
                           Endpoint{config_.multipath.server_alias, server_.port},
                           bytes);
-    ++multipath_->reports_sent;
     if (obs_) obs_->path_reports.add();
   }
   multipath_->report_timer_armed = true;
@@ -719,16 +714,7 @@ void StreamClient::attribute_stall() {
         rx.last_arrival < multipath_->rx[static_cast<std::size_t>(victim)].last_arrival)
       victim = id;
   }
-  if (victim >= 0)
-    ++multipath_->rx[static_cast<std::size_t>(victim)].stall_attributions;
-}
-
-std::uint64_t StreamClient::subflow_packets_lost(int id) const {
-  if (!multipath_) return 0;
-  const SubflowRx& rx = multipath_->rx[static_cast<std::size_t>(id)];
-  if (!rx.any) return 0;
-  const std::uint64_t expected = std::uint64_t{rx.max_subflow_seq} + 1;
-  return expected > rx.packets_received ? expected - rx.packets_received : 0;
+  if (victim >= 0) ++stats_.subflow[victim].stalls;
 }
 
 void StreamClient::release_app_batch() {
@@ -740,7 +726,7 @@ void StreamClient::release_app_batch() {
     app_coverage_.insert(ev.media_offset, ev.media_offset + ev.media_len);
     packets_.push_back(ev);
   }
-  if (eos_received_ || stream_dead_) {
+  if (eos_received_ || stats_.stream_dead) {
     batch_timer_armed_ = false;
     return;
   }
@@ -768,7 +754,7 @@ void StreamClient::begin_playout(SimTime when) {
 
 void StreamClient::schedule_frame(std::size_t index) {
   if (index >= clip_.frames().size()) {
-    playback_finished_ = true;
+    stats_.completed = true;
     playback_end_ = host_.loop().now();
     if (phase_ == audit::SessionPhase::kEstablished)
       enter_phase(audit::SessionPhase::kCompleted);
@@ -785,7 +771,7 @@ void StreamClient::abandon_remaining_frames(std::size_t from_index) {
   // decoded, so account them as dropped at once instead of stalling
   // max_stall on each — this is what lets the event loop drain promptly
   // after a fatal outage.
-  frames_dropped_ +=
+  stats_.frames_dropped +=
       static_cast<std::uint32_t>(clip_.frames().size() - from_index);
   playback_end_ = host_.loop().now();
 }
@@ -798,7 +784,7 @@ void StreamClient::close_stall_interval(SimTime now) {
 }
 
 void StreamClient::decode_frame_rebuffering(std::size_t index) {
-  if (stream_dead_) {
+  if (stats_.stream_dead) {
     obs_end_rebuffer(host_.loop().now());
     close_stall_interval(host_.loop().now());
     abandon_remaining_frames(index);
@@ -811,7 +797,7 @@ void StreamClient::decode_frame_rebuffering(std::size_t index) {
   if (!ready && current_stall_ < config_.max_stall) {
     // Stall: the picture freezes while the buffer refills.
     if (current_stall_ == Duration::zero()) {
-      ++rebuffer_events_;
+      ++stats_.rebuffer_events;
       stall_start_ = host_.loop().now();
       attribute_stall();
       if (obs_) {
@@ -824,7 +810,7 @@ void StreamClient::decode_frame_rebuffering(std::size_t index) {
     const Duration poll = Duration::millis(100);
     current_stall_ += poll;
     playout_shift_ += poll;
-    total_stall_time_ += poll;
+    stats_.stall_time += poll;
     host_.loop().post_in(poll, [this, index] { decode_frame_rebuffering(index); },
                              obs::EventCategory::kPlayout);
     return;
@@ -837,9 +823,9 @@ void StreamClient::decode_frame_rebuffering(std::size_t index) {
   ev.frame_index = frame.index;
   ev.rendered = ready;
   if (ready)
-    ++frames_rendered_;
+    ++stats_.frames_rendered;
   else
-    ++frames_dropped_;  // abandoned after max_stall
+    ++stats_.frames_dropped;  // abandoned after max_stall
   frame_events_.push_back(ev);
   schedule_frame(index + 1);
 }
@@ -850,17 +836,17 @@ void StreamClient::decode_frame(std::size_t index) {
   ev.time = host_.loop().now();
   ev.frame_index = frame.index;
   // A dead session renders nothing more, even from buffered data.
-  ev.rendered = !stream_dead_ &&
+  ev.rendered = !stats_.stream_dead &&
                 app_coverage_.covers(frame.byte_offset,
                                      frame.byte_offset + frame.bytes);
   if (ev.rendered)
-    ++frames_rendered_;
+    ++stats_.frames_rendered;
   else
-    ++frames_dropped_;
+    ++stats_.frames_dropped;
   frame_events_.push_back(ev);
 
   if (index + 1 == clip_.frames().size()) {
-    playback_finished_ = true;
+    stats_.completed = true;
     playback_end_ = host_.loop().now();
     // Pre-scheduled drop-late deadlines keep firing after a watchdog death,
     // so the playout timeline can end in a dead session; only a live one
@@ -870,23 +856,59 @@ void StreamClient::decode_frame(std::size_t index) {
   }
 }
 
-std::uint64_t StreamClient::packets_lost() const {
+std::uint64_t StreamClient::epoch_packets_lost() const {
   // Count distinct missing sequences, so duplicated or reordered datagrams
-  // never inflate (or deflate) the loss figure. Sequence epochs finished by
-  // earlier failovers contribute their accumulated losses.
-  std::uint64_t current = 0;
-  if (any_seq_seen_) {
-    const std::uint64_t expected = max_seq_seen_ + 1;
-    const std::uint64_t unique = seq_seen_.total_covered();
-    current = expected > unique ? expected - unique : 0;
+  // never inflate (or deflate) the loss figure.
+  if (!any_seq_seen_) return 0;
+  const std::uint64_t expected = max_seq_seen_ + 1;
+  const std::uint64_t unique = seq_seen_.total_covered();
+  return expected > unique ? expected - unique : 0;
+}
+
+StreamClient::Stats StreamClient::stats() const {
+  Stats s = stats_;
+  // Derived when read, not counted: the outcome and loss figures from the
+  // reception state, the repair-latency summary from the recorded delays,
+  // and the NACK and join-buffer figures from the components that count
+  // them.
+  s.established = play_ok_received_ || first_data_.has_value();
+  s.packets_received = packets_.size();
+  s.packets_lost = lost_prior_epochs_ + epoch_packets_lost();
+  if (repair_) {
+    s.nack_suppressed = repair_->nack.suppressed();
+    if (const std::vector<Duration>& latencies = repair_->latencies; !latencies.empty()) {
+      double sum_ms = 0.0;
+      std::vector<double> ms;
+      ms.reserve(latencies.size());
+      for (const Duration d : latencies) {
+        ms.push_back(d.to_millis());
+        sum_ms += d.to_millis();
+      }
+      std::sort(ms.begin(), ms.end());
+      s.repair_latency_mean_ms = sum_ms / static_cast<double>(ms.size());
+      s.repair_latency_p95_ms =
+          ms[std::min(ms.size() - 1,
+                      static_cast<std::size_t>(0.95 * static_cast<double>(ms.size())))];
+    }
   }
-  return lost_prior_epochs_ + current;
+  if (multipath_) {
+    for (int id = 0; id < 2; ++id) {
+      const SubflowRx& rx = multipath_->rx[id];
+      Stats::Subflow& sub = s.subflow[id];
+      const std::uint64_t expected = std::uint64_t{rx.max_subflow_seq} + 1;
+      if (rx.any && expected > sub.packets) sub.lost = expected - sub.packets;
+    }
+    s.reorder_depth_p95 = multipath_->join.reorder_depth_p95();
+    s.join_duplicates = multipath_->join.duplicates_dropped();
+    s.join_forced = multipath_->join.forced_releases();
+  }
+  return s;
 }
 
 BitRate StreamClient::average_playback_rate() const {
   if (!first_data_ || !last_data_ || *last_data_ <= *first_data_) return BitRate::zero();
   const double secs = (*last_data_ - *first_data_).to_seconds();
-  const double bits = static_cast<double>(wire_media_bytes_) * 8.0;
+  const double bits = static_cast<double>(stats_.wire_bytes) * 8.0;
   return BitRate(static_cast<std::int64_t>(bits / secs + 0.5));
 }
 

@@ -107,6 +107,75 @@ class StreamClient {
     MultipathConfig multipath;
   };
 
+  /// The session's application-layer statistics: the one set MediaTracker
+  /// and RealTracker poll from the player engine. The repair fields stay
+  /// zero while Config::repair is off, the multipath ones while
+  /// Config::multipath is.
+  struct Stats {
+    // Session outcome.
+    bool established = false;  ///< the server answered (PLAY-OK or data)
+    bool abandoned = false;    ///< PLAY retries exhausted without an answer
+    bool stream_dead = false;  ///< the inactivity watchdog fired mid-stream
+    bool completed = false;    ///< playback ran to the final frame
+    std::uint32_t play_attempts = 0;  ///< PLAYs sent (1 = the first succeeded)
+
+    // Playout. Rebuffering stays zero when Config::rebuffering is off.
+    std::uint32_t frames_rendered = 0;
+    std::uint32_t frames_dropped = 0;
+    std::uint32_t rebuffer_events = 0;
+    Duration stall_time;
+
+    // Datagrams.
+    std::uint64_t packets_received = 0;  ///< released to the application
+    /// Sequence numbers never received in any copy, over every failover
+    /// epoch: duplicates and reordering neither inflate nor deflate it.
+    std::uint64_t packets_lost = 0;
+    std::uint64_t duplicate_packets = 0;  ///< carried a sequence already seen
+    std::uint64_t wire_bytes = 0;  ///< data payload bytes, stream headers included
+
+    // Mirror failover.
+    std::uint32_t failovers = 0;          ///< 0 = the original server carried it all
+    std::uint64_t icmp_unreachables = 0;  ///< about the active server
+    std::uint64_t resume_offset = 0;      ///< media position of the last failover PLAY
+
+    // Loss repair. A recovery is a packet the network lost that the repair
+    // layer delivered: an FEC reconstruction or a retransmission that
+    // filled a gap.
+    std::uint64_t recovered_by_fec = 0;
+    std::uint64_t recovered_by_retx = 0;
+    std::uint64_t retx_packets = 0;  ///< retransmissions received
+    std::uint64_t retx_bytes = 0;
+    std::uint64_t parity_packets = 0;
+    std::uint64_t parity_bytes = 0;
+    std::uint64_t nacks_sent = 0;       ///< each names up to 17 sequences
+    std::uint64_t nack_suppressed = 0;  ///< deferred by the reorder tolerance
+    double repair_latency_mean_ms = 0.0;  ///< gap notice -> repair delivery
+    double repair_latency_p95_ms = 0.0;
+
+    // Multipath striping: subflow 0 is the primary path, 1 the detour.
+    struct Subflow {
+      std::uint64_t packets = 0;      ///< distinct datagrams delivered
+      std::uint64_t lost = 0;         ///< holes in the subflow's own sequence
+      std::uint64_t media_bytes = 0;  ///< media payload delivered
+      std::uint32_t stalls = 0;       ///< stalls begun while it was the stalest
+      /// holes / (holes + delivered).
+      double loss_ratio() const {
+        const std::uint64_t denom = lost + packets;
+        return denom == 0 ? 0.0 : static_cast<double>(lost) / static_cast<double>(denom);
+      }
+      bool operator==(const Subflow&) const = default;
+    };
+    Subflow subflow[2];
+    std::uint32_t reorder_depth_p95 = 0;  ///< join-buffer occupancy
+    std::uint64_t join_duplicates = 0;    ///< cross-subflow duplicates dropped
+    std::uint64_t join_forced = 0;        ///< join-buffer hold-expiry releases
+
+    std::uint64_t packets_recovered() const { return recovered_by_fec + recovered_by_retx; }
+    std::uint64_t repair_wire_bytes() const { return parity_bytes + retx_bytes; }
+    std::uint64_t total_wire_bytes() const { return wire_bytes + parity_bytes; }
+    bool operator==(const Stats&) const = default;
+  };
+
   /// The client needs the clip's frame table (in the real products this
   /// metadata arrives in the stream header exchange).
   StreamClient(Host& host, const EncodedClip& clip, Endpoint server, Config config);
@@ -119,36 +188,18 @@ class StreamClient {
   /// The local UDP port: Config::local_port, or the player's default.
   std::uint16_t port() const { return port_; }
 
+  /// The counters so far; final once the event loop has drained.
+  Stats stats() const;
+
   // --- Results (valid once the event loop has drained) ---
   const std::vector<PacketEvent>& packets() const { return packets_; }
   const std::vector<FrameEvent>& frame_events() const { return frame_events_; }
-  std::uint32_t frames_rendered() const { return frames_rendered_; }
-  std::uint32_t frames_dropped() const { return frames_dropped_; }
   std::uint64_t media_bytes_received() const { return coverage_.total_covered(); }
-  /// Datagrams lost end-to-end: sequence numbers never received in any copy.
-  /// Duplicate and reordered deliveries are tolerated — the count is
-  /// (max seq seen + 1) minus the number of *distinct* sequences received.
-  std::uint64_t packets_lost() const;
-  /// Datagrams received carrying a sequence number already seen.
-  std::uint64_t duplicate_packets() const { return duplicate_packets_; }
-  std::uint64_t packets_received() const { return packets_.size(); }
-  /// Application payload bytes received so far (stream headers included).
-  std::uint64_t wire_bytes_received() const { return wire_media_bytes_; }
 
   bool play_ok_received() const { return play_ok_received_; }
   bool end_of_stream() const { return eos_received_; }
   bool playback_started() const { return playout_start_.has_value(); }
-  bool playback_finished() const { return playback_finished_; }
 
-  // --- Session recovery state ---
-  /// PLAY requests sent (1 when the first succeeded without retries).
-  std::uint32_t play_attempts() const { return play_attempts_; }
-  /// True once the server answered (PLAY-OK or first data packet).
-  bool session_established() const { return play_ok_received_ || first_data_.has_value(); }
-  /// Retries exhausted without any server response.
-  bool session_abandoned() const { return session_abandoned_; }
-  /// The inactivity watchdog declared the stream dead mid-session.
-  bool stream_dead() const { return stream_dead_; }
   /// When the session ended abnormally (abandoned or declared dead).
   std::optional<SimTime> session_failure_time() const { return failure_time_; }
   /// When the server first answered.
@@ -159,17 +210,8 @@ class StreamClient {
   /// {kCompleted, kDead, kConnecting} — the last is mirror failover).
   audit::SessionPhase session_phase() const { return phase_; }
 
-  // --- Failover state ---
-  /// Mirror failovers committed (0 = the original server carried the whole
-  /// session).
-  std::uint32_t failover_count() const { return failover_count_; }
-  /// Destination Unreachable packets observed about the active server.
-  std::uint64_t icmp_unreachables() const { return icmp_unreachables_; }
   /// The server the session is currently (or was last) bound to.
   Endpoint active_server() const { return server_; }
-  /// Media position the most recent failover PLAY asked the mirror to
-  /// resume from (0 before any failover).
-  std::uint64_t resume_offset() const { return resume_offset_; }
   /// Closed [start, end) rebuffering stall intervals, in playout order —
   /// what lets a campaign attribute stall time to fault episodes that
   /// overlap them.
@@ -177,74 +219,10 @@ class StreamClient {
     return stalls_;
   }
 
-  // --- Loss repair state (all zero when Config::repair is disabled) ---
-  /// App packets the repair layer delivered that the network lost: FEC
-  /// reconstructions plus NACK-triggered retransmissions that filled a gap.
-  std::uint64_t packets_recovered() const {
-    return repair_ ? repair_->recovered_by_fec + repair_->recovered_by_retx : 0;
-  }
-  std::uint64_t recovered_by_fec() const { return repair_ ? repair_->recovered_by_fec : 0; }
-  std::uint64_t recovered_by_retx() const { return repair_ ? repair_->recovered_by_retx : 0; }
-  /// NACK messages sent (each carries up to 17 missing sequences).
-  std::uint64_t nacks_sent() const { return repair_ ? repair_->nacks_sent : 0; }
-  std::uint64_t parity_packets_received() const {
-    return repair_ ? repair_->parity_packets : 0;
-  }
-  /// Wire bytes of parity traffic received (repair bandwidth overhead).
-  std::uint64_t parity_wire_bytes() const { return repair_ ? repair_->parity_bytes : 0; }
-  /// Wire bytes of retransmitted data received (repair bandwidth overhead).
-  std::uint64_t retx_wire_bytes() const { return repair_ ? repair_->retx_bytes : 0; }
-  /// Gap-to-repair delay of each recovered packet, in recovery order.
-  const std::vector<Duration>& repair_latencies() const {
-    static const std::vector<Duration> kEmpty;
-    return repair_ ? repair_->latencies : kEmpty;
-  }
-
-  // --- Multipath state (all zero when Config::multipath is disabled) ---
-  /// Distinct packets received on one subflow (multipath-framed only).
-  std::uint64_t subflow_packets_received(int id) const {
-    return multipath_ ? multipath_->rx[static_cast<std::size_t>(id)].packets_received : 0;
-  }
-  /// Per-subflow gap count: sequence numbers the subflow's own space shows
-  /// as never delivered on that path (the per-path loss figure).
-  std::uint64_t subflow_packets_lost(int id) const;
-  /// Media payload bytes delivered by one subflow (per-path goodput basis).
-  std::uint64_t subflow_media_bytes(int id) const {
-    return multipath_ ? multipath_->rx[static_cast<std::size_t>(id)].media_bytes : 0;
-  }
-  /// Rebuffer stalls attributed to one subflow (the stalest path when the
-  /// stall began).
-  std::uint32_t subflow_stall_attributions(int id) const {
-    return multipath_ ? multipath_->rx[static_cast<std::size_t>(id)].stall_attributions
-                      : 0;
-  }
-  /// p95 of the join-buffer occupancy (reorder depth the striping produced).
-  std::uint32_t reorder_depth_p95() const {
-    return multipath_ ? multipath_->join.reorder_depth_p95() : 0;
-  }
-  std::uint64_t join_duplicates_dropped() const {
-    return multipath_ ? multipath_->join.duplicates_dropped() : 0;
-  }
-  std::uint64_t join_forced_releases() const {
-    return multipath_ ? multipath_->join.forced_releases() : 0;
-  }
-  /// NACKs the reorder-tolerance window suppressed (join jitter absorbed
-  /// without a retransmit request).
-  std::uint64_t nack_suppressed() const {
-    return repair_ ? repair_->nack.suppressed() : 0;
-  }
-  /// Path reports sent to the server (across all subflows).
-  std::uint64_t path_reports_sent() const {
-    return multipath_ ? multipath_->reports_sent : 0;
-  }
-
   std::optional<SimTime> first_data_time() const { return first_data_; }
   std::optional<SimTime> last_data_time() const { return last_data_; }
   std::optional<SimTime> playout_start_time() const { return playout_start_; }
   std::optional<SimTime> playback_end_time() const { return playback_end_; }
-  /// Rebuffering statistics (always zero when Config::rebuffering is off).
-  std::uint32_t rebuffer_events() const { return rebuffer_events_; }
-  Duration total_stall_time() const { return total_stall_time_; }
 
   const EncodedClip& clip() const { return clip_; }
   PlayerKind kind() const { return config_.kind; }
@@ -311,6 +289,8 @@ class StreamClient {
     return next_mirror_ < config_.failover.mirrors.size();
   }
   void failover(SimTime now);
+  /// Sequences missing from the current failover epoch.
+  std::uint64_t epoch_packets_lost() const;
   void close_stall_interval(SimTime now);
   void abandon_remaining_frames(std::size_t from_index);
   void send_receiver_report();
@@ -339,30 +319,24 @@ class StreamClient {
   std::optional<SimTime> playback_end_;
   bool play_ok_received_ = false;
   bool eos_received_ = false;
-  bool playback_finished_ = false;
+
+  /// The counters stats() reports, updated in place; the fields stats()
+  /// derives when read stay zero here.
+  Stats stats_;
 
   std::vector<FrameEvent> frame_events_;
-  std::uint32_t frames_rendered_ = 0;
-  std::uint32_t frames_dropped_ = 0;
   Duration playout_shift_;          ///< accumulated rebuffering stalls
   Duration current_stall_;          ///< stall time of the frame being waited on
-  std::uint32_t rebuffer_events_ = 0;
-  Duration total_stall_time_;
 
   std::uint64_t max_seq_seen_ = 0;
   bool any_seq_seen_ = false;
   IntervalSet seq_seen_;                  ///< distinct sequence numbers received
-  std::uint64_t duplicate_packets_ = 0;
-  std::uint64_t wire_media_bytes_ = 0;  ///< media+header bytes received
 
   // Session recovery state.
   audit::SessionPhase phase_ = audit::SessionPhase::kIdle;
-  std::uint32_t play_attempts_ = 0;
   Duration next_play_timeout_;
   EventHandle play_timer_;
   EventHandle watchdog_timer_;
-  bool session_abandoned_ = false;
-  bool stream_dead_ = false;
   std::optional<SimTime> failure_time_;
   std::optional<SimTime> established_time_;
 
@@ -371,12 +345,9 @@ class StreamClient {
   // all reset (the mirror numbers from 0), while cumulative results
   // (coverage, packets, losses of finished epochs) carry over.
   std::size_t next_mirror_ = 0;
-  std::uint32_t failover_count_ = 0;
-  std::uint64_t icmp_unreachables_ = 0;
   int unreachable_streak_ = 0;
   bool current_server_answered_ = false;
   std::uint32_t play_attempts_current_ = 0;  ///< PLAYs sent to the active server
-  std::uint64_t resume_offset_ = 0;
   std::uint64_t lost_prior_epochs_ = 0;
   SimTime liveness_anchor_;  ///< (re)establishment time, watchdog baseline
   bool icmp_handler_installed_ = false;
@@ -400,25 +371,17 @@ class StreamClient {
     EventHandle nack_timer;
     SimTime play_sent_at;
     bool rtt_known = false;
-    std::uint64_t recovered_by_fec = 0;
-    std::uint64_t recovered_by_retx = 0;
-    std::uint64_t nacks_sent = 0;
-    std::uint64_t parity_packets = 0;
-    std::uint64_t parity_bytes = 0;
-    std::uint64_t retx_packets = 0;
-    std::uint64_t retx_bytes = 0;
+    /// Gap-to-repair delay of each recovered packet, in recovery order.
     std::vector<Duration> latencies;
   };
   std::unique_ptr<RepairState> repair_;
 
-  /// Per-subflow reception accounting (multipath-framed packets only).
+  /// Per-subflow reception state (multipath-framed packets only); the
+  /// counters live in stats_.subflow.
   struct SubflowRx {
-    std::uint64_t packets_received = 0;
-    std::uint64_t media_bytes = 0;
     std::uint32_t max_subflow_seq = 0;
     bool any = false;
     SimTime last_arrival;
-    std::uint32_t stall_attributions = 0;
   };
 
   /// Multipath reception state, allocated only when Config::multipath is
@@ -431,7 +394,6 @@ class StreamClient {
     EventHandle report_timer;
     bool report_timer_armed = false;
     bool stopped = false;  ///< failover: the mirror epoch is single-path
-    std::uint64_t reports_sent = 0;
   };
   std::unique_ptr<MultipathState> multipath_;
 

@@ -109,7 +109,7 @@ void StreamServer::handle_control(std::span<const std::uint8_t> payload, Endpoin
         // whose PLAY-OK — was lost). Re-acknowledge idempotently so client
         // retries are always safe; never restart the send schedule.
         if (from == client_) {
-          ++duplicate_play_requests_;
+          ++stats_.duplicate_play_requests;
           ControlMessage ok{ControlType::kPlayOk, clip_.info().id()};
           const auto ok_bytes = ok.encode();
           host_.udp_send(port_, client_, ok_bytes);
@@ -156,20 +156,20 @@ void StreamServer::handle_control(std::span<const std::uint8_t> payload, Endpoin
 }
 
 void StreamServer::handle_nack(const ControlMessage& msg) {
-  ++repair_->nacks_received;
+  ++stats_.nacks_received;
   if (obs_) obs_->nacks_received.add();
   const SimTime now = host_.loop().now();
   for (const std::uint32_t seq : nack_requested_seqs(msg)) {
     const auto entry = repair_->buffer.lookup(seq);
     if (!entry) {
-      ++repair_->retx_unavailable;
+      ++stats_.retx_unavailable;
       continue;
     }
     const std::size_t wire_bytes = kDataHeaderSize + entry->media_len;
     if (!repair_->pacer.try_consume(now, wire_bytes)) {
       // Out of tokens: drop this retransmission; the client's retry budget
       // re-requests it after another RTT-scaled delay.
-      ++repair_->retx_suppressed;
+      ++stats_.retx_suppressed;
       continue;
     }
     DataHeader header;
@@ -179,8 +179,8 @@ void StreamServer::handle_nack(const ControlMessage& msg) {
     const std::size_t size = header.wire_size(entry->media_len);
     host_.udp_send(port_, client_, size,
                    [&header](std::span<std::uint8_t> out) { header.write(out); });
-    ++repair_->retx_packets;
-    repair_->retx_bytes += size;
+    ++stats_.retx_packets;
+    stats_.retx_bytes += size;
     if (obs_) obs_->retx_sent.add();
   }
 }
@@ -189,8 +189,8 @@ void StreamServer::send_parity(const ParityOut& parity) {
   const std::size_t size = ParityHeader::wire_size(parity.pad_len);
   host_.udp_send(port_, client_, size,
                  [&parity](std::span<std::uint8_t> out) { parity.header.write(out); });
-  ++repair_->parity_packets;
-  repair_->parity_bytes += size;
+  ++stats_.parity_packets;
+  stats_.parity_bytes += size;
   if (obs_) obs_->parity_sent.add();
 }
 

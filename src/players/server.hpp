@@ -37,6 +37,19 @@ class StreamServer {
     bool buffering_phase = false;
   };
 
+  /// Session counters; the repair fields stay zero while repair is off.
+  struct Stats {
+    /// PLAY retransmissions re-acknowledged after the session started.
+    std::uint64_t duplicate_play_requests = 0;
+    std::uint64_t parity_packets = 0;
+    std::uint64_t parity_bytes = 0;
+    std::uint64_t nacks_received = 0;
+    std::uint64_t retx_packets = 0;      ///< retransmissions answered
+    std::uint64_t retx_bytes = 0;
+    std::uint64_t retx_suppressed = 0;   ///< dropped: the pacer was out of tokens
+    std::uint64_t retx_unavailable = 0;  ///< NACKed, already off the ring
+  };
+
   /// Binds the control/data port on `host` and waits for a PLAY request.
   StreamServer(Host& host, EncodedClip clip, std::uint16_t port);
   virtual ~StreamServer();
@@ -52,8 +65,7 @@ class StreamServer {
   /// Lifecycle phase as reported to the invariant auditor
   /// (kIdle -> kStreaming -> kFinished).
   audit::SessionPhase session_phase() const { return audit_phase_; }
-  /// PLAY retransmissions re-acknowledged after the session started.
-  std::uint64_t duplicate_play_requests() const { return duplicate_play_requests_; }
+  const Stats& stats() const { return stats_; }
   const std::vector<SendEvent>& send_log() const { return send_log_; }
   /// Wall-clock streaming duration (first send to last send).
   Duration streaming_duration() const;
@@ -87,12 +99,6 @@ class StreamServer {
   std::uint64_t path_switches() const {
     return multipath_ ? multipath_->scheduler.path_switches() : 0;
   }
-  std::uint64_t subflow_packets_sent(int id) const {
-    return multipath_ ? multipath_->scheduler.stats(id).packets_sent : 0;
-  }
-  std::uint64_t subflow_media_bytes_sent(int id) const {
-    return multipath_ ? multipath_->scheduler.stats(id).media_bytes_sent : 0;
-  }
   /// True while every subflow is draining (degraded to primary-only).
   bool multipath_degraded() const {
     return multipath_ != nullptr && multipath_->scheduler.all_draining();
@@ -100,17 +106,6 @@ class StreamServer {
   const SubflowScheduler* multipath_scheduler() const {
     return multipath_ ? &multipath_->scheduler : nullptr;
   }
-
-  // --- Repair-side statistics (zero when repair is off) ---
-  std::uint64_t parity_packets_sent() const { return repair_ ? repair_->parity_packets : 0; }
-  std::uint64_t parity_bytes_sent() const { return repair_ ? repair_->parity_bytes : 0; }
-  std::uint64_t nacks_received() const { return repair_ ? repair_->nacks_received : 0; }
-  std::uint64_t retransmissions_sent() const { return repair_ ? repair_->retx_packets : 0; }
-  std::uint64_t retx_bytes_sent() const { return repair_ ? repair_->retx_bytes : 0; }
-  /// Retransmissions suppressed because the pacer was out of tokens.
-  std::uint64_t retx_suppressed_pacer() const { return repair_ ? repair_->retx_suppressed : 0; }
-  /// NACKed sequences that had already left the retransmission ring.
-  std::uint64_t retx_unavailable() const { return repair_ ? repair_->retx_unavailable : 0; }
 
  protected:
   /// Invoked when a PLAY request arrives; implementations start their send
@@ -158,7 +153,7 @@ class StreamServer {
   audit::SessionPhase audit_phase_ = audit::SessionPhase::kIdle;
   std::uint32_t next_seq_ = 0;
   std::uint64_t next_offset_ = 0;
-  std::uint64_t duplicate_play_requests_ = 0;
+  Stats stats_;
   std::vector<SendEvent> send_log_;
 
   struct ScalingState {
@@ -173,13 +168,6 @@ class StreamServer {
     FecBlockEncoder encoder;
     RetransmitBuffer buffer;
     TokenBucketPacer pacer;
-    std::uint64_t parity_packets = 0;
-    std::uint64_t parity_bytes = 0;
-    std::uint64_t nacks_received = 0;
-    std::uint64_t retx_packets = 0;
-    std::uint64_t retx_bytes = 0;
-    std::uint64_t retx_suppressed = 0;
-    std::uint64_t retx_unavailable = 0;
   };
   std::unique_ptr<RepairState> repair_;
 

@@ -13,26 +13,26 @@ void PlayerTracker::start(Duration max_duration) {
 
 void PlayerTracker::poll() {
   EventLoop& loop = client_.host().loop();
+  const StreamClient::Stats stats = client_.stats();
   TrackerSample s;
   s.time = loop.now();
-  const std::uint32_t rendered = client_.frames_rendered();
-  s.frame_rate_fps =
-      static_cast<double>(rendered - last_frames_rendered_) / interval_.to_seconds();
-  last_frames_rendered_ = rendered;
+  s.frame_rate_fps = static_cast<double>(stats.frames_rendered - last_frames_rendered_) /
+                     interval_.to_seconds();
+  last_frames_rendered_ = stats.frames_rendered;
 
-  const std::uint64_t wire = client_.wire_bytes_received();
   s.playback_bandwidth = BitRate(static_cast<std::int64_t>(
-      static_cast<double>(wire - last_wire_bytes_) * 8.0 / interval_.to_seconds()));
-  last_wire_bytes_ = wire;
+      static_cast<double>(stats.wire_bytes - last_wire_bytes_) * 8.0 /
+      interval_.to_seconds()));
+  last_wire_bytes_ = stats.wire_bytes;
 
-  s.packets_received = client_.packets_received();
-  s.packets_lost = client_.packets_lost();
-  s.packets_recovered = client_.packets_recovered();
+  s.packets_received = stats.packets_received;
+  s.packets_lost = stats.packets_lost;
+  s.packets_recovered = stats.packets_recovered();
   s.buffering = !client_.playback_started() ||
                 loop.now() < client_.playout_start_time().value_or(SimTime::max());
   samples_.push_back(s);
 
-  if (client_.playback_finished() || loop.now() >= deadline_) return;
+  if (stats.completed || loop.now() >= deadline_) return;
   loop.post_in(interval_, [this] { poll(); });
 }
 
@@ -46,11 +46,12 @@ TrackerReport PlayerTracker::report() const {
   r.samples = samples_;
 
   r.average_playback_bandwidth = client_.average_playback_rate();
-  r.total_packets = client_.packets_received();
-  r.total_lost = client_.packets_lost();
-  r.total_recovered = client_.packets_recovered();
-  r.frames_rendered = client_.frames_rendered();
-  r.frames_dropped = client_.frames_dropped();
+  const StreamClient::Stats stats = client_.stats();
+  r.total_packets = stats.packets_received;
+  r.total_lost = stats.packets_lost;
+  r.total_recovered = stats.packets_recovered();
+  r.frames_rendered = stats.frames_rendered;
+  r.frames_dropped = stats.frames_dropped;
 
   // Average frame rate over the playing phase only (buffering samples have
   // no frames by construction and would bias the mean).

@@ -134,7 +134,7 @@ TEST(CongestionWithScaling, ScalingRecoversQuality) {
   // the unadapted overload run. Sent frames = total - thinned.
   const double sent_frames =
       static_cast<double>(encoded.frames().size()) - server.frames_thinned();
-  const double rendered = client.frames_rendered();
+  const double rendered = client.stats().frames_rendered;
   const double adaptive_quality = 100.0 * rendered / sent_frames;
   EXPECT_GT(adaptive_quality, baseline.reception_quality + 10.0);
 }

@@ -48,26 +48,6 @@ TurbulenceScenarioConfig long_outage_config() {
 
 const ClipSet& study_set() { return table1_catalog()[0]; }
 
-void expect_identical(const SessionRecoveryMetrics& a, const SessionRecoveryMetrics& b) {
-  EXPECT_EQ(a.established, b.established);
-  EXPECT_EQ(a.abandoned, b.abandoned);
-  EXPECT_EQ(a.stream_dead, b.stream_dead);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.play_attempts, b.play_attempts);
-  ASSERT_EQ(a.time_to_recover.has_value(), b.time_to_recover.has_value());
-  if (a.time_to_recover)
-    EXPECT_EQ(a.time_to_recover->ns(), b.time_to_recover->ns());
-  EXPECT_EQ(a.rebuffer_events, b.rebuffer_events);
-  EXPECT_EQ(a.stall_time.ns(), b.stall_time.ns());
-  EXPECT_EQ(a.frames_rendered, b.frames_rendered);
-  EXPECT_EQ(a.frames_dropped, b.frames_dropped);
-  EXPECT_EQ(a.frames_dropped_during_episodes, b.frames_dropped_during_episodes);
-  EXPECT_EQ(a.frames_dropped_after_episodes, b.frames_dropped_after_episodes);
-  EXPECT_EQ(a.packets_received, b.packets_received);
-  EXPECT_EQ(a.packets_lost, b.packets_lost);
-  EXPECT_EQ(a.duplicate_packets, b.duplicate_packets);
-}
-
 TEST(FaultRecovery, ShortOutageSurvivedWithZeroAbandonedSessions) {
   const auto run =
       run_turbulence_pair(study_set(), RateTier::kLow, short_outage_config());
@@ -116,8 +96,8 @@ TEST(FaultRecovery, DeterministicAcrossRunsWithSameSeed) {
   const auto short_b =
       run_turbulence_pair(study_set(), RateTier::kLow, short_outage_config());
   ASSERT_TRUE(short_a.real && short_b.real && short_a.media && short_b.media);
-  expect_identical(*short_a.real, *short_b.real);
-  expect_identical(*short_a.media, *short_b.media);
+  EXPECT_EQ(*short_a.real, *short_b.real);
+  EXPECT_EQ(*short_a.media, *short_b.media);
   ASSERT_EQ(short_a.episodes.size(), short_b.episodes.size());
   for (std::size_t i = 0; i < short_a.episodes.size(); ++i)
     EXPECT_EQ(short_a.episodes[i].packets_dropped, short_b.episodes[i].packets_dropped);
@@ -127,8 +107,8 @@ TEST(FaultRecovery, DeterministicAcrossRunsWithSameSeed) {
   const auto long_b =
       run_turbulence_pair(study_set(), RateTier::kLow, long_outage_config());
   ASSERT_TRUE(long_a.real && long_b.real && long_a.media && long_b.media);
-  expect_identical(*long_a.real, *long_b.real);
-  expect_identical(*long_a.media, *long_b.media);
+  EXPECT_EQ(*long_a.real, *long_b.real);
+  EXPECT_EQ(*long_a.media, *long_b.media);
 }
 
 TEST(FaultRecovery, CsvExportCarriesScenarioRows) {

@@ -105,10 +105,10 @@ TEST(MultipathStriping, SurvivesFlapsThatForceTheBaselineToFailOver) {
   EXPECT_EQ(mp.failovers, 0u);
   EXPECT_FALSE(mp.multipath_degraded);
   // Both subflows carried real media: this was a stripe, not a failover.
-  EXPECT_GT(mp.primary_packets, 0u);
-  EXPECT_GT(mp.detour_packets, 0u);
-  EXPECT_GT(mp.primary_goodput_kbps, 0.0);
-  EXPECT_GT(mp.detour_goodput_kbps, 0.0);
+  EXPECT_GT(mp.subflow[0].packets, 0u);
+  EXPECT_GT(mp.subflow[1].packets, 0u);
+  EXPECT_GT(mp.goodput_kbps(0), 0.0);
+  EXPECT_GT(mp.goodput_kbps(1), 0.0);
 
   // The spare-only baseline can only respond to each flap by failing over;
   // flap 1 burns its single mirror and flap 2 trips the watchdog with no
@@ -139,11 +139,11 @@ TEST(MultipathStriping, AttributesStallsAndLossPerPath) {
   // The flapped boundary router sits on the *primary* span; the repair plane
   // heals it within the detection window, but whatever loss and stall the
   // flaps do cost must be pinned on the primary subflow, not smeared.
-  EXPECT_GE(m.primary_lost, m.detour_lost);
-  EXPECT_LE(m.primary_loss_ratio(), 1.0);
-  EXPECT_LE(m.detour_loss_ratio(), 1.0);
+  EXPECT_GE(m.subflow[0].lost, m.subflow[1].lost);
+  EXPECT_LE(m.subflow[0].loss_ratio(), 1.0);
+  EXPECT_LE(m.subflow[1].loss_ratio(), 1.0);
   // Stall attribution is conserved: every attributed stall names a path.
-  EXPECT_LE(m.primary_stalls + m.detour_stalls, m.rebuffer_events + 1u);
+  EXPECT_LE(m.subflow[0].stalls + m.subflow[1].stalls, m.rebuffer_events + 1u);
   // The join buffer saw cross-path reordering but stayed bounded.
   EXPECT_LE(m.reorder_depth_p95, 256u);
 }
@@ -160,11 +160,7 @@ TEST(MultipathStriping, ReplaysBitIdentically) {
   const auto [digest_b, run_b] = run_once();
   EXPECT_EQ(digest_a, digest_b);
   ASSERT_TRUE(run_a.media && run_b.media);
-  EXPECT_EQ(run_a.media->packets_received, run_b.media->packets_received);
-  EXPECT_EQ(run_a.media->primary_packets, run_b.media->primary_packets);
-  EXPECT_EQ(run_a.media->detour_packets, run_b.media->detour_packets);
-  EXPECT_EQ(run_a.media->path_switches, run_b.media->path_switches);
-  EXPECT_EQ(run_a.media->stall_time.ns(), run_b.media->stall_time.ns());
+  EXPECT_EQ(*run_a.media, *run_b.media);
 }
 
 TEST(MultipathStriping, CampaignDigestSeparatesMultipathVariants) {

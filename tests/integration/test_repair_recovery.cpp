@@ -50,9 +50,9 @@ RepairLayerConfig fec_nack_repair() {
 }
 
 void expect_repair_metrics_consistent(const SessionRecoveryMetrics& m) {
-  EXPECT_EQ(m.packets_recovered, m.recovered_by_fec + m.recovered_by_retx);
-  EXPECT_LE(m.packets_recovered, m.packets_received);
-  EXPECT_LE(m.repair_wire_bytes, m.total_wire_bytes);
+  EXPECT_EQ(m.packets_recovered(), m.recovered_by_fec + m.recovered_by_retx);
+  EXPECT_LE(m.packets_recovered(), m.packets_received);
+  EXPECT_LE(m.repair_wire_bytes(), m.total_wire_bytes());
   EXPECT_GE(m.recovery_ratio(), 0.0);
   EXPECT_LE(m.recovery_ratio(), 1.0);
   EXPECT_GE(m.repair_latency_p95_ms, m.repair_latency_mean_ms * 0.5);
@@ -70,14 +70,14 @@ TEST(RepairRecovery, FecNackRecoversAtLeast80PctUnderBurstLoss) {
 
     // The episode must have produced a meaningful loss epoch to repair:
     // >= 5% of the session's application packets went missing on the wire.
-    const std::uint64_t wire_lost = m->packets_recovered + m->packets_lost;
+    const std::uint64_t wire_lost = m->packets_recovered() + m->packets_lost;
     const std::uint64_t sent = m->packets_received + m->packets_lost;
     ASSERT_GT(sent, 0u);
     EXPECT_GE(static_cast<double>(wire_lost) / static_cast<double>(sent), 0.05)
         << clip->id();
 
     // The acceptance bar: at least 80% of the lost packets repaired.
-    EXPECT_GT(m->packets_recovered, 0u) << clip->id();
+    EXPECT_GT(m->packets_recovered(), 0u) << clip->id();
     EXPECT_GE(m->recovery_ratio(), 0.80) << clip->id();
     EXPECT_GT(m->recovered_by_fec, 0u) << clip->id();
     EXPECT_GT(m->parity_packets, 0u) << clip->id();
@@ -93,12 +93,12 @@ TEST(RepairRecovery, DisabledRepairReportsZeroRecovered) {
   const auto run = run_turbulence_clip(pair.second, burst_loss_config());
   ASSERT_TRUE(run.media.has_value());
   const auto& m = *run.media;
-  EXPECT_EQ(m.packets_recovered, 0u);
+  EXPECT_EQ(m.packets_recovered(), 0u);
   EXPECT_EQ(m.recovered_by_fec, 0u);
   EXPECT_EQ(m.recovered_by_retx, 0u);
   EXPECT_EQ(m.nacks_sent, 0u);
   EXPECT_EQ(m.parity_packets, 0u);
-  EXPECT_EQ(m.repair_wire_bytes, 0u);
+  EXPECT_EQ(m.repair_wire_bytes(), 0u);
   EXPECT_EQ(m.recovery_ratio(), 0.0);
   EXPECT_EQ(m.repair_overhead(), 0.0);
   // The same loss epoch hits the unrepaired baseline undiminished.
@@ -124,16 +124,7 @@ TEST(RepairRecovery, RepairedRunReplaysDeterministically) {
   const auto a = run_turbulence_clip(pair.second, cfg);
   const auto b = run_turbulence_clip(pair.second, cfg);
   ASSERT_TRUE(a.media && b.media);
-  EXPECT_EQ(a.media->packets_received, b.media->packets_received);
-  EXPECT_EQ(a.media->packets_lost, b.media->packets_lost);
-  EXPECT_EQ(a.media->packets_recovered, b.media->packets_recovered);
-  EXPECT_EQ(a.media->recovered_by_fec, b.media->recovered_by_fec);
-  EXPECT_EQ(a.media->recovered_by_retx, b.media->recovered_by_retx);
-  EXPECT_EQ(a.media->nacks_sent, b.media->nacks_sent);
-  EXPECT_EQ(a.media->parity_packets, b.media->parity_packets);
-  EXPECT_EQ(a.media->repair_wire_bytes, b.media->repair_wire_bytes);
-  EXPECT_EQ(a.media->repair_latency_mean_ms, b.media->repair_latency_mean_ms);
-  EXPECT_EQ(a.media->frames_rendered, b.media->frames_rendered);
+  EXPECT_EQ(*a.media, *b.media);
 }
 
 TEST(RepairRecovery, RepairSurvivesRouterDownChaos) {
@@ -174,9 +165,9 @@ TEST(RepairRecovery, TurbulenceCsvCarriesRecoveryColumns) {
   // acceptance bar — spot-check by recomputing from the run itself.
   ASSERT_TRUE(runs[0].second.media.has_value());
   const auto& m = *runs[0].second.media;
-  EXPECT_NE(csv.find("," + std::to_string(m.packets_recovered) + ","),
+  EXPECT_NE(csv.find("," + std::to_string(m.packets_recovered()) + ","),
             std::string::npos);
-  EXPECT_GT(m.packets_recovered, 0u);
+  EXPECT_GT(m.packets_recovered(), 0u);
 }
 
 }  // namespace

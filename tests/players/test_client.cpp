@@ -15,8 +15,8 @@ TEST(StreamClient, ReceivesWholeClip) {
   s.run();
   EXPECT_TRUE(s.client->end_of_stream());
   EXPECT_EQ(s.client->media_bytes_received(), s.encoded.total_bytes());
-  EXPECT_EQ(s.client->packets_lost(), 0u);
-  EXPECT_EQ(s.client->packets_received(), s.server->send_log().size());
+  EXPECT_EQ(s.client->stats().packets_lost, 0u);
+  EXPECT_EQ(s.client->stats().packets_received, s.server->send_log().size());
 }
 
 TEST(StreamClient, PlaybackStartsAfterPreroll) {
@@ -41,10 +41,10 @@ TEST(StreamClient, RealPrerollDiffers) {
 TEST(StreamClient, RendersEssentiallyAllFramesOnCleanPath) {
   Session s(short_clip(PlayerKind::kRealPlayer, 60, 20));
   s.run();
-  EXPECT_TRUE(s.client->playback_finished());
-  const auto total = s.client->frames_rendered() + s.client->frames_dropped();
+  EXPECT_TRUE(s.client->stats().completed);
+  const auto total = s.client->stats().frames_rendered + s.client->stats().frames_dropped;
   EXPECT_EQ(total, s.encoded.frames().size());
-  EXPECT_GE(static_cast<double>(s.client->frames_rendered()) / total, 0.98);
+  EXPECT_GE(static_cast<double>(s.client->stats().frames_rendered) / total, 0.98);
 }
 
 TEST(StreamClient, FrameEventsMatchPlayoutSchedule) {
@@ -125,7 +125,7 @@ TEST(StreamClient, LossyPathCountsLostPackets) {
   path.seed = 3;
   Session s(short_clip(PlayerKind::kRealPlayer, 100, 20), path);
   s.run();
-  EXPECT_GT(s.client->packets_lost(), 0u);
+  EXPECT_GT(s.client->stats().packets_lost, 0u);
   EXPECT_LT(s.client->media_bytes_received(), s.encoded.total_bytes());
 }
 
@@ -135,8 +135,8 @@ TEST(StreamClient, LossyPathDropsAffectedFramesOnly) {
   path.seed = 11;
   Session s(short_clip(PlayerKind::kMediaPlayer, 150, 20), path);
   s.run();
-  EXPECT_GT(s.client->frames_dropped(), 0u);
-  EXPECT_GT(s.client->frames_rendered(), s.client->frames_dropped() * 5);
+  EXPECT_GT(s.client->stats().frames_dropped, 0u);
+  EXPECT_GT(s.client->stats().frames_rendered, s.client->stats().frames_dropped * 5);
 }
 
 TEST(StreamClient, IgnoresTrafficFromOtherServers) {

@@ -46,9 +46,9 @@ TEST(ClientRobustness, DuplicateDatagramsCountedOnceInCoverage) {
   h.deliver(0, 0, 1000);
   h.deliver(0, 0, 1000);  // exact duplicate
   EXPECT_EQ(h.client.media_bytes_received(), 1000u);
-  EXPECT_EQ(h.client.packets_received(), 2u);  // both packets arrived...
-  EXPECT_EQ(h.client.packets_lost(), 0u);      // ...and nothing is "lost"
-  EXPECT_EQ(h.client.duplicate_packets(), 1u);
+  EXPECT_EQ(h.client.stats().packets_received, 2u);  // both packets arrived...
+  EXPECT_EQ(h.client.stats().packets_lost, 0u);      // ...and nothing is "lost"
+  EXPECT_EQ(h.client.stats().duplicate_packets, 1u);
 }
 
 TEST(ClientRobustness, OutOfOrderDeliveryCoversCorrectly) {
@@ -57,8 +57,8 @@ TEST(ClientRobustness, OutOfOrderDeliveryCoversCorrectly) {
   h.deliver(0, 0, 1000);
   h.deliver(2, 2000, 500);
   EXPECT_EQ(h.client.media_bytes_received(), 2500u);
-  EXPECT_EQ(h.client.packets_lost(), 0u);
-  EXPECT_EQ(h.client.duplicate_packets(), 0u);  // reordering is not duplication
+  EXPECT_EQ(h.client.stats().packets_lost, 0u);
+  EXPECT_EQ(h.client.stats().duplicate_packets, 0u);  // reordering is not duplication
 }
 
 TEST(ClientRobustness, OverlappingRangesMergeNotDoubleCount) {
@@ -72,7 +72,7 @@ TEST(ClientRobustness, GapDetectedAsLoss) {
   RawClientHarness h;
   h.deliver(0, 0, 1000);
   h.deliver(2, 2000, 1000);  // seq 1 missing
-  EXPECT_EQ(h.client.packets_lost(), 1u);
+  EXPECT_EQ(h.client.stats().packets_lost, 1u);
   EXPECT_EQ(h.client.media_bytes_received(), 2000u);
 }
 
@@ -82,7 +82,7 @@ TEST(ClientRobustness, GarbagePayloadIgnored) {
   h.server_host.udp_send(kRealServerPort,
                          Endpoint{h.client_host.address(), kRealClientPort}, junk);
   h.loop.run();
-  EXPECT_EQ(h.client.packets_received(), 0u);
+  EXPECT_EQ(h.client.stats().packets_received, 0u);
   EXPECT_EQ(h.client.media_bytes_received(), 0u);
 }
 
@@ -93,7 +93,7 @@ TEST(ClientRobustness, TruncatedHeaderIgnored) {
   h.server_host.udp_send(kRealServerPort,
                          Endpoint{h.client_host.address(), kRealClientPort}, stub);
   h.loop.run();
-  EXPECT_EQ(h.client.packets_received(), 0u);
+  EXPECT_EQ(h.client.stats().packets_received, 0u);
 }
 
 TEST(ClientRobustness, EosWithoutDataStillMarksEnd) {
@@ -108,7 +108,7 @@ TEST(ClientRobustness, SeqWindowLossAccountingMonotone) {
   // Deliver every other sequence number.
   for (std::uint32_t i = 0; i < 20; i += 2) h.deliver(i, i * 500, 500);
   // max_seq = 18, received 10 -> 9 lost.
-  EXPECT_EQ(h.client.packets_lost(), 9u);
+  EXPECT_EQ(h.client.stats().packets_lost, 9u);
 }
 
 }  // namespace

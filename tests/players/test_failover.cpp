@@ -99,14 +99,14 @@ TEST(Failover, ExhaustedPlayRetriesSwitchToMirror) {
   h.client->start();
   h.loop.run();
 
-  EXPECT_EQ(h.client->failover_count(), 1u);
-  EXPECT_FALSE(h.client->session_abandoned());
-  EXPECT_TRUE(h.client->session_established());
+  EXPECT_EQ(h.client->stats().failovers, 1u);
+  EXPECT_FALSE(h.client->stats().abandoned);
+  EXPECT_TRUE(h.client->stats().established);
   EXPECT_EQ(h.client->active_server(), h.mirror_endpoint());
   EXPECT_FALSE(h.primary.started());
   EXPECT_TRUE(h.mirror.started());
   EXPECT_TRUE(h.client->end_of_stream());
-  EXPECT_EQ(h.client->resume_offset(), 0u);  // nothing received before the switch
+  EXPECT_EQ(h.client->stats().resume_offset, 0u);  // nothing received before the switch
 }
 
 TEST(Failover, IcmpUnreachableFailsOverBeforeRetriesExhaust) {
@@ -122,10 +122,10 @@ TEST(Failover, IcmpUnreachableFailsOverBeforeRetriesExhaust) {
 
   // Three quoted unreachables hit the threshold; the session switched long
   // before the ten PLAY attempts were spent.
-  EXPECT_EQ(h.client->icmp_unreachables(), 3u);
-  EXPECT_EQ(h.client->failover_count(), 1u);
-  EXPECT_TRUE(h.client->session_established());
-  EXPECT_LT(h.client->play_attempts(), 10u);
+  EXPECT_EQ(h.client->stats().icmp_unreachables, 3u);
+  EXPECT_EQ(h.client->stats().failovers, 1u);
+  EXPECT_TRUE(h.client->stats().established);
+  EXPECT_LT(h.client->stats().play_attempts, 10u);
   EXPECT_TRUE(h.mirror.started());
 }
 
@@ -145,8 +145,8 @@ TEST(Failover, UnreachableQuotingOtherDestinationsIgnored) {
   h.loop.schedule_at(SimTime::from_seconds(0.01), [&] { h.send_unreachable(unrelated); });
   h.loop.run();
 
-  EXPECT_EQ(h.client->icmp_unreachables(), 0u);
-  EXPECT_EQ(h.client->failover_count(), 0u);
+  EXPECT_EQ(h.client->stats().icmp_unreachables, 0u);
+  EXPECT_EQ(h.client->stats().failovers, 0u);
   EXPECT_EQ(h.client->active_server(),
             (Endpoint{h.primary_host.address(), kRealServerPort}));
   EXPECT_TRUE(h.client->end_of_stream());
@@ -163,16 +163,16 @@ TEST(Failover, WatchdogSilenceResumesOnMirrorAtContiguousPrefix) {
   h.client->start();
   h.loop.run();
 
-  EXPECT_EQ(h.client->failover_count(), 1u);
-  EXPECT_TRUE(h.client->session_established());
-  EXPECT_FALSE(h.client->stream_dead());
+  EXPECT_EQ(h.client->stats().failovers, 1u);
+  EXPECT_TRUE(h.client->stats().established);
+  EXPECT_FALSE(h.client->stats().stream_dead);
   EXPECT_TRUE(h.client->end_of_stream());
-  EXPECT_GT(h.client->resume_offset(), 0u);
+  EXPECT_GT(h.client->stats().resume_offset, 0u);
   EXPECT_EQ(h.client->active_server(), h.mirror_endpoint());
   // The mirror's PLAY carried the resume offset: its first media byte is
   // exactly where the client's contiguous prefix ended.
   ASSERT_FALSE(h.mirror.send_log().empty());
-  EXPECT_EQ(h.mirror.send_log().front().media_offset, h.client->resume_offset());
+  EXPECT_EQ(h.mirror.send_log().front().media_offset, h.client->stats().resume_offset);
 }
 
 TEST(Failover, AbandonsOnlyAfterMirrorsExhaust) {
@@ -183,11 +183,11 @@ TEST(Failover, AbandonsOnlyAfterMirrorsExhaust) {
   h.client->start();
   h.loop.run();
 
-  EXPECT_EQ(h.client->failover_count(), 1u);  // tried the mirror...
-  EXPECT_TRUE(h.client->session_abandoned());  // ...then ran out of options
-  EXPECT_FALSE(h.client->session_established());
+  EXPECT_EQ(h.client->stats().failovers, 1u);  // tried the mirror...
+  EXPECT_TRUE(h.client->stats().abandoned);  // ...then ran out of options
+  EXPECT_FALSE(h.client->stats().established);
   // Two attempts against each server.
-  EXPECT_EQ(h.client->play_attempts(), 4u);
+  EXPECT_EQ(h.client->stats().play_attempts, 4u);
 }
 
 TEST(Failover, StallIntervalsSumToTotalStallTime) {
@@ -208,7 +208,7 @@ TEST(Failover, StallIntervalsSumToTotalStallTime) {
     EXPECT_GT(end, start);
     sum += end - start;
   }
-  EXPECT_EQ(sum, h.client->total_stall_time());
+  EXPECT_EQ(sum, h.client->stats().stall_time);
 }
 
 }  // namespace

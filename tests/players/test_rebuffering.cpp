@@ -39,11 +39,11 @@ TEST(Rebuffering, CleanPathBehavesLikeDropMode) {
   const auto clip = short_clip(PlayerKind::kMediaPlayer, 150, 15);
   RebufferSession s(clip, fast_path(), /*rebuffering=*/true);
   s.run();
-  EXPECT_TRUE(s.client->playback_finished());
-  EXPECT_EQ(s.client->frames_dropped(), 0u);
-  EXPECT_EQ(s.client->rebuffer_events(), 0u);
-  EXPECT_EQ(s.client->total_stall_time(), Duration::zero());
-  EXPECT_EQ(s.client->frames_rendered(), s.encoded.frames().size());
+  EXPECT_TRUE(s.client->stats().completed);
+  EXPECT_EQ(s.client->stats().frames_dropped, 0u);
+  EXPECT_EQ(s.client->stats().rebuffer_events, 0u);
+  EXPECT_EQ(s.client->stats().stall_time, Duration::zero());
+  EXPECT_EQ(s.client->stats().frames_rendered, s.encoded.frames().size());
 }
 
 TEST(Rebuffering, LossCausesStallsNotDrops) {
@@ -61,9 +61,9 @@ TEST(Rebuffering, LossCausesStallsNotDrops) {
   RebufferSession stall(clip, lossy, true);
   stall.run(Duration::seconds(300));
 
-  ASSERT_GT(drop.client->frames_dropped(), 0u);  // loss actually happened
-  EXPECT_GT(stall.client->rebuffer_events(), 0u);
-  EXPECT_GT(stall.client->total_stall_time(), Duration::zero());
+  ASSERT_GT(drop.client->stats().frames_dropped, 0u);  // loss actually happened
+  EXPECT_GT(stall.client->stats().rebuffer_events, 0u);
+  EXPECT_GT(stall.client->stats().stall_time, Duration::zero());
   // Playback end shifted by at least the stall time.
   ASSERT_TRUE(stall.client->playback_end_time().has_value());
   ASSERT_TRUE(drop.client->playback_end_time().has_value());
@@ -78,7 +78,7 @@ TEST(Rebuffering, FrameEventsStayOrderedAndComplete) {
   RebufferSession s(clip, lossy, true);
   s.run(Duration::seconds(300));
 
-  ASSERT_TRUE(s.client->playback_finished());
+  ASSERT_TRUE(s.client->stats().completed);
   const auto& events = s.client->frame_events();
   ASSERT_EQ(events.size(), s.encoded.frames().size());
   for (std::size_t i = 0; i < events.size(); ++i) {
@@ -87,7 +87,7 @@ TEST(Rebuffering, FrameEventsStayOrderedAndComplete) {
       EXPECT_GE(events[i].time, events[i - 1].time);
     }
   }
-  EXPECT_EQ(s.client->frames_rendered() + s.client->frames_dropped(), events.size());
+  EXPECT_EQ(s.client->stats().frames_rendered + s.client->stats().frames_dropped, events.size());
 }
 
 TEST(Rebuffering, MaxStallBoundsSingleWait) {
@@ -97,12 +97,12 @@ TEST(Rebuffering, MaxStallBoundsSingleWait) {
   const auto clip = short_clip(PlayerKind::kMediaPlayer, 100, 10);
   RebufferSession s(clip, lossy, true);
   s.run(Duration::seconds(600));
-  ASSERT_TRUE(s.client->playback_finished());
+  ASSERT_TRUE(s.client->stats().completed);
   // Total stall is bounded by events x max_stall.
   const double bound =
-      static_cast<double>(s.client->rebuffer_events() + s.client->frames_dropped()) *
+      static_cast<double>(s.client->stats().rebuffer_events + s.client->stats().frames_dropped) *
       10.0;
-  EXPECT_LE(s.client->total_stall_time().to_seconds(), bound + 1.0);
+  EXPECT_LE(s.client->stats().stall_time.to_seconds(), bound + 1.0);
 }
 
 }  // namespace

@@ -53,12 +53,12 @@ TEST(SessionRecovery, LostPlayRequestRecoveredByRetry) {
   h.client.start();
   h.loop.run();
 
-  EXPECT_EQ(h.client.play_attempts(), 2u);
-  EXPECT_TRUE(h.client.session_established());
-  EXPECT_FALSE(h.client.session_abandoned());
+  EXPECT_EQ(h.client.stats().play_attempts, 2u);
+  EXPECT_TRUE(h.client.stats().established);
+  EXPECT_FALSE(h.client.stats().abandoned);
   EXPECT_TRUE(h.server.started());
   EXPECT_TRUE(h.client.end_of_stream());
-  EXPECT_EQ(h.client.packets_lost(), 0u);
+  EXPECT_EQ(h.client.stats().packets_lost, 0u);
   ASSERT_TRUE(h.client.session_established_time());
   // Establishment had to wait for the retransmission at +200ms.
   EXPECT_GE(*h.client.session_established_time(), SimTime::from_seconds(0.2));
@@ -74,11 +74,11 @@ TEST(SessionRecovery, AbandonedAfterMaxRetries) {
   h.client.start();
   h.loop.run();  // must drain: no retry timer may survive abandonment
 
-  EXPECT_TRUE(h.client.session_abandoned());
-  EXPECT_EQ(h.client.play_attempts(), 3u);
-  EXPECT_FALSE(h.client.session_established());
+  EXPECT_TRUE(h.client.stats().abandoned);
+  EXPECT_EQ(h.client.stats().play_attempts, 3u);
+  EXPECT_FALSE(h.client.stats().established);
   EXPECT_FALSE(h.server.started());
-  EXPECT_EQ(h.client.packets_received(), 0u);
+  EXPECT_EQ(h.client.stats().packets_received, 0u);
   ASSERT_TRUE(h.client.session_failure_time());
   // Attempts at 0, 100ms, 300ms (backoff x2); abandoned at 700ms.
   EXPECT_EQ(*h.client.session_failure_time(), SimTime::from_seconds(0.7));
@@ -92,10 +92,10 @@ TEST(SessionRecovery, RetryTimerInertWhenHandshakeSucceeds) {
   h.client.start();
   h.loop.run();
 
-  EXPECT_EQ(h.client.play_attempts(), 1u);
+  EXPECT_EQ(h.client.stats().play_attempts, 1u);
   EXPECT_TRUE(h.client.play_ok_received());
   EXPECT_TRUE(h.client.end_of_stream());
-  EXPECT_EQ(h.server.duplicate_play_requests(), 0u);
+  EXPECT_EQ(h.server.stats().duplicate_play_requests, 0u);
 }
 
 TEST(SessionRecovery, WatchdogDeclaresStreamDeadAfterSilence) {
@@ -110,10 +110,10 @@ TEST(SessionRecovery, WatchdogDeclaresStreamDeadAfterSilence) {
   h.client.start();
   h.loop.run();  // must drain: a dead stream may not keep timers alive
 
-  EXPECT_TRUE(h.client.session_established());
-  EXPECT_TRUE(h.client.stream_dead());
+  EXPECT_TRUE(h.client.stats().established);
+  EXPECT_TRUE(h.client.stats().stream_dead);
   EXPECT_FALSE(h.client.end_of_stream());
-  EXPECT_GT(h.client.frames_dropped(), 0u);
+  EXPECT_GT(h.client.stats().frames_dropped, 0u);
   ASSERT_TRUE(h.client.session_failure_time());
   // Declared dead one inactivity window after the last packet (~2s).
   EXPECT_GE(*h.client.session_failure_time(), SimTime::from_seconds(2.9));
@@ -133,9 +133,9 @@ TEST(SessionRecovery, WatchdogCatchesOutageRightAfterHandshake) {
   h.loop.run();  // must drain: the dead session may not hang the loop
 
   EXPECT_TRUE(h.client.play_ok_received());
-  EXPECT_TRUE(h.client.session_established());
-  EXPECT_EQ(h.client.packets_received(), 0u);
-  EXPECT_TRUE(h.client.stream_dead());
+  EXPECT_TRUE(h.client.stats().established);
+  EXPECT_EQ(h.client.stats().packets_received, 0u);
+  EXPECT_TRUE(h.client.stats().stream_dead);
   ASSERT_TRUE(h.client.session_failure_time());
   // Dead one inactivity window after establishment (handshake takes ~100µs).
   EXPECT_GE(*h.client.session_failure_time(), SimTime::from_seconds(1.0));
@@ -152,7 +152,7 @@ TEST(SessionRecovery, WatchdogDisabledByDefaultToleratesSilence) {
   h.client.start();
   h.loop.run();
 
-  EXPECT_FALSE(h.client.stream_dead());
+  EXPECT_FALSE(h.client.stats().stream_dead);
   EXPECT_FALSE(h.client.session_failure_time().has_value());
 }
 
@@ -170,16 +170,16 @@ TEST(SessionRecovery, DuplicatePlayReAcknowledgedNotRestarted) {
   h.client.start();
   h.loop.run();
 
-  EXPECT_EQ(h.client.play_attempts(), 2u);
-  EXPECT_EQ(h.server.duplicate_play_requests(), 1u);
+  EXPECT_EQ(h.client.stats().play_attempts, 2u);
+  EXPECT_EQ(h.server.stats().duplicate_play_requests, 1u);
   EXPECT_TRUE(h.client.play_ok_received());
-  EXPECT_TRUE(h.client.session_established());
-  EXPECT_FALSE(h.client.session_abandoned());
+  EXPECT_TRUE(h.client.stats().established);
+  EXPECT_FALSE(h.client.stats().abandoned);
   // The send schedule started once: sequence numbers never reset, so the
   // stream still ends cleanly and late packets are counted as lost, not
   // replayed.
   EXPECT_TRUE(h.client.end_of_stream());
-  EXPECT_GT(h.client.packets_lost(), 0u);
+  EXPECT_GT(h.client.stats().packets_lost, 0u);
 }
 
 }  // namespace

@@ -62,10 +62,10 @@ TEST(PlayerTracker, ReportTotalsMatchClient) {
   TrackedSession s(short_clip(PlayerKind::kMediaPlayer, 150, 15));
   s.run_tracked();
   const TrackerReport report = s.tracker.report();
-  EXPECT_EQ(report.total_packets, s.client->packets_received());
-  EXPECT_EQ(report.total_lost, s.client->packets_lost());
-  EXPECT_EQ(report.frames_rendered, s.client->frames_rendered());
-  EXPECT_EQ(report.frames_dropped, s.client->frames_dropped());
+  EXPECT_EQ(report.total_packets, s.client->stats().packets_received);
+  EXPECT_EQ(report.total_lost, s.client->stats().packets_lost);
+  EXPECT_EQ(report.frames_rendered, s.client->stats().frames_rendered);
+  EXPECT_EQ(report.frames_dropped, s.client->stats().frames_dropped);
   EXPECT_EQ(report.clip_id, s.encoded.info().id());
   EXPECT_EQ(report.player, PlayerKind::kMediaPlayer);
   EXPECT_EQ(report.encoded_rate, s.encoded.info().encoded_rate);
@@ -175,8 +175,8 @@ TEST(PlayerTracker, RecoveredColumnTracksRepairLayer) {
   RepairedTrackedSession s(short_clip(PlayerKind::kMediaPlayer, 150, 15), 0.05);
   s.run_tracked();
   const TrackerReport report = s.tracker->report();
-  EXPECT_GT(s.client->packets_recovered(), 0u);
-  EXPECT_EQ(report.total_recovered, s.client->packets_recovered());
+  EXPECT_GT(s.client->stats().packets_recovered(), 0u);
+  EXPECT_EQ(report.total_recovered, s.client->stats().packets_recovered());
   // Samples accumulate monotonically up to the session total.
   std::uint64_t prev = 0;
   for (const auto& smp : s.tracker->samples()) {
