@@ -6,6 +6,7 @@
 // Usage: capture_filter [clip-id] [display-filter]
 //   capture_filter set1/M-h "ip.frag_offset > 0"
 // With no filter argument, a tour of useful filters runs.
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -53,8 +54,11 @@ int main(int argc, char** argv) {
   config.snaplen = 65535;
   const ClipRunResult run = run_single_clip(*clip, config);
 
-  // Write and re-read a real pcap file, as Ethereal would save it.
-  const std::string path = "/tmp/streamlab_" + std::to_string(clip->data_set) + ".pcap";
+  // Write and re-read a real pcap file, as Ethereal would save it. The file
+  // goes into the working directory and is named after the clip, so runs on
+  // different clips or in different directories never share a file.
+  std::string path = "streamlab_" + clip_id + ".pcap";
+  std::replace(path.begin(), path.end(), '/', '_');
   if (!run.capture || !write_pcap_file(path, *run.capture)) {
     std::fprintf(stderr, "failed to write %s\n", path.c_str());
     return 1;

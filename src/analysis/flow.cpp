@@ -6,18 +6,15 @@ namespace streamlab {
 
 FlowTrace FlowTrace::extract(const std::vector<DissectedPacket>& packets, Ipv4Address src,
                              std::optional<std::uint16_t> dst_port) {
+  using enum FieldId;
   FlowTrace out;
   for (const auto& p : packets) {
-    const auto ip_src = p.field("ip.src");
-    const auto proto = p.field("ip.proto");
-    if (!ip_src || ip_src->number != static_cast<std::int64_t>(src.value())) continue;
-    if (!proto || proto->number != 17) continue;
+    if (!p.has(kIpSrc) || p.number(kIpSrc) != static_cast<std::int64_t>(src.value())) continue;
+    if (!p.has(kIpProto) || p.number(kIpProto) != 17) continue;
 
-    const auto frag_offset = p.field("ip.frag_offset");
-    const bool trailing = frag_offset && frag_offset->number > 0;
+    const bool trailing = p.number(kIpFragOffset) > 0;
     if (!trailing && dst_port) {
-      const auto port = p.field("udp.dstport");
-      if (!port || port->number != *dst_port) continue;
+      if (!p.has(kUdpDstPort) || p.number(kUdpDstPort) != *dst_port) continue;
     }
     // Trailing fragments are accepted on source+protocol alone: their IP id
     // ties them to the preceding first fragment of the same datagram.
@@ -26,7 +23,7 @@ FlowTrace FlowTrace::extract(const std::vector<DissectedPacket>& packets, Ipv4Ad
     fp.wire_length = static_cast<std::uint32_t>(p.frame_length);
     fp.trailing_fragment = trailing;
     fp.first_of_group = !trailing;
-    if (auto id = p.field("ip.id")) fp.ip_id = static_cast<std::uint16_t>(id->number);
+    fp.ip_id = static_cast<std::uint16_t>(p.number(kIpId));
     out.packets_.push_back(fp);
   }
   return out;

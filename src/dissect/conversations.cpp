@@ -25,30 +25,23 @@ std::string ConversationStats::label() const {
 }
 
 void ConversationTable::add(const DissectedPacket& packet) {
-  const auto src = packet.field("ip.src");
-  const auto dst = packet.field("ip.dst");
-  const auto proto = packet.field("ip.proto");
-  if (!src || !dst || !proto) {
+  using enum FieldId;
+  if (!packet.has(kIpSrc) || !packet.has(kIpDst) || !packet.has(kIpProto)) {
     ++unattributed_;
     return;
   }
-  const auto src_addr = static_cast<std::uint32_t>(src->number);
-  const auto dst_addr = static_cast<std::uint32_t>(dst->number);
-  const auto protocol = static_cast<std::uint8_t>(proto->number);
+  const auto src_addr = static_cast<std::uint32_t>(packet.number(kIpSrc));
+  const auto dst_addr = static_cast<std::uint32_t>(packet.number(kIpDst));
+  const auto protocol = static_cast<std::uint8_t>(packet.number(kIpProto));
 
   // Ports, when a transport header is present.
-  std::uint16_t src_port = 0, dst_port = 0;
-  bool have_ports = false;
-  const char* prefix = protocol == 6 ? "tcp" : "udp";
-  if (auto sp = packet.field(std::string(prefix) + ".srcport")) {
-    src_port = static_cast<std::uint16_t>(sp->number);
-    dst_port = static_cast<std::uint16_t>(packet.field(std::string(prefix) + ".dstport")
-                                              ->number);
-    have_ports = true;
-  }
+  const FieldId src_port_id = protocol == 6 ? kTcpSrcPort : kUdpSrcPort;
+  const FieldId dst_port_id = protocol == 6 ? kTcpDstPort : kUdpDstPort;
+  const bool have_ports = packet.has(src_port_id);
+  const auto src_port = static_cast<std::uint16_t>(packet.number(src_port_id));
+  const auto dst_port = static_cast<std::uint16_t>(packet.number(dst_port_id));
 
-  const auto frag = packet.field("ip.frag_offset");
-  const bool trailing = frag && frag->number > 0;
+  const bool trailing = packet.number(kIpFragOffset) > 0;
 
   ConversationKey key;
   if (!trailing && have_ports) {

@@ -1,80 +1,120 @@
 #include "dissect/dissector.hpp"
 
 #include <algorithm>
+#include <array>
+#include <stdexcept>
 
 #include "net/headers.hpp"
 #include "util/strings.hpp"
 
 namespace streamlab {
 
-std::optional<FieldValue> DissectedPacket::field(const std::string& name) const {
-  auto it = fields_.find(name);
-  if (it == fields_.end()) return std::nullopt;
-  return it->second;
+void DissectedPacket::set(FieldId id, MacAddress mac) {
+  std::int64_t bits = 0;
+  for (const std::uint8_t octet : mac.octets()) bits = bits << 8 | octet;
+  set(id, bits);
 }
 
-bool DissectedPacket::has_layer(const std::string& proto) const {
-  return std::find(layers_.begin(), layers_.end(), proto) != layers_.end();
+void DissectedPacket::set(std::string_view name, const FieldValue& value) {
+  const auto id = find_field(name);
+  if (!id) throw std::invalid_argument("no dissector field '" + std::string(name) + "'");
+  if (field_info(*id).display != FieldDisplay::kMac) return set(*id, value.number);
+  const auto mac = MacAddress::parse(value.display);
+  if (!mac) throw std::invalid_argument(std::string(name) + ": " + mac.error());
+  set(*id, *mac);
+}
+
+void DissectedPacket::add_layer(std::string_view proto) {
+  const auto layer = find_layer(proto);
+  if (!layer) throw std::invalid_argument("no dissector layer '" + std::string(proto) + "'");
+  add_layer(*layer);
+}
+
+std::string DissectedPacket::display(FieldId id) const {
+  const std::int64_t value = slots_[index_of(id)];
+  switch (field_info(id).display) {
+    case FieldDisplay::kDecimal:
+      return std::to_string(value);
+    case FieldDisplay::kIpv4:
+      return Ipv4Address(static_cast<std::uint32_t>(value)).to_string();
+    case FieldDisplay::kMac: {
+      std::array<std::uint8_t, 6> octets{};
+      for (std::size_t i = 0; i < octets.size(); ++i)
+        octets[i] = static_cast<std::uint8_t>(value >> (8 * (octets.size() - 1 - i)));
+      return MacAddress(octets).to_string();
+    }
+  }
+  return {};
+}
+
+std::optional<FieldValue> DissectedPacket::field(std::string_view name) const {
+  const auto id = find_field(name);
+  if (!id || !has(*id)) return std::nullopt;
+  return FieldValue{number(*id), display(*id)};
+}
+
+bool DissectedPacket::has_layer(std::string_view proto) const {
+  const auto layer = find_layer(proto);
+  return layer && has_layer(*layer);
 }
 
 std::string DissectedPacket::summary() const {
+  using enum FieldId;
   std::string out = fmt_double(timestamp.to_seconds(), 6) + "s";
-  auto src = field("ip.src");
-  auto dst = field("ip.dst");
-  if (src && dst) out += " IP " + src->display + " > " + dst->display;
-  if (has_layer("udp")) {
-    out += " UDP " + field("udp.srcport")->display + "->" + field("udp.dstport")->display;
-  } else if (has_layer("tcp")) {
-    out += " TCP " + field("tcp.srcport")->display + "->" + field("tcp.dstport")->display;
-  } else if (has_layer("icmp")) {
-    out += " ICMP type=" + field("icmp.type")->display;
+  if (has(kIpSrc) && has(kIpDst)) out += " IP " + display(kIpSrc) + " > " + display(kIpDst);
+  if (has_layer(Layer::kUdp)) {
+    out += " UDP " + display(kUdpSrcPort) + "->" + display(kUdpDstPort);
+  } else if (has_layer(Layer::kTcp)) {
+    out += " TCP " + display(kTcpSrcPort) + "->" + display(kTcpDstPort);
+  } else if (has_layer(Layer::kIcmp)) {
+    out += " ICMP type=" + display(kIcmpType);
   }
-  if (auto off = field("ip.frag_offset"); off && off->number > 0)
-    out += " frag@" + off->display;
+  if (number(kIpFragOffset) > 0) out += " frag@" + display(kIpFragOffset);
   out += " len=" + std::to_string(frame_length);
   return out;
 }
 
 DissectedPacket dissect(const CaptureRecord& record) {
+  using enum FieldId;
   DissectedPacket pkt;
   pkt.timestamp = record.timestamp;
   pkt.frame_length = record.original_length;
-  pkt.set("frame.len", FieldValue::of(static_cast<std::int64_t>(record.original_length)));
-  pkt.set("frame.cap_len", FieldValue::of(static_cast<std::int64_t>(record.data.size())));
-  pkt.set("frame.time_ns", FieldValue::of(record.timestamp.ns()));
+  pkt.set(kFrameLen, static_cast<std::int64_t>(record.original_length));
+  pkt.set(kFrameCapLen, static_cast<std::int64_t>(record.data.size()));
+  pkt.set(kFrameTimeNs, record.timestamp.ns());
 
   ByteReader r(record.data);
   auto eth = EthernetHeader::decode(r);
   if (!eth) {
-    pkt.add_layer("_malformed");
+    pkt.add_layer(Layer::kMalformed);
     return pkt;
   }
-  pkt.add_layer("eth");
-  pkt.set("eth.src", FieldValue::of(0, eth->src.to_string()));
-  pkt.set("eth.dst", FieldValue::of(0, eth->dst.to_string()));
-  pkt.set("eth.type", FieldValue::of(eth->ethertype));
+  pkt.add_layer(Layer::kEth);
+  pkt.set(kEthSrc, eth->src);
+  pkt.set(kEthDst, eth->dst);
+  pkt.set(kEthType, eth->ethertype);
   if (eth->ethertype != kEtherTypeIpv4) return pkt;
 
   auto ip = Ipv4Header::decode(r);
   if (!ip) {
-    pkt.add_layer("_malformed");
+    pkt.add_layer(Layer::kMalformed);
     return pkt;
   }
-  pkt.add_layer("ip");
-  pkt.set("ip.len", FieldValue::of(ip->total_length));
-  pkt.set("ip.id", FieldValue::of(ip->identification));
-  pkt.set("ip.flags.df", FieldValue::of(ip->dont_fragment ? 1 : 0));
-  pkt.set("ip.flags.mf", FieldValue::of(ip->more_fragments ? 1 : 0));
-  pkt.set("ip.frag_offset", FieldValue::of(static_cast<std::int64_t>(ip->fragment_offset_bytes())));
-  pkt.set("ip.fragment", FieldValue::of(ip->is_fragment() ? 1 : 0));
-  pkt.set("ip.ttl", FieldValue::of(ip->ttl));
-  pkt.set("ip.proto", FieldValue::of(ip->protocol));
-  pkt.set("ip.src", FieldValue::of(ip->src.value(), ip->src.to_string()));
-  pkt.set("ip.dst", FieldValue::of(ip->dst.value(), ip->dst.to_string()));
+  pkt.add_layer(Layer::kIp);
+  pkt.set(kIpLen, ip->total_length);
+  pkt.set(kIpId, ip->identification);
+  pkt.set(kIpFlagsDf, ip->dont_fragment ? 1 : 0);
+  pkt.set(kIpFlagsMf, ip->more_fragments ? 1 : 0);
+  pkt.set(kIpFragOffset, static_cast<std::int64_t>(ip->fragment_offset_bytes()));
+  pkt.set(kIpFragment, ip->is_fragment() ? 1 : 0);
+  pkt.set(kIpTtl, ip->ttl);
+  pkt.set(kIpProto, ip->protocol);
+  pkt.set(kIpSrc, ip->src.value());
+  pkt.set(kIpDst, ip->dst.value());
 
   if (ip->is_trailing_fragment()) {
     // Trailing fragments carry no transport header; data bytes only.
-    pkt.set("ip.payload_len", FieldValue::of(static_cast<std::int64_t>(ip->payload_length())));
+    pkt.set(kIpPayloadLen, static_cast<std::int64_t>(ip->payload_length()));
     return pkt;
   }
 
@@ -85,45 +125,45 @@ DissectedPacket dissect(const CaptureRecord& record) {
     case kIpProtoUdp: {
       auto udp = UdpHeader::decode(tr);
       if (!udp) {
-        pkt.add_layer("_malformed");
+        pkt.add_layer(Layer::kMalformed);
         return pkt;
       }
-      pkt.add_layer("udp");
-      pkt.set("udp.srcport", FieldValue::of(udp->src_port));
-      pkt.set("udp.dstport", FieldValue::of(udp->dst_port));
-      pkt.set("udp.length", FieldValue::of(udp->length));
-      pkt.set("udp.checksum", FieldValue::of(udp->checksum));
+      pkt.add_layer(Layer::kUdp);
+      pkt.set(kUdpSrcPort, udp->src_port);
+      pkt.set(kUdpDstPort, udp->dst_port);
+      pkt.set(kUdpLength, udp->length);
+      pkt.set(kUdpChecksum, udp->checksum);
       break;
     }
     case kIpProtoTcp: {
       auto tcp = TcpHeader::decode(tr);
       if (!tcp) {
-        pkt.add_layer("_malformed");
+        pkt.add_layer(Layer::kMalformed);
         return pkt;
       }
-      pkt.add_layer("tcp");
-      pkt.set("tcp.srcport", FieldValue::of(tcp->src_port));
-      pkt.set("tcp.dstport", FieldValue::of(tcp->dst_port));
-      pkt.set("tcp.seq", FieldValue::of(tcp->seq));
-      pkt.set("tcp.ack", FieldValue::of(tcp->ack));
-      pkt.set("tcp.flags.syn", FieldValue::of(tcp->flag_syn ? 1 : 0));
-      pkt.set("tcp.flags.ack", FieldValue::of(tcp->flag_ack ? 1 : 0));
-      pkt.set("tcp.flags.fin", FieldValue::of(tcp->flag_fin ? 1 : 0));
-      pkt.set("tcp.flags.rst", FieldValue::of(tcp->flag_rst ? 1 : 0));
-      pkt.set("tcp.window", FieldValue::of(tcp->window));
+      pkt.add_layer(Layer::kTcp);
+      pkt.set(kTcpSrcPort, tcp->src_port);
+      pkt.set(kTcpDstPort, tcp->dst_port);
+      pkt.set(kTcpSeq, tcp->seq);
+      pkt.set(kTcpAck, tcp->ack);
+      pkt.set(kTcpFlagsSyn, tcp->flag_syn ? 1 : 0);
+      pkt.set(kTcpFlagsAck, tcp->flag_ack ? 1 : 0);
+      pkt.set(kTcpFlagsFin, tcp->flag_fin ? 1 : 0);
+      pkt.set(kTcpFlagsRst, tcp->flag_rst ? 1 : 0);
+      pkt.set(kTcpWindow, tcp->window);
       break;
     }
     case kIpProtoIcmp: {
       auto icmp = IcmpHeader::decode(tr);
       if (!icmp) {
-        pkt.add_layer("_malformed");
+        pkt.add_layer(Layer::kMalformed);
         return pkt;
       }
-      pkt.add_layer("icmp");
-      pkt.set("icmp.type", FieldValue::of(static_cast<std::int64_t>(icmp->type)));
-      pkt.set("icmp.code", FieldValue::of(icmp->code));
-      pkt.set("icmp.ident", FieldValue::of(icmp->identifier));
-      pkt.set("icmp.seq", FieldValue::of(icmp->sequence));
+      pkt.add_layer(Layer::kIcmp);
+      pkt.set(kIcmpType, static_cast<std::int64_t>(icmp->type));
+      pkt.set(kIcmpCode, icmp->code);
+      pkt.set(kIcmpIdent, icmp->identifier);
+      pkt.set(kIcmpSeq, icmp->sequence);
       break;
     }
     default:

@@ -1,9 +1,12 @@
 // AST for display-filter expressions.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
+
+#include "dissect/fields.hpp"
 
 namespace streamlab::filter {
 
@@ -19,6 +22,10 @@ struct Operand {
   std::string field;         // for kField
   std::int64_t literal = 0;  // for kLiteral
   std::string spelling;      // original text, for diagnostics / printing
+  // for kField, set by DisplayFilter::compile: the registry fields the name
+  // stands for (udp.port is udp.srcport and udp.dstport; none when unknown)
+  std::array<FieldId, 2> ids{};
+  std::uint8_t id_count = 0;
 };
 
 struct Expr {
@@ -29,8 +36,11 @@ struct Expr {
     kNot,
   } kind = Kind::kPresence;
 
-  // kPresence
+  // kPresence, and the layer and field bits that make it true (set by
+  // DisplayFilter::compile)
   std::string field;
+  std::uint8_t layer_mask = 0;
+  std::uint64_t field_mask = 0;
   // kCompare
   Operand lhs, rhs;
   CompareOp cmp = CompareOp::kEq;

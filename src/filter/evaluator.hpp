@@ -10,7 +10,9 @@
 
 namespace streamlab::filter {
 
-/// A compiled display filter. Compile once, match many packets.
+/// A compiled display filter. Compile once, match many packets: compiling
+/// resolves every field and layer name to its registry id, so matching reads
+/// packet slots and masks with no name lookup.
 class DisplayFilter {
  public:
   /// Compiles an expression; reports lexer/parser errors with positions.
@@ -29,7 +31,7 @@ class DisplayFilter {
       : expression_(std::move(expression)), root_(std::move(root)) {}
 
   std::string expression_;
-  // Shared so DisplayFilter stays copyable (the AST is immutable after parse).
+  // Shared so DisplayFilter stays copyable (the AST is immutable after compile).
   std::shared_ptr<const Expr> root_;
 };
 

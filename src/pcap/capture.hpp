@@ -22,6 +22,7 @@ class CaptureTrace {
   CaptureTrace() = default;
   explicit CaptureTrace(std::uint32_t snaplen) : snaplen_(snaplen) {}
 
+  void reserve(std::size_t records) { records_.reserve(records); }
   void add(CaptureRecord record) { records_.push_back(std::move(record)); }
   /// Appends the record of an IPv4 packet's Ethernet frame, truncated to
   /// snaplen: the same bytes as frame_ipv4() cut to the snaplen.

@@ -1,5 +1,6 @@
 #include "pcap/pcap_file.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -13,6 +14,34 @@ struct HeaderFormat {
   bool swapped = false;   // file byte order != little-endian
   bool nanos = false;
 };
+
+/// The whole stream, read in large chunks.
+std::vector<std::uint8_t> read_all(std::istream& in) {
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  std::vector<std::uint8_t> bytes;
+  for (;;) {
+    const std::size_t used = bytes.size();
+    bytes.resize(used + kChunk);
+    in.read(reinterpret_cast<char*>(bytes.data() + used), kChunk);
+    const auto got = static_cast<std::size_t>(in.gcount());
+    bytes.resize(used + got);
+    if (got < kChunk) return bytes;
+  }
+}
+
+/// The number of record headers a walk over the record lengths finds; the
+/// read loop below is the one that validates them.
+std::size_t count_records(ByteReader r, bool swapped) {
+  std::size_t count = 0;
+  while (r.remaining() >= 16) {
+    r.skip(8);  // timestamp
+    const std::uint32_t incl_len = swapped ? __builtin_bswap32(r.u32le()) : r.u32le();
+    r.skip(4);  // orig_len
+    r.skip(std::min<std::size_t>(incl_len, r.remaining()));
+    ++count;
+  }
+  return count;
+}
 
 }  // namespace
 
@@ -46,8 +75,7 @@ bool write_pcap_file(const std::string& path, const CaptureTrace& trace) {
 }
 
 Expected<CaptureTrace> read_pcap(std::istream& in) {
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
+  const std::vector<std::uint8_t> bytes = read_all(in);
   ByteReader r(bytes);
 
   const std::uint32_t magic_le = r.u32le();
@@ -75,6 +103,7 @@ Expected<CaptureTrace> read_pcap(std::istream& in) {
     return Unexpected(std::string("unsupported link type"));
 
   CaptureTrace trace(snaplen);
+  trace.reserve(count_records(r, fmt.swapped));
   while (r.remaining() > 0) {
     const std::uint32_t ts_sec = u32();
     const std::uint32_t ts_frac = u32();

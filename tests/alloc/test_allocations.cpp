@@ -5,10 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <new>
 
+#include "analysis/flow.hpp"
+#include "dissect/conversations.hpp"
+#include "filter/evaluator.hpp"
 #include "net/buffer.hpp"
+#include "net/fragmentation.hpp"
 #include "players/protocol.hpp"
 #include "sim/event_loop.hpp"
 #include "sim/host.hpp"
@@ -124,6 +129,79 @@ TEST(Allocations, SendingAFragmentedDataDatagramAllocatesNoPayloadBytes) {
   EXPECT_EQ(Buffer::slab_stats().recycled_blocks, slab_before.recycled_blocks + 1);
   EXPECT_LT(largest, 1480u) << "a fragment-sized heap allocation";
   EXPECT_LT(bytes, kMedia) << bytes << " heap bytes for one datagram";
+}
+
+/// A capture of the study's shapes: single-packet and three-fragment UDP
+/// datagrams on two flows, TCP segments and ICMP echoes.
+CaptureTrace mixed_capture(int rounds) {
+  const Endpoint wm_server{Ipv4Address(192, 168, 100, 10), kMediaServerPort};
+  const Endpoint rm_server{Ipv4Address(192, 168, 100, 11), 7070};
+  const Endpoint client{Ipv4Address(10, 0, 0, 2), kMediaClientPort};
+  CaptureTrace trace;
+  SimTime t = SimTime::zero();
+  const auto add = [&](const Ipv4Packet& pkt) {
+    t += Duration::millis(3);
+    trace.add_packet(t, MacAddress::for_nic(1), MacAddress::for_nic(2), pkt);
+  };
+  for (int i = 0; i < rounds; ++i) {
+    const auto id = static_cast<std::uint16_t>(i);
+    add(make_udp_packet(rm_server, client, std::vector<std::uint8_t>(600, 1), id));
+    for (const auto& frag : fragment_packet(
+             make_udp_packet(wm_server, client, std::vector<std::uint8_t>(3000, 2), id),
+             kDefaultMtu))
+      add(frag);
+    TcpHeader tcp;
+    tcp.seq = static_cast<std::uint32_t>(i);
+    tcp.flag_ack = true;
+    add(make_tcp_packet(client, wm_server, tcp, {}, id));
+    add(make_icmp_packet(client.ip, rm_server.ip, IcmpHeader{}, {}, id));
+  }
+  return trace;
+}
+
+// Dissection fills a fixed-slot record per frame: the output vector is the
+// only allocation, whatever the trace holds.
+TEST(Allocations, DissectingATraceAllocatesOnlyItsOutput) {
+  const CaptureTrace trace = mixed_capture(200);
+  const AllocWindow window;
+  const std::vector<DissectedPacket> packets = dissect_trace(trace);
+  const std::uint64_t allocs = window.calls();
+  ASSERT_EQ(packets.size(), trace.size());
+  EXPECT_LE(allocs, 1u) << allocs << " allocations for " << packets.size() << " frames";
+}
+
+// A compiled filter reads slots and masks; select allocates its output only.
+TEST(Allocations, SelectAllocatesOnlyItsOutput) {
+  const std::vector<DissectedPacket> packets = dissect_trace(mixed_capture(200));
+  for (const char* expr : {"ip.frag_offset > 0", "frame.len == 1514 && udp.port == 1755",
+                           "icmp || tcp.flags.syn == 1", "!(ip.addr == 10.0.0.2)",
+                           "no.such.field == 3 || eth"}) {
+    const auto filter = filter::DisplayFilter::compile(expr);
+    ASSERT_TRUE(filter.has_value()) << expr;
+    const AllocWindow window;
+    const auto selected = filter->select(packets);
+    EXPECT_LE(window.calls(), 1u) << expr << ": " << selected.size() << " selected";
+  }
+}
+
+// Conversations and flows read fields by id: once every conversation is
+// known, adding packets allocates nothing, and extracting a flow allocates
+// only as its output vector grows.
+TEST(Allocations, ConversationsAndFlowsAllocateOnlyForContainerGrowth) {
+  const std::vector<DissectedPacket> packets = dissect_trace(mixed_capture(200));
+  ConversationTable table;
+  AllocWindow first;
+  table.add_all(packets);
+  EXPECT_LE(first.calls(), 2 * table.size()) << table.size() << " conversations";
+  const AllocWindow again;
+  table.add_all(packets);
+  EXPECT_EQ(again.calls(), 0u);
+
+  const AllocWindow window;
+  const FlowTrace flow = FlowTrace::extract(packets, Ipv4Address(192, 168, 100, 10),
+                                            kMediaClientPort);
+  ASSERT_EQ(flow.size(), 600u);
+  EXPECT_LE(window.calls(), static_cast<std::uint64_t>(std::bit_width(flow.size()) + 1));
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+
 #include "net/fragmentation.hpp"
 
 namespace streamlab {
@@ -131,6 +134,112 @@ TEST(Dissector, DissectTraceBulk) {
   ASSERT_EQ(all.size(), 5u);
   for (int i = 0; i < 5; ++i)
     EXPECT_EQ(all[static_cast<std::size_t>(i)].field("ip.id")->number, i);
+}
+
+/// FNV-1a over the (name, number, display) of every field present, in name
+/// order, then the summary line: the whole visible result of a dissection.
+struct FieldDump {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  void bytes(std::string_view s) {
+    for (const char c : s) {
+      hash ^= static_cast<unsigned char>(c);
+      hash *= 0x100000001b3ull;
+    }
+    hash ^= 0xff;  // field separator
+    hash *= 0x100000001b3ull;
+  }
+  void packet(const DissectedPacket& d) {
+    std::vector<std::string_view> names;
+    for (const FieldInfo& f : kFields) names.push_back(f.name);
+    std::sort(names.begin(), names.end());
+    for (const std::string_view name : names) {
+      const auto value = d.field(name);
+      if (!value) continue;
+      bytes(name);
+      bytes(std::to_string(value->number));
+      bytes(value->display);
+    }
+    bytes(d.summary());
+  }
+};
+
+// A UDP datagram, the three fragments of a large one, a TCP SYN, an ICMP
+// echo and a frame cut inside its IP header. The digest was recorded from
+// the name-keyed field map the registry replaced, so it pins every name,
+// number and display string (MACs and dotted quads included) byte for byte.
+TEST(Dissector, FieldDumpGolden) {
+  FieldDump dump;
+  dump.packet(dissect(record_of(
+      make_udp_packet(kServer, kClient, std::vector<std::uint8_t>(100, 1), 42), 1.25)));
+  const auto big = make_udp_packet(kServer, kClient, std::vector<std::uint8_t>(3000, 1), 9);
+  for (const auto& frag : fragment_packet(big, kDefaultMtu))
+    dump.packet(dissect(record_of(frag, 2.5)));
+  TcpHeader syn;
+  syn.seq = 1000;
+  syn.flag_syn = true;
+  syn.window = 8192;
+  dump.packet(dissect(record_of(make_tcp_packet(kClient, kServer, syn, {}, 3), 3.0)));
+  IcmpHeader echo;
+  echo.type = IcmpType::kEchoRequest;
+  echo.identifier = 7;
+  echo.sequence = 2;
+  dump.packet(dissect(record_of(make_icmp_packet(kClient.ip, kServer.ip, echo, {}, 4), 4.0)));
+  CaptureRecord cut = record_of(
+      make_udp_packet(kServer, kClient, std::vector<std::uint8_t>(100, 1), 5), 5.0);
+  cut.data.resize(30);
+  dump.packet(dissect(cut));
+
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(dump.hash));
+  EXPECT_STREQ(hex, "a3172f8fc9e818ee");
+}
+
+TEST(Dissector, RegistryNamesRoundTrip) {
+  for (std::size_t i = 0; i < kFieldCount; ++i) {
+    EXPECT_EQ(index_of(kFields[i].id), i);
+    const auto id = find_field(kFields[i].name);
+    ASSERT_TRUE(id.has_value()) << kFields[i].name;
+    EXPECT_EQ(*id, kFields[i].id) << kFields[i].name;
+  }
+  for (std::size_t i = 0; i < std::size(kLayerNames); ++i)
+    EXPECT_EQ(find_layer(kLayerNames[i]), static_cast<Layer>(i)) << kLayerNames[i];
+  EXPECT_FALSE(find_field("udp.port").has_value());  // a filter alias, not a field
+  EXPECT_FALSE(find_layer("frame").has_value());
+
+  // Every bit the dissector sets names a registered field or layer.
+  const std::uint64_t fields = kFieldCount == 64 ? ~0ull : (1ull << kFieldCount) - 1;
+  const unsigned layers = (1u << std::size(kLayerNames)) - 1;
+  const auto big = make_udp_packet(kServer, kClient, std::vector<std::uint8_t>(3000, 1), 9);
+  std::vector<CaptureRecord> records;
+  for (const auto& frag : fragment_packet(big, kDefaultMtu)) records.push_back(record_of(frag));
+  TcpHeader tcp;
+  tcp.flag_ack = true;
+  records.push_back(record_of(make_tcp_packet(kServer, kClient, tcp, {}, 1)));
+  records.push_back(record_of(make_icmp_packet(kServer.ip, kClient.ip, IcmpHeader{}, {}, 2)));
+  for (const auto& rec : records) {
+    const auto d = dissect(rec);
+    EXPECT_EQ(d.field_mask() & ~fields, 0u);
+    EXPECT_EQ(d.layer_mask() & ~layers, 0u);
+  }
+}
+
+TEST(Dissector, NamesOutsideTheRegistryAreRejected) {
+  DissectedPacket d;
+  EXPECT_THROW(d.set("ip.nosuch", FieldValue::of(1)), std::invalid_argument);
+  EXPECT_THROW(d.set("udp.port", FieldValue::of(1)), std::invalid_argument);
+  EXPECT_THROW(d.add_layer("frame"), std::invalid_argument);
+  EXPECT_EQ(d.field_mask(), 0u);
+  EXPECT_EQ(d.layer_mask(), 0u);
+
+  d.set("eth.src", FieldValue::of(0, "00:11:22:33:44:55"));
+  EXPECT_EQ(d.field("eth.src")->display, "00:11:22:33:44:55");
+  EXPECT_EQ(d.field("eth.src")->number, 0);
+  EXPECT_THROW(d.set("eth.dst", FieldValue::of(0, "not-a-mac")), std::invalid_argument);
+  d.set("ip.dst", FieldValue::of(0x0A000002, "ignored"));
+  EXPECT_EQ(d.field("ip.dst")->display, "10.0.0.2");  // formatted from the number
+  d.add_layer("udp");
+  EXPECT_TRUE(d.has_layer("udp"));
+  EXPECT_FALSE(d.has_layer("nosuch"));
 }
 
 }  // namespace
