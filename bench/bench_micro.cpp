@@ -1,13 +1,10 @@
 // Micro-benchmarks of the substrate hot paths, including the ablations
 // DESIGN.md calls out: checksum throughput, fragmentation/reassembly cost,
-// event-loop scheduling (the timing wheel at constant pending depth, plus
-// steady-state allocations per event), display-filter evaluation,
-// histogram insertion, and an end-to-end short experiment.
+// event-loop scheduling (the timing wheel at constant pending depth),
+// display-filter evaluation, histogram insertion, and an end-to-end short
+// experiment. There is no committed baseline: the numbers describe the
+// host they ran on. Allocations per event are pinned by tests/alloc.
 #include <benchmark/benchmark.h>
-
-#include <atomic>
-#include <cstdlib>
-#include <new>
 
 #include "analysis/histogram.hpp"
 #include "dissect/dissector.hpp"
@@ -22,32 +19,6 @@
 #include "tcp/receiver.hpp"
 #include "tcp/sender.hpp"
 #include "util/rng.hpp"
-
-// Counting allocator hook (same [replacement.functions] technique as
-// bench_campaign): every heap allocation in this binary bumps one relaxed
-// atomic, so the steady-state event-loop benches can report allocs/event.
-namespace {
-std::atomic<std::uint64_t> g_alloc_calls{0};
-std::uint64_t alloc_calls() {
-  return g_alloc_calls.load(std::memory_order_relaxed);
-}
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size ? size : 1);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void* operator new[](std::size_t size) { return operator new(size); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -133,50 +104,6 @@ void BM_EventLoopWheelDepth(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(budget));
 }
 BENCHMARK(BM_EventLoopWheelDepth)->Arg(100)->Arg(10000)->Arg(100000);
-
-// Steady-state allocations per fired event, via the counting operator new
-// above. The loop and ring are built and warmed outside the timed region,
-// so the counter isolates the per-event cost: the handle-free post path
-// (inline EventFn, no EventCtl) must show ~0, and the handle path must stay
-// ≤1 amortized thanks to the EventCtl pool (scripts/bench_gate.py enforces
-// the ceiling on allocs_per_event).
-void steady_alloc_bench(benchmark::State& state, bool keep_handles) {
-  EventLoop loop;
-  constexpr std::uint32_t kDepth = 1024;
-  TimerRing ring{&loop};
-  struct HandleRing {
-    EventLoop* loop;
-    void arm(std::uint32_t i) {
-      // The handle is discarded on the spot — the EventCtl it pinned goes
-      // back to the pool when the event settles.
-      EventHandle h = loop->schedule_in(Duration(1000 + (i % 64) * 997),
-                                       [this, i] { arm(i); });
-      benchmark::DoNotOptimize(h);
-    }
-  };
-  HandleRing handle_ring{&loop};
-  for (std::uint32_t i = 0; i < kDepth; ++i)
-    keep_handles ? handle_ring.arm(i) : ring.arm(i);
-  loop.run(200'000);  // warm bucket vectors + EventCtl pool
-  std::uint64_t events = 0;
-  const std::uint64_t allocs_before = alloc_calls();
-  for (auto _ : state) events += loop.run(20'000);
-  const std::uint64_t allocs = alloc_calls() - allocs_before;
-  state.counters["allocs_per_event"] =
-      events == 0 ? 0.0
-                  : static_cast<double>(allocs) / static_cast<double>(events);
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-}
-
-void BM_EventLoopSteadyAllocsPost(benchmark::State& state) {
-  steady_alloc_bench(state, /*keep_handles=*/false);
-}
-BENCHMARK(BM_EventLoopSteadyAllocsPost);
-
-void BM_EventLoopSteadyAllocsHandle(benchmark::State& state) {
-  steady_alloc_bench(state, /*keep_handles=*/true);
-}
-BENCHMARK(BM_EventLoopSteadyAllocsHandle);
 
 // Observability overhead on the loop hot path. The three cases bound the
 // cost ladder the design promises: no observer attached (the default every

@@ -31,9 +31,9 @@ namespace {
 
 using namespace streamlab;
 
-/// Same tiny scenario as bench_campaign: two hops, one mid-clip outage.
-/// Telemetry cost must be measured on the same trial the throughput
-/// baseline uses; clip length selects the stress (5 s) or paper-scale
+/// The tiny scenario of tests/core/test_campaign.cpp: two hops, one
+/// mid-clip outage, so each trial exercises faults, recovery and
+/// fragmentation. Clip length selects the stress (5 s) or paper-scale
 /// (60 s) variant.
 CampaignConfig bench_campaign_config(std::size_t trials, bool collect,
                                      std::int64_t clip_seconds = 5) {

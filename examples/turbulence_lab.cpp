@@ -500,7 +500,7 @@ int run_campaign_mode(const ClipSet& set, RateTier tier, std::size_t trials,
 }
 
 // --fleet N: the city-scale flyweight trial. Prints wall-clock throughput
-// (the numbers BENCH_FLEET.json records via bench_fleet) plus the turbulence
+// (e2ebench's fleet workload times the same trial) plus the turbulence
 // statistics; runs fully audited and, with --verify-determinism, twice.
 int run_fleet_mode(std::size_t sessions, std::uint64_t seed,
                    bool verify_determinism) {

@@ -1,18 +1,16 @@
 #!/usr/bin/env bash
-# Records the benchmark JSON artifacts (BENCH_CAMPAIGN.json, BENCH_OBS.json,
-# BENCH_REPAIR.json, BENCH_TELEMETRY.json, BENCH_DISTRIB.json,
-# BENCH_FLEET.json, BENCH_MULTIPATH.json) from a Release build — and refuses
-# anything else.
-# Numbers measured from a debug or sanitized tree are not
-# comparable to the committed baselines, so this script is the only
-# sanctioned way to refresh them.
+# Records the telemetry benchmark artifact (BENCH_TELEMETRY.json, from
+# bench/bench_telemetry) from a Release build — and refuses anything else.
+# Numbers measured from a debug or sanitized tree are not comparable to the
+# committed baseline, so this script is the only sanctioned way to refresh
+# it. End-to-end throughput and memory live in e2ebench (BENCHMARK.json).
 #
 # Usage: scripts/bench.sh [build-dir]
-#            record the artifacts (default build-dir: build-release,
+#            record the artifact (default build-dir: build-release,
 #            configured with -DCMAKE_BUILD_TYPE=Release if absent)
 #        scripts/bench.sh gate [--report-only] [build-dir]
-#            re-run the same benchmarks into a scratch directory and compare
-#            against the committed artifacts with scripts/bench_gate.py;
+#            re-run the benchmark into a scratch directory and compare
+#            against the committed artifact with scripts/bench_gate.py;
 #            exits nonzero on regression (unless --report-only)
 set -euo pipefail
 
@@ -55,11 +53,9 @@ if [[ -n "$SANITIZE" ]]; then
   exit 1
 fi
 
-# benchmark binary -> artifact basename; one committed JSON per binary.
-BINARIES=(bench_campaign bench_micro bench_repair bench_telemetry bench_distrib bench_fleet bench_multipath)
-ARTIFACTS=(BENCH_CAMPAIGN.json BENCH_OBS.json BENCH_REPAIR.json BENCH_TELEMETRY.json BENCH_DISTRIB.json BENCH_FLEET.json BENCH_MULTIPATH.json)
+ARTIFACT=BENCH_TELEMETRY.json
 
-cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${BINARIES[@]}"
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_telemetry
 
 if [[ "$MODE" == gate ]]; then
   OUT_DIR="$BUILD_DIR/bench-gate"
@@ -68,60 +64,49 @@ else
 fi
 mkdir -p "$OUT_DIR"
 
-# Each binary gets a wall-clock line, and its artifact is removed up front so
-# a bench that crashes (or silently writes nothing) fails loudly here instead
-# of the gate comparing a stale file from the previous run.
-for i in "${!BINARIES[@]}"; do
-  out="$OUT_DIR/${ARTIFACTS[$i]}"
-  rm -f "$out"
-  start=$SECONDS
-  "$BUILD_DIR/bench/${BINARIES[$i]}" \
-    --benchmark_out="$out" --benchmark_out_format=json \
-    --benchmark_repetitions=3 --benchmark_report_aggregates_only=true
-  elapsed=$((SECONDS - start))
-  if [[ ! -s "$out" ]]; then
-    echo "bench.sh: ${BINARIES[$i]} exited 0 but left $out missing/empty" >&2
-    exit 1
-  fi
-  echo "bench.sh: ${BINARIES[$i]} -> ${ARTIFACTS[$i]} in ${elapsed}s"
-done
+# The artifact is removed up front so a bench that crashes (or silently
+# writes nothing) fails loudly here instead of the gate comparing a stale
+# file from the previous run.
+out="$OUT_DIR/$ARTIFACT"
+rm -f "$out"
+start=$SECONDS
+"$BUILD_DIR/bench/bench_telemetry" \
+  --benchmark_out="$out" --benchmark_out_format=json \
+  --benchmark_repetitions=3 --benchmark_report_aggregates_only=true
+elapsed=$((SECONDS - start))
+if [[ ! -s "$out" ]]; then
+  echo "bench.sh: bench_telemetry exited 0 but left $out missing/empty" >&2
+  exit 1
+fi
+echo "bench.sh: bench_telemetry -> $ARTIFACT in ${elapsed}s"
 
 if [[ "$MODE" == gate ]]; then
-  GATE_ARGS=()
-  for artifact in "${ARTIFACTS[@]}"; do
-    if [[ ! -f "$artifact" ]]; then
-      echo "bench.sh: no committed baseline $artifact; skipping" >&2
-      continue
-    fi
-    GATE_ARGS+=("$artifact" "$OUT_DIR/$artifact")
-  done
-  if [[ ${#GATE_ARGS[@]} -eq 0 ]]; then
-    echo "bench.sh: no committed baselines to gate against" >&2
+  if [[ ! -f "$ARTIFACT" ]]; then
+    echo "bench.sh: no committed baseline $ARTIFACT to gate against" >&2
     exit 2
   fi
-  python3 scripts/bench_gate.py $REPORT_ONLY "${GATE_ARGS[@]}"
+  python3 scripts/bench_gate.py $REPORT_ONLY "$ARTIFACT" "$out"
   exit $?
 fi
 
 # google-benchmark's context.library_build_type describes the *benchmark
 # library* shipped with the toolchain, not our binaries — stamp the build
 # type this script just verified so the artifact is self-describing.
-python3 - <<'EOF'
+python3 - "$ARTIFACT" <<'EOF'
 import json
-for path in ("BENCH_CAMPAIGN.json", "BENCH_OBS.json", "BENCH_REPAIR.json",
-             "BENCH_TELEMETRY.json", "BENCH_DISTRIB.json", "BENCH_FLEET.json",
-             "BENCH_MULTIPATH.json"):
-    with open(path) as f:
-        d = json.load(f)
-    d["context"]["streamlab_build_type"] = "Release"
-    d["context"]["streamlab_note"] = (
-        "library_build_type reflects the prebuilt google-benchmark library; "
-        "streamlab itself is compiled with CMAKE_BUILD_TYPE=Release and no "
-        "sanitizers (enforced by scripts/bench.sh). Parallel campaign "
-        "speedup is bounded by context.num_cpus on the recording host.")
-    with open(path, "w") as f:
-        json.dump(d, f, indent=1)
-        f.write("\n")
+import sys
+path = sys.argv[1]
+with open(path) as f:
+    d = json.load(f)
+d["context"]["streamlab_build_type"] = "Release"
+d["context"]["streamlab_note"] = (
+    "library_build_type reflects the prebuilt google-benchmark library; "
+    "streamlab itself is compiled with CMAKE_BUILD_TYPE=Release and no "
+    "sanitizers (enforced by scripts/bench.sh). Parallel campaign "
+    "speedup is bounded by context.num_cpus on the recording host.")
+with open(path, "w") as f:
+    json.dump(d, f, indent=1)
+    f.write("\n")
 EOF
 
-echo "bench.sh: wrote ${ARTIFACTS[*]} (Release, unsanitized)"
+echo "bench.sh: wrote $ARTIFACT (Release, unsanitized)"

@@ -7,7 +7,7 @@ Usage:
                   BASELINE CURRENT [BASELINE CURRENT ...]
 
 Positional arguments come in (baseline, current) pairs — e.g. the committed
-BENCH_CAMPAIGN.json against a just-recorded run of the same binary. Normally
+BENCH_TELEMETRY.json against a just-recorded run of the same binary. Normally
 invoked via `scripts/bench.sh gate`, which produces the CURRENT files from a
 verified Release tree.
 
@@ -19,10 +19,6 @@ What is compared, per benchmark name (aggregate mean preferred when
     not against the baseline: the telemetry acceptance bar is "within 5% of
     the no-telemetry path", so a baseline that happened to record 2% must
     not make 4% a failure.
-  * allocs_per_event counter — same absolute-ceiling treatment (default
-    1.0): the flyweight-scheduler acceptance bar is "at most one heap
-    allocation per executed event in steady state" (BENCH_FLEET.json,
-    BENCH_OBS.json), independent of what the baseline happened to record.
 
 A benchmark present in the baseline but missing from the current run counts
 as a regression (a silently deleted benchmark would otherwise hide one).
@@ -42,7 +38,6 @@ import sys
 # tracking belongs to the recorded artifacts' history.
 DEFAULT_TOLERANCE_PCT = 50.0
 DEFAULT_OVERHEAD_CEILING_PCT = 5.0
-DEFAULT_ALLOCS_PER_EVENT_CEILING = 1.0
 
 
 def load_benchmarks(path):
@@ -81,8 +76,7 @@ def metrics_of(entry):
             yield key, float(value), True
 
 
-def compare(baseline_path, current_path, tolerance_pct, overhead_ceiling_pct,
-            allocs_ceiling):
+def compare(baseline_path, current_path, tolerance_pct, overhead_ceiling_pct):
     """Returns (regressions, report_lines)."""
     base = load_benchmarks(baseline_path)
     cur = load_benchmarks(current_path)
@@ -128,22 +122,6 @@ def compare(baseline_path, current_path, tolerance_pct, overhead_ceiling_pct,
                 regressions.append(
                     f"{name} overhead_pct[{which}]: {overhead:.2f} "
                     f"exceeds ceiling {ceiling:.2f}")
-        # Absolute gate: the flyweight-scheduler allocation bar. Allocation
-        # counts are near-deterministic (no timing noise), so the ceiling
-        # binds baseline and current runs equally strictly.
-        for which, entry in (("baseline", base_entry), ("current", cur_entry)):
-            allocs = entry.get("allocs_per_event")
-            if not isinstance(allocs, (int, float)):
-                continue
-            ok = float(allocs) <= allocs_ceiling
-            lines.append(
-                f"{'ok' if ok else 'REGRESSION':>10}  {name} "
-                f"allocs_per_event[{which}]: {allocs:.4f} "
-                f"(ceiling {allocs_ceiling:.2f})")
-            if not ok:
-                regressions.append(
-                    f"{name} allocs_per_event[{which}]: {allocs:.4f} "
-                    f"exceeds ceiling {allocs_ceiling:.2f}")
 
     for name in sorted(set(cur) - set(base)):
         lines.append(f"{'new':>10}  {name} (not in baseline; not gated)")
@@ -161,10 +139,6 @@ def main(argv):
                         default=DEFAULT_OVERHEAD_CEILING_PCT, metavar="PCT",
                         help="absolute ceiling for overhead_pct counters "
                              "(default %(default)s%%)")
-    parser.add_argument("--allocs-ceiling", type=float,
-                        default=DEFAULT_ALLOCS_PER_EVENT_CEILING, metavar="N",
-                        help="absolute ceiling for allocs_per_event counters "
-                             "(default %(default)s)")
     parser.add_argument("--report-only", action="store_true",
                         help="print the comparison but always exit 0")
     parser.add_argument("files", nargs="+", metavar="BASELINE CURRENT",
@@ -178,8 +152,7 @@ def main(argv):
     for baseline, current in zip(args.files[::2], args.files[1::2]):
         print(f"== {baseline} vs {current}")
         regressions, lines = compare(
-            baseline, current, args.tolerance, args.overhead_ceiling,
-            args.allocs_ceiling)
+            baseline, current, args.tolerance, args.overhead_ceiling)
         for line in lines:
             print(line)
         all_regressions.extend(regressions)

@@ -4,8 +4,8 @@
 // a whole topology at once); every component that can reach the loop can
 // then reach the run's metrics and trace. Nothing in the simulation owns an
 // Obs — runs that don't care pass nullptr and pay a single null-pointer
-// branch per instrumentation site (see bench_micro's BM_EventLoopObs*
-// cases, and BENCH_OBS.json for the measured overhead).
+// branch per instrumentation site (bench_micro's BM_EventLoopObs* cases
+// measure the overhead).
 #pragma once
 
 #include <cstdint>

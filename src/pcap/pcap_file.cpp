@@ -4,6 +4,7 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <string>
 
 #include "util/bytes.hpp"
 
@@ -112,6 +113,10 @@ Expected<CaptureTrace> read_pcap(std::istream& in) {
     if (!r.ok()) return Unexpected(std::string("truncated pcap record header"));
     if (incl_len > snaplen || incl_len > r.remaining())
       return Unexpected(std::string("pcap record length out of range"));
+    // A record cannot hold more bytes than went over the wire.
+    if (orig_len < incl_len)
+      return Unexpected("pcap record " + std::to_string(trace.size()) + ": orig_len " +
+                        std::to_string(orig_len) + " < incl_len " + std::to_string(incl_len));
     auto data = r.bytes(incl_len);
 
     CaptureRecord rec;

@@ -1,7 +1,7 @@
-// Heap-allocation pins for the per-packet path. This binary replaces the
-// global operator new with a counting one (the bench_micro technique), so
-// it lives apart from the other suites: every allocation in the process is
-// counted, and each test measures only the window around the operation.
+// Heap-allocation pins for the event loop, the fleet and the per-packet
+// path. This binary replaces the global operator new with a counting one,
+// so it lives apart from the other suites: every allocation in the process
+// is counted, and each test measures only the window around the operation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,6 +10,7 @@
 #include <new>
 
 #include "analysis/flow.hpp"
+#include "core/fleet.hpp"
 #include "dissect/conversations.hpp"
 #include "filter/evaluator.hpp"
 #include "net/buffer.hpp"
@@ -58,6 +59,72 @@ struct AllocWindow {
   std::uint64_t bytes() const { return g_bytes.load() - bytes0; }
   std::uint64_t largest() const { return g_largest.load(); }
 };
+
+/// The flyweight scheduler's bound: at most one heap allocation per
+/// executed event.
+constexpr double kMaxAllocsPerEvent = 1.0;
+
+double per_event(std::uint64_t allocs, std::uint64_t events) {
+  return static_cast<double>(allocs) / static_cast<double>(events);
+}
+
+/// kDepth timers stay pending; each firing re-arms itself one staggered
+/// interval ahead, through the handle-free post path or through
+/// schedule_in with its handle dropped on the spot (the EventCtl goes back
+/// to the pool when the event settles).
+struct TimerRing {
+  static constexpr std::uint32_t kDepth = 1024;
+  EventLoop* loop;
+  bool handles;
+  void arm(std::uint32_t i) {
+    // A coprime stagger spreads the ring across wheel buckets instead of
+    // beating in one.
+    const Duration in(1000 + (i % 64) * 997);
+    if (handles)
+      (void)loop->schedule_in(in, [this, i] { arm(i); });
+    else
+      loop->post_in(in, [this, i] { arm(i); }, obs::EventCategory::kTimer);
+  }
+};
+
+// Once the bucket vectors and the EventCtl pool are warm, the wheel at a
+// constant depth of 1,024 pending timers stays within the bound on both
+// scheduling paths.
+TEST(Allocations, WarmedTimerRingAllocatesAtMostOncePerEvent) {
+  for (const bool handles : {false, true}) {
+    EventLoop loop;
+    TimerRing ring{&loop, handles};
+    for (std::uint32_t i = 0; i < TimerRing::kDepth; ++i) ring.arm(i);
+    loop.run(200'000);  // warm the buckets and the EventCtl pool
+
+    constexpr std::uint64_t kEvents = 200'000;
+    const AllocWindow window;
+    const std::uint64_t fired = loop.run(kEvents);
+    const std::uint64_t allocs = window.calls();
+    ASSERT_EQ(fired, kEvents);
+    EXPECT_LE(per_event(allocs, fired), kMaxAllocsPerEvent)
+        << (handles ? "handle" : "post") << " path: " << allocs << " allocations";
+  }
+}
+
+// A whole fleet run, setup included: the session table, the wheel and its
+// warm-up are amortised over every executed event and still stay within
+// the bound. 1,000 sessions stream a 2 s episode through the shared
+// turbulence window, which covers its middle.
+TEST(Allocations, WholeFleetRunAllocatesAtMostOncePerEvent) {
+  FleetConfig config;
+  config.sessions = 1000;
+  config.seed = 1;
+  config.episode = Duration::seconds(2);
+  config.turbulence_start = Duration::millis(500);
+  config.turbulence_duration = Duration::millis(900);
+  const AllocWindow window;
+  const FleetResult result = run_fleet(config);
+  const std::uint64_t allocs = window.calls();
+  ASSERT_GT(result.events_executed, 0u);
+  EXPECT_LE(per_event(allocs, result.events_executed), kMaxAllocsPerEvent)
+      << allocs << " allocations for " << result.events_executed << " events";
+}
 
 /// Counts deliveries without storing them, so the sink allocates nothing.
 class CountingNode : public Node {

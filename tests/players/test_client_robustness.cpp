@@ -7,6 +7,12 @@
 namespace streamlab {
 namespace {
 
+StreamClient::Config rm_config() {
+  StreamClient::Config cc;
+  cc.kind = PlayerKind::kRealPlayer;
+  return cc;
+}
+
 /// Harness delivering hand-crafted datagrams straight to a client.
 struct RawClientHarness {
   EventLoop loop;
@@ -18,7 +24,7 @@ struct RawClientHarness {
   RawClientHarness()
       : clip(encode_clip(testutil::short_clip(PlayerKind::kRealPlayer, 50, 10), 1)),
         client(client_host, clip, Endpoint{server_host.address(), kRealServerPort},
-               StreamClient::Config{PlayerKind::kRealPlayer, {}, {}, 0, {}}) {
+               rm_config()) {
     // Wire the hosts back-to-back.
     server_host.attach_interface([this](const Ipv4Packet& p) {
       loop.schedule_in(Duration::micros(50), [this, p] { client_host.handle_packet(p, 0); });
