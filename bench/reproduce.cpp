@@ -3,30 +3,26 @@
 // extensions. kOutputs declares each output once: its id, the header it
 // prints, the data sets it reads and its render function. Every output
 // prints the rows/series the paper's table or figure reports, plus an ASCII
-// sketch of the plot.
-//
-// Usage: reproduce [id...]   (no ids: every output, in registry order)
-//
-// The ids are checked before any work starts. The study then runs once,
-// over the union of the data sets the selected outputs read; a clip pair's
-// result depends only on (seed, set, tier), so a subset prints the same
-// bytes as the full study.
+// sketch of the plot; `claims` prints the verdict tables EXPERIMENTS.md
+// embeds. The command line is in reproduce_main.cpp; this file is the
+// streamlab_reproduce library, which the paper test suite also links.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <exception>
-#include <iterator>
 #include <map>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "reproduce.hpp"
+
 #include "analysis/stats.hpp"
 #include "congestion/experiment.hpp"
 #include "congestion/friendliness.hpp"
 #include "core/aggregate.hpp"
+#include "core/claims.hpp"
 #include "core/figures.hpp"
 #include "core/render.hpp"
 #include "core/study.hpp"
@@ -35,8 +31,7 @@
 #include "tracegen/ns_trace.hpp"
 #include "util/strings.hpp"
 
-using namespace streamlab;
-
+namespace streamlab::reproduce {
 namespace {
 
 /// A clip the output's data sets include. A missing one means the registry
@@ -761,18 +756,49 @@ void ext_tcp_friendliness(const StudyResults&) {
       "the UDP streams are unresponsive; TCP absorbs whatever remains.\n");
 }
 
-struct Output {
-  const char* id;
-  const char* heading;
-  const char* title;
-  const char* paper_note;
-  std::vector<int> sets;  ///< data sets the render reads; empty runs no study
-  void (*render)(const StudyResults&);
-};
-
 const std::vector<int> kAllSets = {1, 2, 3, 4, 5, 6};
 
-const Output kOutputs[] = {
+// A measured claim value: counts in full, anything else to 4 digits.
+std::string fmt_value(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, std::abs(v) < 1e9 && v == std::floor(v) ? "%.0f" : "%.4g",
+                v);
+  return buf;
+}
+
+// The verdict tables of EXPERIMENTS.md: every paper claim measured on the
+// full study, one markdown table per output in registry order. A failing
+// claim is marked ✘; the render throws after printing, so `reproduce
+// claims` exits nonzero.
+void claims(const StudyResults& study) {
+  std::size_t held = 0;
+  for (const Output& o : outputs()) {
+    bool any = false;
+    std::string_view last_paper;
+    for (const PaperClaim& c : paper_claims()) {
+      if (c.output != std::string_view(o.id)) continue;
+      if (!any)
+        std::printf("## %s — %s (`reproduce %s`)\n\n"
+                    "| Claim | Paper | Measured | Value | Bound | Verdict |\n"
+                    "|---|---|---|---|---|---|\n",
+                    o.heading, o.title, o.id);
+      const double value = c.measure(study);
+      const bool ok = c.bound.admits(value);
+      held += ok;
+      std::printf("| `%s` | %s | %s | %s | %s | %s |\n", c.id,
+                  c.paper == last_paper ? "" : c.paper, c.quantity,
+                  fmt_value(value).c_str(), c.bound.describe().c_str(), ok ? "✔" : "✘");
+      any = true;
+      last_paper = c.paper;
+    }
+    if (any) std::printf("\n");
+  }
+  std::printf("%zu of %zu claims hold.\n", held, paper_claims().size());
+  if (held != paper_claims().size())
+    throw std::runtime_error(std::to_string(paper_claims().size() - held) + " claims fail");
+}
+
+const std::vector<Output> kOutputs = {
     {"table1", "Table 1", "Experiment data sets",
      "6 sets, 26 clips; R/M encoded Kbps per tier; lengths 0:39-4:05", kAllSets, table1},
     {"fig01", "Figure 1", "CDF of RTT",
@@ -819,46 +845,19 @@ const Output kOutputs[] = {
     {"ext_tcp_friendliness", "Extension: TCP-friendliness",
      "UDP media stream vs TCP bulk flow over one bottleneck",
      "Section VI: commercial players are likely not TCP-friendly", {}, ext_tcp_friendliness},
+    {"claims", "Claims", "Paper claim verdicts",
+     "every claim of Table 1 and Figures 1-15, measured and bounded", kAllSets, claims,
+     /*on_request=*/true},
 };
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::vector<const Output*> selected;
-  for (int i = 1; i < argc; ++i) {
-    const auto it = std::find_if(std::begin(kOutputs), std::end(kOutputs),
-                                 [&](const Output& o) { return std::string_view(argv[i]) == o.id; });
-    if (it == std::end(kOutputs)) {
-      std::fprintf(stderr, "reproduce: unknown output '%s'; valid ids:", argv[i]);
-      for (const Output& o : kOutputs) std::fprintf(stderr, " %s", o.id);
-      std::fprintf(stderr, "\n");
-      return 2;
-    }
-    selected.push_back(&*it);
-  }
-  if (selected.empty())
-    for (const Output& o : kOutputs) selected.push_back(&o);
+const std::vector<Output>& outputs() { return kOutputs; }
 
-  std::set<int> sets;
-  for (const Output* o : selected) sets.insert(o->sets.begin(), o->sets.end());
-  StudyResults study;
-  if (!sets.empty()) {
-    StudyConfig config;
-    config.seed = kPaperSeed;
-    study = run_study_subset(config, {sets.begin(), sets.end()});
-  }
-
-  try {
-    for (const Output* o : selected) {
-      std::printf("==============================================================\n");
-      std::printf("%s — %s\n", o->heading, o->title);
-      std::printf("paper: %s\n", o->paper_note);
-      std::printf("==============================================================\n\n");
-      o->render(study);
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "reproduce: %s\n", e.what());
-    return 1;
-  }
-  return 0;
+const Output* find_output(std::string_view id) {
+  for (const Output& o : kOutputs)
+    if (id == o.id) return &o;
+  return nullptr;
 }
+
+}  // namespace streamlab::reproduce

@@ -4,6 +4,9 @@
 #   -DSHA256=<digest>   the run must exit 0 and the hashed file have this digest
 #   [-DFILE=<path>]     the file to hash, relative to DIR (default: stdout)
 #   -DREJECT=1          the run must exit nonzero with empty stdout
+#   -DEMBEDDED_IN=<doc> the run must exit 0 and its stdout equal the text of
+#                       <doc> between the lines `<!-- begin: <name> ARGS -->`
+#                       and `<!-- end: <name> ARGS -->`
 if(NOT FILE)
   set(FILE stdout)
 endif()
@@ -20,6 +23,25 @@ if(REJECT)
   if(rc EQUAL 0 OR NOT size EQUAL 0)
     message(FATAL_ERROR "${name} ${ARGS}: exit ${rc}, ${size} stdout bytes; "
                         "want nonzero exit and empty stdout")
+  endif()
+elseif(EMBEDDED_IN)
+  file(READ ${DIR}/stdout out)
+  file(READ ${EMBEDDED_IN} doc)
+  set(begin "<!-- begin: ${name} ${ARGS} -->\n")
+  set(end "<!-- end: ${name} ${ARGS} -->")
+  string(FIND "${doc}" "${begin}" b)
+  string(FIND "${doc}" "${end}" e)
+  if(b EQUAL -1 OR e EQUAL -1)
+    message(FATAL_ERROR "${EMBEDDED_IN}: no '${begin}' ... '${end}' block")
+  endif()
+  string(LENGTH "${begin}" begin_length)
+  math(EXPR b "${b} + ${begin_length}")
+  math(EXPR length "${e} - ${b}")
+  string(SUBSTRING "${doc}" ${b} ${length} embedded)
+  if(NOT rc EQUAL 0 OR NOT out STREQUAL embedded)
+    message(FATAL_ERROR "${name} ${ARGS}: exit ${rc}; its stdout (${DIR}/stdout) "
+                        "differs from the block in ${EMBEDDED_IN}. Regenerate the "
+                        "block with `${name} ${ARGS}` and review the diff.")
   endif()
 elseif(NOT EXISTS ${DIR}/${FILE})
   message(FATAL_ERROR "${name} ${ARGS}: exit ${rc}, wrote no ${FILE}")

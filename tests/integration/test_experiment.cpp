@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "study_fixture.hpp"
+#include "core/study.hpp"
 
 namespace streamlab {
 namespace {
@@ -101,22 +101,6 @@ TEST(RunClipPair, MissingTierReturnsEmpty) {
   const PairRunResult r = run_clip_pair(set2, RateTier::kVeryHigh, quick_config());
   EXPECT_TRUE(r.real.flow.empty());
   EXPECT_TRUE(r.media.flow.empty());
-}
-
-TEST(Study, SubsetRunsExpectedPairs) {
-  const auto& s = testutil::study();
-  // Sets 1 (2 tiers) + 6 (3 tiers) = 5 pair runs = 10 clips.
-  EXPECT_EQ(s.runs.size(), 5u);
-  EXPECT_EQ(s.clips().size(), 10u);
-  EXPECT_EQ(s.clips_for(PlayerKind::kRealPlayer).size(), 5u);
-  EXPECT_EQ(s.clips_for(PlayerKind::kMediaPlayer).size(), 5u);
-}
-
-TEST(Study, PathsDifferPerDataSet) {
-  const PathConfig p1 = path_for_data_set(1, 1);
-  const PathConfig p6 = path_for_data_set(6, 1);
-  EXPECT_NE(p1.hop_count, p6.hop_count);
-  EXPECT_LT(p1.one_way_propagation, p6.one_way_propagation);
 }
 
 }  // namespace

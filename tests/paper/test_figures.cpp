@@ -14,19 +14,19 @@ using testutil::study;
 
 TEST(Figures, Fig1RttSamplesOnePerPing) {
   const auto rtts = figures::rtt_samples_ms(study());
-  // 5 pair runs x 10 pings.
-  EXPECT_EQ(rtts.size(), 50u);
+  // 13 pair runs x 10 pings.
+  EXPECT_EQ(rtts.size(), 130u);
   for (const double r : rtts) EXPECT_GT(r, 0.0);
 }
 
 TEST(Figures, Fig2HopCountsOnePerRun) {
   const auto hops = figures::hop_counts(study());
-  EXPECT_EQ(hops.size(), 5u);
+  EXPECT_EQ(hops.size(), 13u);
 }
 
 TEST(Figures, Fig3PointsAndTrend) {
   const auto points = figures::playback_vs_encoding(study());
-  EXPECT_EQ(points.size(), 10u);
+  EXPECT_EQ(points.size(), 26u);
 
   const auto real_fit = figures::playback_trend(study(), PlayerKind::kRealPlayer);
   const auto media_fit = figures::playback_trend(study(), PlayerKind::kMediaPlayer);
@@ -55,7 +55,7 @@ TEST(Figures, Fig4ArrivalWindowReindexed) {
 
 TEST(Figures, Fig5OnePointPerClip) {
   const auto points = figures::fragmentation_vs_rate(study());
-  EXPECT_EQ(points.size(), 10u);
+  EXPECT_EQ(points.size(), 26u);
   for (const auto& p : points) {
     if (p.player == PlayerKind::kRealPlayer) {
       EXPECT_DOUBLE_EQ(p.fragment_percent, 0.0);
@@ -104,7 +104,7 @@ TEST(Figures, Fig10TimelineCoversStream) {
 
 TEST(Figures, Fig11SortedByRate) {
   const auto points = figures::buffering_ratio_vs_rate(study());
-  EXPECT_EQ(points.size(), 5u);  // RealPlayer clips only
+  EXPECT_EQ(points.size(), 13u);  // RealPlayer clips only
   for (std::size_t i = 1; i < points.size(); ++i)
     EXPECT_GE(points[i].encoding_kbps, points[i - 1].encoding_kbps);
 }
@@ -125,26 +125,26 @@ TEST(Figures, Fig12BothLayersPresent) {
 }
 
 TEST(Figures, Fig13TimelineMatchesTrackerSamples) {
-  const auto& run = clip_result("set5/R-h");
-  // set 5 is not in the subset: empty result must be safe.
-  EXPECT_TRUE(figures::framerate_timeline(run).empty());
+  // A clip that did not run: the empty result must be safe.
+  EXPECT_TRUE(figures::framerate_timeline(ClipRunResult{}).empty());
 
   const auto timeline = figures::framerate_timeline(clip_result("set1/R-h"));
   EXPECT_EQ(timeline.size(), clip_result("set1/R-h").tracker.samples.size());
 }
 
 TEST(Figures, Fig14And15PointsPerClip) {
-  EXPECT_EQ(figures::framerate_vs_encoding(study()).size(), 10u);
-  EXPECT_EQ(figures::framerate_vs_bandwidth(study()).size(), 10u);
+  EXPECT_EQ(figures::framerate_vs_encoding(study()).size(), 26u);
+  EXPECT_EQ(figures::framerate_vs_bandwidth(study()).size(), 26u);
 }
 
 TEST(Figures, TierSummariesWithStderr) {
   const auto points = figures::framerate_vs_encoding(study());
   const auto real = figures::summarize_by_tier(points, PlayerKind::kRealPlayer);
-  // Subset has low, high and (set 6) very-high tiers.
+  // Low and high tiers in all six sets, very-high in set 6 only.
   ASSERT_EQ(real.size(), 3u);
   EXPECT_EQ(real[0].tier, RateTier::kLow);
-  EXPECT_EQ(real[0].count, 2u);   // sets 1 and 6
+  EXPECT_EQ(real[0].count, 6u);
+  EXPECT_EQ(real[1].count, 6u);
   EXPECT_EQ(real[2].tier, RateTier::kVeryHigh);
   EXPECT_EQ(real[2].count, 1u);
   // Frame rate rises with tier.
