@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -24,6 +25,7 @@
 #include "core/aggregate.hpp"
 #include "core/claims.hpp"
 #include "core/figures.hpp"
+#include "core/jobs.hpp"
 #include "core/render.hpp"
 #include "core/study.hpp"
 #include "players/server.hpp"
@@ -731,18 +733,28 @@ void ext_tcp_friendliness(const StudyResults&) {
   config.bottleneck = BitRate::kbps(400);
   config.seed = 5;
 
+  constexpr PlayerKind kPlayers[] = {PlayerKind::kRealPlayer, PlayerKind::kMediaPlayer};
+  constexpr double kRates[] = {100.0, 200.0, 300.0, 350.0};
+  // Run i is player i / 4 at rate i % 4: eight independent experiments on
+  // the job pool, one table row each, in run order.
+  const auto player_of = [&](std::size_t i) { return kPlayers[i / std::size(kRates)]; };
+  const auto rate_of = [&](std::size_t i) { return kRates[i % std::size(kRates)]; };
+  std::vector<FriendlinessResult> results(std::size(kPlayers) * std::size(kRates));
+  run_jobs(
+      results.size(), /*workers=*/0,
+      [&](std::size_t i, std::size_t) {
+        results[i] = run_friendliness_experiment(media_clip(player_of(i), rate_of(i)), config);
+      },
+      [](std::size_t) {});
+
   std::vector<std::vector<std::string>> rows;
-  for (const PlayerKind player : {PlayerKind::kRealPlayer, PlayerKind::kMediaPlayer}) {
-    for (const double kbps : {100.0, 200.0, 300.0, 350.0}) {
-      const auto r = run_friendliness_experiment(media_clip(player, kbps), config);
-      rows.push_back({player == PlayerKind::kRealPlayer ? "Real" : "Media",
-                      fmt_double(kbps, 0), fmt_double(r.fair_share_kbps, 0),
-                      fmt_double(r.media_share_kbps, 1),
-                      fmt_double(r.tcp_share_kbps, 1),
-                      fmt_double(r.media_fairness_index, 2),
-                      fmt_double(100.0 * r.media_loss, 1),
-                      std::to_string(r.tcp_retransmissions)});
-    }
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const FriendlinessResult& r = results[i];
+    rows.push_back({player_of(i) == PlayerKind::kRealPlayer ? "Real" : "Media",
+                    fmt_double(rate_of(i), 0), fmt_double(r.fair_share_kbps, 0),
+                    fmt_double(r.media_share_kbps, 1), fmt_double(r.tcp_share_kbps, 1),
+                    fmt_double(r.media_fairness_index, 2), fmt_double(100.0 * r.media_loss, 1),
+                    std::to_string(r.tcp_retransmissions)});
   }
   std::printf("%s\n",
               render::table({"Player", "Enc Kbps", "Fair", "Media share", "TCP share",
@@ -751,9 +763,11 @@ void ext_tcp_friendliness(const StudyResults&) {
                   .c_str());
 
   std::printf(
-      "shape to check: the media share tracks the encoding rate regardless of\n"
-      "the fair share (fairness index > 1 once the rate exceeds capacity/2) —\n"
-      "the UDP streams are unresponsive; TCP absorbs whatever remains.\n");
+      "shape to check: neither stream backs off to the fair share — the media\n"
+      "share rises with the encoding rate (fairness index > 1 once the rate\n"
+      "exceeds capacity/2) while TCP's share shrinks. RealPlayer's wire share\n"
+      "runs above its encoding rate; MediaPlayer's falls about 10%% short of it\n"
+      "at 300-350 Kbps, where it loses 9-10%% of its packets.\n");
 }
 
 const std::vector<int> kAllSets = {1, 2, 3, 4, 5, 6};

@@ -6,27 +6,30 @@ namespace streamlab {
 
 FlowTrace FlowTrace::extract(const std::vector<DissectedPacket>& packets, Ipv4Address src,
                              std::optional<std::uint16_t> dst_port) {
-  using enum FieldId;
   FlowTrace out;
-  for (const auto& p : packets) {
-    if (!p.has(kIpSrc) || p.number(kIpSrc) != static_cast<std::int64_t>(src.value())) continue;
-    if (!p.has(kIpProto) || p.number(kIpProto) != 17) continue;
-
-    const bool trailing = p.number(kIpFragOffset) > 0;
-    if (!trailing && dst_port) {
-      if (!p.has(kUdpDstPort) || p.number(kUdpDstPort) != *dst_port) continue;
-    }
-    // Trailing fragments are accepted on source+protocol alone: their IP id
-    // ties them to the preceding first fragment of the same datagram.
-    FlowPacket fp;
-    fp.time = p.timestamp;
-    fp.wire_length = static_cast<std::uint32_t>(p.frame_length);
-    fp.trailing_fragment = trailing;
-    fp.first_of_group = !trailing;
-    fp.ip_id = static_cast<std::uint16_t>(p.number(kIpId));
-    out.packets_.push_back(fp);
-  }
+  for (const auto& p : packets) out.add(p, src, dst_port);
   return out;
+}
+
+void FlowTrace::add(const DissectedPacket& p, Ipv4Address src,
+                    std::optional<std::uint16_t> dst_port) {
+  using enum FieldId;
+  if (!p.has(kIpSrc) || p.number(kIpSrc) != static_cast<std::int64_t>(src.value())) return;
+  if (!p.has(kIpProto) || p.number(kIpProto) != 17) return;
+
+  const bool trailing = p.number(kIpFragOffset) > 0;
+  if (!trailing && dst_port) {
+    if (!p.has(kUdpDstPort) || p.number(kUdpDstPort) != *dst_port) return;
+  }
+  // Trailing fragments are accepted on source+protocol alone: their IP id
+  // ties them to the preceding first fragment of the same datagram.
+  FlowPacket fp;
+  fp.time = p.timestamp;
+  fp.wire_length = static_cast<std::uint32_t>(p.frame_length);
+  fp.trailing_fragment = trailing;
+  fp.first_of_group = !trailing;
+  fp.ip_id = static_cast<std::uint16_t>(p.number(kIpId));
+  packets_.push_back(fp);
 }
 
 std::size_t FlowTrace::fragment_count() const {

@@ -30,6 +30,10 @@ class FlowTrace {
   /// continuity, exactly how one isolates a flow in Ethereal).
   static FlowTrace extract(const std::vector<DissectedPacket>& packets, Ipv4Address src,
                            std::optional<std::uint16_t> dst_port = std::nullopt);
+  /// Appends `packet` when extract(…, src, dst_port) would select it: a
+  /// flow built one captured frame at a time.
+  void add(const DissectedPacket& packet, Ipv4Address src,
+           std::optional<std::uint16_t> dst_port = std::nullopt);
 
   const std::vector<FlowPacket>& packets() const { return packets_; }
   std::size_t size() const { return packets_.size(); }

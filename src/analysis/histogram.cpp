@@ -81,9 +81,12 @@ std::vector<CdfPoint> empirical_cdf(std::vector<double> values) {
 std::vector<CdfPoint> cdf_at_quantiles(const std::vector<double>& values, int points) {
   std::vector<CdfPoint> out;
   if (values.empty() || points < 2) return out;
+  std::vector<double> sorted = values;
+  std::sort(sorted.begin(), sorted.end());
+  out.reserve(static_cast<std::size_t>(points));
   for (int i = 0; i < points; ++i) {
     const double p = static_cast<double>(i) / (points - 1);
-    out.push_back({quantile(values, p), p});
+    out.push_back({quantile_sorted(sorted, p), p});
   }
   return out;
 }

@@ -30,14 +30,18 @@ SummaryStats SummaryStats::from(std::vector<double> values) {
 }
 
 double quantile(std::vector<double> values, double q) {
-  if (values.empty()) return 0.0;
   std::sort(values.begin(), values.end());
+  return quantile_sorted(values, q);
+}
+
+double quantile_sorted(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * static_cast<double>(values.size() - 1);
+  const double pos = q * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
   const double frac = pos - static_cast<double>(lo);
-  if (lo + 1 >= values.size()) return values.back();
-  return values[lo] * (1.0 - frac) + values[lo + 1] * frac;
+  if (lo + 1 >= sorted.size()) return sorted.back();
+  return sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
 }
 
 std::vector<double> normalize_by_mean(const std::vector<double>& values) {

@@ -21,6 +21,8 @@ struct SummaryStats {
 /// q-quantile (0..1) of a sample by linear interpolation; the input need not
 /// be sorted.
 double quantile(std::vector<double> values, double q);
+/// quantile() of a sample already sorted ascending, without the copy and sort.
+double quantile_sorted(const std::vector<double>& sorted, double q);
 
 /// Divides every value by the sample mean — the normalisation of Figures 7
 /// and 9. Returns an empty vector when the mean is zero.

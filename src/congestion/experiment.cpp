@@ -1,5 +1,6 @@
 #include "congestion/experiment.hpp"
 
+#include "core/jobs.hpp"
 #include "pcap/sniffer.hpp"
 #include "players/server.hpp"
 #include "trackers/tracker.hpp"
@@ -44,7 +45,7 @@ CongestionResult run_congestion_experiment(const ClipInfo& clip,
   result.bottleneck = config.bottleneck;
   result.offered_load = clip.encoded_rate / config.bottleneck;
 
-  const auto sent = server->send_log().size();
+  const auto sent = server->stats().packets_sent;
   const auto received = client.stats().packets_received;
   // Count at the datagram level the client could observe; fragments lost
   // upstream surface as incomplete datagrams below.
@@ -78,12 +79,15 @@ CongestionResult run_congestion_experiment(const ClipInfo& clip,
 std::vector<CongestionResult> sweep_bottleneck(const ClipInfo& clip,
                                                const std::vector<double>& bottlenecks_kbps,
                                                CongestionConfig config) {
-  std::vector<CongestionResult> out;
-  out.reserve(bottlenecks_kbps.size());
-  for (const double kbps : bottlenecks_kbps) {
-    config.bottleneck = BitRate::kbps(kbps);
-    out.push_back(run_congestion_experiment(clip, config));
-  }
+  std::vector<CongestionResult> out(bottlenecks_kbps.size());
+  run_jobs(
+      out.size(), /*workers=*/0,
+      [&](std::size_t i, std::size_t) {
+        CongestionConfig point = config;
+        point.bottleneck = BitRate::kbps(bottlenecks_kbps[i]);
+        out[i] = run_congestion_experiment(clip, point);
+      },
+      [](std::size_t) {});
   return out;
 }
 

@@ -62,7 +62,8 @@ struct CongestionResult {
 CongestionResult run_congestion_experiment(const ClipInfo& clip,
                                            const CongestionConfig& config);
 
-/// Sweeps bottleneck capacities (Kbps) for one clip.
+/// Sweeps bottleneck capacities (Kbps) for one clip: one run_congestion_experiment
+/// per capacity, run side by side on the job pool, results in input order.
 std::vector<CongestionResult> sweep_bottleneck(const ClipInfo& clip,
                                                const std::vector<double>& bottlenecks_kbps,
                                                CongestionConfig config = {});

@@ -74,7 +74,7 @@ FriendlinessResult run_friendliness_experiment(const ClipInfo& clip,
   result.media_share_kbps =
       static_cast<double>(media_client.stats().wire_bytes) * 8.0 / window / 1000.0;
   result.media_fairness_index = result.media_share_kbps / result.fair_share_kbps;
-  const auto sent = media_server->send_log().size();
+  const auto sent = media_server->stats().packets_sent;
   result.media_loss =
       sent == 0 ? 0.0
                 : 1.0 - static_cast<double>(std::min<std::uint64_t>(

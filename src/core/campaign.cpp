@@ -1,27 +1,24 @@
 #include "core/campaign.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <charconv>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
 #include <iterator>
 #include <map>
-#include <mutex>
 #include <stdexcept>
 #include <string_view>
 #include <system_error>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "core/flightrec.hpp"
+#include "core/jobs.hpp"
 #include "obs/export.hpp"
 #include "obs/obs.hpp"
 #include "util/arity.hpp"
@@ -739,25 +736,8 @@ std::uint64_t campaign_config_digest(const CampaignConfig& config) {
   return d.h;
 }
 
-std::size_t resolve_workers(const CampaignConfig& config, std::size_t pending) {
-  std::size_t n = config.workers;
-  if (n == 0) {
-    n = std::thread::hardware_concurrency();
-    if (n == 0) n = 1;  // hardware_concurrency may be unknowable
-  }
-  if (n > pending) n = pending;
-  return n == 0 ? 1 : n;
-}
-
 CampaignResult run_campaign(const CampaignConfig& config) {
   const std::string config_hex = hex64(campaign_config_digest(config));
-  // Set when the commit loop throws, so the runners stop claiming and can
-  // be joined before the state they share unwinds.
-  std::atomic<bool> abandoned{false};
-  const auto is_cancelled = [&] {
-    return abandoned.load(std::memory_order_relaxed) ||
-           (config.cancel != nullptr && config.cancel->load(std::memory_order_relaxed));
-  };
 
   // Restore finished trials from an existing manifest (resume), tolerating
   // — and truncating away — a torn trailing line from a mid-write crash.
@@ -767,13 +747,13 @@ CampaignResult run_campaign(const CampaignConfig& config) {
                                                           config_hex, config.trials);
   std::map<std::size_t, TrialOutcome>& restored = manifest_read.restored;
 
-  // Trials still to run, in index order (the claim order of the pool).
+  // Trials still to run, in index order: job k of the pool is trial pending[k].
   std::vector<std::size_t> pending;
   pending.reserve(config.trials);
   for (std::size_t i = 0; i < config.trials; ++i)
     if (!restored.contains(i)) pending.push_back(i);
 
-  const std::size_t workers = resolve_workers(config, pending.size());
+  const std::size_t workers = job_workers(config.workers, pending.size());
   // An Obs context is thread-confined and single-run; two concurrent trials
   // writing one registry/tracer would race. Campaigns were already told to
   // leave `obs` unset (SimTime restarts per trial) — under a parallel pool
@@ -785,98 +765,41 @@ CampaignResult run_campaign(const CampaignConfig& config) {
 
   campaign_detail::Committer committer(config, config_hex, workers);
 
-  // Worker pool: the calling thread is worker 0 and `workers - 1` threads
-  // join it. Each runner claims the next pending index, runs the trial
-  // entirely on its own thread (run_trial contains every exception inside
-  // the outcome), and parks the result in `finished`. This thread also
-  // commits, strictly in index order, so everything order-sensitive —
-  // manifest lines, aggregate folds, quarantine counts — is identical at
-  // any worker count. At workers == 1 no thread is spawned and each trial
-  // commits before the next is claimed.
-  std::vector<std::optional<TrialOutcome>> finished(config.trials);
-  std::mutex mu;
-  std::condition_variable trial_done;
-  std::atomic<std::size_t> next_claim{0};
-  std::size_t workers_alive = workers - 1;  // spawned threads; guarded by mu
+  // Each trial runs entirely on its runner (run_trial contains every
+  // exception inside the outcome) and is committed here in trial-index
+  // order, restored trials in between, so everything order-sensitive —
+  // manifest lines, aggregate folds, quarantine counts — is identical at any
+  // worker count. Each runner passes its own reusable scratch Obs, built on
+  // its first trial: registry maps and the intern table persist, later
+  // trials only reset values.
   const bool want_scratch_obs =
       config.collect_telemetry && config.scenario.obs == nullptr;
-  // Claims and runs one pending trial; false once none is left to claim.
-  // Each runner passes its own reusable scratch Obs, built on its first
-  // trial: registry maps and the intern table persist, later trials only
-  // reset values.
-  const auto run_next = [&](std::optional<obs::Obs>& scratch) {
-    const std::size_t k = next_claim.fetch_add(1, std::memory_order_relaxed);
-    if (k >= pending.size()) return false;
-    const std::size_t index = pending[k];
-    if (want_scratch_obs && !scratch)
-      scratch.emplace(campaign_detail::trial_obs_config(config));
-    TrialOutcome outcome = campaign_detail::run_trial(config, index, config_hex,
-                                                      scratch ? &*scratch : nullptr);
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      finished[index] = std::move(outcome);
-    }
-    trial_done.notify_all();
-    return true;
+  std::vector<std::optional<obs::Obs>> scratch(workers);
+  std::vector<std::optional<TrialOutcome>> finished(pending.size());
+  std::size_t next_index = 0;  // the next trial to commit
+  const auto commit_restored_below = [&](std::size_t end) {
+    for (; next_index < end; ++next_index) committer.commit(std::move(restored.at(next_index)));
   };
+  const std::size_t ran = run_jobs(
+      pending.size(), workers,
+      [&](std::size_t k, std::size_t runner) {
+        std::optional<obs::Obs>& obs = scratch[runner];
+        if (want_scratch_obs && !obs) obs.emplace(campaign_detail::trial_obs_config(config));
+        finished[k] = campaign_detail::run_trial(config, pending[k], config_hex,
+                                                 obs ? &*obs : nullptr);
+      },
+      [&](std::size_t k) {
+        commit_restored_below(pending[k]);
+        committer.commit(std::move(*finished[k]));
+        finished[k].reset();
+        ++next_index;
+      },
+      config.cancel);
+  // A cancelled pool stops claiming; the first trial that never ran is where
+  // the interrupted campaign's manifest ends.
+  const bool interrupted = ran < pending.size();
+  commit_restored_below(interrupted ? pending[ran] : config.trials);
 
-  const auto runner = [&] {
-    std::optional<obs::Obs> scratch;
-    while (!is_cancelled() && run_next(scratch)) {
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      --workers_alive;
-    }
-    // The commit loop's cancellation predicate watches workers_alive.
-    trial_done.notify_all();
-  };
-
-  // Trial i's outcome, once it is in. Until then this thread runs pending
-  // trials itself, and once none is left to claim (or the campaign is
-  // cancelled) it waits for the other runners. A cancelled pool stops
-  // claiming; once every thread has parked, a trial with no outcome will
-  // never get one (nullopt) — that is where the interrupted campaign's
-  // manifest ends.
-  std::optional<obs::Obs> scratch;
-  const auto await_trial = [&](std::size_t i) -> std::optional<TrialOutcome> {
-    std::unique_lock<std::mutex> lock(mu);
-    while (!finished[i].has_value()) {
-      lock.unlock();
-      const bool ran = !is_cancelled() && run_next(scratch);
-      lock.lock();
-      if (ran) continue;
-      trial_done.wait(lock, [&] {
-        return finished[i].has_value() || (is_cancelled() && workers_alive == 0);
-      });
-      if (!finished[i].has_value()) return std::nullopt;
-    }
-    return std::exchange(finished[i], std::nullopt);
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(workers - 1);
-  bool interrupted = false;
-  try {
-    for (std::size_t w = 1; w < workers; ++w) pool.emplace_back(runner);
-    for (std::size_t i = 0; i < config.trials; ++i) {
-      if (auto it = restored.find(i); it != restored.end()) {
-        committer.commit(std::move(it->second));
-        continue;
-      }
-      std::optional<TrialOutcome> outcome = await_trial(i);
-      if (!outcome) {
-        interrupted = true;
-        break;
-      }
-      committer.commit(std::move(*outcome));
-    }
-  } catch (...) {
-    abandoned.store(true, std::memory_order_relaxed);
-    for (std::thread& t : pool) t.join();
-    throw;
-  }
-  for (std::thread& t : pool) t.join();
   CampaignResult result = committer.finish();
   result.interrupted = interrupted;
   result.manifest_torn_lines = manifest_read.torn_lines;

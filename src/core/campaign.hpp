@@ -15,8 +15,9 @@
 // compares the replay digests event-for-event, reporting the index of the
 // first divergent event when the runs part ways (see audit::DeterminismProbe).
 //
-// Campaigns run their trials on a pool of `workers` runners: the calling
-// thread plus `workers - 1` spawned threads. Trials share nothing — each
+// Campaigns run their trials on the ordered job pool (core/jobs.hpp) with
+// `workers` runners: the calling thread plus `workers - 1` spawned threads.
+// Trials share nothing — each
 // owns a private EventLoop, Network, Rng, Auditor and DeterminismProbe, all
 // created and destroyed on the thread that runs it — and the calling thread
 // commits finished trials (manifest line, aggregate fold, quarantine count)

@@ -59,30 +59,39 @@ StreamRunResult stream_sessions(const std::vector<SessionSpec>& specs, bool prob
     longest = std::max(longest, clip.length);
   }
 
+  // Each captured frame is dissected once, as it arrives, and offered to
+  // every session's flow; the frame itself is kept only for keep_capture.
+  std::vector<FlowTrace> flows(specs.size());
+  std::optional<CaptureTrace> capture;
+  if (config.keep_capture) capture.emplace(config.snaplen);
   Sniffer::Options sniff_opts;
   sniff_opts.snaplen = config.snaplen;
   sniff_opts.capture_outbound = false;  // the study analyses inbound traffic
-  Sniffer sniffer(net.client(), sniff_opts);
+  Sniffer sniffer(net.client(), sniff_opts, [&](CaptureRecord&& record) {
+    const DissectedPacket packet = dissect(record);
+    for (std::size_t i = 0; i < sessions.size(); ++i)
+      flows[i].add(packet, sessions[i].server->endpoint().ip, sessions[i].client->port());
+    if (capture) capture->add(std::move(record));
+  });
 
   // Every player starts simultaneously (Section 2.A).
   for (Session& s : sessions) s.client->start();
   for (Session& s : sessions) s.tracker->start();
   net.loop().run_until(net.loop().now() + longest + config.extra_sim_time);
 
-  const auto dissected = dissect_trace(sniffer.trace());
   result.sessions.reserve(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    const Session& s = sessions[i];
+    Session& s = sessions[i];
     ClipRunResult& r = result.sessions.emplace_back();
     r.clip = specs[i].clip;
     r.tracker = s.tracker->report();
-    r.flow = FlowTrace::extract(dissected, s.server->endpoint().ip, s.client->port());
+    r.flow = std::move(flows[i]);
     r.buffering = analyze_buffering(r.flow.bandwidth_timeline(config.bandwidth_window),
                                     config.bandwidth_window);
-    r.app_packets = s.client->packets();
     r.server_streaming_duration = s.server->streaming_duration();
+    r.app_packets = s.client->take_packets();  // last: the client's counters read them
   }
-  if (config.keep_capture) result.capture = sniffer.take_trace();
+  result.capture = std::move(capture);
   return result;
 }
 

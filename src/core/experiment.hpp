@@ -70,8 +70,9 @@ struct StreamRunResult {
 /// once from co-located servers over `config.path` (taken as given, seed
 /// included) to one client, with a sniffer on the client NIC and a tracker
 /// on each player. With `probe_path`, ping and traceroute characterise the
-/// path to the first server before streaming. The capture is dissected
-/// once and one flow extracted per session.
+/// path to the first server before streaming. Each captured frame is
+/// dissected once, as it is captured, into every session's flow; the
+/// capture itself is kept only with `keep_capture`.
 StreamRunResult stream_sessions(const std::vector<SessionSpec>& specs, bool probe_path,
                                 const ExperimentConfig& config);
 

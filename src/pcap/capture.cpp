@@ -4,13 +4,13 @@
 
 namespace streamlab {
 
-void CaptureTrace::add_packet(SimTime when, MacAddress src_mac, MacAddress dst_mac,
-                              const Ipv4Packet& packet) {
+CaptureRecord capture_record(SimTime when, MacAddress src_mac, MacAddress dst_mac,
+                             const Ipv4Packet& packet, std::uint32_t snaplen) {
   // Only what the snaplen keeps is framed: the Ethernet and IPv4 headers,
   // then the payload prefix, written once into the record.
   constexpr std::size_t kHeaders = kEthernetHeaderSize + kIpv4HeaderSize;
   const std::size_t wire = kEthernetHeaderSize + packet.total_length();
-  const std::size_t keep = std::min<std::size_t>(wire, snaplen_);
+  const std::size_t keep = std::min<std::size_t>(wire, snaplen);
   ByteWriter w(std::max(keep, kHeaders));
   EthernetHeader eth;
   eth.src = src_mac;
@@ -23,7 +23,7 @@ void CaptureTrace::add_packet(SimTime when, MacAddress src_mac, MacAddress dst_m
   rec.original_length = static_cast<std::uint32_t>(wire);
   rec.data = w.take();
   rec.data.resize(keep);
-  records_.push_back(std::move(rec));
+  return rec;
 }
 
 std::uint64_t CaptureTrace::total_bytes() const {

@@ -16,6 +16,11 @@ struct CaptureRecord {
   std::vector<std::uint8_t> data;     ///< frame bytes, possibly truncated to snaplen
 };
 
+/// The record of an IPv4 packet's Ethernet frame, truncated to `snaplen`:
+/// the same bytes as frame_ipv4() cut to the snaplen.
+CaptureRecord capture_record(SimTime when, MacAddress src_mac, MacAddress dst_mac,
+                             const Ipv4Packet& packet, std::uint32_t snaplen);
+
 /// An ordered sequence of captured frames plus capture metadata.
 class CaptureTrace {
  public:
@@ -24,10 +29,11 @@ class CaptureTrace {
 
   void reserve(std::size_t records) { records_.reserve(records); }
   void add(CaptureRecord record) { records_.push_back(std::move(record)); }
-  /// Appends the record of an IPv4 packet's Ethernet frame, truncated to
-  /// snaplen: the same bytes as frame_ipv4() cut to the snaplen.
+  /// Appends capture_record(when, src_mac, dst_mac, packet, snaplen()).
   void add_packet(SimTime when, MacAddress src_mac, MacAddress dst_mac,
-                  const Ipv4Packet& packet);
+                  const Ipv4Packet& packet) {
+    records_.push_back(capture_record(when, src_mac, dst_mac, packet, snaplen_));
+  }
 
   const std::vector<CaptureRecord>& records() const { return records_; }
   std::size_t size() const { return records_.size(); }

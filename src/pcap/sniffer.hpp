@@ -2,6 +2,8 @@
 // frame, inbound and outbound, with receive timestamps.
 #pragma once
 
+#include <functional>
+
 #include "pcap/capture.hpp"
 #include "sim/host.hpp"
 
@@ -10,6 +12,10 @@ namespace streamlab {
 /// Attaches to a host on construction and detaches on destruction. The
 /// sniffer observes packets at the link layer — trailing IP fragments are
 /// recorded individually, before reassembly, exactly as in the paper.
+///
+/// Records go to trace(), or, for a sniffer built with a sink, to the sink
+/// as each frame is captured: a consumer that analyses frames one by one
+/// need not hold the whole capture.
 class Sniffer {
  public:
   struct Options {
@@ -18,8 +24,12 @@ class Sniffer {
     bool capture_outbound = true;
   };
 
+  /// Receives each record in capture order; trace() then stays empty.
+  using Sink = std::function<void(CaptureRecord&&)>;
+
   explicit Sniffer(Host& host) : Sniffer(host, Options{}) {}
-  Sniffer(Host& host, Options options);
+  Sniffer(Host& host, Options options) : Sniffer(host, options, nullptr) {}
+  Sniffer(Host& host, Options options, Sink sink);
   ~Sniffer();
   Sniffer(const Sniffer&) = delete;
   Sniffer& operator=(const Sniffer&) = delete;
@@ -32,6 +42,7 @@ class Sniffer {
   Host& host_;
   Options options_;
   CaptureTrace trace_;
+  Sink sink_;
   MacAddress gateway_mac_;
 };
 

@@ -193,6 +193,9 @@ class StreamClient {
 
   // --- Results (valid once the event loop has drained) ---
   const std::vector<PacketEvent>& packets() const { return packets_; }
+  /// Moves packets() out, for a caller done with this client: the counters
+  /// that stats() derives from them read zero afterwards.
+  std::vector<PacketEvent> take_packets() { return std::move(packets_); }
   const std::vector<FrameEvent>& frame_events() const { return frame_events_; }
   std::uint64_t media_bytes_received() const { return coverage_.total_covered(); }
 

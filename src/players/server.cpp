@@ -202,6 +202,7 @@ void StreamServer::resume_from(std::uint64_t offset) {
 
 void StreamServer::emit(std::uint64_t offset, std::size_t media_len, std::uint8_t flags,
                         bool buffering_phase) {
+  const SimTime now = host_.loop().now();
   DataHeader header;
   header.seq = next_seq_++;
   header.media_offset = offset;
@@ -212,7 +213,6 @@ void StreamServer::emit(std::uint64_t offset, std::size_t media_len, std::uint8_
     // so the steering routes pin it to the detour. The repair layer below is
     // fed the *canonical* header — striping never perturbs the FEC/NACK
     // sequence spaces, and retransmissions replay canonically on the primary.
-    const SimTime now = host_.loop().now();
     const int id = multipath_->scheduler.pick(now);
     DataHeader wire = header;
     wire.flags |= kFlagMultipath;
@@ -228,8 +228,9 @@ void StreamServer::emit(std::uint64_t offset, std::size_t media_len, std::uint8_
     host_.udp_send(port_, client_, header.wire_size(media_len),
                    [&header](std::span<std::uint8_t> out) { header.write(out); });
   }
-  send_log_.push_back(
-      SendEvent{host_.loop().now(), header.seq, offset, media_len, buffering_phase});
+  if (stats_.packets_sent++ == 0) stats_.first_send = now;
+  stats_.last_send = now;
+  if (on_send_) on_send_(SendEvent{now, header.seq, offset, media_len, buffering_phase});
   if (repair_) {
     repair_->buffer.store(header.seq, offset, static_cast<std::uint32_t>(media_len),
                           header.flags);
@@ -320,8 +321,8 @@ void StreamServer::on_scaling_switch() {
 }
 
 Duration StreamServer::streaming_duration() const {
-  if (send_log_.size() < 2) return Duration::zero();
-  return send_log_.back().time - send_log_.front().time;
+  if (stats_.packets_sent < 2) return Duration::zero();
+  return stats_.last_send - stats_.first_send;
 }
 
 WmServer::WmServer(Host& host, EncodedClip clip, WmBehavior behavior, std::uint16_t port)

@@ -12,9 +12,9 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
-
+#include <functional>
 #include <memory>
+#include <vector>
 
 #include "media/encoder.hpp"
 #include "players/behavior.hpp"
@@ -39,6 +39,12 @@ class StreamServer {
 
   /// Session counters; the repair fields stay zero while repair is off.
   struct Stats {
+    /// Data packets sent (seq-numbered; parity and retransmissions are
+    /// counted below), and when the first and last of them left — zero
+    /// while none has.
+    std::uint64_t packets_sent = 0;
+    SimTime first_send;
+    SimTime last_send;
     /// PLAY retransmissions re-acknowledged after the session started.
     std::uint64_t duplicate_play_requests = 0;
     std::uint64_t parity_packets = 0;
@@ -66,9 +72,12 @@ class StreamServer {
   /// (kIdle -> kStreaming -> kFinished).
   audit::SessionPhase session_phase() const { return audit_phase_; }
   const Stats& stats() const { return stats_; }
-  const std::vector<SendEvent>& send_log() const { return send_log_; }
   /// Wall-clock streaming duration (first send to last send).
   Duration streaming_duration() const;
+  /// Called with every data packet as it is sent; none by default. The
+  /// server keeps no per-packet log itself, so tests that inspect each send
+  /// record them through this.
+  void on_send(std::function<void(const SendEvent&)> hook) { on_send_ = std::move(hook); }
 
   /// Enables media scaling (Section VI): the server thins frames when the
   /// client's receiver reports show loss. Call before the PLAY arrives.
@@ -154,7 +163,7 @@ class StreamServer {
   std::uint32_t next_seq_ = 0;
   std::uint64_t next_offset_ = 0;
   Stats stats_;
-  std::vector<SendEvent> send_log_;
+  std::function<void(const SendEvent&)> on_send_;
 
   struct ScalingState {
     ScalingController controller;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include "analysis/stats.hpp"
 #include "util/rng.hpp"
 
 namespace streamlab {
@@ -123,6 +128,36 @@ TEST(CdfAtQuantiles, EvenSpacing) {
   EXPECT_DOUBLE_EQ(pts[0].p, 0.0);
   EXPECT_DOUBLE_EQ(pts[10].p, 1.0);
   EXPECT_NEAR(pts[5].x, 50.0, 1e-9);
+}
+
+TEST(Cdf, QuantilesMatchQuantilePointForPoint) {
+  // cdf_at_quantiles sorts once and interpolates every point; each point
+  // must carry the very bits quantile() gives for its level.
+  Rng rng(20020501);
+  std::vector<std::vector<double>> samples = {{3.5}, {2.0, -1.0}, {7.0, 7.0}};
+  for (const std::size_t n : {3u, 10u, 57u, 1000u}) {
+    std::vector<double> normal;
+    std::vector<double> duplicates;  // few distinct values, many repeats
+    for (std::size_t i = 0; i < n; ++i) {
+      normal.push_back(rng.normal(1.0, 0.3));
+      duplicates.push_back(static_cast<double>(rng.uniform_int(0, 4)) * 0.25);
+    }
+    samples.push_back(normal);
+    samples.push_back(duplicates);
+  }
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const auto& values : samples) {
+    for (int points = 2; points <= 41; ++points) {
+      const auto cdf = cdf_at_quantiles(values, points);
+      ASSERT_EQ(cdf.size(), static_cast<std::size_t>(points));
+      for (int i = 0; i < points; ++i) {
+        const double p = static_cast<double>(i) / (points - 1);
+        EXPECT_EQ(bits(cdf[i].p), bits(p)) << values.size() << " values, " << points << " points";
+        EXPECT_EQ(bits(cdf[i].x), bits(quantile(values, p)))
+            << values.size() << " values, point " << i << " of " << points;
+      }
+    }
+  }
 }
 
 }  // namespace

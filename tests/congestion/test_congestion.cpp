@@ -87,6 +87,30 @@ TEST(Congestion, SweepMonotoneQuality) {
   EXPECT_GT(sweep[0].packet_loss, sweep[2].packet_loss);
 }
 
+TEST(Congestion, SweepEqualsSerialLoop) {
+  // The sweep runs its points side by side on the job pool; each result is
+  // the serial run_congestion_experiment's, field for field, in input order.
+  const ClipInfo clip = test_clip(PlayerKind::kRealPlayer, 300, 20);
+  const std::vector<double> kbps = {150, 250, 400, 1000};
+  const CongestionConfig config = config_with(0);
+  const auto sweep = sweep_bottleneck(clip, kbps, config);
+  ASSERT_EQ(sweep.size(), kbps.size());
+  for (std::size_t i = 0; i < kbps.size(); ++i) {
+    CongestionConfig point = config;
+    point.bottleneck = BitRate::kbps(kbps[i]);
+    const CongestionResult serial = run_congestion_experiment(clip, point);
+    const CongestionResult& r = sweep[i];
+    EXPECT_EQ(r.clip, serial.clip) << i;
+    EXPECT_EQ(r.bottleneck, serial.bottleneck) << i;
+    EXPECT_EQ(r.offered_load, serial.offered_load) << i;
+    EXPECT_EQ(r.packet_loss, serial.packet_loss) << i;
+    EXPECT_EQ(r.throughput_kbps, serial.throughput_kbps) << i;
+    EXPECT_EQ(r.goodput_kbps, serial.goodput_kbps) << i;
+    EXPECT_EQ(r.wasted_kbps, serial.wasted_kbps) << i;
+    EXPECT_EQ(r.reception_quality, serial.reception_quality) << i;
+  }
+}
+
 TEST(CongestionWithScaling, ScalingRecoversQuality) {
   // The Section VI adaptation: with media scaling enabled, the server thins
   // frames until the stream fits the bottleneck; rendered quality of the

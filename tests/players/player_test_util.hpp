@@ -2,6 +2,8 @@
 // so individual tests run in milliseconds while exercising the full stack.
 #pragma once
 
+#include <vector>
+
 #include "media/encoder.hpp"
 #include "players/client.hpp"
 #include "players/server.hpp"
@@ -31,18 +33,27 @@ inline PathConfig fast_path() {
   return cfg;
 }
 
-/// One complete single-clip session over a fresh network.
+/// Records every data packet `server` sends into `log`: the per-packet log
+/// the server itself does not keep.
+inline void record_sends(StreamServer& server, std::vector<StreamServer::SendEvent>& log) {
+  server.on_send([&log](const StreamServer::SendEvent& e) { log.push_back(e); });
+}
+
+/// One complete single-clip session over a fresh network, its server's
+/// sends recorded in `send_log`.
 struct Session {
   Network net;
   Host& server_host;
   EncodedClip encoded;
   std::unique_ptr<StreamServer> server;
   std::unique_ptr<StreamClient> client;
+  std::vector<StreamServer::SendEvent> send_log;
 
   explicit Session(const ClipInfo& clip, PathConfig path = fast_path(),
                    std::uint64_t seed = 7)
       : net(path), server_host(net.add_server("srv")), encoded(encode_clip(clip, seed)) {
     server = make_server(server_host, encoded, WmBehavior{}, RmBehavior{}, seed);
+    record_sends(*server, send_log);
     StreamClient::Config cc;
     cc.kind = clip.player;
     client = std::make_unique<StreamClient>(net.client(), server->clip(),

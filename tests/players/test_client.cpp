@@ -16,7 +16,7 @@ TEST(StreamClient, ReceivesWholeClip) {
   EXPECT_TRUE(s.client->end_of_stream());
   EXPECT_EQ(s.client->media_bytes_received(), s.encoded.total_bytes());
   EXPECT_EQ(s.client->stats().packets_lost, 0u);
-  EXPECT_EQ(s.client->stats().packets_received, s.server->send_log().size());
+  EXPECT_EQ(s.client->stats().packets_received, s.send_log.size());
 }
 
 TEST(StreamClient, PlaybackStartsAfterPreroll) {

@@ -27,6 +27,7 @@ struct FailoverHarness {
   RmServer primary;
   RmServer mirror;
   std::unique_ptr<StreamClient> client;
+  std::vector<StreamServer::SendEvent> mirror_sends;
   std::function<bool(const Ipv4Packet&)> drop_to_primary;
   std::function<bool(const Ipv4Packet&)> drop_from_primary;
   std::function<bool(const Ipv4Packet&)> drop_to_mirror;
@@ -37,6 +38,7 @@ struct FailoverHarness {
       : clip(encode_clip(testutil::short_clip(PlayerKind::kRealPlayer, 50, clip_seconds), 1)),
         primary(primary_host, clip, RmBehavior{}, kRealServerPort, 42),
         mirror(mirror_host, clip, RmBehavior{}, kRealServerPort, 43) {
+    testutil::record_sends(mirror, mirror_sends);
     cc.kind = PlayerKind::kRealPlayer;
     cc.failover.mirrors.push_back(Endpoint{mirror_host.address(), kRealServerPort});
     client = std::make_unique<StreamClient>(
@@ -171,8 +173,8 @@ TEST(Failover, WatchdogSilenceResumesOnMirrorAtContiguousPrefix) {
   EXPECT_EQ(h.client->active_server(), h.mirror_endpoint());
   // The mirror's PLAY carried the resume offset: its first media byte is
   // exactly where the client's contiguous prefix ended.
-  ASSERT_FALSE(h.mirror.send_log().empty());
-  EXPECT_EQ(h.mirror.send_log().front().media_offset, h.client->stats().resume_offset);
+  ASSERT_FALSE(h.mirror_sends.empty());
+  EXPECT_EQ(h.mirror_sends.front().media_offset, h.client->stats().resume_offset);
 }
 
 TEST(Failover, AbandonsOnlyAfterMirrorsExhaust) {

@@ -36,14 +36,14 @@ TEST(StreamServer, SendsAllMediaBytesExactly) {
   Session s(short_clip(PlayerKind::kMediaPlayer, 150));
   s.run();
   std::uint64_t sent = 0;
-  for (const auto& ev : s.server->send_log()) sent += ev.media_len;
+  for (const auto& ev : s.send_log) sent += ev.media_len;
   EXPECT_EQ(sent, s.encoded.total_bytes());
 }
 
 TEST(StreamServer, SequenceNumbersAndOffsetsMonotone) {
   Session s(short_clip(PlayerKind::kRealPlayer, 80));
   s.run();
-  const auto& log = s.server->send_log();
+  const auto& log = s.send_log;
   ASSERT_GT(log.size(), 10u);
   for (std::size_t i = 1; i < log.size(); ++i) {
     EXPECT_EQ(log[i].seq, log[i - 1].seq + 1);
@@ -64,7 +64,7 @@ TEST(StreamServer, PlayWithOffsetResumesMidClip) {
                          Duration::seconds(30));
 
   ASSERT_TRUE(s.server->started());
-  const auto& log = s.server->send_log();
+  const auto& log = s.send_log;
   ASSERT_FALSE(log.empty());
   EXPECT_EQ(log.front().media_offset, resume);
   std::uint64_t sent = 0;
@@ -83,7 +83,7 @@ TEST(StreamServer, PlayOffsetPastEndClampsToEnd) {
 
   ASSERT_TRUE(s.server->started());
   std::uint64_t sent = 0;
-  for (const auto& ev : s.server->send_log()) sent += ev.media_len;
+  for (const auto& ev : s.send_log) sent += ev.media_len;
   EXPECT_EQ(sent, 0u);  // nothing left to send, and no crash or underflow
 }
 
@@ -125,7 +125,7 @@ TEST(MakeServer, PortsFollowThePlayer) {
 TEST(WmServer, ConstantPacketSizeAndInterval) {
   Session s(short_clip(PlayerKind::kMediaPlayer, 250, 20));
   s.run();
-  const auto& log = s.server->send_log();
+  const auto& log = s.send_log;
   ASSERT_GT(log.size(), 20u);
 
   // All datagrams except the final remainder carry identical media bytes.
@@ -142,7 +142,20 @@ TEST(WmServer, NeverMarksBufferingPhase) {
   // Section 3.F: MediaPlayer buffers at the playout rate — no burst phase.
   Session s(short_clip(PlayerKind::kMediaPlayer, 100, 15));
   s.run();
-  for (const auto& ev : s.server->send_log()) EXPECT_FALSE(ev.buffering_phase);
+  for (const auto& ev : s.send_log) EXPECT_FALSE(ev.buffering_phase);
+}
+
+TEST(StreamServer, StatsCountEverySendAndItsSpan) {
+  // The counters production code reads agree with the per-packet log.
+  Session s(short_clip(PlayerKind::kRealPlayer, 80, 20));
+  s.run();
+  const auto& log = s.send_log;
+  ASSERT_GT(log.size(), 10u);
+  const StreamServer::Stats stats = s.server->stats();
+  EXPECT_EQ(stats.packets_sent, log.size());
+  EXPECT_EQ(stats.first_send, log.front().time);
+  EXPECT_EQ(stats.last_send, log.back().time);
+  EXPECT_EQ(s.server->streaming_duration(), log.back().time - log.front().time);
 }
 
 TEST(WmServer, StreamingDurationMatchesClipLength) {
@@ -159,7 +172,7 @@ TEST(RmServer, BurstPhaseThenSteady) {
   const auto clip = short_clip(PlayerKind::kRealPlayer, 40, 90);
   Session s(clip);
   s.run();
-  const auto& log = s.server->send_log();
+  const auto& log = s.send_log;
   ASSERT_GT(log.size(), 50u);
 
   // Buffering-phase packets first, then steady-phase, no interleaving.
@@ -185,7 +198,7 @@ TEST(RmServer, BurstRateIsRatioTimesSteady) {
   const auto clip = short_clip(PlayerKind::kRealPlayer, 50, 90);
   Session s(clip);
   s.run();
-  const auto& log = s.server->send_log();
+  const auto& log = s.send_log;
 
   double burst_bytes = 0, steady_bytes = 0;
   Duration burst_span, steady_span;
@@ -226,7 +239,7 @@ TEST(RmServer, StreamingDurationShorterThanClip) {
 TEST(RmServer, PacketSizesVaried) {
   Session s(short_clip(PlayerKind::kRealPlayer, 80, 30));
   s.run();
-  const auto& log = s.server->send_log();
+  const auto& log = s.send_log;
   std::size_t distinct = 0;
   for (std::size_t i = 1; i < log.size(); ++i)
     distinct += log[i].media_len != log[0].media_len;
@@ -240,10 +253,10 @@ TEST(RmServer, DeterministicGivenSeed) {
   a.run();
   Session b(clip, testutil::fast_path(), 99);
   b.run();
-  ASSERT_EQ(a.server->send_log().size(), b.server->send_log().size());
-  for (std::size_t i = 0; i < a.server->send_log().size(); ++i) {
-    EXPECT_EQ(a.server->send_log()[i].media_len, b.server->send_log()[i].media_len);
-    EXPECT_EQ(a.server->send_log()[i].time, b.server->send_log()[i].time);
+  ASSERT_EQ(a.send_log.size(), b.send_log.size());
+  for (std::size_t i = 0; i < a.send_log.size(); ++i) {
+    EXPECT_EQ(a.send_log[i].media_len, b.send_log[i].media_len);
+    EXPECT_EQ(a.send_log[i].time, b.send_log[i].time);
   }
 }
 
@@ -251,15 +264,15 @@ TEST(StreamServer, SecondPlayRequestIgnored) {
   Session s(short_clip(PlayerKind::kMediaPlayer, 100));
   s.client->start();
   s.net.loop().run_until(SimTime::from_seconds(1));
-  const std::size_t sent_after_1s = s.server->send_log().size();
+  const std::size_t sent_after_1s = s.send_log.size();
   // Re-sending PLAY must not restart the stream.
   s.client->start();
   s.net.loop().run_until(SimTime::from_seconds(2));
-  const std::size_t sent_after_2s = s.server->send_log().size();
+  const std::size_t sent_after_2s = s.send_log.size();
   // Stream continues from where it was, no duplicate session (offsets
   // stay monotone — checked by the monotone test — and the rate is steady).
   EXPECT_GT(sent_after_2s, sent_after_1s);
-  const auto& log = s.server->send_log();
+  const auto& log = s.send_log;
   for (std::size_t i = 1; i < log.size(); ++i)
     EXPECT_GT(log[i].media_offset, log[i - 1].media_offset);
 }
