@@ -4,17 +4,10 @@
 // the delay buffers should absorb, a long outage the inactivity watchdog
 // must detect, a Gilbert–Elliott burst-loss epoch, and a congestion
 // (bandwidth) dip — then prints each session's recovery metrics and writes
-// the CSV exports.
-//
-// Usage: turbulence_lab [set 1-6] [low|high|very-high] [export-dir]
-//                       [--trace <dir>] [--chaos] [--multipath]
-//                       [--fec <k>] [--nack]
-//                       [--campaign <N>] [--workers <N>] [--verify-determinism]
-//                       [--manifest <path>] [--seed <base>]
-//                       [--progress-every <n>] [--plant-quarantine <index>]
-//                       [--distributed] [--max-worker-restarts <n>]
-//                       [--kill-worker-after <n>]
-//                       [--fleet <N>]
+// the CSV exports. The scenarios come by name from the catalog beside
+// run_turbulence_pair (src/core/turbulence.hpp). The flags are one table
+// (kFlags below); an unknown flag, a bad value or a fourth positional
+// argument prints the usage, generated from it, to stderr and exits 1.
 //
 // With --fleet N the lab switches to the city-scale trial: N flyweight
 // sessions (a struct-of-arrays table, ~26 bytes/session, zero allocations
@@ -27,7 +20,7 @@
 // the fleet twice and exits nonzero when the digests differ.
 //
 // With --distributed the campaign trials run on separate worker *processes*
-// (this binary re-exec'd with the hidden --worker flag) under the
+// (this binary re-exec'd with --worker media|real) under the
 // crash-tolerant coordinator: heartbeats and per-trial deadlines detect
 // dead/hung workers, their in-flight trials are reassigned (capped retries,
 // exponential backoff, poison quarantine), dead slots respawn up to
@@ -38,24 +31,15 @@
 // mode flushes the partial manifest + aggregate before exiting nonzero, so
 // an interrupted study resumes cleanly.
 //
-// With --chaos the lab runs the self-healing scenarios instead of the link
-// impairment set: a mid-stream router failure on a path with a detour
-// segment (the route-repair control plane withdraws the primaries and the
-// stream rides the detour), and the same failure without a detour but with
-// a mirror server (the withdraw produces Destination Unreachable, the
-// client fails over and resumes mid-clip). Combined with --campaign N the
-// campaign trials run the detour-reroute chaos scenario.
-//
-// With --multipath the lab runs the flap-survival scenario: the server
-// stripes each stream 2:1 across the chain and a detour branch
-// (players/multipath.hpp) while the detour's first router flaps down/up
-// three times. The health estimator drains the flapping subflow within a
-// strike window, shifts the full load to the chain, and re-admits the
-// detour after hold-down — the session rides every flap with zero mirror
-// failovers, and the summary reports per-path loss/goodput, path switches,
-// join-buffer reorder depth and suppressed NACKs. Combined with
-// --campaign N the campaign trials run this scenario (taking precedence
-// over --chaos trials).
+// With --chaos the lab runs the self-healing pair instead of the link
+// impairment set: router-down-reroute (the route-repair control plane moves
+// the stream onto a detour) and router-down-failover (no detour; the client
+// fails over to a mirror server and resumes mid-clip). With --multipath it
+// runs multipath-flap: the stream striped 2:1 across the chain and a detour
+// whose first router flaps three times, and the summary adds per-path
+// loss/goodput, path switches, join-buffer reorder depth and suppressed
+// NACKs. Campaign trials run burst-loss, or router-down-reroute with
+// --chaos, or multipath-flap with --multipath (which takes precedence).
 //
 // With --fec <k> the servers send one interleaved XOR parity packet per k
 // data packets (stride 4, tuned for the burst-loss regime's mean burst
@@ -70,8 +54,8 @@
 // <dir>/<scenario>/: trace.json (Chrome trace-event format — open it at
 // ui.perfetto.dev), trace.ndjson, timeseries.csv and metrics.csv.
 //
-// With --campaign N the lab switches to campaign mode: N audited burst-loss
-// trials per player (seeds base..base+N-1) with per-trial budgets, quarantine
+// With --campaign N the lab switches to campaign mode: N audited trials per
+// player (seeds base..base+N-1) with per-trial budgets, quarantine
 // of throwing/violating trials, and an NDJSON resume manifest (--manifest;
 // re-running with the same manifest skips finished trials). Trials run on a
 // worker pool (--workers N; 0 = one per hardware thread, 1 = serial on the
@@ -93,17 +77,22 @@
 // A scenario run that dies mid-flight still flushes the CSV rows of every
 // scenario finished so far before exiting nonzero, so a crashed lab leaves
 // salvageable partial exports rather than nothing.
+#include <algorithm>
 #include <atomic>
 #include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <exception>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <system_error>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include <unistd.h>
@@ -115,98 +104,180 @@
 #include "core/fleet.hpp"
 #include "core/turbulence.hpp"
 #include "obs/export.hpp"
-#include "util/strings.hpp"
 
 using namespace streamlab;
 
 namespace {
 
-/// Repair layer selected by --fec/--nack; folded into every scenario config
-/// (including the chaos and campaign variants) through base_config().
-RepairLayerConfig g_repair;
+/// Every setting of one lab run. The flags set these fields through kFlags;
+/// the positional arguments are the clip set, the rate tier and the export
+/// directory.
+struct Options {
+  std::string trace_dir;
+  bool chaos = false;
+  bool multipath = false;
+  std::uint64_t fec_k = 0;
+  bool nack = false;
+  std::uint64_t campaign_trials = 0;
+  std::uint64_t workers = 0;  ///< 0 = one per hardware thread
+  bool verify_determinism = false;
+  std::string manifest_path;
+  std::uint64_t base_seed = 1;
+  std::uint64_t progress_every = 0;
+  long long plant_quarantine = -1;
+  bool distributed = false;
+  std::uint64_t max_worker_restarts = 2;
+  std::uint64_t kill_worker_after = 0;
+  std::uint64_t fleet_sessions = 0;
+  std::string worker;  ///< media|real: run as a child of a --distributed coordinator
+  std::vector<std::string> positional;
 
-/// --multipath: stripe the stream across the chain and the detour branch
-/// with health-driven weights (players/multipath.hpp). Selects the
-/// flap-survival chaos scenario and, with --campaign, multipath trials.
-bool g_multipath = false;
+  /// The loss repair layer --fec/--nack select, folded into every scenario
+  /// and campaign trial.
+  RepairLayerConfig repair() const {
+    RepairLayerConfig r;
+    if (fec_k > 0) {
+      r.fec_k = static_cast<int>(fec_k);
+      // Interleave depth 4: the burst-loss regime's mean burst length, so a
+      // whole burst lands in distinct parity rows and stays recoverable.
+      r.fec_stride = 4;
+    }
+    r.nack = nack;
+    return r;
+  }
+};
 
-TurbulenceScenarioConfig base_config() {
-  TurbulenceScenarioConfig cfg;
-  cfg.path.hop_count = 8;
-  cfg.path.one_way_propagation = Duration::millis(20);
-  cfg.seed = 42;
-  cfg.recovery.inactivity_timeout = Duration::seconds(8);
-  cfg.repair_layer = g_repair;
-  return cfg;
+/// One flag: its name, the name of its value in the usage (empty for a
+/// switch) and the Options field it sets. The field's type is the value
+/// kind: a bool is a switch, a string takes the next argument as is, and an
+/// integer takes a whole number that must parse and fit (an unsigned one
+/// also within [min, max], so no sign).
+struct Flag {
+  std::string_view name;
+  std::string_view value;
+  std::variant<bool Options::*, std::string Options::*, std::uint64_t Options::*,
+               long long Options::*>
+      field;
+  std::uint64_t min = 0;
+  std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+};
+
+const Flag kFlags[] = {
+    {"--trace", "dir", &Options::trace_dir},
+    {"--chaos", "", &Options::chaos},
+    {"--multipath", "", &Options::multipath},
+    {"--fec", "k", &Options::fec_k, 1, 64},
+    {"--nack", "", &Options::nack},
+    {"--campaign", "N", &Options::campaign_trials},
+    {"--workers", "N", &Options::workers},
+    {"--verify-determinism", "", &Options::verify_determinism},
+    {"--manifest", "path", &Options::manifest_path},
+    {"--seed", "base", &Options::base_seed},
+    {"--progress-every", "n", &Options::progress_every},
+    {"--plant-quarantine", "index", &Options::plant_quarantine},
+    {"--distributed", "", &Options::distributed},
+    {"--max-worker-restarts", "n", &Options::max_worker_restarts},
+    {"--kill-worker-after", "n", &Options::kill_worker_after},
+    {"--fleet", "N", &Options::fleet_sessions, 1},
+    {"--worker", "media|real", &Options::worker},
+};
+
+/// Reports a bad command line: `message`, then the usage. Returns the
+/// exit code.
+int usage_error(const std::string& message) {
+  std::fprintf(stderr, "turbulence_lab: %s\n", message.c_str());
+  constexpr std::size_t kWidth = 79;
+  const std::string indent(22, ' ');
+  std::string line = "usage: turbulence_lab [set 1-6] [low|high|very-high] [export-dir]";
+  for (const Flag& f : kFlags) {
+    std::string item = "[" + std::string(f.name);
+    if (!f.value.empty()) item += " <" + std::string(f.value) + ">";
+    item += "]";
+    if (line.size() + 1 + item.size() > kWidth) {
+      std::fprintf(stderr, "%s\n", line.c_str());
+      line = indent + item;
+    } else {
+      line += " " + item;
+    }
+  }
+  std::fprintf(stderr, "%s\n", line.c_str());
+  return 1;
 }
 
-FaultEpisode router_down_episode(int router_index, double start_s, double duration_s) {
-  FaultEpisode down;
-  down.kind = FaultKind::kRouterDown;
-  down.router_index = router_index;
-  down.start = SimTime::from_seconds(start_s);
-  down.duration = Duration::seconds(static_cast<std::int64_t>(duration_s));
-  down.label = "router-down";
-  return down;
+template <class T>
+bool parse_whole(std::string_view text, T& out) {
+  const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), out);
+  return ec == std::errc() && ptr == text.data() + text.size();
 }
 
-/// Chaos scenario 1: router 3 dies mid-stream on a path with a detour
-/// bridging span [3,4]; the repair plane reroutes within detection delay +
-/// hold-down and converges back when the router returns.
-TurbulenceScenarioConfig chaos_reroute_config() {
-  TurbulenceScenarioConfig cfg = base_config();
-  cfg.path.detour = DetourConfig{3, 4, 2, 10};
-  cfg.repair = RouteRepairConfig{};
-  cfg.mirror_server = true;  // dormant backstop; the detour should win
-  cfg.episodes.push_back(router_down_episode(3, 30.0, 10.0));
-  return cfg;
+/// Fills `o` from the command line; returns what is wrong with it, or an
+/// empty string.
+std::string parse_args(int argc, char** argv, Options& o) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (!arg.starts_with("--")) {
+      if (o.positional.size() == 3) return "unexpected argument '" + std::string(arg) + "'";
+      o.positional.emplace_back(arg);
+      continue;
+    }
+    const Flag* flag = std::find_if(std::begin(kFlags), std::end(kFlags),
+                                    [&](const Flag& f) { return f.name == arg; });
+    if (flag == std::end(kFlags)) return "unknown flag '" + std::string(arg) + "'";
+    if (flag->value.empty()) {
+      o.*std::get<bool Options::*>(flag->field) = true;
+      continue;
+    }
+    if (i + 1 >= argc) return std::string(arg) + " needs a value";
+    const std::string_view text = argv[++i];
+    std::string error;
+    std::visit(
+        [&]<class T>(T Options::*field) {
+          if constexpr (std::is_same_v<T, std::string>) {
+            o.*field = text;
+          } else if constexpr (!std::is_same_v<T, bool>) {
+            T value{};
+            bool ok = parse_whole(text, value);
+            std::string accepted;  // for the error message
+            if constexpr (std::is_unsigned_v<T>) {
+              ok = ok && value >= flag->min && value <= flag->max;
+              accepted = flag->max < std::numeric_limits<T>::max()
+                             ? " in " + std::to_string(flag->min) + ".." + std::to_string(flag->max)
+                             : " >= " + std::to_string(flag->min);
+            }
+            if (ok)
+              o.*field = value;
+            else
+              error = std::string(arg) + " needs a whole number" + accepted + ", got '" +
+                      std::string(text) + "'";
+          }
+        },
+        flag->field);
+    if (!error.empty()) return error;
+  }
+  if (!o.worker.empty() && o.worker != "media" && o.worker != "real")
+    return "--worker must be media or real, got '" + o.worker + "'";
+  return {};
 }
 
-/// Chaos scenario 2: the same failure without a detour. The repair plane
-/// still withdraws the span's primaries, so the boundary routers answer with
-/// Destination Unreachable instead of black-holing; the client fails over
-/// to the mirror and resumes once the outage clears.
-TurbulenceScenarioConfig chaos_failover_config() {
-  TurbulenceScenarioConfig cfg = base_config();
-  cfg.repair = RouteRepairConfig{};
-  cfg.repair_span_first = 3;
-  cfg.repair_span_last = 4;
-  cfg.mirror_server = true;
-  // Enough PLAY budget (exponential backoff from 500 ms) to span the
-  // 20 s outage after the ~8 s watchdog triggers the failover.
-  cfg.recovery.max_play_attempts = 8;
-  cfg.episodes.push_back(router_down_episode(3, 30.0, 20.0));
-  return cfg;
+const char* player_name(const ClipInfo& clip) {
+  return clip.player == PlayerKind::kMediaPlayer ? "media" : "real";
 }
 
-FaultEpisode detour_down_episode(int detour_index, double start_s, double duration_s) {
-  FaultEpisode down = router_down_episode(detour_index, start_s, duration_s);
-  down.detour = true;
-  down.label = "detour-down";
-  return down;
+/// The scenarios scenario mode runs: the link impairment set, or the
+/// self-healing pair (--chaos) and the flap-survival scenario (--multipath).
+std::vector<std::string_view> scenario_names(const Options& o) {
+  if (!o.chaos && !o.multipath)
+    return {"short-outage", "long-outage", "burst-loss", "congestion-dip"};
+  std::vector<std::string_view> names;
+  if (o.chaos) names = {"router-down-reroute", "router-down-failover"};
+  if (o.multipath) names.push_back("multipath-flap");
+  return names;
 }
 
-/// --multipath chaos scenario: asymmetric-capacity striping (the chain
-/// carries twice the detour's share) while the detour's first router flaps
-/// — three down/up cycles the health estimator must ride by draining
-/// subflow 1 onto the chain and re-admitting it after each hold-down. The
-/// mirror stays dormant: flap survival means zero failovers.
-TurbulenceScenarioConfig chaos_multipath_config() {
-  TurbulenceScenarioConfig cfg = base_config();
-  cfg.path.detour = DetourConfig{3, 4, 2, 10};
-  cfg.repair = RouteRepairConfig{};
-  cfg.mirror_server = true;
-  cfg.multipath.enabled = true;
-  cfg.multipath.primary_weight = 2;
-  cfg.multipath.detour_weight = 1;
-  // Striping's intended operating point includes NACK repair: media striped
-  // onto the flapping path before each drain is re-requested over the
-  // surviving chain (with the reorder-tolerance window keeping cross-path
-  // skew from spraying spurious NACKs).
-  cfg.repair_layer.nack = true;
-  for (const double start : {25.0, 37.0, 49.0})
-    cfg.episodes.push_back(detour_down_episode(0, start, 6.0));
-  return cfg;
+/// The scenario every campaign trial runs; --multipath takes precedence
+/// over --chaos.
+std::string_view campaign_scenario(const Options& o) {
+  return o.multipath ? "multipath-flap" : o.chaos ? "router-down-reroute" : "burst-loss";
 }
 
 void describe(const char* name, const TurbulenceRunResult& run) {
@@ -286,75 +357,44 @@ extern "C" void handle_stop_signal(int) { g_cancel.store(true); }
 /// The trial-shaping half of a campaign config — everything that feeds the
 /// config digest. Coordinator and re-exec'd --worker processes must build
 /// this identically (the distributed hello handshake verifies it).
-CampaignConfig build_campaign_config(const ClipInfo& clip, std::size_t trials,
-                                     std::uint64_t base_seed, bool verify_determinism,
-                                     bool chaos, long long plant_quarantine) {
+CampaignConfig build_campaign_config(const ClipInfo& clip, const Options& o) {
   CampaignConfig cfg;
   cfg.clip = clip;
-  cfg.trials = trials;
-  cfg.base_seed = base_seed;
-  cfg.verify_determinism = verify_determinism;
-  if (g_multipath) {
-    // Multipath trials: striped stream surviving a flapping detour router,
-    // audited and replay-verified like any other campaign.
-    cfg.scenario = chaos_multipath_config();
-  } else if (chaos) {
-    // Self-healing trials: router failure + detour reroute (mirror armed
-    // as backstop), audited and replay-verified like any other campaign.
-    cfg.scenario = chaos_reroute_config();
-  } else {
-    cfg.scenario = base_config();
-    FaultEpisode burst;
-    burst.kind = FaultKind::kBurstLoss;
-    burst.start = SimTime::from_seconds(20.0);
-    burst.duration = Duration::seconds(25);
-    burst.gilbert = GilbertElliottConfig{0.05, 0.25, 0.0, 0.6};
-    burst.label = "burst-loss";
-    cfg.scenario.episodes.push_back(burst);
-  }
+  cfg.trials = o.campaign_trials;
+  cfg.base_seed = o.base_seed;
+  cfg.verify_determinism = o.verify_determinism;
+  cfg.scenario = turbulence_scenario(campaign_scenario(o)).config(o.repair());
   // Budgets: generous enough that healthy trials never hit them, tight
   // enough that a runaway trial is truncated instead of hanging the lab.
   cfg.scenario.max_sim_events = 50'000'000;
   cfg.scenario.max_wall_time = std::chrono::seconds(120);
-  if (plant_quarantine >= 0) {
-    cfg.fault_hook = [plant_quarantine](audit::Auditor& auditor, std::size_t index,
-                                        std::uint64_t) {
-      if (index == static_cast<std::size_t>(plant_quarantine))
+  if (const long long plant = o.plant_quarantine; plant >= 0) {
+    cfg.fault_hook = [plant](audit::Auditor& auditor, std::size_t index, std::uint64_t) {
+      if (index == static_cast<std::size_t>(plant))
         auditor.force_violation("planted by --plant-quarantine");
     };
   }
   return cfg;
 }
 
-/// --distributed knobs gathered from the CLI, plus the worker command line
-/// (this binary + the coordinator's own arguments, minus the per-player
-/// --worker selector appended in run_campaign_mode).
-struct DistributedCli {
-  bool enabled = false;
-  std::size_t max_worker_restarts = 2;
-  std::size_t kill_worker_after = 0;
-  std::vector<std::string> worker_argv_base;
-};
-
-/// Campaign mode: N audited trials of the burst-loss scenario per player.
-/// Returns the process exit code (nonzero when any trial was quarantined).
-int run_campaign_mode(const ClipSet& set, RateTier tier, std::size_t trials,
-                      std::uint64_t base_seed, bool verify_determinism,
-                      const std::string& manifest_path, std::size_t workers,
-                      bool chaos, std::size_t progress_every,
-                      long long plant_quarantine, const DistributedCli& distrib) {
+/// Campaign mode: N audited trials of campaign_scenario() per player.
+/// `worker_argv` is the --distributed worker command line, minus the
+/// per-player --worker selector. Returns the process exit code (nonzero
+/// when any trial was quarantined).
+int run_campaign_mode(const ClipSet& set, RateTier tier, const Options& o,
+                      const std::vector<std::string>& worker_argv) {
+  const std::size_t trials = o.campaign_trials;
+  const std::uint64_t base_seed = o.base_seed;
   const auto [real_clip, media_clip] = *set.pair(tier);
   int exit_code = 0;
   for (const ClipInfo* clip : {&real_clip, &media_clip}) {
-    CampaignConfig cfg = build_campaign_config(*clip, trials, base_seed,
-                                               verify_determinism, chaos,
-                                               plant_quarantine);
-    cfg.workers = workers;
+    CampaignConfig cfg = build_campaign_config(*clip, o);
+    cfg.workers = o.workers;
     cfg.cancel = &g_cancel;
-    const char* player = clip->player == PlayerKind::kMediaPlayer ? "media" : "real";
-    if (!manifest_path.empty()) cfg.manifest_path = manifest_path + "." + player;
-    if (progress_every > 0) {
-      cfg.progress_every = progress_every;
+    const char* player = player_name(*clip);
+    if (!o.manifest_path.empty()) cfg.manifest_path = o.manifest_path + "." + player;
+    if (o.progress_every > 0) {
+      cfg.progress_every = o.progress_every;
       cfg.progress_hook = [](const CampaignProgress& p) {
         std::printf(
             "  progress: %zu/%zu trials | %.2f trials/sec | eta %.1fs | "
@@ -370,21 +410,21 @@ int run_campaign_mode(const ClipSet& set, RateTier tier, std::size_t trials,
     std::printf("campaign: %s  %zu trials  seeds %llu..%llu%s%s\n", clip->id().c_str(),
                 trials, static_cast<unsigned long long>(base_seed),
                 static_cast<unsigned long long>(base_seed + trials - 1),
-                verify_determinism ? "  (verifying determinism)" : "",
-                distrib.enabled ? "  (distributed)" : "");
+                o.verify_determinism ? "  (verifying determinism)" : "",
+                o.distributed ? "  (distributed)" : "");
     CampaignResult result;
     const auto wall_start = std::chrono::steady_clock::now();
     try {
-      if (distrib.enabled) {
+      if (o.distributed) {
         campaign::DistributedOptions opts;
-        opts.worker_argv = distrib.worker_argv_base;
+        opts.worker_argv = worker_argv;
         opts.worker_argv.push_back("--worker");
         opts.worker_argv.push_back(player);
         // --workers 0 means "one per hardware thread" for the in-process
         // pool; for process workers default to the CI smoke's fleet of 4.
-        opts.workers = workers > 0 ? workers : 4;
-        opts.max_worker_restarts = distrib.max_worker_restarts;
-        opts.kill_worker_after = distrib.kill_worker_after;
+        opts.workers = o.workers > 0 ? o.workers : 4;
+        opts.max_worker_restarts = o.max_worker_restarts;
+        opts.kill_worker_after = o.kill_worker_after;
         // A healthy trial finishes far inside the 120 s wall budget; a
         // worker that sits on one for longer is hung, not slow.
         opts.trial_deadline = std::chrono::milliseconds(150'000);
@@ -421,7 +461,7 @@ int run_campaign_mode(const ClipSet& set, RateTier tier, std::size_t trials,
         static_cast<unsigned long long>(agg.frames_rendered),
         static_cast<unsigned long long>(agg.frames_rendered + agg.frames_dropped),
         static_cast<unsigned long long>(agg.packets_lost), agg.stall_time.to_seconds());
-    if (chaos)
+    if (o.chaos)
       std::printf(
           "  self-healing: %llu reroutes, %llu restores, %llu failovers, "
           "router-down stall %.1fs\n",
@@ -429,7 +469,7 @@ int run_campaign_mode(const ClipSet& set, RateTier tier, std::size_t trials,
           static_cast<unsigned long long>(agg.route_restores),
           static_cast<unsigned long long>(agg.failovers),
           agg.router_down_stall.to_seconds());
-    if (g_repair.enabled())
+    if (o.repair().enabled())
       std::printf(
           "  repair: %llu packets recovered, %llu NACKs sent, %llu retx answered, "
           "%llu parity packets\n",
@@ -437,19 +477,19 @@ int run_campaign_mode(const ClipSet& set, RateTier tier, std::size_t trials,
           static_cast<unsigned long long>(agg.nacks_sent),
           static_cast<unsigned long long>(agg.retransmissions_sent),
           static_cast<unsigned long long>(agg.parity_packets));
-    if (g_multipath)
+    if (o.multipath)
       std::printf("  multipath: %llu path switches, %llu NACKs suppressed\n",
                   static_cast<unsigned long long>(agg.path_switches),
                   static_cast<unsigned long long>(agg.nack_suppressed));
     const std::size_t ran = result.trials.size() - result.resumed;
     if (ran > 0 && wall_seconds > 0.0) {
       std::printf("  throughput: %zu trials in %.2fs wall = %.2f trials/sec (workers=%zu)\n",
-                  ran, wall_seconds, static_cast<double>(ran) / wall_seconds, workers);
+                  ran, wall_seconds, static_cast<double>(ran) / wall_seconds, cfg.workers);
     }
     if (result.manifest_torn_lines > 0)
       std::printf("  manifest: tolerated %zu torn trailing line(s) from an earlier crash\n",
                   result.manifest_torn_lines);
-    if (distrib.enabled) {
+    if (o.distributed) {
       std::printf("  fleet: %zu worker(s) lost, %zu restart(s), %zu trial(s) reassigned",
                   result.workers_lost, result.worker_restarts, result.reassigned_trials);
       if (result.reassigned_trials > 0)
@@ -561,278 +601,45 @@ int run_fleet_mode(std::size_t sessions, std::uint64_t seed,
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::string trace_dir;
-  std::string manifest_path;
-  std::size_t campaign_trials = 0;
-  std::size_t campaign_workers = 0;  // 0 = one per hardware thread
-  std::size_t fleet_sessions = 0;
-  std::uint64_t base_seed = 1;
-  std::size_t progress_every = 0;
-  long long plant_quarantine = -1;
-  bool verify_determinism = false;
-  bool chaos = false;
-  DistributedCli distrib;
-  std::string worker_player;  // hidden --worker <media|real>: run as a child
-  std::vector<const char*> positional;
-  for (int i = 1; i < argc; ++i) {
-    const auto flag_value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(1);
-      }
-      return argv[++i];
-    };
-    // A numeric flag's whole value must parse and fit `out` (so no sign on
-    // an unsigned one), or the lab exits naming the flag.
-    const auto number = [&]<class T>(const char* flag, T& out) {
-      const char* text = flag_value(flag);
-      const char* end = text + std::strlen(text);
-      if (const auto [ptr, ec] = std::from_chars(text, end, out); ec != std::errc() || ptr != end) {
-        std::fprintf(stderr, "%s needs a whole number that fits, got '%s'\n", flag, text);
-        std::exit(1);
-      }
-    };
-    if (std::strcmp(argv[i], "--trace") == 0) {
-      trace_dir = flag_value("--trace");
-    } else if (std::strcmp(argv[i], "--campaign") == 0) {
-      number("--campaign", campaign_trials);
-    } else if (std::strcmp(argv[i], "--workers") == 0) {
-      number("--workers", campaign_workers);
-    } else if (std::strcmp(argv[i], "--fleet") == 0) {
-      number("--fleet", fleet_sessions);
-      if (fleet_sessions == 0) {
-        std::fprintf(stderr, "--fleet needs a positive session count\n");
-        return 1;
-      }
-    } else if (std::strcmp(argv[i], "--manifest") == 0) {
-      manifest_path = flag_value("--manifest");
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      number("--seed", base_seed);
-    } else if (std::strcmp(argv[i], "--progress-every") == 0) {
-      number("--progress-every", progress_every);
-    } else if (std::strcmp(argv[i], "--plant-quarantine") == 0) {
-      number("--plant-quarantine", plant_quarantine);
-    } else if (std::strcmp(argv[i], "--fec") == 0) {
-      int k = 0;
-      number("--fec", k);
-      if (k < 1 || k > 64) {
-        std::fprintf(stderr, "--fec k must be 1..64\n");
-        return 1;
-      }
-      g_repair.fec_k = static_cast<std::uint8_t>(k);
-      // Interleave depth 4: the burst-loss regime's mean burst length, so a
-      // whole burst lands in distinct parity rows and stays recoverable.
-      g_repair.fec_stride = 4;
-    } else if (std::strcmp(argv[i], "--nack") == 0) {
-      g_repair.nack = true;
-    } else if (std::strcmp(argv[i], "--multipath") == 0) {
-      g_multipath = true;
-    } else if (std::strcmp(argv[i], "--verify-determinism") == 0) {
-      verify_determinism = true;
-    } else if (std::strcmp(argv[i], "--chaos") == 0) {
-      chaos = true;
-    } else if (std::strcmp(argv[i], "--distributed") == 0) {
-      distrib.enabled = true;
-    } else if (std::strcmp(argv[i], "--max-worker-restarts") == 0) {
-      number("--max-worker-restarts", distrib.max_worker_restarts);
-    } else if (std::strcmp(argv[i], "--kill-worker-after") == 0) {
-      number("--kill-worker-after", distrib.kill_worker_after);
-    } else if (std::strcmp(argv[i], "--worker") == 0) {
-      worker_player = flag_value("--worker");
-    } else {
-      positional.push_back(argv[i]);
-    }
-  }
-  // Fleet mode stands alone: no clip catalog, no export dir — one loop,
-  // N flyweight sessions.
-  if (fleet_sessions > 0)
-    return run_fleet_mode(fleet_sessions, base_seed, verify_determinism);
-
-  const auto parsed_set = positional.size() > 0 ? parse_data_set(positional[0]) : 1;
-  const auto parsed_tier =
-      positional.size() > 1 ? parse_rate_tier(positional[1]) : RateTier::kLow;
-  if (!parsed_set || !parsed_tier) {
-    std::fprintf(stderr, "set must be 1..6 and tier low, high or very-high\n");
-    return 1;
-  }
-  const int set_id = *parsed_set;
-  const RateTier tier = *parsed_tier;
-  const std::string export_dir =
-      positional.size() > 2 ? positional[2] : "/tmp/streamlab_turbulence";
-  const ClipSet& set = table1_catalog()[static_cast<std::size_t>(set_id - 1)];
-  if (!set.pair(tier)) {
-    std::fprintf(stderr, "set %d has no %s tier\n", set_id, to_string(tier).c_str());
-    return 1;
-  }
-
-  // Hidden worker mode: we are a child of a --distributed coordinator.
-  // Build the identical trial-shaping config (the hello handshake verifies
-  // the digest) and speak the pipe protocol until shutdown.
-  if (!worker_player.empty()) {
-    if (campaign_trials == 0) {
-      std::fprintf(stderr, "--worker requires --campaign\n");
-      return 1;
-    }
-    const auto [real_clip, media_clip] = *set.pair(tier);
-    const ClipInfo& clip = worker_player == "media" ? media_clip : real_clip;
-    const CampaignConfig cfg = build_campaign_config(
-        clip, campaign_trials, base_seed, verify_determinism, chaos, plant_quarantine);
-    return campaign::run_campaign_worker(cfg);
-  }
-
-  if (campaign_trials > 0) {
-    // An interrupted study must keep its committed trials: the cooperative
-    // cancel flag lets the campaign flush the manifest + aggregate and
-    // exit nonzero instead of dying mid-write.
-    std::signal(SIGINT, handle_stop_signal);
-    std::signal(SIGTERM, handle_stop_signal);
-    if (distrib.enabled) {
-      // Worker command line: this binary re-exec'd with our own arguments,
-      // so every digest-relevant flag reaches the worker as given;
-      // run_campaign_mode appends --worker <player>. The worker branch above
-      // returns before any coordinator-only flag (--distributed, --workers,
-      // --manifest, --trace) is used, so forwarding those is harmless.
-      char exe[4096];
-      const ssize_t n = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
-      std::string exe_path;
-      if (n > 0) {
-        exe[n] = '\0';
-        exe_path = exe;
-      } else {
-        exe_path = argv[0];
-      }
-      distrib.worker_argv_base = {exe_path};
-      distrib.worker_argv_base.insert(distrib.worker_argv_base.end(), argv + 1, argv + argc);
-    }
-    return run_campaign_mode(set, tier, campaign_trials, base_seed, verify_determinism,
-                             manifest_path, campaign_workers, chaos, progress_every,
-                             plant_quarantine, distrib);
-  }
-
+/// Scenario mode: runs the catalog scenarios the flags select, prints each
+/// one's recovery metrics and writes the CSV exports. A scenario that dies
+/// mid-flight still flushes the rows of every scenario finished so far.
+int run_scenario_mode(const ClipSet& set, RateTier tier, const Options& o,
+                      const std::string& export_dir) {
   std::vector<std::pair<std::string, TurbulenceRunResult>> runs;
 
   // Runs the pair, or `clip` alone when given. One Obs per scenario: sim
   // time restarts at zero for every run, so each gets its own
   // registry/trace and its own export directory.
   const auto run_scenario = [&](const std::string& name, TurbulenceScenarioConfig cfg,
-                                const ClipInfo* clip = nullptr) {
+                                const ClipInfo* clip) {
     std::unique_ptr<obs::Obs> obs;
-    if (!trace_dir.empty()) {
+    if (!o.trace_dir.empty()) {
       obs = std::make_unique<obs::Obs>();
       cfg.obs = obs.get();
     }
     runs.emplace_back(name, clip != nullptr ? run_turbulence_clip(*clip, cfg)
                                             : run_turbulence_pair(set, tier, cfg));
     if (obs) {
-      const std::string dir = trace_dir + "/" + name;
+      const std::string dir = o.trace_dir + "/" + name;
       const int files = obs::export_trace(*obs, dir);
       std::printf("trace: wrote %d files to %s\n", files, dir.c_str());
     }
   };
 
-  // Chaos (self-healing) scenarios: a paired run over the detour topology,
-  // then per-player mirror-failover runs (the pair harness is
-  // single-server, so failover uses the clip form).
-  if (chaos || g_multipath) {
-    const auto clip_pair = *set.pair(tier);
-    // Mirror/multipath scenarios are single-server per session, so they use
-    // the clip form, one run per player.
-    try {
-      if (chaos) {
-        run_scenario("router-down-reroute", chaos_reroute_config());
-        for (const ClipInfo* clip : {&clip_pair.first, &clip_pair.second}) {
-          const std::string name =
-              std::string("router-down-failover-") +
-              (clip->player == PlayerKind::kMediaPlayer ? "media" : "real");
-          run_scenario(name, chaos_failover_config(), clip);
-        }
-      }
-      if (g_multipath) {
-        for (const ClipInfo* clip : {&clip_pair.first, &clip_pair.second}) {
-          const std::string name =
-              std::string("multipath-flap-") +
-              (clip->player == PlayerKind::kMediaPlayer ? "media" : "real");
-          run_scenario(name, chaos_multipath_config(), clip);
-        }
-      }
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "chaos scenario failed after %zu completed run(s): %s\n",
-                   runs.size(), e.what());
-      return 2;
-    }
-    for (const auto& [name, run] : runs) describe(name.c_str(), run);
-    const int written = export_turbulence(runs, export_dir);
-    std::printf("wrote %d CSV files to %s\n", written, export_dir.c_str());
-    return 0;
-  }
-
   try {
-  // 1. A 4 s link flap at t=30s: shorter than the delay buffers, so both
-  //    players should ride it out and complete playback.
-  {
-    TurbulenceScenarioConfig cfg = base_config();
-    FaultEpisode flap;
-    flap.kind = FaultKind::kOutage;
-    flap.start = SimTime::from_seconds(30.0);
-    flap.duration = Duration::seconds(4);
-    flap.label = "short-flap";
-    cfg.episodes.push_back(flap);
-    run_scenario("short-outage", std::move(cfg));
-  }
-
-  // 2. A 30 s outage: longer than the 8 s inactivity window, so the
-  //    watchdogs must declare both streams dead instead of hanging.
-  {
-    TurbulenceScenarioConfig cfg = base_config();
-    FaultEpisode outage;
-    outage.kind = FaultKind::kOutage;
-    outage.start = SimTime::from_seconds(30.0);
-    outage.duration = Duration::seconds(30);
-    outage.label = "long-outage";
-    cfg.episodes.push_back(outage);
-    run_scenario("long-outage", std::move(cfg));
-  }
-
-  // 3. A Gilbert–Elliott burst-loss epoch (congested peering point).
-  {
-    TurbulenceScenarioConfig cfg = base_config();
-    FaultEpisode burst;
-    burst.kind = FaultKind::kBurstLoss;
-    burst.start = SimTime::from_seconds(20.0);
-    burst.duration = Duration::seconds(25);
-    burst.gilbert = GilbertElliottConfig{0.05, 0.25, 0.0, 0.6};
-    burst.label = "burst-loss";
-    cfg.episodes.push_back(burst);
-    run_scenario("burst-loss", std::move(cfg));
-  }
-
-  // 4. A congestion dip: bottleneck throttled to 200 Kbps with extra delay.
-  {
-    TurbulenceScenarioConfig cfg = base_config();
-    FaultEpisode dip;
-    dip.kind = FaultKind::kBandwidth;
-    dip.start = SimTime::from_seconds(25.0);
-    dip.duration = Duration::seconds(15);
-    dip.bandwidth = BitRate::kbps(200);
-    dip.label = "congestion-dip";
-    cfg.episodes.push_back(dip);
-    FaultEpisode lag;
-    lag.kind = FaultKind::kExtraDelay;
-    lag.start = SimTime::from_seconds(40.0);
-    lag.duration = Duration::seconds(10);
-    lag.extra_delay = Duration::millis(150);
-    lag.label = "delay-spike";
-    cfg.episodes.push_back(lag);
-    run_scenario("congestion-dip", std::move(cfg));
-  }
+    const auto [real_clip, media_clip] = *set.pair(tier);
+    for (const std::string_view name : scenario_names(o)) {
+      const TurbulenceScenario& scenario = turbulence_scenario(name);
+      const TurbulenceScenarioConfig cfg = scenario.config(o.repair());
+      if (!scenario.per_player) run_scenario(std::string(name), cfg, nullptr);
+      else
+        for (const ClipInfo* clip : {&real_clip, &media_clip})
+          run_scenario(std::string(name) + "-" + player_name(*clip), cfg, clip);
+    }
   } catch (const std::exception& e) {
-    // A scenario died mid-flight. Flush the rows of every scenario that
-    // finished so the partial CSVs are salvageable, then fail loudly.
-    std::fprintf(stderr, "scenario failed after %zu completed run(s): %s\n",
-                 runs.size(), e.what());
+    std::fprintf(stderr, "scenario failed after %zu completed run(s): %s\n", runs.size(),
+                 e.what());
     const int written = export_turbulence(runs, export_dir);
     std::fprintf(stderr, "flushed %d partial CSV file(s) to %s\n", written,
                  export_dir.c_str());
@@ -840,8 +647,67 @@ int main(int argc, char** argv) {
   }
 
   for (const auto& [name, run] : runs) describe(name.c_str(), run);
-
   const int written = export_turbulence(runs, export_dir);
   std::printf("wrote %d CSV files to %s\n", written, export_dir.c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Options o;
+  if (const std::string error = parse_args(argc, argv, o); !error.empty())
+    return usage_error(error);
+  // Fleet mode stands alone: no clip catalog, no export dir — one loop,
+  // N flyweight sessions.
+  if (o.fleet_sessions > 0)
+    return run_fleet_mode(o.fleet_sessions, o.base_seed, o.verify_determinism);
+
+  const auto& pos = o.positional;
+  const auto parsed_set = pos.size() > 0 ? parse_data_set(pos[0]) : 1;
+  const auto parsed_tier = pos.size() > 1 ? parse_rate_tier(pos[1]) : RateTier::kLow;
+  if (!parsed_set || !parsed_tier)
+    return usage_error("set must be 1..6 and tier low, high or very-high");
+  const int set_id = *parsed_set;
+  const RateTier tier = *parsed_tier;
+  const std::string export_dir = pos.size() > 2 ? pos[2] : "/tmp/streamlab_turbulence";
+  const ClipSet& set = table1_catalog()[static_cast<std::size_t>(set_id - 1)];
+  if (!set.pair(tier)) {
+    std::fprintf(stderr, "set %d has no %s tier\n", set_id, to_string(tier).c_str());
+    return 1;
+  }
+
+  // Worker mode: we are a child of a --distributed coordinator. Build the
+  // identical trial-shaping config (the hello handshake verifies the
+  // digest) and speak the pipe protocol until shutdown.
+  if (!o.worker.empty()) {
+    if (o.campaign_trials == 0) {
+      std::fprintf(stderr, "--worker requires --campaign\n");
+      return 1;
+    }
+    const auto [real_clip, media_clip] = *set.pair(tier);
+    return campaign::run_campaign_worker(
+        build_campaign_config(o.worker == "media" ? media_clip : real_clip, o));
+  }
+
+  if (o.campaign_trials == 0) return run_scenario_mode(set, tier, o, export_dir);
+
+  // An interrupted study must keep its committed trials: the cooperative
+  // cancel flag lets the campaign flush the manifest + aggregate and exit
+  // nonzero instead of dying mid-write.
+  std::signal(SIGINT, handle_stop_signal);
+  std::signal(SIGTERM, handle_stop_signal);
+  std::vector<std::string> worker_argv;
+  if (o.distributed) {
+    // Worker command line: this binary re-exec'd with our own arguments,
+    // so every digest-relevant flag reaches the worker as given;
+    // run_campaign_mode appends --worker <player>. The worker branch above
+    // returns before any coordinator-only flag (--distributed, --workers,
+    // --manifest, --trace) is used, so forwarding those is harmless.
+    char exe[4096];
+    const ssize_t n = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
+    worker_argv.emplace_back(n > 0 ? std::string(exe, static_cast<std::size_t>(n)) : argv[0]);
+    worker_argv.insert(worker_argv.end(), argv + 1, argv + argc);
+  }
+  return run_campaign_mode(set, tier, o, worker_argv);
 }

@@ -1,5 +1,7 @@
 #include "congestion/experiment.hpp"
 
+#include <optional>
+
 #include "core/jobs.hpp"
 #include "pcap/sniffer.hpp"
 #include "players/server.hpp"
@@ -30,10 +32,19 @@ CongestionResult run_congestion_experiment(const ClipInfo& clip,
   StreamClient client(net.client(), server->clip(), server->endpoint(), cc);
   PlayerTracker tracker(client);
 
+  // Only the wire byte count and the capture span are read, so the sniffer
+  // feeds a sink that keeps those instead of a capture.
+  std::uint64_t wire_bytes = 0;
+  std::optional<SimTime> first_frame;
+  SimTime last_frame;
   Sniffer::Options sniff_opts;
   sniff_opts.snaplen = 64;  // headers only; we need byte counts, not payloads
   sniff_opts.capture_outbound = false;
-  Sniffer sniffer(net.client(), sniff_opts);
+  Sniffer sniffer(net.client(), sniff_opts, [&](CaptureRecord&& record) {
+    wire_bytes += record.original_length;
+    if (!first_frame) first_frame = record.timestamp;
+    last_frame = record.timestamp;
+  });
 
   client.start();
   tracker.start();
@@ -57,7 +68,7 @@ CongestionResult run_congestion_experiment(const ClipInfo& clip,
   // Measurement interval: the wire capture span (valid even when overload
   // is so severe that no complete datagram ever reaches the application).
   const double duration = [&] {
-    const double d = sniffer.trace().duration().to_seconds();
+    const double d = first_frame ? (last_frame - *first_frame).to_seconds() : 0.0;
     return d > 0.0 ? d : 1.0;
   }();
 
@@ -67,7 +78,7 @@ CongestionResult run_congestion_experiment(const ClipInfo& clip,
   // complete datagrams. The gap is header overhead plus the wasted
   // fragments Section 3.C warns about.
   result.throughput_kbps =
-      static_cast<double>(sniffer.trace().total_bytes()) * 8.0 / duration / 1000.0;
+      static_cast<double>(wire_bytes) * 8.0 / duration / 1000.0;
   result.goodput_kbps =
       static_cast<double>(client.media_bytes_received()) * 8.0 / duration / 1000.0;
   result.wasted_kbps = std::max(0.0, result.throughput_kbps - result.goodput_kbps);

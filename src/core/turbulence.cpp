@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "players/server.hpp"
 
@@ -273,6 +275,148 @@ TurbulenceRunResult run_turbulence_pair(const ClipSet& set, RateTier tier,
   if (!pair) return {};
   return run_sessions({{pair->first, "real-server"}, {pair->second, "media-server"}},
                       /*mirror=*/false, config);
+}
+
+TurbulenceScenarioConfig turbulence_base_config(const RepairLayerConfig& repair) {
+  TurbulenceScenarioConfig cfg;
+  cfg.path.hop_count = 8;
+  cfg.path.one_way_propagation = Duration::millis(20);
+  cfg.seed = 42;
+  cfg.recovery.inactivity_timeout = Duration::seconds(8);
+  cfg.repair_layer = repair;
+  return cfg;
+}
+
+namespace {
+
+FaultEpisode timed_episode(FaultKind kind, const char* label, double start_s,
+                           double duration_s) {
+  FaultEpisode e;
+  e.kind = kind;
+  e.start = SimTime::from_seconds(start_s);
+  e.duration = Duration::seconds(static_cast<std::int64_t>(duration_s));
+  e.label = label;
+  return e;
+}
+
+TurbulenceScenarioConfig with_episode(FaultEpisode episode, const RepairLayerConfig& repair) {
+  TurbulenceScenarioConfig cfg = turbulence_base_config(repair);
+  cfg.episodes.push_back(std::move(episode));
+  return cfg;
+}
+
+/// A 4 s link flap at t=30 s: shorter than the delay buffers, so both
+/// players should ride it out and complete playback.
+TurbulenceScenarioConfig short_outage(const RepairLayerConfig& repair) {
+  return with_episode(timed_episode(FaultKind::kOutage, "short-flap", 30.0, 4.0), repair);
+}
+
+/// A 30 s outage: longer than the 8 s inactivity window, so the watchdogs
+/// must declare both streams dead instead of hanging.
+TurbulenceScenarioConfig long_outage(const RepairLayerConfig& repair) {
+  return with_episode(timed_episode(FaultKind::kOutage, "long-outage", 30.0, 30.0), repair);
+}
+
+TurbulenceScenarioConfig burst_loss(const RepairLayerConfig& repair) {
+  return with_episode(burst_loss_episode(), repair);
+}
+
+/// The bottleneck throttled to 200 Kbps, then a 150 ms delay spike.
+TurbulenceScenarioConfig congestion_dip(const RepairLayerConfig& repair) {
+  FaultEpisode dip = timed_episode(FaultKind::kBandwidth, "congestion-dip", 25.0, 15.0);
+  dip.bandwidth = BitRate::kbps(200);
+  TurbulenceScenarioConfig cfg = with_episode(std::move(dip), repair);
+  FaultEpisode lag = timed_episode(FaultKind::kExtraDelay, "delay-spike", 40.0, 10.0);
+  lag.extra_delay = Duration::millis(150);
+  cfg.episodes.push_back(std::move(lag));
+  return cfg;
+}
+
+/// Router 3 dies mid-stream on a path with a detour bridging span [3,4];
+/// the repair plane reroutes within detection delay + hold-down and
+/// converges back when the router returns.
+TurbulenceScenarioConfig router_down_reroute(const RepairLayerConfig& repair) {
+  TurbulenceScenarioConfig cfg = with_episode(router_down_episode(3, 30.0, 10.0), repair);
+  cfg.path.detour = DetourConfig{3, 4, 2, 10};
+  cfg.repair = RouteRepairConfig{};
+  cfg.mirror_server = true;  // dormant backstop; the detour should win
+  return cfg;
+}
+
+/// The same failure without a detour. The repair plane still withdraws the
+/// span's primaries, so the boundary routers answer with Destination
+/// Unreachable instead of black-holing; the client fails over to the mirror
+/// and resumes once the outage clears.
+TurbulenceScenarioConfig router_down_failover(const RepairLayerConfig& repair) {
+  TurbulenceScenarioConfig cfg = with_episode(router_down_episode(3, 30.0, 20.0), repair);
+  cfg.repair = RouteRepairConfig{};
+  cfg.repair_span_first = 3;
+  cfg.repair_span_last = 4;
+  cfg.mirror_server = true;
+  // Enough PLAY budget (exponential backoff from 500 ms) to span the 20 s
+  // outage after the ~8 s watchdog triggers the failover.
+  cfg.recovery.max_play_attempts = 8;
+  return cfg;
+}
+
+/// Asymmetric-capacity striping (the chain carries twice the detour's
+/// share) while the detour's first router flaps: three down/up cycles the
+/// health estimator must ride by draining subflow 1 onto the chain and
+/// re-admitting it after each hold-down. The mirror stays dormant: flap
+/// survival means zero failovers.
+TurbulenceScenarioConfig multipath_flap(const RepairLayerConfig& repair) {
+  TurbulenceScenarioConfig cfg = turbulence_base_config(repair);
+  cfg.path.detour = DetourConfig{3, 4, 2, 10};
+  cfg.repair = RouteRepairConfig{};
+  cfg.mirror_server = true;
+  cfg.multipath.enabled = true;
+  cfg.multipath.primary_weight = 2;
+  cfg.multipath.detour_weight = 1;
+  // Striping's intended operating point includes NACK repair, whatever
+  // `repair` says: media striped onto the flapping path before each drain
+  // is re-requested over the surviving chain (with the reorder-tolerance
+  // window keeping cross-path skew from spraying spurious NACKs).
+  cfg.repair_layer.nack = true;
+  for (const double start : {25.0, 37.0, 49.0})
+    cfg.episodes.push_back(detour_down_episode(0, start, 6.0));
+  return cfg;
+}
+
+constexpr TurbulenceScenario kScenarios[] = {
+    {"short-outage", false, &short_outage},
+    {"long-outage", false, &long_outage},
+    {"burst-loss", false, &burst_loss},
+    {"congestion-dip", false, &congestion_dip},
+    {"router-down-reroute", false, &router_down_reroute},
+    {"router-down-failover", true, &router_down_failover},
+    {"multipath-flap", true, &multipath_flap},
+};
+
+}  // namespace
+
+FaultEpisode router_down_episode(int router_index, double start_s, double duration_s) {
+  FaultEpisode down = timed_episode(FaultKind::kRouterDown, "router-down", start_s, duration_s);
+  down.router_index = router_index;
+  return down;
+}
+
+FaultEpisode detour_down_episode(int detour_index, double start_s, double duration_s) {
+  FaultEpisode down = router_down_episode(detour_index, start_s, duration_s);
+  down.detour = true;
+  down.label = "detour-down";
+  return down;
+}
+
+FaultEpisode burst_loss_episode() {
+  FaultEpisode burst = timed_episode(FaultKind::kBurstLoss, "burst-loss", 20.0, 25.0);
+  burst.gilbert = GilbertElliottConfig{0.05, 0.25, 0.0, 0.6};
+  return burst;
+}
+
+const TurbulenceScenario& turbulence_scenario(std::string_view name) {
+  for (const TurbulenceScenario& s : kScenarios)
+    if (s.name == name) return s;
+  throw std::invalid_argument("no turbulence scenario '" + std::string(name) + "'");
 }
 
 }  // namespace streamlab

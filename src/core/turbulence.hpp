@@ -10,6 +10,7 @@
 
 #include <chrono>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -188,5 +189,36 @@ TurbulenceRunResult run_turbulence_clip(const ClipInfo& clip,
 /// through the same scripted turbulence (the paper's side-by-side setup).
 TurbulenceRunResult run_turbulence_pair(const ClipSet& set, RateTier tier,
                                         const TurbulenceScenarioConfig& config);
+
+// --- Scenario catalog ---
+// The scripted turbulence set turbulence_lab runs and the tests read,
+// declared once. Every scenario starts from turbulence_base_config().
+
+/// 8 hops, 20 ms one-way propagation, seed 42 and an 8 s inactivity
+/// watchdog, with `repair` as the loss repair layer.
+TurbulenceScenarioConfig turbulence_base_config(const RepairLayerConfig& repair = {});
+
+/// Chain router `router_index` fully offline from `start_s` for `duration_s`.
+FaultEpisode router_down_episode(int router_index, double start_s, double duration_s);
+/// The same for router `detour_index` of the detour branch.
+FaultEpisode detour_down_episode(int detour_index, double start_s, double duration_s);
+/// A 25 s Gilbert–Elliott burst-loss epoch from t=20 s (a congested peering
+/// point).
+FaultEpisode burst_loss_episode();
+
+struct TurbulenceScenario {
+  std::string_view name;
+  /// Run once per player with run_turbulence_clip, named `<name>-real` and
+  /// `<name>-media`: mirror failover and striping are single-server per
+  /// session. Otherwise the scenario runs as the pair.
+  bool per_player = false;
+  /// The scenario's config with `repair` as its loss repair layer.
+  TurbulenceScenarioConfig (*config)(const RepairLayerConfig& repair) = nullptr;
+};
+
+/// The catalog scenario called `name`: short-outage, long-outage,
+/// burst-loss, congestion-dip, router-down-reroute, router-down-failover or
+/// multipath-flap. Throws std::invalid_argument for any other name.
+const TurbulenceScenario& turbulence_scenario(std::string_view name);
 
 }  // namespace streamlab

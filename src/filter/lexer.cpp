@@ -3,39 +3,13 @@
 #include <cctype>
 #include <charconv>
 
+#include "net/address.hpp"
+
 namespace streamlab::filter {
 namespace {
 
 bool is_ident_char(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '.' || c == '_';
-}
-
-/// Counts dots and checks all-numeric segments, to distinguish an IPv4
-/// literal (10.0.0.2) from a field name (ip.src).
-bool looks_like_ipv4(std::string_view word) {
-  int dots = 0;
-  bool digits_only = true;
-  for (char c : word) {
-    if (c == '.')
-      ++dots;
-    else if (!std::isdigit(static_cast<unsigned char>(c)))
-      digits_only = false;
-  }
-  return digits_only && dots == 3;
-}
-
-std::int64_t parse_ipv4_value(std::string_view word) {
-  std::int64_t value = 0;
-  std::int64_t octet = 0;
-  for (char c : word) {
-    if (c == '.') {
-      value = (value << 8) | octet;
-      octet = 0;
-    } else {
-      octet = octet * 10 + (c - '0');
-    }
-  }
-  return (value << 8) | octet;
 }
 
 }  // namespace
@@ -114,8 +88,13 @@ Expected<std::vector<Token>> tokenize(std::string_view input) {
       std::size_t end = i;
       while (end < input.size() && is_ident_char(input[end])) ++end;
       const std::string_view word = input.substr(i, end - i);
-      if (looks_like_ipv4(word)) {
-        push(TokenKind::kIpv4, start, std::string(word), parse_ipv4_value(word));
+      // A number holds no dot, so a dotted word is an IPv4 literal or an error.
+      if (word.find('.') != std::string_view::npos) {
+        const auto addr = Ipv4Address::parse(word);
+        if (!addr)
+          return Unexpected("bad IPv4 literal '" + std::string(word) + "' at offset " +
+                            std::to_string(start) + ": " + addr.error());
+        push(TokenKind::kIpv4, start, std::string(word), addr->value());
         i = end;
         continue;
       }

@@ -92,6 +92,27 @@ TEST(Lexer, RejectsMalformedNumber) {
   EXPECT_FALSE(tokenize("12ab34.cd").has_value());
 }
 
+// A malformed IPv4 literal is a lexer error that names the literal's offset,
+// never an address built from an out-of-range, missing or overflowing octet.
+TEST(Lexer, RejectsMalformedIpv4Literals) {
+  const struct {
+    const char* input;
+    std::size_t offset;
+  } cases[] = {
+      {"ip.src == 192.168.96.1034", 10},  // octet past 255
+      {"ip.src == 192.168.100.", 10},     // missing last octet
+      {"ip.src == 1..2.3", 10},           // empty octet
+      {"1.2.3.99999999999999999999", 0},  // octet overflows 64 bits
+      {"ip.dst == 10.0.0.2 || ip.src == 256.0.0.1", 32},
+  };
+  for (const auto& c : cases) {
+    const auto tokens = tokenize(c.input);
+    ASSERT_FALSE(tokens.has_value()) << c.input;
+    EXPECT_NE(tokens.error().find("at offset " + std::to_string(c.offset)), std::string::npos)
+        << c.input << ": " << tokens.error();
+  }
+}
+
 TEST(Lexer, WhitespaceInsensitive) {
   const auto a = tokenize("a==1&&b");
   const auto b = tokenize("  a  ==  1  &&  b  ");

@@ -15,35 +15,12 @@
 namespace streamlab {
 namespace {
 
-TurbulenceScenarioConfig scenario_config() {
-  TurbulenceScenarioConfig cfg;
-  cfg.path.hop_count = 8;
-  cfg.path.one_way_propagation = Duration::millis(20);
-  cfg.seed = 42;
-  cfg.recovery.inactivity_timeout = Duration::seconds(8);
-  return cfg;
-}
-
 TurbulenceScenarioConfig short_outage_config() {
-  TurbulenceScenarioConfig cfg = scenario_config();
-  FaultEpisode flap;
-  flap.kind = FaultKind::kOutage;
-  flap.start = SimTime::from_seconds(30.0);
-  flap.duration = Duration::seconds(4);  // well inside the 8 s window
-  flap.label = "short-flap";
-  cfg.episodes.push_back(flap);
-  return cfg;
+  return turbulence_scenario("short-outage").config({});  // 4 s, inside the 8 s window
 }
 
 TurbulenceScenarioConfig long_outage_config() {
-  TurbulenceScenarioConfig cfg = scenario_config();
-  FaultEpisode outage;
-  outage.kind = FaultKind::kOutage;
-  outage.start = SimTime::from_seconds(30.0);
-  outage.duration = Duration::seconds(30);  // far past the 8 s window
-  outage.label = "long-outage";
-  cfg.episodes.push_back(outage);
-  return cfg;
+  return turbulence_scenario("long-outage").config({});  // 30 s, far past the 8 s window
 }
 
 const ClipSet& study_set() { return table1_catalog()[0]; }

@@ -27,36 +27,22 @@ const ClipSet& study_set() { return table1_catalog()[0]; }
 ClipInfo real_clip() { return study_set().pair(RateTier::kLow)->first; }
 ClipInfo media_clip() { return study_set().pair(RateTier::kLow)->second; }
 
-FaultEpisode router_down(int router_index, double start_s, double duration_s) {
-  FaultEpisode down;
-  down.kind = FaultKind::kRouterDown;
-  down.router_index = router_index;
-  down.start = SimTime::from_seconds(start_s);
-  down.duration = Duration::from_seconds(duration_s);
-  down.label = "router-down";
-  return down;
-}
-
 TurbulenceScenarioConfig base_config() {
-  TurbulenceScenarioConfig cfg;
-  cfg.path.hop_count = 8;
-  cfg.path.one_way_propagation = Duration::millis(20);
-  cfg.seed = 42;
-  cfg.recovery.inactivity_timeout = Duration::seconds(8);
   // Both subjects get the same NACK repair plane. The striped session can
   // actually use it during a flap (requests and retransmits ride the
   // surviving subflow); the single-path baseline cannot — its only route is
   // the black hole — which is exactly the asymmetry under test.
-  cfg.repair_layer.nack = true;
-  return cfg;
+  RepairLayerConfig repair;
+  repair.nack = true;
+  return turbulence_base_config(repair);
 }
 
 /// The shared flap schedule: the span-[3,4] boundary router dies twice for
 /// 10 s each — longer than the 8 s inactivity watchdog, so a single-path
 /// client that cannot route around it must fail over every time.
 void add_flap_schedule(TurbulenceScenarioConfig& cfg) {
-  cfg.episodes.push_back(router_down(3, 25.0, 10.0));
-  cfg.episodes.push_back(router_down(3, 45.0, 10.0));
+  cfg.episodes.push_back(router_down_episode(3, 25.0, 10.0));
+  cfg.episodes.push_back(router_down_episode(3, 45.0, 10.0));
 }
 
 /// Striped subject: detour bridges [3,4], the repair plane heals the primary

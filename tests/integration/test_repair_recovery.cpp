@@ -19,22 +19,15 @@ namespace {
 
 const ClipSet& study_set() { return table1_catalog()[0]; }
 
-/// The lab's burst-loss scenario: a Gilbert–Elliott epoch with
-/// pi_bad ~= 16.7%, mean loss ~= 10% and mean burst length 4, spanning the
-/// whole session after startup so the steady-state loss rate (not a
-/// clip-length-diluted average) is what the repair layer has to beat.
+/// The catalog's burst-loss episode (pi_bad ~= 16.7%, mean loss ~= 10%,
+/// mean burst length 4), stretched over the whole session after startup so
+/// the steady-state loss rate (not a clip-length-diluted average) is what
+/// the repair layer has to beat.
 TurbulenceScenarioConfig burst_loss_config() {
-  TurbulenceScenarioConfig cfg;
-  cfg.path.hop_count = 8;
-  cfg.path.one_way_propagation = Duration::millis(20);
-  cfg.seed = 42;
-  cfg.recovery.inactivity_timeout = Duration::seconds(8);
-  FaultEpisode burst;
-  burst.kind = FaultKind::kBurstLoss;
+  FaultEpisode burst = burst_loss_episode();
   burst.start = SimTime::from_seconds(10.0);
   burst.duration = Duration::seconds(600);
-  burst.gilbert = GilbertElliottConfig{0.05, 0.25, 0.0, 0.6};
-  burst.label = "burst-loss";
+  TurbulenceScenarioConfig cfg = turbulence_base_config();
   cfg.episodes.push_back(burst);
   return cfg;
 }
@@ -136,13 +129,7 @@ TEST(RepairRecovery, RepairSurvivesRouterDownChaos) {
   cfg.episodes.clear();
   cfg.path.detour = DetourConfig{3, 4, 2, 10};
   cfg.repair = RouteRepairConfig{};
-  FaultEpisode down;
-  down.kind = FaultKind::kRouterDown;
-  down.router_index = 3;
-  down.start = SimTime::from_seconds(30.0);
-  down.duration = Duration::seconds(10);
-  down.label = "router-down";
-  cfg.episodes.push_back(down);
+  cfg.episodes.push_back(router_down_episode(3, 30.0, 10.0));
   cfg.repair_layer = fec_nack_repair();
 
   const auto run = run_turbulence_clip(pair.second, cfg);

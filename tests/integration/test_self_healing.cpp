@@ -27,52 +27,9 @@ ClipInfo real_clip() { return study_set().pair(RateTier::kLow)->first; }
 /// an outage, the interesting subject for stall attribution.
 ClipInfo media_clip() { return study_set().pair(RateTier::kLow)->second; }
 
-TurbulenceScenarioConfig base_config() {
-  TurbulenceScenarioConfig cfg;
-  cfg.path.hop_count = 8;
-  cfg.path.one_way_propagation = Duration::millis(20);
-  cfg.seed = 42;
-  cfg.recovery.inactivity_timeout = Duration::seconds(8);
-  return cfg;
-}
-
-FaultEpisode router_down(int router_index, double start_s, double duration_s) {
-  FaultEpisode down;
-  down.kind = FaultKind::kRouterDown;
-  down.router_index = router_index;
-  down.start = SimTime::from_seconds(start_s);
-  down.duration = Duration::seconds(static_cast<std::int64_t>(duration_s));
-  down.label = "router-down";
-  return down;
-}
-
-/// Router 3 dies mid-stream; a detour bridges span [3,4] and the repair
-/// plane reroutes onto it.
-TurbulenceScenarioConfig reroute_config() {
-  TurbulenceScenarioConfig cfg = base_config();
-  cfg.path.detour = DetourConfig{3, 4, 2, 10};
-  cfg.repair = RouteRepairConfig{};
-  cfg.mirror_server = true;  // dormant backstop; the detour should win
-  cfg.episodes.push_back(router_down(3, 30.0, 10.0));
-  return cfg;
-}
-
-/// The same failure with no detour: the withdraw turns the black hole into
-/// Destination Unreachable and the client fails over to the mirror.
-TurbulenceScenarioConfig failover_config() {
-  TurbulenceScenarioConfig cfg = base_config();
-  cfg.repair = RouteRepairConfig{};
-  cfg.repair_span_first = 3;
-  cfg.repair_span_last = 4;
-  cfg.mirror_server = true;
-  cfg.recovery.max_play_attempts = 8;
-  cfg.episodes.push_back(router_down(3, 30.0, 20.0));
-  return cfg;
-}
-
 TEST(SelfHealing, RouterDownWithDetourReroutesAndCompletes) {
   audit::Auditor auditor;
-  TurbulenceScenarioConfig cfg = reroute_config();
+  TurbulenceScenarioConfig cfg = turbulence_scenario("router-down-reroute").config({});
   cfg.auditor = &auditor;
   const auto run = run_turbulence_clip(real_clip(), cfg);
 
@@ -99,7 +56,7 @@ TEST(SelfHealing, RouterDownWithDetourReroutesAndCompletes) {
 
   // Contrast: the identical failure with the healing layer stripped out
   // kills the stream — the detour/repair pair is load-bearing.
-  TurbulenceScenarioConfig broken = reroute_config();
+  TurbulenceScenarioConfig broken = turbulence_scenario("router-down-reroute").config({});
   broken.path.detour.reset();
   broken.repair.reset();
   broken.mirror_server = false;
@@ -111,7 +68,7 @@ TEST(SelfHealing, RouterDownWithDetourReroutesAndCompletes) {
 
 TEST(SelfHealing, RouterDownWithoutDetourFailsOverToMirror) {
   audit::Auditor auditor;
-  TurbulenceScenarioConfig cfg = failover_config();
+  TurbulenceScenarioConfig cfg = turbulence_scenario("router-down-failover").config({});
   cfg.auditor = &auditor;
   const auto run = run_turbulence_clip(media_clip(), cfg);
 
@@ -134,11 +91,10 @@ TEST(SelfHealing, RouterDownWithoutDetourFailsOverToMirror) {
 }
 
 TEST(SelfHealing, BothChaosScenariosReplayIdentically) {
-  using ConfigFn = TurbulenceScenarioConfig (*)();
-  for (ConfigFn make : {ConfigFn{&reroute_config}, ConfigFn{&failover_config}}) {
-    auto run_once = [make] {
+  for (const char* name : {"router-down-reroute", "router-down-failover"}) {
+    auto run_once = [name] {
       audit::DeterminismProbe probe;
-      TurbulenceScenarioConfig cfg = make();
+      TurbulenceScenarioConfig cfg = turbulence_scenario(name).config({});
       cfg.probe = &probe;
       const auto run = run_turbulence_clip(media_clip(), cfg);
       return std::make_pair(probe.digest(), run);
@@ -158,11 +114,11 @@ TEST(SelfHealing, CampaignDigestSeparatesChaosFromBaseline) {
   // by a baseline campaign (and vice versa): the new topology/repair/mirror
   // fields all feed the config digest.
   CampaignConfig baseline;
-  baseline.scenario = base_config();
+  baseline.scenario = turbulence_base_config();
   CampaignConfig chaos = baseline;
-  chaos.scenario = reroute_config();
+  chaos.scenario = turbulence_scenario("router-down-reroute").config({});
   CampaignConfig chaos_failover = baseline;
-  chaos_failover.scenario = failover_config();
+  chaos_failover.scenario = turbulence_scenario("router-down-failover").config({});
 
   const auto d0 = campaign_config_digest(baseline);
   const auto d1 = campaign_config_digest(chaos);

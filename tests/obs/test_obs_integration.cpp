@@ -19,18 +19,8 @@ namespace streamlab {
 namespace {
 
 TurbulenceScenarioConfig short_outage_config(obs::Obs* obs) {
-  TurbulenceScenarioConfig cfg;
-  cfg.path.hop_count = 8;
-  cfg.path.one_way_propagation = Duration::millis(20);
-  cfg.seed = 42;
-  cfg.recovery.inactivity_timeout = Duration::seconds(8);
+  TurbulenceScenarioConfig cfg = turbulence_scenario("short-outage").config({});
   cfg.obs = obs;
-  FaultEpisode flap;
-  flap.kind = FaultKind::kOutage;
-  flap.start = SimTime::from_seconds(30.0);
-  flap.duration = Duration::seconds(4);
-  flap.label = "short-flap";
-  cfg.episodes.push_back(flap);
   return cfg;
 }
 
