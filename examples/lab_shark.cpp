@@ -10,6 +10,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "dissect/conversations.hpp"
@@ -44,6 +45,17 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Compile the filter first: a typo fails before the capture is read.
+  std::optional<filter::DisplayFilter> filter;
+  if (!filter_expr.empty()) {
+    auto compiled = filter::DisplayFilter::compile(filter_expr);
+    if (!compiled) {
+      std::fprintf(stderr, "filter error: %s\n", compiled.error().c_str());
+      return 1;
+    }
+    filter = std::move(*compiled);
+  }
+
   const auto trace = read_pcap_file(path);
   if (!trace) {
     std::fprintf(stderr, "error: %s\n", trace.error().c_str());
@@ -56,13 +68,8 @@ int main(int argc, char** argv) {
   const auto packets = dissect_trace(*trace);
 
   std::vector<const DissectedPacket*> selected;
-  if (!filter_expr.empty()) {
-    const auto compiled = filter::DisplayFilter::compile(filter_expr);
-    if (!compiled) {
-      std::fprintf(stderr, "filter error: %s\n", compiled.error().c_str());
-      return 1;
-    }
-    selected = compiled->select(packets);
+  if (filter) {
+    selected = filter->select(packets);
     std::printf("filter \"%s\": %zu/%zu packets match\n\n", filter_expr.c_str(),
                 selected.size(), packets.size());
   } else {

@@ -23,7 +23,6 @@ AggregateResult run_aggregate_experiment(const AggregateConfig& config) {
   experiment.wm = config.wm;
   experiment.rm = config.rm;
   experiment.bandwidth_window = config.bandwidth_window;
-  experiment.keep_capture = true;  // the boundary statistics read every record
   const StreamRunResult run = stream_sessions(specs, /*probe_path=*/false, experiment);
 
   AggregateResult result;
@@ -38,19 +37,27 @@ AggregateResult run_aggregate_experiment(const AggregateConfig& config) {
     result.sessions.push_back(summary);
   }
 
-  // Boundary-level aggregate: every inbound packet regardless of flow.
-  const std::vector<CaptureRecord>& records = run.capture->records();
-  result.total_packets = records.size();
+  // Boundary-level aggregate: every inbound packet regardless of flow. Each
+  // inbound frame lands in exactly one session's flow (the servers are
+  // distinct hosts, the client ports differ, and trailing fragments match
+  // on source), so the flows merged in time order are the boundary trace,
+  // with each packet's wire length the captured frame's original length.
+  std::vector<FlowPacket> boundary;
+  for (const ClipRunResult& s : run.sessions)
+    boundary.insert(boundary.end(), s.flow.packets().begin(), s.flow.packets().end());
+  std::stable_sort(boundary.begin(), boundary.end(),
+                   [](const FlowPacket& a, const FlowPacket& b) { return a.time < b.time; });
+  result.total_packets = boundary.size();
   std::vector<double> gaps;
   std::optional<SimTime> prev;
   std::optional<SimTime> first, last;
   std::uint64_t total_bytes = 0;
-  for (const CaptureRecord& p : records) {
-    if (!first) first = p.timestamp;
-    last = p.timestamp;
-    total_bytes += p.original_length;
-    if (prev) gaps.push_back((p.timestamp - *prev).to_seconds());
-    prev = p.timestamp;
+  for (const FlowPacket& p : boundary) {
+    if (!first) first = p.time;
+    last = p.time;
+    total_bytes += p.wire_length;
+    if (prev) gaps.push_back((p.time - *prev).to_seconds());
+    prev = p.time;
   }
   if (first && last && *last > *first) {
     const double duration = (*last - *first).to_seconds();
@@ -61,9 +68,8 @@ AggregateResult run_aggregate_experiment(const AggregateConfig& config) {
     std::size_t i = 0;
     for (double w = 0.0; w < duration; w += win) {
       std::uint64_t bytes = 0;
-      while (i < records.size() &&
-             (records[i].timestamp - *first).to_seconds() < w + win) {
-        bytes += records[i].original_length;
+      while (i < boundary.size() && (boundary[i].time - *first).to_seconds() < w + win) {
+        bytes += boundary[i].wire_length;
         ++i;
       }
       const double kbps = static_cast<double>(bytes) * 8.0 / win / 1000.0;

@@ -440,9 +440,12 @@ obs::TrialTelemetry snapshot_trial(const TrialOutcome& t, const ClipInfo& clip,
     if (latency_sessions > 0)
       out.set_sample("trial.repair_latency_ms", latency_sum / static_cast<double>(latency_sessions));
     out.set_tally("trial.sim_events", t.sim_events);
-    out.set_tally("trial.packets_lost", t.packets_lost);
-    out.set_tally("trial.rebuffers", t.rebuffer_events);
-    out.set_tally("trial.reroutes", t.reroutes);
+    // Three salvage metrics are tallied too, as "trial.<manifest key>".
+    TrialMetrics::for_each_metric([&](std::string_view key, auto member) {
+      if constexpr (std::is_same_v<decltype(t.*member), const std::uint64_t&>)
+        if (key == "packets_lost" || key == "rebuffers" || key == "reroutes")
+          out.set_tally("trial." + std::string(key), t.*member);
+    });
   }
   return out;
 }
@@ -523,6 +526,10 @@ TrialOutcome run_trial(const CampaignConfig& config, std::size_t index,
 
   t.checks = auditor.report().checks_performed;
   t.violations = auditor.report().total_violations;
+  if (scenario.obs != nullptr) {
+    scenario.obs->registry().counter("audit.checks").add(t.checks);
+    scenario.obs->registry().counter("audit.violations").add(t.violations);
+  }
   if (t.status == TrialStatus::kCompleted) {
     if (!auditor.report().clean()) {
       t.status = TrialStatus::kQuarantined;

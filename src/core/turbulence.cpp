@@ -149,10 +149,7 @@ SimTime run_deadline(EventLoop& loop, Duration clip_length,
 /// timeline.
 void attach_instrumentation(Network& net, const TurbulenceScenarioConfig& config) {
   if (config.obs != nullptr) net.attach_observer(*config.obs);
-  if (config.auditor != nullptr) {
-    net.attach_auditor(*config.auditor);
-    if (config.obs != nullptr) config.auditor->attach_obs(*config.obs);
-  }
+  if (config.auditor != nullptr) net.attach_auditor(*config.auditor);
   if (config.probe != nullptr) net.set_determinism_probe(config.probe);
 }
 
@@ -167,7 +164,6 @@ std::unique_ptr<RouteRepair> make_repair(Network& net,
   if (config.repair_span_first >= 0 &&
       config.repair_span_last >= config.repair_span_first)
     repair->protect(config.repair_span_first, config.repair_span_last);
-  if (config.obs != nullptr) repair->set_observer(*config.obs);
   return repair;
 }
 
@@ -247,6 +243,18 @@ TurbulenceRunResult run_sessions(const std::vector<ServedClip>& served, bool mir
   faults.finish();
   if (repair) repair->finish();
   if (config.auditor != nullptr) net.audit_finalize(*config.auditor);
+  // Each component's Stats record is the only count of its metrics; it
+  // reaches the run's registry here, once, when the run is over.
+  if (config.obs != nullptr) {
+    obs::Registry& registry = config.obs->registry();
+    net.publish_stats(registry);
+    if (repair) publish_stats(*repair, registry);
+    for (const FaultedSession& s : sessions) {
+      publish_stats(*s.client, registry);
+      publish_stats(*s.server, registry);
+      if (s.mirror) publish_stats(*s.mirror, registry);
+    }
+  }
 
   if (repair) {
     result.reroutes = repair->stats().reroutes;
@@ -263,6 +271,37 @@ TurbulenceRunResult run_sessions(const std::vector<ServedClip>& served, bool mir
 }
 
 }  // namespace
+
+void publish_stats(const StreamClient& client, obs::Registry& registry) {
+  const StreamClient::Stats s = client.stats();
+  const std::string prefix = client.obs_name() + ".";
+  registry.counter(prefix + "play_attempts").add(s.play_attempts);
+  registry.counter(prefix + "play_retries").add(s.play_attempts > 0 ? s.play_attempts - 1 : 0);
+  registry.counter(prefix + "watchdog_fired").add(s.watchdog_fired);
+  registry.counter(prefix + "rebuffer_events").add(s.rebuffer_events);
+  registry.counter(prefix + "failovers").add(s.failovers);
+  registry.counter(prefix + "icmp_unreachables").add(s.icmp_unreachables);
+  registry.counter(prefix + "packets_recovered").add(s.packets_recovered());
+  registry.counter(prefix + "nacks_sent").add(s.nacks_sent);
+  registry.counter(prefix + "nacks_suppressed").add(s.nack_suppressed);
+  registry.counter(prefix + "path_reports_sent").add(s.path_reports_sent);
+  obs::Histogram latency = registry.histogram(prefix + "repair_latency_ms", 5.0, 100);
+  for (const Duration d : client.repair_latencies()) latency.record(d.to_millis());
+}
+
+void publish_stats(const StreamServer& server, obs::Registry& registry) {
+  const StreamServer::Stats& s = server.stats();
+  const std::string prefix = server.obs_name() + ".";
+  registry.counter(prefix + "scaling_switches").add(server.scaling_level_changes());
+  registry.counter(prefix + "parity_sent").add(s.parity_packets);
+  registry.counter(prefix + "retx_sent").add(s.retx_packets);
+  registry.counter(prefix + "nacks_received").add(s.nacks_received);
+}
+
+void publish_stats(const RouteRepair& repair, obs::Registry& registry) {
+  registry.counter("repair.reroutes").add(repair.stats().reroutes);
+  registry.counter("repair.restores").add(repair.stats().restores);
+}
 
 TurbulenceRunResult run_turbulence_clip(const ClipInfo& clip,
                                         const TurbulenceScenarioConfig& config) {

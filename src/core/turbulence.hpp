@@ -24,18 +24,20 @@
 
 namespace streamlab {
 
+class StreamServer;
+
 struct TurbulenceScenarioConfig {
   PathConfig path;
   std::uint64_t seed = 1;
   /// Optional observability context; when set it is attached to the run's
-  /// network before any session is constructed, so metric handles and trace
-  /// tracks cover the whole timeline. One Obs per run — SimTime restarts at
+  /// network before any session is constructed, so trace tracks cover the
+  /// whole timeline, and every component's Stats is written into its
+  /// registry once the run is over. One Obs per run — SimTime restarts at
   /// zero for every scenario.
   obs::Obs* obs = nullptr;
   /// Optional invariant auditor (sim/audit.hpp): attached to the run's loop
   /// and links before any session starts, fed the trial-end conservation
-  /// ledgers after the loop drains. One fresh Auditor per scenario run; when
-  /// `obs` is also set the audit counters are registered on it.
+  /// ledgers after the loop drains. One fresh Auditor per scenario run.
   audit::Auditor* auditor = nullptr;
   /// Optional determinism probe, folded over every packet reaching a client
   /// NIC. Two runs of the same seed must produce equal digests.
@@ -180,6 +182,22 @@ struct TurbulenceRunResult {
            (media && media->session_failed() ? 1 : 0);
   }
 };
+
+// --- Metrics ---
+// A component's Stats record is the only count of its metrics. A run with
+// an Obs writes each component into the registry once, when it is over:
+// Network::publish_stats for the links and routers, and these for the rest.
+
+/// "player.<real|media>.*": play_attempts, play_retries (play_attempts - 1),
+/// watchdog_fired, rebuffer_events, failovers, icmp_unreachables,
+/// packets_recovered, nacks_sent, nacks_suppressed and path_reports_sent,
+/// plus the histogram repair_latency_ms (5 ms buckets) of every recovery.
+void publish_stats(const StreamClient& client, obs::Registry& registry);
+/// "server.<rm|wm|port>.*": scaling_switches, parity_sent, retx_sent and
+/// nacks_received. A mirror on the same port adds into the same names.
+void publish_stats(const StreamServer& server, obs::Registry& registry);
+/// "repair.reroutes" and "repair.restores".
+void publish_stats(const RouteRepair& repair, obs::Registry& registry);
 
 /// Streams one clip over a fresh faulted network.
 TurbulenceRunResult run_turbulence_clip(const ClipInfo& clip,

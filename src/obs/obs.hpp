@@ -2,10 +2,12 @@
 //
 // An Obs is attached to the run's EventLoop (Network::attach_observer wires
 // a whole topology at once); every component that can reach the loop can
-// then reach the run's metrics and trace. Nothing in the simulation owns an
-// Obs — runs that don't care pass nullptr and pay a single null-pointer
-// branch per instrumentation site (bench_micro's BM_EventLoopObs* cases
-// measure the overhead).
+// then reach the run's trace. The registry's counts are the loop's own; the
+// components' counts stay in their Stats records until the run writes them
+// into the registry at its end. Nothing in the simulation owns an Obs —
+// runs that don't care pass nullptr and pay a single null-pointer branch per
+// instrumentation site (bench_micro's BM_EventLoopObs* cases measure the
+// overhead).
 #pragma once
 
 #include <cstdint>

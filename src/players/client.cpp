@@ -35,29 +35,15 @@ StreamClient::StreamClient(Host& host, const EncodedClip& clip, Endpoint server,
   if (obs::Obs* obs = host_.loop().observer(); obs != nullptr) {
     obs_ = std::make_unique<ObsState>();
     obs_->obs = obs;
-    const std::string tag =
-        config_.kind == PlayerKind::kRealPlayer ? "real" : "media";
-    const std::string prefix = "player." + tag + ".";
-    obs_->play_attempts = obs->registry().counter(prefix + "play_attempts");
-    obs_->play_retries = obs->registry().counter(prefix + "play_retries");
-    obs_->watchdog_fired = obs->registry().counter(prefix + "watchdog_fired");
-    obs_->rebuffers = obs->registry().counter(prefix + "rebuffer_events");
-    obs_->failovers = obs->registry().counter(prefix + "failovers");
-    obs_->unreachables = obs->registry().counter(prefix + "icmp_unreachables");
-    obs_->recovered = obs->registry().counter(prefix + "packets_recovered");
-    obs_->nacks = obs->registry().counter(prefix + "nacks_sent");
-    obs_->nack_suppressed = obs->registry().counter(prefix + "nacks_suppressed");
-    obs_->path_reports = obs->registry().counter(prefix + "path_reports_sent");
-    obs_->repair_latency =
-        obs->registry().histogram(prefix + "repair_latency_ms", 5.0, 100);
+    const std::string name = obs_name();
     obs::Tracer& tracer = obs->tracer();
-    obs_->track = tracer.intern("player." + tag);
+    obs_->track = tracer.intern(name);
     obs_->retry_name = tracer.intern("play-retry");
     obs_->established_name = tracer.intern("session-established");
     obs_->dead_name = tracer.intern("stream-dead");
     obs_->abandoned_name = tracer.intern("session-abandoned");
     obs_->rebuffer_name = tracer.intern("rebuffer");
-    obs_->goodput_name = tracer.intern(prefix + "goodput_kbps");
+    obs_->goodput_name = tracer.intern(name + ".goodput_kbps");
     obs_->failover_name = tracer.intern("failover");
     obs_->unreachable_name = tracer.intern("icmp-unreachable");
     obs_->recovered_name = tracer.intern("packet-recovered");
@@ -122,14 +108,9 @@ void StreamClient::obs_goodput(std::size_t bytes, SimTime now) {
 void StreamClient::send_play() {
   ++stats_.play_attempts;
   ++play_attempts_current_;
-  if (obs_) {
-    obs_->play_attempts.add();
-    if (stats_.play_attempts > 1) {
-      obs_->play_retries.add();
-      obs_instant(obs_->retry_name, host_.loop().now(),
-                  static_cast<double>(stats_.play_attempts));
-    }
-  }
+  if (obs_ && stats_.play_attempts > 1)
+    obs_instant(obs_->retry_name, host_.loop().now(),
+                static_cast<double>(stats_.play_attempts));
   ControlMessage play{ControlType::kPlayRequest, clip_.info().id()};
   play.offset = stats_.resume_offset;  // nonzero only after a failover
   const auto bytes = play.encode();
@@ -227,10 +208,10 @@ void StreamClient::on_watchdog() {
                                                obs::EventCategory::kControl);
     return;
   }
+  ++stats_.watchdog_fired;
   if (mirror_available()) {
     // Silence exceeded the window but a mirror remains: fail the session
     // over instead of declaring it dead.
-    if (obs_) obs_->watchdog_fired.add();
     failover(now);
     return;
   }
@@ -240,10 +221,7 @@ void StreamClient::on_watchdog() {
   enter_phase(audit::SessionPhase::kDead);
   play_timer_.cancel();
   if (repair_) repair_->nack_timer.cancel();
-  if (obs_) {
-    obs_->watchdog_fired.add();
-    obs_instant(obs_->dead_name, now);
-  }
+  if (obs_) obs_instant(obs_->dead_name, now);
 }
 
 void StreamClient::on_icmp(const IcmpHeader& icmp, std::span<const std::uint8_t> payload,
@@ -258,10 +236,8 @@ void StreamClient::on_icmp(const IcmpHeader& icmp, std::span<const std::uint8_t>
   if (!quoted || quoted->dst != server_.ip) return;
   ++stats_.icmp_unreachables;
   ++unreachable_streak_;
-  if (obs_) {
-    obs_->unreachables.add();
+  if (obs_)
     obs_instant(obs_->unreachable_name, now, static_cast<double>(unreachable_streak_));
-  }
   if (unreachable_streak_ >= config_.failover.icmp_unreachable_threshold &&
       mirror_available()) {
     failover(now);
@@ -326,10 +302,7 @@ void StreamClient::failover(SimTime now) {
 
   if (phase_ == audit::SessionPhase::kEstablished)
     enter_phase(audit::SessionPhase::kConnecting);
-  if (obs_) {
-    obs_->failovers.add();
-    obs_instant(obs_->failover_name, now, static_cast<double>(stats_.failovers));
-  }
+  if (obs_) obs_instant(obs_->failover_name, now, static_cast<double>(stats_.failovers));
   send_play();
 }
 
@@ -394,11 +367,7 @@ void StreamClient::record_repair_latency(std::uint32_t seq, SimTime now) {
     repair_->missing_since.erase(it);
   }
   repair_->latencies.push_back(latency);
-  if (obs_) {
-    obs_->recovered.add();
-    obs_->repair_latency.record(latency.to_millis());
-    obs_instant(obs_->recovered_name, now, static_cast<double>(seq));
-  }
+  if (obs_) obs_instant(obs_->recovered_name, now, static_cast<double>(seq));
 }
 
 void StreamClient::accept_recovered(const RecoveredPacket& packet, SimTime now) {
@@ -451,19 +420,11 @@ void StreamClient::on_nack_timer() {
   if (stats_.stream_dead || stats_.abandoned) return;
   const SimTime now = host_.loop().now();
   const auto due = repair_->nack.due(now);
-  if (obs_) {
-    const std::uint64_t suppressed = repair_->nack.suppressed();
-    if (suppressed > obs_->nack_suppressed_synced) {
-      obs_->nack_suppressed.add(suppressed - obs_->nack_suppressed_synced);
-      obs_->nack_suppressed_synced = suppressed;
-    }
-  }
   if (!due.empty()) {
     for (const ControlMessage& msg : make_nack_messages(clip_.info().id(), due)) {
       const auto bytes = msg.encode();
       host_.udp_send(port_, server_, bytes);
       ++stats_.nacks_sent;
-      if (obs_) obs_->nacks.add();
     }
   }
   schedule_nack_timer();
@@ -540,13 +501,6 @@ void StreamClient::on_data(const DataHeader& header, std::size_t media_len, SimT
                 header.seq, header.media_offset,
                 static_cast<std::uint32_t>(media_len), fec_flags))
           accept_recovered(*recovered, now);
-      }
-    }
-    if (obs_) {
-      const std::uint64_t suppressed = repair_->nack.suppressed();
-      if (suppressed > obs_->nack_suppressed_synced) {
-        obs_->nack_suppressed.add(suppressed - obs_->nack_suppressed_synced);
-        obs_->nack_suppressed_synced = suppressed;
       }
     }
   }
@@ -693,7 +647,7 @@ void StreamClient::send_path_reports() {
       host_.udp_send_from(config_.multipath.client_alias, port_,
                           Endpoint{config_.multipath.server_alias, server_.port},
                           bytes);
-    if (obs_) obs_->path_reports.add();
+    ++stats_.path_reports_sent;
   }
   multipath_->report_timer_armed = true;
   multipath_->report_timer =
@@ -800,12 +754,9 @@ void StreamClient::decode_frame_rebuffering(std::size_t index) {
       ++stats_.rebuffer_events;
       stall_start_ = host_.loop().now();
       attribute_stall();
-      if (obs_) {
-        obs_->rebuffers.add();
-        if (obs_->obs->tracing())
-          obs_->rebuffer_span = obs_->obs->tracer().begin_span(
-              obs_->rebuffer_name, obs_->track, host_.loop().now());
-      }
+      if (obs_ && obs_->obs->tracing())
+        obs_->rebuffer_span = obs_->obs->tracer().begin_span(
+            obs_->rebuffer_name, obs_->track, host_.loop().now());
     }
     const Duration poll = Duration::millis(100);
     current_stall_ += poll;
@@ -903,6 +854,15 @@ StreamClient::Stats StreamClient::stats() const {
     s.join_forced = multipath_->join.forced_releases();
   }
   return s;
+}
+
+std::span<const Duration> StreamClient::repair_latencies() const {
+  if (!repair_) return {};
+  return repair_->latencies;
+}
+
+std::string StreamClient::obs_name() const {
+  return config_.kind == PlayerKind::kRealPlayer ? "player.real" : "player.media";
 }
 
 BitRate StreamClient::average_playback_rate() const {

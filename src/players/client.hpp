@@ -9,6 +9,8 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -118,6 +120,8 @@ class StreamClient {
     bool stream_dead = false;  ///< the inactivity watchdog fired mid-stream
     bool completed = false;    ///< playback ran to the final frame
     std::uint32_t play_attempts = 0;  ///< PLAYs sent (1 = the first succeeded)
+    /// Inactivity-watchdog expiries: each one failed over or killed the stream.
+    std::uint32_t watchdog_fired = 0;
 
     // Playout. Rebuffering stays zero when Config::rebuffering is off.
     std::uint32_t frames_rendered = 0;
@@ -169,6 +173,7 @@ class StreamClient {
     std::uint32_t reorder_depth_p95 = 0;  ///< join-buffer occupancy
     std::uint64_t join_duplicates = 0;    ///< cross-subflow duplicates dropped
     std::uint64_t join_forced = 0;        ///< join-buffer hold-expiry releases
+    std::uint64_t path_reports_sent = 0;  ///< per-subflow path reports
 
     std::uint64_t packets_recovered() const { return recovered_by_fec + recovered_by_retx; }
     std::uint64_t repair_wire_bytes() const { return parity_bytes + retx_bytes; }
@@ -190,6 +195,12 @@ class StreamClient {
 
   /// The counters so far; final once the event loop has drained.
   Stats stats() const;
+  /// Gap-to-repair delay of each recovered packet, in recovery order; empty
+  /// while Config::repair is off.
+  std::span<const Duration> repair_latencies() const;
+  /// "player.<real|media>": this client's trace track, and the prefix of its
+  /// metrics in a run's registry.
+  std::string obs_name() const;
 
   // --- Results (valid once the event loop has drained) ---
   const std::vector<PacketEvent>& packets() const { return packets_; }
@@ -236,16 +247,10 @@ class StreamClient {
   BitRate average_playback_rate() const;
 
  private:
-  /// Session-timeline instrumentation, allocated only when the run has an
-  /// observability context attached (see obs/obs.hpp).
+  /// Session-timeline trace instrumentation, allocated only when the run
+  /// has an observability context attached (see obs/obs.hpp).
   struct ObsState {
     obs::Obs* obs = nullptr;
-    obs::Counter play_attempts;
-    obs::Counter play_retries;
-    obs::Counter watchdog_fired;
-    obs::Counter rebuffers;
-    obs::Counter failovers;
-    obs::Counter unreachables;
     std::uint16_t track = 0;  ///< "player.<real|media>" trace lane
     std::uint16_t retry_name = 0;
     std::uint16_t established_name = 0;
@@ -253,12 +258,6 @@ class StreamClient {
     std::uint16_t abandoned_name = 0;
     std::uint16_t rebuffer_name = 0;
     std::uint16_t goodput_name = 0;
-    obs::Counter recovered;
-    obs::Counter nacks;
-    obs::Counter nack_suppressed;
-    std::uint64_t nack_suppressed_synced = 0;  ///< counter high-water mark
-    obs::Counter path_reports;
-    obs::Histogram repair_latency;
     std::uint16_t failover_name = 0;
     std::uint16_t unreachable_name = 0;
     std::uint16_t recovered_name = 0;

@@ -15,17 +15,11 @@ StreamServer::StreamServer(Host& host, EncodedClip clip, std::uint16_t port)
   if (obs::Obs* obs = host_.loop().observer(); obs != nullptr) {
     obs_ = std::make_unique<ObsState>();
     obs_->obs = obs;
-    const std::string tag = port_ == kRealServerPort  ? "rm"
-                            : port_ == kMediaServerPort ? "wm"
-                                                        : std::to_string(port_);
-    obs_->switches = obs->registry().counter("server." + tag + ".scaling_switches");
-    obs_->parity_sent = obs->registry().counter("server." + tag + ".parity_sent");
-    obs_->retx_sent = obs->registry().counter("server." + tag + ".retx_sent");
-    obs_->nacks_received = obs->registry().counter("server." + tag + ".nacks_received");
+    const std::string name = obs_name();
     obs::Tracer& tracer = obs->tracer();
-    obs_->track = tracer.intern("server." + tag);
+    obs_->track = tracer.intern(name);
     obs_->switch_name = tracer.intern("scaling-switch");
-    obs_->keep_name = tracer.intern("server." + tag + ".keep_fraction");
+    obs_->keep_name = tracer.intern(name + ".keep_fraction");
   }
 }
 
@@ -157,7 +151,6 @@ void StreamServer::handle_control(std::span<const std::uint8_t> payload, Endpoin
 
 void StreamServer::handle_nack(const ControlMessage& msg) {
   ++stats_.nacks_received;
-  if (obs_) obs_->nacks_received.add();
   const SimTime now = host_.loop().now();
   for (const std::uint32_t seq : nack_requested_seqs(msg)) {
     const auto entry = repair_->buffer.lookup(seq);
@@ -181,7 +174,6 @@ void StreamServer::handle_nack(const ControlMessage& msg) {
                    [&header](std::span<std::uint8_t> out) { header.write(out); });
     ++stats_.retx_packets;
     stats_.retx_bytes += size;
-    if (obs_) obs_->retx_sent.add();
   }
 }
 
@@ -191,7 +183,6 @@ void StreamServer::send_parity(const ParityOut& parity) {
                  [&parity](std::span<std::uint8_t> out) { parity.header.write(out); });
   ++stats_.parity_packets;
   stats_.parity_bytes += size;
-  if (obs_) obs_->parity_sent.add();
 }
 
 void StreamServer::resume_from(std::uint64_t offset) {
@@ -313,11 +304,16 @@ std::size_t StreamServer::send_media(std::size_t media_len, bool buffering_phase
 void StreamServer::on_scaling_switch() {
   const SimTime now = host_.loop().now();
   const double keep = scaling_->controller.keep_fraction();
-  obs_->switches.add();
   if (obs_->obs->tracing()) {
     obs_->obs->tracer().instant(obs_->switch_name, obs_->track, now, keep);
     obs_->obs->tracer().sample_always(obs_->keep_name, now, keep);
   }
+}
+
+std::string StreamServer::obs_name() const {
+  return port_ == kRealServerPort    ? "server.rm"
+         : port_ == kMediaServerPort ? "server.wm"
+                                     : "server." + std::to_string(port_);
 }
 
 Duration StreamServer::streaming_duration() const {

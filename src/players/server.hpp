@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "media/encoder.hpp"
@@ -72,6 +73,9 @@ class StreamServer {
   /// (kIdle -> kStreaming -> kFinished).
   audit::SessionPhase session_phase() const { return audit_phase_; }
   const Stats& stats() const { return stats_; }
+  /// "server.<rm|wm|port>": this server's trace track, and the prefix of its
+  /// metrics in a run's registry (a mirror on the same port shares it).
+  std::string obs_name() const;
   /// Wall-clock streaming duration (first send to last send).
   Duration streaming_duration() const;
   /// Called with every data packet as it is sent; none by default. The
@@ -199,14 +203,10 @@ class StreamServer {
     return Endpoint{multipath_->config.client_alias, client_.port};
   }
 
-  /// Scaling-switch instrumentation, allocated only when an observability
-  /// context is attached to the loop (see obs/obs.hpp).
+  /// Scaling-switch trace instrumentation, allocated only when an
+  /// observability context is attached to the loop (see obs/obs.hpp).
   struct ObsState {
     obs::Obs* obs = nullptr;
-    obs::Counter switches;
-    obs::Counter parity_sent;
-    obs::Counter retx_sent;
-    obs::Counter nacks_received;
     std::uint16_t track = 0;
     std::uint16_t switch_name = 0;
     std::uint16_t keep_name = 0;

@@ -89,7 +89,6 @@ Auditor::Auditor(Config config)
 void Auditor::on_session_transition(const char* who, SessionPhase from, SessionPhase to,
                                     SimTime now) {
   ++report_.checks_performed;
-  obs_checks_.add();
   if (legal_transition(from, to)) return;
   violation(Invariant::kSessionState, now,
             std::string(who) + ": illegal transition " + to_string(from) + " -> " +
@@ -103,7 +102,6 @@ void Auditor::check_conservation(const std::string& label, std::uint64_t injecte
                                  std::uint64_t queued, std::uint64_t in_flight,
                                  SimTime now) {
   ++report_.checks_performed;
-  obs_checks_.add();
   const std::uint64_t accounted = delivered + dropped + queued + in_flight;
   if (accounted == injected) return;
   char buf[160];
@@ -123,20 +121,10 @@ void Auditor::violation(Invariant invariant, SimTime now, std::string detail,
                         double value, double limit) {
   ++report_.total_violations;
   ++by_invariant_[static_cast<std::size_t>(invariant)];
-  obs_violations_.add();
   if (report_.violations.size() < max_retained_) {
     report_.violations.push_back(
         AuditViolation{invariant, now, std::move(detail), value, limit});
   }
-}
-
-void Auditor::attach_obs(obs::Obs& obs) {
-  obs_checks_ = obs.registry().counter("audit.checks");
-  obs_violations_ = obs.registry().counter("audit.violations");
-  // Checks already performed before attachment (rare; attach happens at run
-  // setup) are folded in so the counter matches the report at trial end.
-  obs_checks_.add(report_.checks_performed);
-  obs_violations_.add(report_.total_violations);
 }
 
 std::optional<std::uint64_t> first_divergence(const DeterminismProbe& a,

@@ -7,9 +7,10 @@
 // (injected = delivered + dropped + queued + in-flight), monotone sim-time
 // dispatch, queue-occupancy bounds, TTL sanity on delivery, and session
 // state-machine legality. Violations are recorded as structured
-// AuditViolation records (and counted on the run's obs registry when one is
-// attached) rather than asserts, so a campaign can quarantine the bad trial
-// and keep the rest of the study.
+// AuditViolation records rather than asserts, so a campaign can quarantine
+// the bad trial and keep the rest of the study (each trial writes the
+// report's counts into its obs registry as "audit.checks"/
+// "audit.violations").
 //
 // Cost model: a cheap sampled subset of the checks is always available —
 // attaching an Auditor costs one pointer test per instrumented site and a
@@ -29,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/obs.hpp"
 #include "util/time.hpp"
 
 namespace streamlab::audit {
@@ -157,10 +157,7 @@ class Auditor {
   /// Folds `n` externally-performed checks into the ledger — how batch
   /// audits (e.g. Network::audit_routing's table walks) make their coverage
   /// visible in "clean (N checks)" summaries.
-  void count_checks(std::uint64_t n) {
-    report_.checks_performed += n;
-    obs_checks_.add(n);
-  }
+  void count_checks(std::uint64_t n) { report_.checks_performed += n; }
 
   /// Records a violation directly (also the test-only fault hook's entry).
   void violation(Invariant invariant, SimTime now, std::string detail,
@@ -168,11 +165,6 @@ class Auditor {
   void force_violation(std::string detail, SimTime now = SimTime::zero()) {
     violation(Invariant::kForced, now, std::move(detail));
   }
-
-  /// Registers "audit.checks" / "audit.violations" counters so trial metric
-  /// snapshots carry the audit outcome. Call once per run; `obs` must
-  /// outlive this auditor.
-  void attach_obs(obs::Obs& obs);
 
   const AuditReport& report() const { return report_; }
   std::uint64_t violations_by(Invariant invariant) const {
@@ -183,7 +175,6 @@ class Auditor {
   /// Counts the event and decides whether this one runs the checks.
   bool sampled_check() {
     ++report_.checks_performed;
-    obs_checks_.add();
     if constexpr (kFullAudit) return true;
     return report_.checks_performed % sample_every_ == 0;
   }
@@ -192,8 +183,6 @@ class Auditor {
   std::size_t max_retained_;
   AuditReport report_;
   std::uint64_t by_invariant_[static_cast<std::size_t>(Invariant::kCount)] = {};
-  obs::Counter obs_checks_;
-  obs::Counter obs_violations_;
 };
 
 /// Running digest of the packet stream crossing one observation point (the

@@ -14,21 +14,15 @@ Link::Link(EventLoop& loop, Rng rng, LinkConfig config, Node& a, int a_iface, No
 }
 
 void Link::set_observer(obs::Obs& obs, const std::string& label) {
-  obs_ = std::make_unique<ObsState>();
-  obs_->obs = &obs;
+  obs_ = &obs;
   const std::string prefix = "link." + label + ".";
-  obs_->delivered = obs.registry().counter(prefix + "delivered");
-  obs_->drops_queue = obs.registry().counter(prefix + "drops_queue");
-  obs_->drops_loss = obs.registry().counter(prefix + "drops_loss");
-  obs_->drops_outage = obs.registry().counter(prefix + "drops_outage");
-  obs_->drops_burst = obs.registry().counter(prefix + "drops_burst");
-  obs_->queue_bytes_name[0] = obs.tracer().intern(prefix + "queue_bytes.ab");
-  obs_->queue_bytes_name[1] = obs.tracer().intern(prefix + "queue_bytes.ba");
+  queue_bytes_name_[0] = obs.tracer().intern(prefix + "queue_bytes.ab");
+  queue_bytes_name_[1] = obs.tracer().intern(prefix + "queue_bytes.ba");
 }
 
 void Link::sample_queue(int dir) {
-  obs_->obs->tracer().sample(obs_->queue_bytes_name[dir], loop_.now(),
-                             static_cast<double>(dir_[dir].queued_bytes));
+  obs_->tracer().sample(queue_bytes_name_[dir], loop_.now(),
+                        static_cast<double>(dir_[dir].queued_bytes));
 }
 
 void Link::send(int dir, const Ipv4Packet& packet) {
@@ -37,7 +31,6 @@ void Link::send(int dir, const Ipv4Packet& packet) {
   const std::size_t size = wire_size(packet);
   if (d.queued_bytes + size > config_.queue_limit_bytes) {
     ++d.stats.packets_dropped_queue;
-    if (obs_) obs_->drops_queue.add();
     return;
   }
   d.queue.push_back(packet);
@@ -83,13 +76,11 @@ bool Link::drop_on_wire(DirectionStats& stats) {
   if (impairment_) {
     if (impairment_->outage) {
       ++stats.packets_dropped_outage;
-      if (obs_) obs_->drops_outage.add();
       return true;
     }
     if (impairment_->loss_model) {
       if (impairment_->loss_model(rng_)) {
         ++stats.packets_dropped_burst;
-        if (obs_) obs_->drops_burst.add();
         return true;
       }
       return false;
@@ -100,7 +91,6 @@ bool Link::drop_on_wire(DirectionStats& stats) {
                        : config_.loss_probability;
   if (p > 0.0 && rng_.chance(p)) {
     ++stats.packets_dropped_loss;
-    if (obs_) obs_->drops_loss.add();
     return true;
   }
   return false;
@@ -139,7 +129,6 @@ void Link::deliver(int dir) {
   d.in_flight.pop_front();
   ++d.stats.packets_delivered;
   d.stats.bytes_delivered += wire_size(packet);
-  if (obs_) obs_->delivered.add();
   if (audit::Auditor* a = loop_.auditor())
     a->on_delivery_ttl(packet.header.ttl, loop_.now(), audit_label_.c_str());
   peer_[dir]->handle_packet(packet, peer_iface_[dir]);

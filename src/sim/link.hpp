@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 
@@ -81,9 +80,10 @@ class Link {
   void clear_impairment() { impairment_.reset(); }
   bool impaired() const { return impairment_.has_value(); }
 
-  /// Registers this link's metrics and trace series on `obs` under
-  /// "link.<label>.*" and starts sampling queue occupancy. Typically called
-  /// for a whole topology at once by Network::attach_observer().
+  /// Starts sampling queue occupancy into `obs`'s trace as
+  /// "link.<label>.queue_bytes.ab"/".ba". Typically called for a whole
+  /// topology at once by Network::attach_observer(); the link's counts reach
+  /// the registry from its DirectionStats (Network::publish_stats).
   void set_observer(obs::Obs& obs, const std::string& label);
 
   /// Names this link for auditor violation reports (the auditor itself is
@@ -126,18 +126,6 @@ class Link {
     return kEthernetHeaderSize + p.total_length();
   }
 
-  /// Registered handles, allocated only when an observer is attached; the
-  /// un-instrumented cost is one null check per site.
-  struct ObsState {
-    obs::Obs* obs = nullptr;
-    obs::Counter delivered;
-    obs::Counter drops_queue;
-    obs::Counter drops_loss;
-    obs::Counter drops_outage;
-    obs::Counter drops_burst;
-    std::uint16_t queue_bytes_name[2] = {0, 0};  ///< per-direction trace series
-  };
-
   void send(int dir, const Ipv4Packet& packet);
   bool drop_on_wire(DirectionStats& stats);
   void start_transmission(int dir);
@@ -152,7 +140,8 @@ class Link {
   Node* peer_[2];      // peer_[0] = b (receiver for dir 0), peer_[1] = a
   int peer_iface_[2];
   Direction dir_[2];
-  std::unique_ptr<ObsState> obs_;
+  obs::Obs* obs_ = nullptr;  ///< queue-depth sampling; null when not observed
+  std::uint16_t queue_bytes_name_[2] = {0, 0};  ///< per-direction trace series
   std::string audit_label_ = "link";
 };
 

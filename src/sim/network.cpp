@@ -248,8 +248,32 @@ void Network::attach_observer(obs::Obs& obs) {
   loop_.set_observer(&obs);
   for (std::size_t i = 0; i < links_.size(); ++i)
     links_[i]->set_observer(obs, link_labels_[i]);
-  for (const auto& router : routers_) router->set_observer(obs, router->name());
-  for (const auto& router : detour_routers_) router->set_observer(obs, router->name());
+}
+
+void Network::publish_stats(obs::Registry& registry) const {
+  for (std::size_t i = 0; i < links_.size(); ++i) {
+    const std::string prefix = "link." + link_labels_[i] + ".";
+    const Link::DirectionStats& ab = links_[i]->stats_a_to_b();
+    const Link::DirectionStats& ba = links_[i]->stats_b_to_a();
+    registry.counter(prefix + "delivered").add(ab.packets_delivered + ba.packets_delivered);
+    registry.counter(prefix + "drops_queue")
+        .add(ab.packets_dropped_queue + ba.packets_dropped_queue);
+    registry.counter(prefix + "drops_loss").add(ab.packets_dropped_loss + ba.packets_dropped_loss);
+    registry.counter(prefix + "drops_outage")
+        .add(ab.packets_dropped_outage + ba.packets_dropped_outage);
+    registry.counter(prefix + "drops_burst")
+        .add(ab.packets_dropped_burst + ba.packets_dropped_burst);
+  }
+  for (const auto* routers : {&routers_, &detour_routers_}) {
+    for (const auto& router : *routers) {
+      const std::string prefix = "router." + router->name() + ".";
+      const Router::Stats& s = router->stats();
+      registry.counter(prefix + "forwarded").add(s.packets_forwarded);
+      registry.counter(prefix + "drops_ttl").add(s.packets_ttl_expired);
+      registry.counter(prefix + "drops_no_route").add(s.packets_no_route);
+      registry.counter(prefix + "drops_offline").add(s.packets_dropped_offline);
+    }
+  }
 }
 
 void Network::attach_auditor(audit::Auditor& auditor) {

@@ -81,11 +81,17 @@ class Network {
   Host& add_server(const std::string& name);
 
   /// Wires one observability context through the whole topology: the event
-  /// loop's observer plus per-link ("access"/"bottleneck"/"hop<i>"/
-  /// "detour<i>"/"server.<name>") and per-router metric handles. Links of
-  /// servers added later are instrumented as they are created. Not owned;
-  /// `obs` must outlive the network.
+  /// loop's observer plus each link's queue-depth trace series (links of
+  /// servers added later are traced as they are created). Not owned; `obs`
+  /// must outlive the network.
   void attach_observer(obs::Obs& obs);
+
+  /// Writes every link's and router's Stats into `registry`, once, when the
+  /// run is over: "link.<label>.{delivered,drops_queue,drops_loss,
+  /// drops_outage,drops_burst}" summed over both directions (labels
+  /// "access"/"bottleneck"/"hop<i>"/"detour<i>"/"server.<name>") and
+  /// "router.<name>.{forwarded,drops_ttl,drops_no_route,drops_offline}".
+  void publish_stats(obs::Registry& registry) const;
 
   /// Wires one invariant auditor through the topology: the event loop's
   /// dispatch check plus per-link audit labels (same naming scheme as

@@ -64,9 +64,8 @@ void RouteRepair::withdraw(Span& span) {
   for (auto& [router, id] : span.primaries) router->withdraw_route(id);
   span.withdrawn = true;
   ++stats_.reroutes;
-  obs_state_.reroutes.add();
-  if (obs_ != nullptr && obs_->tracing()) {
-    obs::Tracer& tracer = obs_->tracer();
+  if (obs::Obs* obs = network_.loop().observer(); obs != nullptr && obs->tracing()) {
+    obs::Tracer& tracer = obs->tracer();
     span.trace_span = tracer.begin_span(
         tracer.intern("reroute:span" + std::to_string(span.first) + "-" +
                       std::to_string(span.last)),
@@ -81,27 +80,18 @@ void RouteRepair::restore(Span& span) {
   for (auto& [router, id] : span.primaries) router->restore_route(id);
   span.withdrawn = false;
   ++stats_.restores;
-  obs_state_.restores.add();
-  if (span.trace_span != 0) {
-    if (obs_ != nullptr) obs_->tracer().end_span(span.trace_span, network_.loop().now());
-    span.trace_span = 0;
-  }
+  end_trace_span(span);
   network_.audit_routing();
 }
 
-void RouteRepair::finish() {
-  for (Span& span : spans_) {
-    if (span.trace_span != 0) {
-      if (obs_ != nullptr) obs_->tracer().end_span(span.trace_span, network_.loop().now());
-      span.trace_span = 0;
-    }
-  }
+void RouteRepair::end_trace_span(Span& span) {
+  if (span.trace_span == 0) return;
+  network_.loop().observer()->tracer().end_span(span.trace_span, network_.loop().now());
+  span.trace_span = 0;
 }
 
-void RouteRepair::set_observer(obs::Obs& obs) {
-  obs_ = &obs;
-  obs_state_.reroutes = obs.registry().counter("repair.reroutes");
-  obs_state_.restores = obs.registry().counter("repair.restores");
+void RouteRepair::finish() {
+  for (Span& span : spans_) end_trace_span(span);
 }
 
 }  // namespace streamlab

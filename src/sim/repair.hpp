@@ -40,7 +40,9 @@ struct RouteRepairConfig {
 /// Event-driven withdraw/restore of the primaries crossing protected spans.
 /// Construct after the Network (and its detour) is built; protects the
 /// detour span automatically when one exists, or any span handed to
-/// protect(). Must outlive the run (health listeners point into it).
+/// protect(). Must outlive the run (health listeners point into it). With an
+/// observer on the network's loop, each rerouted interval is a span on its
+/// "repair" trace track.
 class RouteRepair {
  public:
   struct Stats {
@@ -62,10 +64,6 @@ class RouteRepair {
 
   const Stats& stats() const { return stats_; }
 
-  /// Registers "repair.reroutes"/"repair.restores" counters and emits a span
-  /// on the "repair" trace track for every rerouted interval.
-  void set_observer(obs::Obs& obs);
-
   /// Ends any reroute trace span still open at the trial horizon so
   /// truncated trials export well-formed traces. Routing state is left
   /// as-is. Idempotent.
@@ -84,6 +82,8 @@ class RouteRepair {
   void on_health(std::size_t span_index, bool online);
   void withdraw(Span& span);
   void restore(Span& span);
+  /// Closes `span`'s open "reroute" trace span, if any.
+  void end_trace_span(Span& span);
 
   Network& network_;
   RouteRepairConfig config_;
@@ -91,12 +91,6 @@ class RouteRepair {
   /// before the run; health listeners capture indices, not pointers.
   std::vector<Span> spans_;
   Stats stats_;
-  struct ObsState {
-    obs::Counter reroutes;
-    obs::Counter restores;
-  };
-  ObsState obs_state_;
-  obs::Obs* obs_ = nullptr;
 };
 
 }  // namespace streamlab

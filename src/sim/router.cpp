@@ -4,15 +4,6 @@
 
 namespace streamlab {
 
-void Router::set_observer(obs::Obs& obs, const std::string& label) {
-  obs_ = std::make_unique<ObsState>();
-  const std::string prefix = "router." + label + ".";
-  obs_->forwarded = obs.registry().counter(prefix + "forwarded");
-  obs_->ttl_expired = obs.registry().counter(prefix + "drops_ttl");
-  obs_->no_route = obs.registry().counter(prefix + "drops_no_route");
-  obs_->offline_drops = obs.registry().counter(prefix + "drops_offline");
-}
-
 void Router::attach_interface(int iface, SendFn send) {
   if (static_cast<std::size_t>(iface) >= interfaces_.size())
     interfaces_.resize(static_cast<std::size_t>(iface) + 1);
@@ -84,7 +75,6 @@ void Router::handle_packet(const Ipv4Packet& packet, int /*ingress_iface*/) {
   // withdraw (sim/repair.hpp) and a client into a failover.
   if (offline_) {
     ++stats_.packets_dropped_offline;
-    if (obs_) obs_->offline_drops.add();
     return;
   }
 
@@ -112,7 +102,6 @@ void Router::handle_packet(const Ipv4Packet& packet, int /*ingress_iface*/) {
 
   if (packet.header.ttl <= 1) {
     ++stats_.packets_ttl_expired;
-    if (obs_) obs_->ttl_expired.add();
     send_icmp_error(packet, IcmpType::kTimeExceeded, 0);
     return;
   }
@@ -121,7 +110,6 @@ void Router::handle_packet(const Ipv4Packet& packet, int /*ingress_iface*/) {
   if (iface < 0 || static_cast<std::size_t>(iface) >= interfaces_.size() ||
       !interfaces_[static_cast<std::size_t>(iface)]) {
     ++stats_.packets_no_route;
-    if (obs_) obs_->no_route.add();
     send_icmp_error(packet, IcmpType::kDestinationUnreachable, 0);
     return;
   }
@@ -129,7 +117,6 @@ void Router::handle_packet(const Ipv4Packet& packet, int /*ingress_iface*/) {
   Ipv4Packet forwarded = packet;
   forwarded.header.ttl = static_cast<std::uint8_t>(packet.header.ttl - 1);
   ++stats_.packets_forwarded;
-  if (obs_) obs_->forwarded.add();
   interfaces_[static_cast<std::size_t>(iface)](forwarded);
 }
 

@@ -13,12 +13,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "net/packet.hpp"
-#include "obs/obs.hpp"
 #include "sim/node.hpp"
 
 namespace streamlab {
@@ -93,9 +91,6 @@ class Router : public Node {
 
   const Stats& stats() const { return stats_; }
 
-  /// Registers forwarding and drop counters ("router.<label>.*") on `obs`.
-  void set_observer(obs::Obs& obs, const std::string& label);
-
  private:
   struct Route {
     std::uint32_t prefix;
@@ -109,13 +104,6 @@ class Router : public Node {
   void resort_lookup_order();
   void send_icmp_error(const Ipv4Packet& offending, IcmpType type, std::uint8_t code);
 
-  struct ObsState {
-    obs::Counter forwarded;
-    obs::Counter ttl_expired;
-    obs::Counter no_route;
-    obs::Counter offline_drops;
-  };
-
   Ipv4Address address_;
   std::vector<SendFn> interfaces_;
   std::vector<Route> routes_;           ///< insertion order; RouteId indexes this
@@ -124,7 +112,6 @@ class Router : public Node {
   bool offline_ = false;
   HealthListener health_;
   std::uint16_t next_ip_id_ = 1;
-  std::unique_ptr<ObsState> obs_;
 };
 
 }  // namespace streamlab

@@ -1,4 +1,4 @@
-// Shared trial-shaping config for the distributed-campaign tests and the
+// Shared trial-shaping configs for the campaign tests and the
 // campaign_worker_testbed binary. Coordinator (test process) and worker
 // (child process) must build byte-for-byte the same CampaignConfig — the
 // hello handshake compares config digests — so the one builder lives here.
@@ -37,6 +37,26 @@ inline CampaignConfig tiny_campaign(std::size_t trials) {
   flap.duration = Duration::millis(500);
   flap.label = "flap";
   config.scenario.episodes.push_back(flap);
+  return config;
+}
+
+/// tiny_campaign with FEC (k=8, stride 4) + NACK repair, and the outage
+/// swapped for a burst-loss epoch: repair needs loss to repair. The tiny
+/// 33 kbps clip carries few packets, so the epoch spans the whole trial and
+/// keeps both GE states lossy — every seed sees losses to repair.
+inline CampaignConfig repair_campaign(std::size_t trials) {
+  CampaignConfig config = tiny_campaign(trials);
+  config.scenario.episodes.clear();
+  FaultEpisode burst;
+  burst.kind = FaultKind::kBurstLoss;
+  burst.start = SimTime::from_seconds(0.2);
+  burst.duration = Duration::seconds(12);
+  burst.gilbert = GilbertElliottConfig{0.3, 0.25, 0.1, 0.6};
+  burst.label = "burst-loss";
+  config.scenario.episodes.push_back(burst);
+  config.scenario.repair_layer.fec_k = 8;
+  config.scenario.repair_layer.fec_stride = 4;
+  config.scenario.repair_layer.nack = true;
   return config;
 }
 

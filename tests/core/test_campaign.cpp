@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/obs.hpp"
-
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -13,39 +11,14 @@
 #include <thread>
 #include <vector>
 
+#include "../campaign/tiny_campaign.hpp"
+#include "obs/obs.hpp"
+
 namespace streamlab {
 namespace {
 
-/// A deliberately tiny clip so a 20-trial campaign stays fast.
-ClipInfo tiny_clip() {
-  ClipInfo clip;
-  clip.data_set = 1;
-  clip.content = ContentClass::kNews;
-  clip.player = PlayerKind::kRealPlayer;
-  clip.tier = RateTier::kLow;
-  clip.encoded_rate = BitRate::kbps(33);
-  clip.advertised_rate = BitRate::kbps(56);
-  clip.length = Duration::seconds(5);
-  return clip;
-}
-
-CampaignConfig tiny_campaign(std::size_t trials) {
-  CampaignConfig config;
-  config.clip = tiny_clip();
-  config.trials = trials;
-  config.base_seed = 100;
-  config.scenario.path.hop_count = 2;
-  config.scenario.path.one_way_propagation = Duration::millis(5);
-  config.scenario.extra_sim_time = Duration::seconds(5);
-  // One short outage mid-clip so every trial exercises the fault layer.
-  FaultEpisode flap;
-  flap.kind = FaultKind::kOutage;
-  flap.start = SimTime::from_seconds(1.0);
-  flap.duration = Duration::millis(500);
-  flap.label = "flap";
-  config.scenario.episodes.push_back(flap);
-  return config;
-}
+using campaign_test::repair_campaign;
+using campaign_test::tiny_campaign;
 
 std::string temp_manifest(const char* name) {
   std::string path = ::testing::TempDir() + "campaign_" + name + ".ndjson";
@@ -375,25 +348,6 @@ TEST(CampaignParallel, DefaultWorkerCountProducesSameResults) {
 // also runs under TSan in CI (parity/NACK traffic crossing the worker pool
 // must stay race-free). ---
 
-CampaignConfig repair_campaign(std::size_t trials) {
-  CampaignConfig config = tiny_campaign(trials);
-  // Swap the outage for a burst-loss epoch: repair needs loss to repair.
-  // The tiny 33 kbps clip carries few packets, so the epoch spans the whole
-  // trial and keeps both GE states lossy — every seed sees losses to repair.
-  config.scenario.episodes.clear();
-  FaultEpisode burst;
-  burst.kind = FaultKind::kBurstLoss;
-  burst.start = SimTime::from_seconds(0.2);
-  burst.duration = Duration::seconds(12);
-  burst.gilbert = GilbertElliottConfig{0.3, 0.25, 0.1, 0.6};
-  burst.label = "burst-loss";
-  config.scenario.episodes.push_back(burst);
-  config.scenario.repair_layer.fec_k = 8;
-  config.scenario.repair_layer.fec_stride = 4;
-  config.scenario.repair_layer.nack = true;
-  return config;
-}
-
 TEST(CampaignRepair, SalvagesRecoveryMetricsIntoAggregate) {
   const CampaignResult result = run_campaign(repair_campaign(3));
   EXPECT_EQ(result.completed, 3u);
@@ -627,6 +581,26 @@ TEST(Campaign, SerialRunsEveryTrialOnTheCallingThread) {
   const CampaignResult result = run_campaign(config);
   EXPECT_EQ(result.completed, 3u);
   EXPECT_EQ(ran_on, std::vector<std::thread::id>(3, std::this_thread::get_id()));
+}
+
+/// A trial writes its audit report into its registry after the fault hook
+/// and before the snapshot: "audit.violations" counts the violations the
+/// hook forces after the run, and "audit.checks" equals the report's.
+TEST(Campaign, TrialWritesAuditReportOnRegistry) {
+  CampaignConfig config = tiny_campaign(1);
+  config.fault_hook = [](audit::Auditor& auditor, std::size_t, std::uint64_t) {
+    auditor.force_violation("forced after the run");
+    auditor.force_violation("forced again");
+  };
+  obs::Obs obs(campaign_detail::trial_obs_config(config));
+  const TrialOutcome t =
+      campaign_detail::run_trial(config, 0, campaign_detail::config_hex(config), &obs);
+  EXPECT_EQ(t.status, TrialStatus::kQuarantined);
+  EXPECT_EQ(obs.registry().counter("audit.violations").value(), 2u);
+  EXPECT_GT(t.checks, 0u);
+  EXPECT_EQ(obs.registry().counter("audit.checks").value(), t.checks);
+  ASSERT_TRUE(t.telemetry.has_value());
+  EXPECT_EQ(t.telemetry->counter("audit.violations"), 2u);
 }
 
 TEST(Campaign, ThrowingTrialIsQuarantinedOthersSalvaged) {

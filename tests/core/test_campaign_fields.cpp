@@ -17,23 +17,8 @@
 namespace streamlab {
 namespace {
 
+using campaign_test::repair_campaign;
 using campaign_test::tiny_campaign;
-
-CampaignConfig repair_campaign() {
-  CampaignConfig config = tiny_campaign(3);
-  config.scenario.episodes.clear();
-  FaultEpisode burst;
-  burst.kind = FaultKind::kBurstLoss;
-  burst.start = SimTime::from_seconds(0.2);
-  burst.duration = Duration::seconds(12);
-  burst.gilbert = GilbertElliottConfig{0.3, 0.25, 0.1, 0.6};
-  burst.label = "burst-loss";
-  config.scenario.episodes.push_back(burst);
-  config.scenario.repair_layer.fec_k = 8;
-  config.scenario.repair_layer.fec_stride = 4;
-  config.scenario.repair_layer.nack = true;
-  return config;
-}
 
 /// Self-healing chaos: a router dies on a detour-bridged path, the repair
 /// plane reroutes, a mirror stands by.
@@ -74,7 +59,7 @@ std::string hex(std::uint64_t v) {
 /// are computed must not move any of them.
 TEST(CampaignFields, ConfigDigestsArePinned) {
   EXPECT_EQ(hex(campaign_config_digest(tiny_campaign(6))), "3355c9e92690654b");
-  EXPECT_EQ(hex(campaign_config_digest(repair_campaign())), "9c82eae12507470d");
+  EXPECT_EQ(hex(campaign_config_digest(repair_campaign(3))), "9c82eae12507470d");
   EXPECT_EQ(hex(campaign_config_digest(chaos_campaign())), "de46369c3dfe305f");
   EXPECT_EQ(hex(campaign_config_digest(multipath_campaign())), "49100df4a860b88c");
 }

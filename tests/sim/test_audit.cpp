@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/obs.hpp"
 #include "sim/event_loop.hpp"
 
 namespace streamlab {
@@ -151,18 +150,6 @@ TEST(Auditor, SummaryReadsCleanOrFirstViolation) {
   EXPECT_NE(auditor.report().summary().find("clean"), std::string::npos);
   auditor.force_violation("boom");
   EXPECT_NE(auditor.report().summary().find("boom"), std::string::npos);
-}
-
-TEST(Auditor, AttachObsMirrorsCountsOnRegistry) {
-  Auditor auditor(check_everything());
-  auditor.force_violation("before attach");
-  obs::Obs obs;
-  auditor.attach_obs(obs);
-  auditor.force_violation("after attach");
-  auditor.on_delivery_ttl(64, SimTime::zero(), "client");
-  EXPECT_EQ(obs.registry().counter("audit.violations").value(), 2u);
-  EXPECT_EQ(obs.registry().counter("audit.checks").value(),
-            auditor.report().checks_performed);
 }
 
 TEST(Auditor, LoopDispatchHookIsCleanOnOrderedEvents) {
