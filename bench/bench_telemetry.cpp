@@ -8,9 +8,9 @@
 //     the percentage directly, so the recorded artifact carries the
 //     "within 5%" claim as a single number rather than a cross-benchmark
 //     subtraction.
-//  2. ns per recorded sample for the mergeable aggregates (QuantileSketch,
+//  2. ns per recorded sample for the campaign aggregates (QuantileSketch,
 //     LogHistogram) against the fixed-bucket Registry Histogram they
-//     complement — the cost of making a distribution mergeable.
+//     complement — the cost of a distribution that spans any value range.
 //  3. ns per cross-trial fold of a realistic TrialTelemetry record into a
 //     CampaignTelemetry, the per-commit cost at the coordinator.
 #include <benchmark/benchmark.h>
@@ -167,7 +167,7 @@ void BM_LogHistogramRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_LogHistogramRecord);
 
-/// The fixed-bucket Registry histogram the mergeable aggregates complement —
+/// The fixed-bucket Registry histogram the campaign aggregates complement —
 /// the baseline cost of recording a sample at all.
 void BM_FixedHistogramRecord(benchmark::State& state) {
   const std::vector<double> values = sample_values();

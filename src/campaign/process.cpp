@@ -40,28 +40,6 @@ ChildProcess::~ChildProcess() {
   close_fds();
 }
 
-ChildProcess::ChildProcess(ChildProcess&& other) noexcept { adopt(std::move(other)); }
-
-ChildProcess& ChildProcess::operator=(ChildProcess&& other) noexcept {
-  if (this != &other) {
-    this->~ChildProcess();
-    adopt(std::move(other));
-  }
-  return *this;
-}
-
-void ChildProcess::adopt(ChildProcess&& other) noexcept {
-  pid_ = other.pid_;
-  stdin_fd_ = other.stdin_fd_;
-  stdout_fd_ = other.stdout_fd_;
-  stderr_fd_ = other.stderr_fd_;
-  exit_status_ = other.exit_status_;
-  stderr_tail_ = std::move(other.stderr_tail_);
-  spawn_error_ = std::move(other.spawn_error_);
-  other.pid_ = -1;
-  other.stdin_fd_ = other.stdout_fd_ = other.stderr_fd_ = -1;
-}
-
 void ChildProcess::close_fds() {
   for (int* fd : {&stdin_fd_, &stdout_fd_, &stderr_fd_}) {
     if (*fd >= 0) ::close(*fd);

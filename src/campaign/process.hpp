@@ -25,8 +25,6 @@ class ChildProcess {
 
   ChildProcess(const ChildProcess&) = delete;
   ChildProcess& operator=(const ChildProcess&) = delete;
-  ChildProcess(ChildProcess&& other) noexcept;
-  ChildProcess& operator=(ChildProcess&& other) noexcept;
 
   /// Forks and execs `argv` (argv[0] is the binary path) with `extra_env`
   /// entries ("NAME=value") appended to the inherited environment. Child
@@ -74,7 +72,6 @@ class ChildProcess {
 
  private:
   void close_fds();
-  void adopt(ChildProcess&& other) noexcept;
 
   int pid_ = -1;
   int stdin_fd_ = -1;

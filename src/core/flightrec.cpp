@@ -54,10 +54,6 @@ std::string render_postmortem(const PostmortemContext& context,
       out += "{\"record\":\"metric\",\"kind\":\"counter\",\"name\":\"" + json_escape(name) +
              "\",\"value\":" + std::to_string(value) + "}\n";
     }
-    for (const auto& [name, value] : obs->registry().gauges()) {
-      out += "{\"record\":\"metric\",\"kind\":\"gauge\",\"name\":\"" + json_escape(name) +
-             "\",\"value\":" + std::to_string(value) + "}\n";
-    }
   }
 
   if (telemetry != nullptr) {

@@ -12,7 +12,7 @@
 //   header    trial/seed/reason/config digest + trace retained/dropped
 //   audit     check + violation totals and the one-line summary
 //   violation one retained AuditViolation (invariant, sim time, detail)
-//   metric    one raw registry counter/gauge (full per-instance names)
+//   metric    one raw registry counter (full per-instance names)
 //   sample / tally / counter   the rolled-up TrialTelemetry snapshot
 //   trace     one of the last-K Tracer records, oldest first
 #pragma once

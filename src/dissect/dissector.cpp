@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <stdexcept>
 
 #include "net/headers.hpp"
 #include "util/strings.hpp"
@@ -13,21 +12,6 @@ void DissectedPacket::set(FieldId id, MacAddress mac) {
   std::int64_t bits = 0;
   for (const std::uint8_t octet : mac.octets()) bits = bits << 8 | octet;
   set(id, bits);
-}
-
-void DissectedPacket::set(std::string_view name, const FieldValue& value) {
-  const auto id = find_field(name);
-  if (!id) throw std::invalid_argument("no dissector field '" + std::string(name) + "'");
-  if (field_info(*id).display != FieldDisplay::kMac) return set(*id, value.number);
-  const auto mac = MacAddress::parse(value.display);
-  if (!mac) throw std::invalid_argument(std::string(name) + ": " + mac.error());
-  set(*id, *mac);
-}
-
-void DissectedPacket::add_layer(std::string_view proto) {
-  const auto layer = find_layer(proto);
-  if (!layer) throw std::invalid_argument("no dissector layer '" + std::string(proto) + "'");
-  add_layer(*layer);
 }
 
 std::string DissectedPacket::display(FieldId id) const {
@@ -45,17 +29,6 @@ std::string DissectedPacket::display(FieldId id) const {
     }
   }
   return {};
-}
-
-std::optional<FieldValue> DissectedPacket::field(std::string_view name) const {
-  const auto id = find_field(name);
-  if (!id || !has(*id)) return std::nullopt;
-  return FieldValue{number(*id), display(*id)};
-}
-
-bool DissectedPacket::has_layer(std::string_view proto) const {
-  const auto layer = find_layer(proto);
-  return layer && has_layer(*layer);
 }
 
 std::string DissectedPacket::summary() const {

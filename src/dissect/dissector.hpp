@@ -5,26 +5,13 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "dissect/fields.hpp"
 #include "pcap/capture.hpp"
 
 namespace streamlab {
-
-/// A dissected field as the name-keyed accessor returns it: the number
-/// filters compare (addresses as their 32-bit integer, booleans as 0/1, MACs
-/// as 0) and its display string.
-struct FieldValue {
-  std::int64_t number = 0;
-  std::string display;
-
-  static FieldValue of(std::int64_t n) { return {n, std::to_string(n)}; }
-  static FieldValue of(std::int64_t n, std::string text) { return {n, std::move(text)}; }
-};
 
 /// The result of dissecting one frame: a fixed-slot record with one number
 /// per registered field (fields.hpp), a presence mask and a layer mask. It
@@ -53,22 +40,13 @@ class DissectedPacket {
     layers_ |= static_cast<std::uint8_t>(1u << static_cast<unsigned>(layer));
   }
 
-  /// Name-keyed forms. A name outside the registry is an error for set and
-  /// add_layer (std::invalid_argument) and simply absent for the lookups.
-  /// set keeps the value's number, or parses the display of a MAC field;
-  /// every display string is formatted from the slot.
-  void set(std::string_view name, const FieldValue& value);
-  void add_layer(std::string_view proto);
-  std::optional<FieldValue> field(std::string_view name) const;
-  bool has_layer(std::string_view proto) const;
-
+  /// The field's display string ("192.168.100.10", "1755",
+  /// "02:53:4c:00:00:01", ...), formatted from its slot.
+  std::string display(FieldId id) const;
   /// One-line summary ("12.345s IP 10.0.0.2 > 192.168.100.10 UDP 5005->4321 len=980").
   std::string summary() const;
 
  private:
-  /// The field's display string ("192.168.100.10", "1755", ...).
-  std::string display(FieldId id) const;
-
   std::int64_t slots_[kFieldCount] = {};
   std::uint64_t present_ = 0;
   std::uint8_t layers_ = 0;

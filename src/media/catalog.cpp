@@ -82,13 +82,6 @@ std::vector<ClipInfo> all_clips() {
   return out;
 }
 
-std::vector<ClipInfo> clips_for(PlayerKind player) {
-  std::vector<ClipInfo> out;
-  for (const auto& c : all_clips())
-    if (c.player == player) out.push_back(c);
-  return out;
-}
-
 std::optional<ClipInfo> find_clip(const std::string& id) {
   for (const auto& c : all_clips())
     if (c.id() == id) return c;

@@ -27,9 +27,6 @@ const std::vector<ClipSet>& table1_catalog();
 /// Flattened view of all 26 clips.
 std::vector<ClipInfo> all_clips();
 
-/// All clips of one player.
-std::vector<ClipInfo> clips_for(PlayerKind player);
-
 /// Looks up a clip by its id() string; nullopt when unknown.
 std::optional<ClipInfo> find_clip(const std::string& id);
 

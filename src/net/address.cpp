@@ -13,21 +13,6 @@ MacAddress MacAddress::for_nic(std::uint32_t n) {
                      static_cast<std::uint8_t>(n >> 8), static_cast<std::uint8_t>(n)});
 }
 
-Expected<MacAddress> MacAddress::parse(std::string_view text) {
-  const auto parts = split(text, ':');
-  if (parts.size() != 6) return Unexpected(std::string("MAC must have 6 octets"));
-  std::array<std::uint8_t, 6> octets{};
-  for (std::size_t i = 0; i < 6; ++i) {
-    unsigned value = 0;
-    const auto& p = parts[i];
-    const auto [ptr, ec] = std::from_chars(p.data(), p.data() + p.size(), value, 16);
-    if (ec != std::errc{} || ptr != p.data() + p.size() || value > 0xFF)
-      return Unexpected("bad MAC octet: " + p);
-    octets[i] = static_cast<std::uint8_t>(value);
-  }
-  return MacAddress(octets);
-}
-
 std::string MacAddress::to_string() const {
   char buf[18];
   std::snprintf(buf, sizeof buf, "%02x:%02x:%02x:%02x:%02x:%02x", octets_[0], octets_[1],
@@ -54,10 +39,6 @@ std::string Ipv4Address::to_string() const {
   std::snprintf(buf, sizeof buf, "%u.%u.%u.%u", (addr_ >> 24) & 0xFF, (addr_ >> 16) & 0xFF,
                 (addr_ >> 8) & 0xFF, addr_ & 0xFF);
   return buf;
-}
-
-std::string Endpoint::to_string() const {
-  return ip.to_string() + ":" + std::to_string(port);
 }
 
 }  // namespace streamlab

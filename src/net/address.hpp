@@ -18,7 +18,6 @@ class MacAddress {
 
   /// Deterministic fabricated address for simulated NIC number `n`.
   static MacAddress for_nic(std::uint32_t n);
-  static Expected<MacAddress> parse(std::string_view text);
 
   constexpr const std::array<std::uint8_t, 6>& octets() const { return octets_; }
   constexpr auto operator<=>(const MacAddress&) const = default;
@@ -61,7 +60,6 @@ struct Endpoint {
   std::uint16_t port = 0;
 
   auto operator<=>(const Endpoint&) const = default;
-  std::string to_string() const;
 };
 
 }  // namespace streamlab

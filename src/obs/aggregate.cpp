@@ -4,59 +4,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 namespace streamlab::obs {
 namespace {
-
-// Serialization helpers shared by both aggregates. The formats are
-// line-internal (';'-separated key=value fields, ','-separated bucket
-// lists) so a whole aggregate embeds in one manifest JSON string.
-
-bool take_field(std::string_view& text, std::string_view key, std::string_view& value) {
-  if (text.substr(0, key.size()) != key) return false;
-  std::string_view rest = text.substr(key.size());
-  if (rest.empty() || rest.front() != '=') return false;
-  rest.remove_prefix(1);
-  const std::size_t end = rest.find(';');
-  value = rest.substr(0, end);
-  text = end == std::string_view::npos ? std::string_view{} : rest.substr(end + 1);
-  return true;
-}
-
-bool parse_u64(std::string_view text, std::uint64_t& out) {
-  if (text.empty()) return false;
-  std::uint64_t v = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  out = v;
-  return true;
-}
-
-bool parse_i32(std::string_view text, std::int32_t& out) {
-  bool neg = false;
-  if (!text.empty() && text.front() == '-') {
-    neg = true;
-    text.remove_prefix(1);
-  }
-  std::uint64_t v = 0;
-  if (!parse_u64(text, v) || v > 0x7fffffffull) return false;
-  out = neg ? -static_cast<std::int32_t>(v) : static_cast<std::int32_t>(v);
-  return true;
-}
-
-bool parse_double(std::string_view text, double& out) {
-  char buf[64];
-  if (text.empty() || text.size() >= sizeof(buf)) return false;
-  std::copy(text.begin(), text.end(), buf);
-  buf[text.size()] = '\0';
-  char* end = nullptr;
-  out = std::strtod(buf, &end);
-  return end == buf + text.size();
-}
 
 std::string fmt_g17(double v) {
   char buf[40];
@@ -128,17 +79,6 @@ double LogHistogram::quantile(double q) const {
   return static_cast<double>(max_);
 }
 
-void LogHistogram::merge(const LogHistogram& other) {
-  if (other.bits_ != bits_) throw std::invalid_argument("LogHistogram::merge: bucket geometry mismatch");
-  if (other.count_ == 0) return;
-  if (other.counts_.size() > counts_.size()) counts_.resize(other.counts_.size(), 0);
-  for (std::size_t i = 0; i < other.counts_.size(); ++i) counts_[i] += other.counts_[i];
-  if (count_ == 0 || other.min_ < min_) min_ = other.min_;
-  if (other.max_ > max_) max_ = other.max_;
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
 std::string LogHistogram::serialize() const {
   std::string out = "logh1;bits=" + std::to_string(bits_) + ";n=" + std::to_string(count_) +
                     ";sum=" + std::to_string(sum_) + ";min=" + std::to_string(min()) +
@@ -153,44 +93,6 @@ std::string LogHistogram::serialize() const {
     out += std::to_string(counts_[i]);
   }
   return out;
-}
-
-std::optional<LogHistogram> LogHistogram::parse(std::string_view text) {
-  if (text.substr(0, 6) != "logh1;") return std::nullopt;
-  text.remove_prefix(6);
-  std::string_view bits, n, sum, min, max, buckets;
-  if (!take_field(text, "bits", bits) || !take_field(text, "n", n) || !take_field(text, "sum", sum) ||
-      !take_field(text, "min", min) || !take_field(text, "max", max) || !take_field(text, "b", buckets)) {
-    return std::nullopt;
-  }
-  std::uint64_t bits_v = 0, n_v = 0, sum_v = 0, min_v = 0, max_v = 0;
-  if (!parse_u64(bits, bits_v) || bits_v == 0 || bits_v > 16 || !parse_u64(n, n_v) || !parse_u64(sum, sum_v) ||
-      !parse_u64(min, min_v) || !parse_u64(max, max_v)) {
-    return std::nullopt;
-  }
-  LogHistogram h(static_cast<unsigned>(bits_v));
-  std::uint64_t check = 0;
-  while (!buckets.empty()) {
-    const std::size_t comma = buckets.find(',');
-    std::string_view entry = buckets.substr(0, comma);
-    buckets = comma == std::string_view::npos ? std::string_view{} : buckets.substr(comma + 1);
-    const std::size_t colon = entry.find(':');
-    if (colon == std::string_view::npos) return std::nullopt;
-    std::uint64_t idx = 0, cnt = 0;
-    if (!parse_u64(entry.substr(0, colon), idx) || !parse_u64(entry.substr(colon + 1), cnt) || cnt == 0 ||
-        idx > (64ull << bits_v)) {
-      return std::nullopt;
-    }
-    if (idx >= h.counts_.size()) h.counts_.resize(idx + 1, 0);
-    h.counts_[static_cast<std::size_t>(idx)] += cnt;
-    check += cnt;
-  }
-  if (check != n_v) return std::nullopt;
-  h.count_ = n_v;
-  h.sum_ = sum_v;
-  h.min_ = min_v;
-  h.max_ = max_v;
-  return h;
 }
 
 // ---------------------------------------------------------------------------
@@ -240,13 +142,6 @@ double QuantileSketch::quantile(double q) const {
   return buckets_.empty() ? 0.0 : value_of(buckets_.rbegin()->first);
 }
 
-void QuantileSketch::merge(const QuantileSketch& other) {
-  if (other.alpha_ != alpha_) throw std::invalid_argument("QuantileSketch::merge: accuracy mismatch");
-  zero_count_ += other.zero_count_;
-  count_ += other.count_;
-  for (const auto& [key, cnt] : other.buckets_) buckets_[key] += cnt;
-}
-
 std::string QuantileSketch::serialize() const {
   std::string out = "qsk1;a=" + fmt_g17(alpha_) + ";n=" + std::to_string(count_) +
                     ";z=" + std::to_string(zero_count_) + ";b=";
@@ -259,41 +154,6 @@ std::string QuantileSketch::serialize() const {
     out += std::to_string(cnt);
   }
   return out;
-}
-
-std::optional<QuantileSketch> QuantileSketch::parse(std::string_view text) {
-  if (text.substr(0, 5) != "qsk1;") return std::nullopt;
-  text.remove_prefix(5);
-  std::string_view a, n, z, buckets;
-  if (!take_field(text, "a", a) || !take_field(text, "n", n) || !take_field(text, "z", z) ||
-      !take_field(text, "b", buckets)) {
-    return std::nullopt;
-  }
-  double alpha = 0.0;
-  std::uint64_t n_v = 0, z_v = 0;
-  if (!parse_double(a, alpha) || !(alpha > 0.0) || !(alpha < 1.0) || !parse_u64(n, n_v) || !parse_u64(z, z_v)) {
-    return std::nullopt;
-  }
-  QuantileSketch s(alpha);
-  std::uint64_t check = z_v;
-  while (!buckets.empty()) {
-    const std::size_t comma = buckets.find(',');
-    std::string_view entry = buckets.substr(0, comma);
-    buckets = comma == std::string_view::npos ? std::string_view{} : buckets.substr(comma + 1);
-    const std::size_t colon = entry.find(':');
-    if (colon == std::string_view::npos) return std::nullopt;
-    std::int32_t key = 0;
-    std::uint64_t cnt = 0;
-    if (!parse_i32(entry.substr(0, colon), key) || !parse_u64(entry.substr(colon + 1), cnt) || cnt == 0) {
-      return std::nullopt;
-    }
-    s.buckets_[key] += cnt;
-    check += cnt;
-  }
-  if (check != n_v) return std::nullopt;
-  s.count_ = n_v;
-  s.zero_count_ = z_v;
-  return s;
 }
 
 }  // namespace streamlab::obs

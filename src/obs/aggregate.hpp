@@ -1,13 +1,12 @@
-// Mergeable aggregates: the campaign-scale counterpart of the fixed-bucket
-// Histogram in metrics.hpp.
+// Campaign-scale aggregates: the counterpart of the fixed-bucket Histogram
+// in metrics.hpp.
 //
 // A campaign folds one metric snapshot per trial at the coordinator, in
 // trial-index commit order — the same determinism contract as the resume
-// manifest. Everything here is therefore built from integer bucket counts
-// only: merging two aggregates adds counts bucket-wise, which is exactly
-// associative and commutative (no floating-point accumulation order can
-// leak into the result), so the folded state is byte-identical at any
-// worker count and under any merge tree a distributed coordinator may use.
+// manifest. Everything here is therefore built from integer bucket counts:
+// recording a value adds to one bucket, so the state after a fold depends
+// only on which values were recorded, and the ordered commit makes the
+// folded bytes identical at any worker count.
 //
 // Two shapes:
 //  - LogHistogram: dense log-linear buckets over uint64 values (HDR-style:
@@ -19,16 +18,14 @@
 //    (rank-preserving, per the gamma-indexed bucket bound). For continuous
 //    metrics — goodput, stall milliseconds, recovery ratios.
 //
-// Both serialize to a compact deterministic text form (sorted buckets) that
-// doubles as the byte-identity witness in tests and the wire format in the
-// campaign manifest.
+// Both serialize to a compact deterministic text form (sorted buckets):
+// CampaignTelemetry::serialize embeds it, and it is the byte-identity
+// witness of the fold. The manifest carries per-trial records, not these.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace streamlab::obs {
@@ -54,14 +51,9 @@ class LogHistogram {
   /// 0 when empty.
   double quantile(double q) const;
 
-  /// Adds `other`'s counts into this aggregate. Associative and commutative.
-  /// Throws std::invalid_argument when the bucket geometries differ.
-  void merge(const LogHistogram& other);
-
   /// "logh1;bits=B;n=N;sum=S;min=M;max=X;b=idx:count,..." — deterministic
   /// (buckets ascending, zero buckets omitted).
   std::string serialize() const;
-  static std::optional<LogHistogram> parse(std::string_view text);
 
   static std::size_t bucket_index(std::uint64_t value, unsigned bits);
   /// Smallest value mapping to bucket `index`.
@@ -92,13 +84,8 @@ class QuantileSketch {
   /// trackable magnitude (1e-9) report as 0.
   double quantile(double q) const;
 
-  /// Adds `other`'s bucket counts. Associative and commutative. Throws
-  /// std::invalid_argument when the accuracies differ.
-  void merge(const QuantileSketch& other);
-
   /// "qsk1;a=A;n=N;z=Z;b=key:count,..." — deterministic (keys ascending).
   std::string serialize() const;
-  static std::optional<QuantileSketch> parse(std::string_view text);
 
  private:
   std::int32_t key_of(double value) const;

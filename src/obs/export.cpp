@@ -130,8 +130,6 @@ void write_metrics_csv(const Obs& obs, std::ostream& out) {
   out << "kind,name,arg,value\n";
   for (const auto& [name, value] : obs.registry().counters())
     out << "counter," << name << ",," << value << "\n";
-  for (const auto& [name, value] : obs.registry().gauges())
-    out << "gauge," << name << ",," << value << "\n";
   for (const auto& [name, data] : obs.registry().histograms()) {
     for (std::size_t i = 0; i + 1 < data->buckets.size(); ++i) {
       if (data->buckets[i] == 0) continue;

@@ -32,8 +32,8 @@ void write_ndjson(const Obs& obs, std::ostream& out);
 /// Counter samples only, long form: time_s,metric,value (time-ordered).
 void write_timeseries_csv(const Obs& obs, std::ostream& out);
 
-/// Final registry snapshot: kind,name,arg,value rows for every counter,
-/// gauge and histogram bucket.
+/// Final registry snapshot: kind,name,arg,value rows for every counter and
+/// histogram bucket.
 void write_metrics_csv(const Obs& obs, std::ostream& out);
 
 /// Writes trace.json, trace.ndjson, timeseries.csv and metrics.csv into

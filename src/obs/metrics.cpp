@@ -14,16 +14,6 @@ Counter Registry::counter(std::string_view name) {
   return Counter(&counter_values_[it->second]);
 }
 
-Gauge Registry::gauge(std::string_view name) {
-  if (!enabled_) return Gauge{};
-  auto it = gauge_index_.find(name);
-  if (it == gauge_index_.end()) {
-    it = gauge_index_.emplace(std::string(name), gauge_values_.size()).first;
-    gauge_values_.push_back(0);
-  }
-  return Gauge(&gauge_values_[it->second]);
-}
-
 Histogram Registry::histogram(std::string_view name, double bucket_width,
                               std::size_t bucket_count) {
   if (!enabled_) return Histogram{};
@@ -46,17 +36,8 @@ std::vector<std::pair<std::string, std::uint64_t>> Registry::counters() const {
   return out;
 }
 
-std::vector<std::pair<std::string, std::int64_t>> Registry::gauges() const {
-  std::vector<std::pair<std::string, std::int64_t>> out;
-  out.reserve(gauge_index_.size());
-  for (const auto& [name, idx] : gauge_index_)
-    out.emplace_back(name, gauge_values_[idx]);
-  return out;
-}
-
 void Registry::reset_values() {
   for (auto& v : counter_values_) v = 0;
-  for (auto& v : gauge_values_) v = 0;
   for (auto& h : histogram_values_) {
     std::fill(h.buckets.begin(), h.buckets.end(), 0);
     h.total = 0;

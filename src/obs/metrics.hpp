@@ -1,4 +1,4 @@
-// Metrics registry: named counters, gauges and fixed-bucket histograms with
+// Metrics registry: named counters and fixed-bucket histograms with
 // handle-based updates.
 //
 // The registry exists so hot paths never pay for name lookup: a component
@@ -33,26 +33,6 @@ class Counter {
   friend class Registry;
   explicit Counter(std::uint64_t* slot) : slot_(slot) {}
   std::uint64_t* slot_ = nullptr;
-};
-
-/// Point-in-time signed level (queue depth, scaling level, window size).
-class Gauge {
- public:
-  Gauge() = default;
-
-  void set(std::int64_t v) {
-    if (slot_ != nullptr) *slot_ = v;
-  }
-  void add(std::int64_t d) {
-    if (slot_ != nullptr) *slot_ += d;
-  }
-  std::int64_t value() const { return slot_ ? *slot_ : 0; }
-  bool live() const { return slot_ != nullptr; }
-
- private:
-  friend class Registry;
-  explicit Gauge(std::int64_t* slot) : slot_(slot) {}
-  std::int64_t* slot_ = nullptr;
 };
 
 /// Fixed-width-bucket histogram data. `buckets.back()` is the overflow
@@ -102,7 +82,6 @@ class Registry {
   bool enabled() const { return enabled_; }
 
   Counter counter(std::string_view name);
-  Gauge gauge(std::string_view name);
   /// `bucket_count` regular buckets of `bucket_width` plus one overflow
   /// bucket. Re-registering an existing histogram keeps its original shape.
   Histogram histogram(std::string_view name, double bucket_width,
@@ -110,7 +89,6 @@ class Registry {
 
   // --- Snapshot accessors (export / tests; cold) ---
   std::vector<std::pair<std::string, std::uint64_t>> counters() const;
-  std::vector<std::pair<std::string, std::int64_t>> gauges() const;
   std::vector<std::pair<std::string, const HistogramData*>> histograms() const;
 
   // --- Copy-free visitors (per-trial snapshot path; names stay borrowed) ---
@@ -135,8 +113,6 @@ class Registry {
   // raw pointers handed out in handles stay valid for the registry's life.
   std::map<std::string, std::size_t, std::less<>> counter_index_;
   std::deque<std::uint64_t> counter_values_;
-  std::map<std::string, std::size_t, std::less<>> gauge_index_;
-  std::deque<std::int64_t> gauge_values_;
   std::map<std::string, std::size_t, std::less<>> histogram_index_;
   std::deque<HistogramData> histogram_values_;
 };

@@ -1,7 +1,8 @@
 #include "obs/telemetry.hpp"
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <type_traits>
 #include <utility>
 
 namespace streamlab::obs {
@@ -19,39 +20,29 @@ std::string fmt_g6(double v) {
   return buf;
 }
 
-bool parse_u64(std::string_view text, std::uint64_t& out) {
-  if (text.empty()) return false;
-  std::uint64_t v = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  out = v;
-  return true;
+/// The whole of `text` as one number of type T: no leading '+' or space, no
+/// trailing bytes, no overflow.
+template <typename T>
+bool parse_number(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end;
 }
 
-bool parse_double(std::string_view text, double& out) {
-  char buf[64];
-  if (text.empty() || text.size() >= sizeof(buf)) return false;
-  for (std::size_t i = 0; i < text.size(); ++i) buf[i] = text[i];
-  buf[text.size()] = '\0';
-  char* end = nullptr;
-  out = std::strtod(buf, &end);
-  return end == buf + text.size();
-}
-
-/// Walks "name=value,..." entries of one serialized section.
+/// Walks "name=value,..." entries of one serialized section. An empty
+/// entry (a stray or trailing comma) or one without a name is malformed.
 template <typename Fn>
 bool for_each_entry(std::string_view section, Fn&& fn) {
-  while (!section.empty()) {
+  if (section.empty()) return true;
+  for (;;) {
     const std::size_t comma = section.find(',');
-    std::string_view entry = section.substr(0, comma);
-    section = comma == std::string_view::npos ? std::string_view{} : section.substr(comma + 1);
-    const std::size_t eq = entry.rfind('=');
+    const std::string_view entry = section.substr(0, comma);
+    const std::size_t eq = entry.find('=');
     if (eq == std::string_view::npos || eq == 0) return false;
     if (!fn(entry.substr(0, eq), entry.substr(eq + 1))) return false;
+    if (comma == std::string_view::npos) return true;
+    section.remove_prefix(comma + 1);
   }
-  return true;
 }
 
 }  // namespace
@@ -127,28 +118,17 @@ std::optional<TrialTelemetry> TrialTelemetry::parse(std::string_view text) {
   if (c_at == std::string_view::npos) return std::nullopt;
 
   TrialTelemetry out;
-  const bool ok =
-      for_each_entry(text.substr(0, t_at),
-                     [&](std::string_view name, std::string_view value) {
-                       double v = 0.0;
-                       if (!parse_double(value, v)) return false;
-                       out.set_sample(name, v);
-                       return true;
-                     }) &&
-      for_each_entry(text.substr(t_at + 3, c_at - t_at - 3),
-                     [&](std::string_view name, std::string_view value) {
-                       std::uint64_t v = 0;
-                       if (!parse_u64(value, v)) return false;
-                       out.set_tally(name, v);
-                       return true;
-                     }) &&
-      for_each_entry(text.substr(c_at + 3), [&](std::string_view name, std::string_view value) {
-        std::uint64_t v = 0;
-        if (!parse_u64(value, v)) return false;
-        out.counters_[std::string(name)] = v;
-        return true;
-      });
-  if (!ok) return std::nullopt;
+  // Each section is one map; a repeated name is a corrupted line, not an update.
+  const auto section = [](std::string_view entries, auto& map) {
+    return for_each_entry(entries, [&map](std::string_view name, std::string_view value) {
+      typename std::remove_reference_t<decltype(map)>::mapped_type v{};
+      return parse_number(value, v) && map.emplace(std::string(name), v).second;
+    });
+  };
+  if (!section(text.substr(0, t_at), out.samples_) ||
+      !section(text.substr(t_at + 3, c_at - t_at - 3), out.tallies_) ||
+      !section(text.substr(c_at + 3), out.counters_))
+    return std::nullopt;
   return out;
 }
 
@@ -202,19 +182,6 @@ void CampaignTelemetry::fold(const TrialTelemetry& trial) {
 void CampaignTelemetry::add_counter(std::string_view name, std::uint64_t n) {
   if (n == 0) return;
   counters_[std::string(name)] += n;
-}
-
-void CampaignTelemetry::merge(const CampaignTelemetry& other) {
-  trials_ += other.trials_;
-  for (const auto& [name, v] : other.counters_) counters_[name] += v;
-  for (const auto& [name, sketch] : other.sketches_) {
-    const auto [it, inserted] = sketches_.try_emplace(name, sketch);
-    if (!inserted) it->second.merge(sketch);
-  }
-  for (const auto& [name, hist] : other.tallies_) {
-    const auto [it, inserted] = tallies_.try_emplace(name, hist);
-    if (!inserted) it->second.merge(hist);
-  }
 }
 
 std::uint64_t CampaignTelemetry::counter(std::string_view name) const {

@@ -6,10 +6,10 @@
 // (→ LogHistogram) and summed counters. The record rides through
 // TrialOutcome and the NDJSON resume manifest, and the coordinator folds it
 // into a CampaignTelemetry in trial-index commit order. Because the
-// aggregates merge exactly (see aggregate.hpp), the folded state — and its
-// serialized bytes — are identical at any worker count, and a future
-// distributed coordinator can merge() whole CampaignTelemetry blocks from
-// remote workers under the same contract.
+// aggregates hold integer bucket counts (see aggregate.hpp) and the fold
+// runs in that one order, the folded state — and its serialized bytes — are
+// identical at any worker count, whether the trials ran on threads or on
+// distributed worker processes.
 //
 // Registry names are rolled up into stable metric *families* before the
 // fold: per-instance name segments ("link.chain0-1.delivered",
@@ -52,12 +52,14 @@ class TrialTelemetry {
   /// "tt1|s:name=v,...|t:name=v,...|c:name=v,..." — single line, sorted
   /// names, no JSON metacharacters, so it embeds as a manifest string field.
   std::string serialize() const;
+  /// Reads serialize()'s form back. Every number must span its whole token
+  /// and fit its type, and a name may appear once per section; anything
+  /// else is nullopt.
   static std::optional<TrialTelemetry> parse(std::string_view text);
 
   /// Collapses a trial Registry: counters summed per family (zero-valued
   /// counters dropped), histograms contribute `<family>` mean sample +
-  /// `<family>.samples` counter. Gauges are point-in-time residue and are
-  /// not aggregated.
+  /// `<family>.samples` counter.
   static TrialTelemetry from_registry(const Registry& registry);
 
   /// Rollup rule: names with three or more '.'-separated segments keep only
@@ -79,8 +81,6 @@ class CampaignTelemetry {
   void fold(const TrialTelemetry& trial);
   /// Coordinator-side health count (trials.completed, trials.quarantined).
   void add_counter(std::string_view name, std::uint64_t n = 1);
-  /// Associative block merge for distributed coordination.
-  void merge(const CampaignTelemetry& other);
 
   std::uint64_t trials_folded() const { return trials_; }
   std::uint64_t counter(std::string_view name) const;

@@ -96,12 +96,6 @@ std::optional<DataHeader> DataHeader::decode(std::span<const std::uint8_t> paylo
   return h;
 }
 
-bool ParityHeader::covers(std::uint32_t seq) const {
-  if (k == 0 || stride == 0 || seq < block_base) return false;
-  const std::uint32_t delta = seq - block_base;
-  return delta % stride == 0 && delta / stride < k;
-}
-
 void ParityHeader::write(std::span<std::uint8_t> out) const {
   SpanWriter w(out);
   w.u16be(kParityMagic);

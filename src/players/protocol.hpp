@@ -111,9 +111,6 @@ struct ParityHeader {
   std::uint32_t xor_media_len = 0;     ///< XOR of covered payload lengths
   std::uint8_t xor_flags = 0;          ///< XOR of covered flag bytes
 
-  /// True when `seq` is one of the k covered sequence numbers.
-  bool covers(std::uint32_t seq) const;
-
   /// Wire bytes of the header followed by `pad_len` filler bytes.
   static std::size_t wire_size(std::size_t pad_len) { return kParityHeaderSize + pad_len; }
   /// Writes the header and then 0xFE filler (bandwidth model) into all of

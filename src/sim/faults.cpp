@@ -52,82 +52,6 @@ void FaultScheduler::add(FaultEpisode episode) {
   records_.push_back(EpisodeRecord{std::move(episode)});
 }
 
-void FaultScheduler::add_outage(SimTime start, Duration duration, std::string label) {
-  FaultEpisode e;
-  e.kind = FaultKind::kOutage;
-  e.start = start;
-  e.duration = duration;
-  e.label = std::move(label);
-  add(std::move(e));
-}
-
-void FaultScheduler::add_bandwidth(SimTime start, Duration duration, BitRate bandwidth,
-                                   std::string label) {
-  FaultEpisode e;
-  e.kind = FaultKind::kBandwidth;
-  e.start = start;
-  e.duration = duration;
-  e.bandwidth = bandwidth;
-  e.label = std::move(label);
-  add(std::move(e));
-}
-
-void FaultScheduler::add_extra_delay(SimTime start, Duration duration,
-                                     Duration extra_delay, std::string label) {
-  FaultEpisode e;
-  e.kind = FaultKind::kExtraDelay;
-  e.start = start;
-  e.duration = duration;
-  e.extra_delay = extra_delay;
-  e.label = std::move(label);
-  add(std::move(e));
-}
-
-void FaultScheduler::add_burst_loss(SimTime start, Duration duration,
-                                    GilbertElliottConfig config, std::string label) {
-  FaultEpisode e;
-  e.kind = FaultKind::kBurstLoss;
-  e.start = start;
-  e.duration = duration;
-  e.gilbert = config;
-  e.label = std::move(label);
-  add(std::move(e));
-}
-
-void FaultScheduler::add_random_loss(SimTime start, Duration duration, double probability,
-                                     std::string label) {
-  FaultEpisode e;
-  e.kind = FaultKind::kRandomLoss;
-  e.start = start;
-  e.duration = duration;
-  e.loss_probability = probability;
-  e.label = std::move(label);
-  add(std::move(e));
-}
-
-void FaultScheduler::add_router_down(SimTime start, Duration duration, int router_index,
-                                     std::string label) {
-  FaultEpisode e;
-  e.kind = FaultKind::kRouterDown;
-  e.start = start;
-  e.duration = duration;
-  e.router_index = router_index;
-  e.label = std::move(label);
-  add(std::move(e));
-}
-
-void FaultScheduler::add_detour_down(SimTime start, Duration duration, int detour_index,
-                                     std::string label) {
-  FaultEpisode e;
-  e.kind = FaultKind::kRouterDown;
-  e.start = start;
-  e.duration = duration;
-  e.router_index = detour_index;
-  e.detour = true;
-  e.label = std::move(label);
-  add(std::move(e));
-}
-
 void FaultScheduler::arm() {
   if (armed_) return;
   armed_ = true;
@@ -308,12 +232,6 @@ void FaultScheduler::clear(std::size_t index) {
   close_accounting(index);
   link_.clear_impairment();
   active_ = -1;
-}
-
-std::uint64_t FaultScheduler::total_episode_drops() const {
-  std::uint64_t total = 0;
-  for (const EpisodeRecord& r : records_) total += r.packets_dropped;
-  return total;
 }
 
 }  // namespace streamlab

@@ -122,28 +122,10 @@ class FaultScheduler {
   FaultScheduler& operator=(const FaultScheduler&) = delete;
   ~FaultScheduler();
 
-  /// Adds one episode; call before arm().
+  /// Adds one episode; call before arm(). A kRouterDown episode requires
+  /// the Network-attached constructor; overlapping episodes on one router
+  /// nest, so it returns online only when the last one ends.
   void add(FaultEpisode episode);
-  // Convenience constructors for the common episode shapes.
-  void add_outage(SimTime start, Duration duration, std::string label = "outage");
-  void add_bandwidth(SimTime start, Duration duration, BitRate bandwidth,
-                     std::string label = "bandwidth");
-  void add_extra_delay(SimTime start, Duration duration, Duration extra_delay,
-                       std::string label = "delay");
-  void add_burst_loss(SimTime start, Duration duration, GilbertElliottConfig config,
-                      std::string label = "burst-loss");
-  void add_random_loss(SimTime start, Duration duration, double probability,
-                       std::string label = "random-loss");
-  /// Requires the Network-attached constructor; `router_index` names a chain
-  /// router (Network::router). Overlapping episodes on one router nest: it
-  /// returns online only when the last one ends.
-  void add_router_down(SimTime start, Duration duration, int router_index,
-                       std::string label = "router-down");
-  /// Like add_router_down, but `detour_index` names a router on the detour
-  /// branch (Network::detour_router). Overlapping episodes nest the same
-  /// way; chain and detour episodes on the same index are independent.
-  void add_detour_down(SimTime start, Duration duration, int detour_index,
-                       std::string label = "detour-down");
 
   /// Schedules every added episode on the event loop. Call exactly once,
   /// before the experiment runs past the first episode start.
@@ -159,8 +141,6 @@ class FaultScheduler {
   const std::vector<EpisodeRecord>& records() const { return records_; }
   /// Index of the episode currently impairing the link, -1 when none.
   int active_episode() const { return active_; }
-  /// Total packets dropped across all recorded episodes.
-  std::uint64_t total_episode_drops() const;
 
  private:
   /// Bookkeeping for one in-flight router-down episode (keyed by record

@@ -28,7 +28,6 @@ TcpBulkSender::~TcpBulkSender() {
 void TcpBulkSender::start() {
   if (state_ != State::kClosed) return;
   state_ = State::kSynSent;
-  started_at_ = demux_.host().loop().now();
   TcpHeader syn;
   syn.src_port = port_;
   syn.dst_port = remote_.port;
@@ -65,7 +64,6 @@ void TcpBulkSender::on_segment(const TcpHeader& tcp, Ipv4Address src,
     // FIN consumes the sequence number after the last data byte.
     if (tcp.ack >= iss_ + 2 + total_bytes_) {
       state_ = State::kDone;
-      finished_at_ = now;
       rto_timer_.cancel();
     }
     return;
@@ -217,12 +215,6 @@ void TcpBulkSender::on_rto() {
   }
   rto_ = std::min(Duration(rto_.ns() * 2), config_.max_rto);  // backoff
   arm_rto();
-}
-
-double TcpBulkSender::mean_throughput_kbps() const {
-  if (!started_at_ || !finished_at_ || *finished_at_ <= *started_at_) return 0.0;
-  const double secs = (*finished_at_ - *started_at_).to_seconds();
-  return static_cast<double>(total_bytes_) * 8.0 / secs / 1000.0;
 }
 
 }  // namespace streamlab

@@ -48,8 +48,6 @@ class TcpBulkSender {
   }
   /// (seconds, cwnd in segments) sampled at every congestion event and ACK.
   const std::vector<std::pair<double, double>>& cwnd_trace() const { return cwnd_trace_; }
-  /// Mean goodput over the connection lifetime, Kbps; 0 until done.
-  double mean_throughput_kbps() const;
   std::optional<Duration> smoothed_rtt() const { return srtt_; }
 
  private:
@@ -89,8 +87,6 @@ class TcpBulkSender {
   Duration rto_;
 
   EventHandle rto_timer_;
-  std::optional<SimTime> started_at_;
-  std::optional<SimTime> finished_at_;
   Stats stats_;
   std::vector<std::pair<double, double>> cwnd_trace_;
 };

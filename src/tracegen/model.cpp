@@ -42,8 +42,6 @@ PlayerModel fit_player(const StudyResults& study, PlayerKind kind) {
   for (const auto* clip : study.clips_for(kind)) {
     const double kbps = clip->clip.encoded_rate.to_kbps();
     m.mean_size_by_rate.emplace_back(kbps, mean_of(clip->flow.packet_sizes()));
-    m.mean_interval_by_rate.emplace_back(kbps,
-                                         mean_of(figures::clip_interarrivals(*clip)));
     m.fragment_fraction_by_rate.emplace_back(kbps, clip->flow.fragment_fraction());
     m.buffering_ratio_by_rate.emplace_back(kbps, clip->buffering.ratio());
   }
@@ -54,9 +52,6 @@ PlayerModel fit_player(const StudyResults& study, PlayerKind kind) {
 
 double PlayerModel::mean_size_at(double kbps) const {
   return interpolate(mean_size_by_rate, kbps);
-}
-double PlayerModel::mean_interval_at(double kbps) const {
-  return interpolate(mean_interval_by_rate, kbps);
 }
 double PlayerModel::fragment_fraction_at(double kbps) const {
   return interpolate(fragment_fraction_by_rate, kbps);

@@ -28,15 +28,12 @@ struct PlayerModel {
   /// Mean wire packet size per clip, as (encoding Kbps, mean bytes) points
   /// interpolated linearly at generation time.
   std::vector<std::pair<double, double>> mean_size_by_rate;
-  /// Mean interarrival per clip, (encoding Kbps, seconds).
-  std::vector<std::pair<double, double>> mean_interval_by_rate;
   /// Fragment fraction per clip (Figure 5), (encoding Kbps, fraction).
   std::vector<std::pair<double, double>> fragment_fraction_by_rate;
   /// Buffering ratio per clip (Figure 11; ~1 for MediaPlayer).
   std::vector<std::pair<double, double>> buffering_ratio_by_rate;
 
   double mean_size_at(double kbps) const;
-  double mean_interval_at(double kbps) const;
   double fragment_fraction_at(double kbps) const;
   double buffering_ratio_at(double kbps) const;
 };

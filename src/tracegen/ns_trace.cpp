@@ -1,7 +1,6 @@
 #include "tracegen/ns_trace.hpp"
 
 #include <fstream>
-#include <sstream>
 
 #include "util/strings.hpp"
 
@@ -19,26 +18,6 @@ bool write_ns_trace(std::ostream& out, const SyntheticFlow& flow, int flow_id) {
 bool write_ns_trace_file(const std::string& path, const SyntheticFlow& flow, int flow_id) {
   std::ofstream out(path);
   return out && write_ns_trace(out, flow, flow_id);
-}
-
-Expected<std::vector<SyntheticPacket>> read_ns_trace(std::istream& in) {
-  std::vector<SyntheticPacket> packets;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string event, type;
-    double time = 0.0;
-    int from = 0, to = 0;
-    std::uint32_t size = 0;
-    if (!(ls >> event >> time >> from >> to >> type >> size))
-      return Unexpected("malformed ns trace line " + std::to_string(line_no));
-    if (event != "r") continue;  // only receive events carry packets here
-    packets.push_back({time, size, type == "frag"});
-  }
-  return packets;
 }
 
 }  // namespace streamlab

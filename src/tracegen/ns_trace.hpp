@@ -3,15 +3,12 @@
 // writer emits the classic ns-2 trace line format for packet arrivals:
 //
 //   r <time> <from> <to> <type> <size> --- <flow-id> ...
-//
-// plus a simple loader so traces round-trip.
 #pragma once
 
 #include <iosfwd>
 #include <string>
 
 #include "tracegen/generator.hpp"
-#include "util/expected.hpp"
 
 namespace streamlab {
 
@@ -19,8 +16,5 @@ namespace streamlab {
 bool write_ns_trace(std::ostream& out, const SyntheticFlow& flow, int flow_id = 1);
 bool write_ns_trace_file(const std::string& path, const SyntheticFlow& flow,
                          int flow_id = 1);
-
-/// Reads back packets from an ns trace produced by write_ns_trace.
-Expected<std::vector<SyntheticPacket>> read_ns_trace(std::istream& in);
 
 }  // namespace streamlab

@@ -52,9 +52,6 @@ struct TrackerReport {
     if (total == 0) return 0.0;
     return 100.0 * static_cast<double>(frames_rendered) / static_cast<double>(total);
   }
-
-  /// Serializes samples as CSV (one row per poll), with a header line.
-  std::string to_csv() const;
 };
 
 }  // namespace streamlab

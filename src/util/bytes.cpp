@@ -1,7 +1,5 @@
 #include "util/bytes.hpp"
 
-#include <cstdio>
-
 namespace streamlab {
 
 bool ByteReader::take(std::size_t n) {
@@ -98,19 +96,6 @@ void ByteWriter::bytes(std::span<const std::uint8_t> data) {
 void ByteWriter::patch_u16be(std::size_t offset, std::uint16_t v) {
   if (offset + 2 > buf_.size()) return;
   store_u16be(buf_.data() + offset, v);
-}
-
-std::string hex_dump(std::span<const std::uint8_t> data, std::size_t max_bytes) {
-  std::string out;
-  const std::size_t n = data.size() < max_bytes ? data.size() : max_bytes;
-  char tmp[4];
-  for (std::size_t i = 0; i < n; ++i) {
-    std::snprintf(tmp, sizeof tmp, "%02x", data[i]);
-    if (i) out.push_back(' ');
-    out += tmp;
-  }
-  if (n < data.size()) out += " ...";
-  return out;
 }
 
 }  // namespace streamlab

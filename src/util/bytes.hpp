@@ -9,7 +9,6 @@
 #include <cstddef>
 #include <cstring>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace streamlab {
@@ -104,8 +103,5 @@ class SpanWriter {
   std::span<std::uint8_t> out_;
   std::size_t pos_ = 0;
 };
-
-/// Hex dump ("de ad be ef ..."), mostly for test failure messages.
-std::string hex_dump(std::span<const std::uint8_t> data, std::size_t max_bytes = 64);
 
 }  // namespace streamlab

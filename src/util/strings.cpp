@@ -20,13 +20,6 @@ std::string pad_right(std::string_view s, std::size_t width) {
   return out;
 }
 
-std::string pad_left(std::string_view s, std::size_t width) {
-  if (s.size() >= width) return std::string(s.substr(0, width));
-  std::string out(width - s.size(), ' ');
-  out.append(s);
-  return out;
-}
-
 std::vector<std::string> split(std::string_view s, char delim) {
   std::vector<std::string> out;
   std::size_t start = 0;
@@ -35,28 +28,6 @@ std::vector<std::string> split(std::string_view s, char delim) {
       out.emplace_back(s.substr(start, i - start));
       start = i + 1;
     }
-  }
-  return out;
-}
-
-std::string_view trim(std::string_view s) {
-  const auto is_space = [](char c) {
-    return c == ' ' || c == '\t' || c == '\r' || c == '\n';
-  };
-  while (!s.empty() && is_space(s.front())) s.remove_prefix(1);
-  while (!s.empty() && is_space(s.back())) s.remove_suffix(1);
-  return s;
-}
-
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-std::string join(const std::vector<std::string>& items, std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i) out += sep;
-    out += items[i];
   }
   return out;
 }

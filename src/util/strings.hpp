@@ -11,16 +11,8 @@ namespace streamlab {
 std::string fmt_double(double v, int decimals = 2);
 /// Pads/truncates to a fixed width, left-aligned.
 std::string pad_right(std::string_view s, std::size_t width);
-/// Pads to a fixed width, right-aligned.
-std::string pad_left(std::string_view s, std::size_t width);
 /// Splits on a delimiter; keeps empty fields.
 std::vector<std::string> split(std::string_view s, char delim);
-/// Removes leading/trailing ASCII whitespace.
-std::string_view trim(std::string_view s);
-/// Case-sensitive prefix test.
-bool starts_with(std::string_view s, std::string_view prefix);
-/// Joins items with a separator.
-std::string join(const std::vector<std::string>& items, std::string_view sep);
 /// Renders a horizontal ASCII bar of proportional length (for bench output).
 std::string ascii_bar(double fraction, std::size_t width = 40);
 

@@ -4,107 +4,26 @@
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
-
-#include "util/strings.hpp"
+#include <string>
 
 namespace streamlab {
 namespace {
 
-const StudyResults& small_study() {
-  static const StudyResults study = [] {
-    StudyConfig config;
-    config.seed = 31337;
-    return run_study_subset(config, {2});
-  }();
-  return study;
-}
-
-std::size_t line_count(const std::string& text) {
-  std::size_t n = 0;
-  for (const char c : text) n += c == '\n';
-  return n;
-}
-
-TEST(Export, StudyResultsCsvShape) {
-  const std::string csv = study_results_csv(small_study());
-  // Header + one row per clip (set 2: 4 clips).
-  EXPECT_EQ(line_count(csv), 5u);
-  EXPECT_EQ(csv.find("clip_id,player,tier"), 0u);
-  EXPECT_NE(csv.find("set2/R-l,real,low,84.0"), std::string::npos);
-  EXPECT_NE(csv.find("set2/M-h,media,high,307.2"), std::string::npos);
-  // Every row has the full column count.
-  for (const auto& line : split(csv, '\n')) {
-    if (line.empty()) continue;
-    EXPECT_EQ(split(line, ',').size(), 12u) << line;
-  }
-}
-
-TEST(Export, Fig01CsvHasOneRttPerPing) {
-  const std::string csv = figure_csv(small_study(), "fig01");
-  // Header + 2 runs x 10 pings.
-  EXPECT_EQ(line_count(csv), 21u);
-  EXPECT_EQ(csv.find("rtt_ms"), 0u);
-}
-
-TEST(Export, Fig05CsvCoversEveryClip) {
-  const std::string csv = figure_csv(small_study(), "fig05");
-  EXPECT_EQ(line_count(csv), 5u);  // header + 4 clips
-  EXPECT_NE(csv.find("media,307.2,66."), std::string::npos);
-  EXPECT_NE(csv.find("real,268.0,0.00"), std::string::npos);
-}
-
-TEST(Export, UnknownFigureEmpty) {
-  EXPECT_TRUE(figure_csv(small_study(), "fig99").empty());
-  EXPECT_TRUE(figure_csv(small_study(), "").empty());
-  // Stream form writes nothing either.
-  std::ostringstream out;
-  figure_csv(small_study(), "fig99", out);
-  EXPECT_TRUE(out.str().empty());
-}
-
-TEST(Export, EmptyStudyYieldsHeadersOnly) {
-  const StudyResults empty;
-  EXPECT_EQ(study_results_csv(empty),
-            "clip_id,player,tier,encoding_kbps,playback_kbps,frame_rate_fps,"
-            "fragment_pct,buffering_ratio,streaming_s,packets,lost,quality_pct\n");
-  EXPECT_EQ(figure_csv(empty, "fig03"), "player,encoding_kbps,playback_kbps\n");
-  EXPECT_EQ(figure_csv(empty, "fig01"), "rtt_ms\n");
-}
-
-TEST(Export, StreamAndStringFormsMatch) {
-  std::ostringstream study_out;
-  study_results_csv(small_study(), study_out);
-  EXPECT_EQ(study_out.str(), study_results_csv(small_study()));
-
-  for (const char* fig : {"fig01", "fig03", "fig11"}) {
-    std::ostringstream fig_out;
-    figure_csv(small_study(), fig, fig_out);
-    EXPECT_EQ(fig_out.str(), figure_csv(small_study(), fig)) << fig;
-  }
-
-  const std::vector<std::pair<std::string, TurbulenceRunResult>> no_runs;
-  std::ostringstream turb_out;
-  turbulence_csv(no_runs, turb_out);
-  EXPECT_EQ(turb_out.str(), turbulence_csv(no_runs));
-  EXPECT_EQ(turb_out.str().find("scenario,clip_id,player"), 0u);
-  std::ostringstream eps_out;
-  turbulence_episodes_csv(no_runs, eps_out);
-  EXPECT_EQ(eps_out.str(), turbulence_episodes_csv(no_runs));
+std::string first_line(const std::string& path) {
+  std::ifstream in(path);
+  std::string line;
+  std::getline(in, line);
+  return line;
 }
 
 TEST(Export, WritesAllFilesToDirectory) {
   const std::string dir = testing::TempDir() + "/streamlab_export";
   std::filesystem::remove_all(dir);
-  const int written = export_study(small_study(), dir);
-  EXPECT_EQ(written, 9);  // study_results + 8 figures
-  EXPECT_TRUE(std::filesystem::exists(dir + "/study_results.csv"));
-  EXPECT_TRUE(std::filesystem::exists(dir + "/fig11.csv"));
-
-  std::ifstream in(dir + "/fig11.csv");
-  std::string header;
-  std::getline(in, header);
-  EXPECT_EQ(header, "encoding_kbps,buffering_ratio");
+  const std::vector<std::pair<std::string, TurbulenceRunResult>> no_runs;
+  EXPECT_EQ(export_turbulence(no_runs, dir), 2);
+  EXPECT_EQ(first_line(dir + "/turbulence.csv").find("scenario,clip_id,player,"), 0u);
+  EXPECT_EQ(first_line(dir + "/turbulence_episodes.csv"),
+            "scenario,kind,label,start_s,duration_s,applied,cleared,packets_dropped");
   std::filesystem::remove_all(dir);
 }
 

@@ -21,8 +21,8 @@ TEST(DissectFuzz, RandomBytesNeverCrash) {
 
     const DissectedPacket pkt = dissect(rec);
     // Frame-level fields always present, whatever the bytes were.
-    ASSERT_TRUE(pkt.field("frame.len").has_value());
-    EXPECT_EQ(pkt.field("frame.len")->number, static_cast<std::int64_t>(len));
+    ASSERT_TRUE(pkt.has(FieldId::kFrameLen));
+    EXPECT_EQ(pkt.number(FieldId::kFrameLen), static_cast<std::int64_t>(len));
     (void)pkt.summary();
   }
 }
@@ -50,7 +50,7 @@ TEST(DissectFuzz, BitFlippedRealFramesNeverCrash) {
       rec.data[pos] ^= static_cast<std::uint8_t>(1u << rng.uniform_int(0, 7));
     }
     const DissectedPacket out = dissect(rec);
-    ASSERT_TRUE(out.field("frame.len").has_value());
+    ASSERT_TRUE(out.has(FieldId::kFrameLen));
   }
 }
 
@@ -80,8 +80,8 @@ TEST(DissectFuzz, TruncationSweepOnValidFrame) {
     rec.data.assign(bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(cut));
     rec.original_length = static_cast<std::uint32_t>(bytes.size());
     const DissectedPacket out = dissect(rec);
-    ASSERT_TRUE(out.field("frame.cap_len").has_value());
-    EXPECT_EQ(out.field("frame.cap_len")->number, static_cast<std::int64_t>(cut));
+    ASSERT_TRUE(out.has(FieldId::kFrameCapLen));
+    EXPECT_EQ(out.number(FieldId::kFrameCapLen), static_cast<std::int64_t>(cut));
   }
 }
 

@@ -74,13 +74,13 @@ TEST(FilterFuzz, GeneratedFiltersCompileAndEvaluate) {
   ExprGen gen(rng);
   // A minimal dissected packet to evaluate against.
   DissectedPacket pkt;
-  pkt.add_layer("eth");
-  pkt.add_layer("ip");
-  pkt.add_layer("udp");
-  pkt.set("ip.src", FieldValue::of(0x0A000002, "10.0.0.2"));
-  pkt.set("ip.frag_offset", FieldValue::of(0));
-  pkt.set("udp.srcport", FieldValue::of(7070));
-  pkt.set("frame.len", FieldValue::of(542));
+  pkt.add_layer(Layer::kEth);
+  pkt.add_layer(Layer::kIp);
+  pkt.add_layer(Layer::kUdp);
+  pkt.set(FieldId::kIpSrc, 0x0A000002);
+  pkt.set(FieldId::kIpFragOffset, 0);
+  pkt.set(FieldId::kUdpSrcPort, 7070);
+  pkt.set(FieldId::kFrameLen, 542);
 
   for (int i = 0; i < 500; ++i) {
     const auto f = DisplayFilter::compile(gen.expr());

@@ -5,6 +5,7 @@
 // bit-identically under the same seed.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -92,11 +93,13 @@ TEST(FaultRecovery, CsvExportCarriesScenarioRows) {
   std::vector<std::pair<std::string, TurbulenceRunResult>> runs;
   runs.emplace_back("short-outage", run_turbulence_pair(study_set(), RateTier::kLow,
                                                         short_outage_config()));
-  const std::string csv = turbulence_csv(runs);
-  EXPECT_NE(csv.find("scenario,clip_id,player"), std::string::npos);
-  EXPECT_NE(csv.find("short-outage"), std::string::npos);
-  const std::string episodes = turbulence_episodes_csv(runs);
-  EXPECT_NE(episodes.find("short-flap"), std::string::npos);
+  std::ostringstream csv;
+  turbulence_csv(runs, csv);
+  EXPECT_NE(csv.str().find("scenario,clip_id,player"), std::string::npos);
+  EXPECT_NE(csv.str().find("short-outage"), std::string::npos);
+  std::ostringstream episodes;
+  turbulence_episodes_csv(runs, episodes);
+  EXPECT_NE(episodes.str().find("short-flap"), std::string::npos);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 // turbulence CSV export.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -145,7 +146,9 @@ TEST(RepairRecovery, TurbulenceCsvCarriesRecoveryColumns) {
   cfg.repair_layer = fec_nack_repair();
   std::vector<std::pair<std::string, TurbulenceRunResult>> runs;
   runs.emplace_back("burst-loss", run_turbulence_clip(pair.second, cfg));
-  const std::string csv = turbulence_csv(runs);
+  std::ostringstream out;
+  turbulence_csv(runs, out);
+  const std::string csv = out.str();
   EXPECT_NE(csv.find(",recovered,recovery_ratio,repair_latency_mean_ms,repair_overhead"),
             std::string::npos);
   // The data row reports a nonzero recovered count and a ratio above the

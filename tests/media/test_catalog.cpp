@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 namespace streamlab {
@@ -95,8 +96,13 @@ TEST(Catalog, TierLabels) {
 }
 
 TEST(Catalog, ClipsForPlayerSplitsEvenly) {
-  EXPECT_EQ(clips_for(PlayerKind::kRealPlayer).size(), 13u);
-  EXPECT_EQ(clips_for(PlayerKind::kMediaPlayer).size(), 13u);
+  const auto clips = all_clips();
+  const auto count = [&](PlayerKind player) {
+    return std::count_if(clips.begin(), clips.end(),
+                         [player](const ClipInfo& c) { return c.player == player; });
+  };
+  EXPECT_EQ(count(PlayerKind::kRealPlayer), 13);
+  EXPECT_EQ(count(PlayerKind::kMediaPlayer), 13);
 }
 
 TEST(Catalog, MediaBytesMatchRateTimesLength) {

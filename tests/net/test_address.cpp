@@ -5,19 +5,9 @@
 namespace streamlab {
 namespace {
 
-TEST(MacAddress, ToStringAndParseRoundTrip) {
+TEST(MacAddress, ToStringIsColonSeparatedLowercaseHex) {
   const MacAddress mac({0x02, 0x53, 0x4c, 0x00, 0x01, 0xFF});
   EXPECT_EQ(mac.to_string(), "02:53:4c:00:01:ff");
-  const auto parsed = MacAddress::parse("02:53:4c:00:01:ff");
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(*parsed, mac);
-}
-
-TEST(MacAddress, ParseRejectsMalformed) {
-  EXPECT_FALSE(MacAddress::parse("02:53:4c:00:01").has_value());
-  EXPECT_FALSE(MacAddress::parse("02:53:4c:00:01:gg").has_value());
-  EXPECT_FALSE(MacAddress::parse("0253:4c:00:01:ff:aa").has_value());
-  EXPECT_FALSE(MacAddress::parse("").has_value());
 }
 
 TEST(MacAddress, ForNicIsDeterministicAndDistinct) {
@@ -56,12 +46,12 @@ TEST(Ipv4Address, SameSlash24) {
   EXPECT_FALSE(Ipv4Address(192, 168, 100, 10).same_slash24(Ipv4Address(192, 168, 101, 10)));
 }
 
-TEST(Endpoint, ComparisonAndToString) {
+TEST(Endpoint, ComparisonOrdersByAddressThenPort) {
   const Endpoint a{Ipv4Address(10, 0, 0, 2), 6970};
   const Endpoint b{Ipv4Address(10, 0, 0, 2), 6971};
   EXPECT_NE(a, b);
   EXPECT_LT(a, b);
-  EXPECT_EQ(a.to_string(), "10.0.0.2:6970");
+  EXPECT_LT(b, (Endpoint{Ipv4Address(10, 0, 0, 3), 1}));
 }
 
 }  // namespace

@@ -27,16 +27,12 @@ TEST(Metrics, SameNameSharesStorage) {
 
 TEST(Metrics, DefaultHandlesAreInert) {
   Counter c;
-  Gauge g;
   Histogram h;
   c.add();
-  g.set(5);
   h.record(1.0);
   EXPECT_FALSE(c.live());
-  EXPECT_FALSE(g.live());
   EXPECT_FALSE(h.live());
   EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(g.value(), 0);
 }
 
 TEST(Metrics, DisabledRegistryHandsOutInertHandles) {
@@ -46,14 +42,6 @@ TEST(Metrics, DisabledRegistryHandsOutInertHandles) {
   c.add(100);
   EXPECT_EQ(c.value(), 0u);
   EXPECT_TRUE(registry.counters().empty());
-}
-
-TEST(Metrics, GaugeSetAndAdd) {
-  Registry registry;
-  Gauge g = registry.gauge("queue.depth");
-  g.set(10);
-  g.add(-3);
-  EXPECT_EQ(g.value(), 7);
 }
 
 TEST(Metrics, HistogramBucketsValues) {
@@ -93,16 +81,12 @@ TEST(Metrics, SnapshotsAreNameSorted) {
   Registry registry;
   registry.counter("b").add(2);
   registry.counter("a").add(1);
-  registry.gauge("z").set(-5);
   const auto counters = registry.counters();
   ASSERT_EQ(counters.size(), 2u);
   EXPECT_EQ(counters[0].first, "a");
   EXPECT_EQ(counters[0].second, 1u);
   EXPECT_EQ(counters[1].first, "b");
   EXPECT_EQ(counters[1].second, 2u);
-  const auto gauges = registry.gauges();
-  ASSERT_EQ(gauges.size(), 1u);
-  EXPECT_EQ(gauges[0].second, -5);
 }
 
 }  // namespace

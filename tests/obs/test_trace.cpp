@@ -154,7 +154,6 @@ Obs& populated_obs() {
   static Obs obs;
   static const bool init = [] {
     obs.registry().counter("demo.count").add(7);
-    obs.registry().gauge("demo.level").set(-3);
     obs.registry().histogram("demo.hist", 5.0, 2).record(6.0);
     Tracer& t = obs.tracer();
     const std::uint16_t track = t.intern("demo \"track\"");
@@ -234,7 +233,6 @@ TEST(TraceExport, MetricsCsvSnapshotsEveryKind) {
   const std::string csv = out.str();
   EXPECT_EQ(csv.find("kind,name,arg,value"), 0u);
   EXPECT_NE(csv.find("counter,demo.count,,7"), std::string::npos);
-  EXPECT_NE(csv.find("gauge,demo.level,,-3"), std::string::npos);
   EXPECT_NE(csv.find("histogram_bucket,demo.hist"), std::string::npos);
   EXPECT_NE(csv.find("histogram_total,demo.hist,,1"), std::string::npos);
 }

@@ -80,7 +80,7 @@ std::optional<std::size_t> read_and_dissect(const std::string& bytes) {
   const std::vector<DissectedPacket> packets = dissect_trace(*trace);
   for (const DissectedPacket& d : packets) {
     EXPECT_TRUE(d.has(FieldId::kFrameLen));
-    for (const FieldInfo& f : kFields) (void)d.field(f.name);
+    for (const FieldInfo& f : kFields) (void)d.display(f.id);
     EXPECT_FALSE(d.summary().empty());
   }
   (void)filter::DisplayFilter::compile("ip.frag_offset > 0 || udp.port == 1755")

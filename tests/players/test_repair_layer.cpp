@@ -189,19 +189,6 @@ TEST(ParityHeader, DecodeRejectsDataAndControlPackets) {
   EXPECT_FALSE(ParityHeader::decode(std::vector<std::uint8_t>{0x50}).has_value());
 }
 
-TEST(ParityHeader, CoversMatchesInterleavePattern) {
-  ParityHeader h;
-  h.k = 3;
-  h.stride = 4;
-  h.block_base = 1;  // covers 1, 5, 9
-  EXPECT_TRUE(h.covers(1));
-  EXPECT_TRUE(h.covers(5));
-  EXPECT_TRUE(h.covers(9));
-  EXPECT_FALSE(h.covers(2));   // different row
-  EXPECT_FALSE(h.covers(13));  // next matrix
-  EXPECT_FALSE(h.covers(0));
-}
-
 // --- NACK tracker ---
 
 RepairLayerConfig nack_config() {

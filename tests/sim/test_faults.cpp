@@ -238,11 +238,30 @@ TEST(LinkImpairment, LossModelOverridesIndependentLoss) {
 
 // --- FaultScheduler ---
 
+/// One scripted episode of `kind` over [start_s, start_s + duration_s).
+FaultEpisode episode(FaultKind kind, double start_s, double duration_s) {
+  FaultEpisode e;
+  e.kind = kind;
+  e.start = SimTime::from_seconds(start_s);
+  e.duration = Duration::from_seconds(duration_s);
+  e.label = to_string(kind);
+  return e;
+}
+
+/// A kRouterDown episode on chain router `index`, or on detour-branch
+/// router `index` when `detour` is set.
+FaultEpisode router_down(int index, double start_s, double duration_s, bool detour = false) {
+  FaultEpisode e = episode(FaultKind::kRouterDown, start_s, duration_s);
+  e.router_index = index;
+  e.detour = detour;
+  return e;
+}
+
 TEST(FaultScheduler, AppliesAndClearsEpisodeOnSchedule) {
   FaultFixture f;
   auto link = f.make(LinkConfig{});
   FaultScheduler faults(f.loop, *link);
-  faults.add_outage(SimTime::from_seconds(1.0), Duration::seconds(2));
+  faults.add(episode(FaultKind::kOutage, 1.0, 2.0));
   faults.arm();
 
   // Before: passes. During: dropped. After: passes again.
@@ -263,7 +282,6 @@ TEST(FaultScheduler, AppliesAndClearsEpisodeOnSchedule) {
   EXPECT_TRUE(rec.applied);
   EXPECT_TRUE(rec.cleared);
   EXPECT_EQ(rec.packets_dropped, 2u);
-  EXPECT_EQ(faults.total_episode_drops(), 2u);
   EXPECT_EQ(faults.active_episode(), -1);
 }
 
@@ -275,7 +293,9 @@ TEST(FaultScheduler, BurstLossEpisodeUsesGilbertElliott) {
   ge.p_good_to_bad = 1.0;  // always BAD
   ge.p_bad_to_good = 0.0;
   ge.loss_bad = 1.0;       // drop everything while BAD
-  faults.add_burst_loss(SimTime::from_seconds(1.0), Duration::seconds(1), ge);
+  FaultEpisode burst = episode(FaultKind::kBurstLoss, 1.0, 1.0);
+  burst.gilbert = ge;
+  faults.add(burst);
   faults.arm();
 
   auto send_at = [&](double t, std::uint16_t id) {
@@ -299,8 +319,10 @@ TEST(FaultScheduler, LaterEpisodePreemptsEarlierOne) {
   FaultScheduler faults(f.loop, *link);
   // Episode A [1, 5): random loss 100%. Episode B [2, 3): outage. A's end
   // event at t=5 must not clear B or the baseline restored at t=3.
-  faults.add_random_loss(SimTime::from_seconds(1.0), Duration::seconds(4), 1.0, "A");
-  faults.add_outage(SimTime::from_seconds(2.0), Duration::seconds(1), "B");
+  FaultEpisode a = episode(FaultKind::kRandomLoss, 1.0, 4.0);
+  a.loss_probability = 1.0;
+  faults.add(a);
+  faults.add(episode(FaultKind::kOutage, 2.0, 1.0));
   faults.arm();
 
   auto send_at = [&](double t, std::uint16_t id) {
@@ -327,8 +349,9 @@ TEST(FaultScheduler, BandwidthEpisodeNotBlamedForBaselineLoss) {
   cfg.loss_probability = 1.0;  // every packet dies to *baseline* random loss
   auto link = f.make(cfg);
   FaultScheduler faults(f.loop, *link);
-  faults.add_bandwidth(SimTime::from_seconds(1.0), Duration::seconds(2),
-                       BitRate::mbps(1));
+  FaultEpisode slow = episode(FaultKind::kBandwidth, 1.0, 2.0);
+  slow.bandwidth = BitRate::mbps(1);
+  faults.add(slow);
   faults.arm();
 
   f.loop.schedule_at(SimTime::from_seconds(1.5),
@@ -339,7 +362,6 @@ TEST(FaultScheduler, BandwidthEpisodeNotBlamedForBaselineLoss) {
   // a bandwidth episode has no loss mechanism of its own to attribute it to.
   EXPECT_EQ(link->stats_a_to_b().packets_dropped_loss, 1u);
   EXPECT_EQ(faults.records()[0].packets_dropped, 0u);
-  EXPECT_EQ(faults.total_episode_drops(), 0u);
 }
 
 TEST(FaultScheduler, EpisodeCoversHelper) {
@@ -371,7 +393,7 @@ TEST(FaultScheduler, RouterDownAppliesAndClearsOnSchedule) {
   Network net(quiet_chain());
   Host& server = net.add_server("srv");
   FaultScheduler faults(net.loop(), net.bottleneck_link(), net);
-  faults.add_router_down(SimTime::from_seconds(1.0), Duration::seconds(1), 3);
+  faults.add(router_down(3, 1.0, 1.0));
   faults.arm();
 
   int received = 0;
@@ -403,8 +425,8 @@ TEST(FaultScheduler, RouterDownRunsInParallelWithLinkEpisode) {
   Network net(quiet_chain());
   net.add_server("srv");
   FaultScheduler faults(net.loop(), net.bottleneck_link(), net);
-  faults.add_outage(SimTime::from_seconds(1.0), Duration::seconds(2));
-  faults.add_router_down(SimTime::from_seconds(1.5), Duration::seconds(1), 3);
+  faults.add(episode(FaultKind::kOutage, 1.0, 2.0));
+  faults.add(router_down(3, 1.5, 1.0));
   faults.arm();
 
   bool both_active = false;
@@ -427,8 +449,8 @@ TEST(FaultScheduler, OverlappingRouterDownsNest) {
   Network net(quiet_chain());
   net.add_server("srv");
   FaultScheduler faults(net.loop(), net.bottleneck_link(), net);
-  faults.add_router_down(SimTime::from_seconds(1.0), Duration::seconds(2), 3);
-  faults.add_router_down(SimTime::from_seconds(2.0), Duration::seconds(2), 3);
+  faults.add(router_down(3, 1.0, 2.0));
+  faults.add(router_down(3, 2.0, 2.0));
   faults.arm();
 
   bool offline_between_ends = false, online_after_both = true;
@@ -448,7 +470,7 @@ TEST(FaultScheduler, FinishSettlesDanglingRouterDown) {
   Network net(quiet_chain());
   net.add_server("srv");
   FaultScheduler faults(net.loop(), net.bottleneck_link(), net);
-  faults.add_router_down(SimTime::from_seconds(1.0), Duration::seconds(100), 3);
+  faults.add(router_down(3, 1.0, 100.0));
   faults.arm();
   net.loop().run_until(SimTime::from_seconds(2.0));
 
@@ -467,13 +489,13 @@ PathConfig quiet_detour_chain() {
 }
 
 TEST(FaultScheduler, DetourDownTargetsBranchRouterOnly) {
-  // add_detour_down takes a *detour-branch* router offline; the chain
+  // A detour kRouterDown episode takes a *detour-branch* router offline; the chain
   // router with the same index is untouched, so primary-addressed traffic
   // keeps flowing while the bypass is dark.
   Network net(quiet_detour_chain());
   Host& server = net.add_server("srv");
   FaultScheduler faults(net.loop(), net.bottleneck_link(), net);
-  faults.add_detour_down(SimTime::from_seconds(1.0), Duration::seconds(1), 0);
+  faults.add(router_down(0, 1.0, 1.0, /*detour=*/true));
   faults.arm();
 
   int received = 0;
@@ -506,10 +528,10 @@ TEST(FaultScheduler, AlternatingChainAndDetourFlapsStayIndependent) {
   FaultScheduler faults(net.loop(), net.bottleneck_link(), net);
   // Chain router 0 down [1, 4); detour router 0 down [2, 3) and again
   // overlapping [2.5, 5); detour router 1 down [3.5, 4.5).
-  faults.add_router_down(SimTime::from_seconds(1.0), Duration::seconds(3), 0);
-  faults.add_detour_down(SimTime::from_seconds(2.0), Duration::seconds(1), 0);
-  faults.add_detour_down(SimTime::from_seconds(2.5), Duration::from_seconds(2.5), 0);
-  faults.add_detour_down(SimTime::from_seconds(3.5), Duration::from_seconds(1.0), 1);
+  faults.add(router_down(0, 1.0, 3.0));
+  faults.add(router_down(0, 2.0, 1.0, /*detour=*/true));
+  faults.add(router_down(0, 2.5, 2.5, /*detour=*/true));
+  faults.add(router_down(1, 3.5, 1.0, /*detour=*/true));
   faults.arm();
 
   struct Snapshot {
@@ -555,8 +577,8 @@ TEST(FaultScheduler, FinishSettlesDanglingDetourEpisodes) {
   Network net(quiet_detour_chain());
   net.add_server("srv");
   FaultScheduler faults(net.loop(), net.bottleneck_link(), net);
-  faults.add_router_down(SimTime::from_seconds(1.0), Duration::seconds(100), 3);
-  faults.add_detour_down(SimTime::from_seconds(1.0), Duration::seconds(100), 1);
+  faults.add(router_down(3, 1.0, 100.0));
+  faults.add(router_down(1, 1.0, 100.0, /*detour=*/true));
   faults.arm();
   net.loop().run_until(SimTime::from_seconds(2.0));
 
@@ -577,7 +599,7 @@ TEST(FaultScheduler, DetourDownOutOfRangeIsSettledNoop) {
   Network net(quiet_detour_chain());
   net.add_server("srv");
   FaultScheduler faults(net.loop(), net.bottleneck_link(), net);
-  faults.add_detour_down(SimTime::from_seconds(1.0), Duration::seconds(1), 7);
+  faults.add(router_down(7, 1.0, 1.0, /*detour=*/true));
   faults.arm();
   net.loop().run();
   ASSERT_EQ(faults.records().size(), 1u);
@@ -592,7 +614,7 @@ TEST(FaultScheduler, RouterDownWithoutNetworkIsSettledNoop) {
   FaultFixture f;
   auto link = f.make(LinkConfig{});
   FaultScheduler faults(f.loop, *link);
-  faults.add_router_down(SimTime::from_seconds(1.0), Duration::seconds(1), 3);
+  faults.add(router_down(3, 1.0, 1.0));
   faults.arm();
   f.loop.run();
   ASSERT_EQ(faults.records().size(), 1u);

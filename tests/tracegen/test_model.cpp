@@ -83,13 +83,5 @@ TEST(FlowModel, RttSamplesInPathRange) {
   EXPECT_LT(median, 60.0);
 }
 
-TEST(FlowModel, MeanIntervalPositive) {
-  const FlowModel model = FlowModel::fit(small_study());
-  for (const double kbps : {36.0, 49.8, 284.0, 323.1}) {
-    EXPECT_GT(model.real.mean_interval_at(kbps), 0.0);
-    EXPECT_GT(model.media.mean_interval_at(kbps), 0.0);
-  }
-}
-
 }  // namespace
 }  // namespace streamlab

@@ -5,8 +5,32 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/expected.hpp"
+
 namespace streamlab {
 namespace {
+
+/// The oracle for write_ns_trace: reads its "r" (receive) lines back into
+/// packets, skips other events and rejects a line it cannot parse.
+Expected<std::vector<SyntheticPacket>> read_ns_trace(std::istream& in) {
+  std::vector<SyntheticPacket> packets;
+  std::string line;
+  std::size_t line_no = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    if (line.empty()) continue;
+    std::istringstream ls(line);
+    std::string event, type;
+    double time = 0.0;
+    int from = 0, to = 0;
+    std::uint32_t size = 0;
+    if (!(ls >> event >> time >> from >> to >> type >> size))
+      return Unexpected("malformed ns trace line " + std::to_string(line_no));
+    if (event != "r") continue;
+    packets.push_back({time, size, type == "frag"});
+  }
+  return packets;
+}
 
 SyntheticFlow sample_flow() {
   SyntheticFlow flow;

@@ -97,11 +97,5 @@ TEST(ByteReader, BytesViewAndSkip) {
   EXPECT_FALSE(r.ok());
 }
 
-TEST(HexDump, FormatsAndTruncates) {
-  const std::uint8_t data[4] = {0xDE, 0xAD, 0xBE, 0xEF};
-  EXPECT_EQ(hex_dump(data), "de ad be ef");
-  EXPECT_EQ(hex_dump(data, 2), "de ad ...");
-}
-
 }  // namespace
 }  // namespace streamlab

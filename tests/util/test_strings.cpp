@@ -14,8 +14,6 @@ TEST(Strings, FmtDouble) {
 TEST(Strings, Padding) {
   EXPECT_EQ(pad_right("ab", 5), "ab   ");
   EXPECT_EQ(pad_right("abcdef", 3), "abc");
-  EXPECT_EQ(pad_left("ab", 5), "   ab");
-  EXPECT_EQ(pad_left("abcdef", 3), "abc");
 }
 
 TEST(Strings, SplitKeepsEmptyFields) {
@@ -23,25 +21,6 @@ TEST(Strings, SplitKeepsEmptyFields) {
   EXPECT_EQ(split("a,,c", ','), (std::vector<std::string>{"a", "", "c"}));
   EXPECT_EQ(split(",", ','), (std::vector<std::string>{"", ""}));
   EXPECT_EQ(split("", ','), (std::vector<std::string>{""}));
-}
-
-TEST(Strings, Trim) {
-  EXPECT_EQ(trim("  abc \t\n"), "abc");
-  EXPECT_EQ(trim("abc"), "abc");
-  EXPECT_EQ(trim("   "), "");
-  EXPECT_EQ(trim(""), "");
-}
-
-TEST(Strings, StartsWith) {
-  EXPECT_TRUE(starts_with("ip.src", "ip."));
-  EXPECT_FALSE(starts_with("ip", "ip."));
-  EXPECT_TRUE(starts_with("anything", ""));
-}
-
-TEST(Strings, Join) {
-  EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(join({}, ", "), "");
-  EXPECT_EQ(join({"solo"}, ", "), "solo");
 }
 
 TEST(Strings, AsciiBarProportionalAndClamped) {
