@@ -28,7 +28,6 @@
 #include "core/jobs.hpp"
 #include "core/render.hpp"
 #include "core/study.hpp"
-#include "players/server.hpp"
 #include "tracegen/generator.hpp"
 #include "tracegen/ns_trace.hpp"
 #include "util/strings.hpp"
@@ -590,54 +589,6 @@ void ext_congestion(const StudyResults&) {
 // Extension (Section VI): media scaling under a constrained bottleneck.
 // Runs the same overloaded stream with adaptation off and on, and shows the
 // scaling controller trading frame rate for delivery quality.
-struct AdaptiveRun {
-  double keep_fraction = 1.0;
-  std::size_t level_changes = 0;
-  std::uint32_t frames_thinned = 0;
-  std::uint32_t frames_rendered = 0;
-  std::uint32_t frames_total = 0;
-  std::uint64_t reports = 0;
-  double quality_of_sent = 0.0;
-};
-
-AdaptiveRun run_adaptive(const ClipInfo& clip, BitRate bottleneck, std::uint64_t seed) {
-  PathConfig path;
-  path.hop_count = 10;
-  path.one_way_propagation = Duration::millis(20);
-  path.bottleneck_bandwidth = bottleneck;
-  path.queue_limit_bytes = 16 * 1024;
-  path.loss_probability = 0.0;
-  path.seed = seed;
-
-  Network net(path);
-  Host& server_host = net.add_server("server");
-  const EncodedClip encoded = encode_clip(clip, seed);
-  WmServer server(server_host, encoded, WmBehavior{}, kMediaServerPort);
-
-  MediaScalingPolicy policy;
-  policy.enabled = true;
-  server.enable_scaling(policy);
-
-  StreamClient::Config cc;
-  cc.kind = clip.player;
-  cc.scaling = policy;
-  StreamClient client(net.client(), server.clip(),
-                      Endpoint{server_host.address(), kMediaServerPort}, cc);
-  client.start();
-  net.loop().run_until(net.loop().now() + clip.length * 2 + Duration::seconds(60));
-
-  AdaptiveRun out;
-  out.keep_fraction = server.scaling_keep_fraction();
-  out.level_changes = server.scaling_level_changes();
-  out.frames_thinned = server.frames_thinned();
-  out.frames_rendered = client.stats().frames_rendered;
-  out.frames_total = static_cast<std::uint32_t>(encoded.frames().size());
-  out.reports = client.receiver_reports_sent();
-  const double sent = static_cast<double>(out.frames_total) - out.frames_thinned;
-  out.quality_of_sent = sent > 0 ? 100.0 * out.frames_rendered / sent : 0.0;
-  return out;
-}
-
 void ext_scaling(const StudyResults&) {
   const auto clip = *find_clip("set1/M-h");  // 323.1 Kbps
   const BitRate bottleneck = BitRate::kbps(220);
@@ -657,7 +608,7 @@ void ext_scaling(const StudyResults&) {
               baseline.goodput_kbps, 100.0 * baseline.goodput_efficiency());
   std::printf("  frames on time:       %.1f%%\n\n", baseline.reception_quality);
 
-  const auto adaptive = run_adaptive(clip, bottleneck, config.seed);
+  const ScalingResult adaptive = run_scaling_experiment(clip, config);
   std::printf("--- adaptation ON (media scaling) ---\n");
   std::printf("  receiver reports:     %llu\n",
               static_cast<unsigned long long>(adaptive.reports));

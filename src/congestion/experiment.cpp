@@ -3,60 +3,63 @@
 #include <optional>
 
 #include "core/jobs.hpp"
-#include "pcap/sniffer.hpp"
+#include "core/rig.hpp"
 #include "players/server.hpp"
 #include "trackers/tracker.hpp"
 
 namespace streamlab {
 
+namespace {
+
+/// One clip streamed through the constrained bottleneck, where all loss
+/// comes from the drop-tail queue. The rig is not started.
+SessionRig::Config constrained_rig(const ClipInfo& clip, const CongestionConfig& config) {
+  SessionRig::Config rc;
+  rc.path.hop_count = config.hop_count;
+  rc.path.one_way_propagation = config.one_way_propagation;
+  rc.path.bottleneck_bandwidth = config.bottleneck;
+  rc.path.queue_limit_bytes = config.queue_limit_bytes;
+  rc.path.loss_probability = 0.0;
+  rc.path.seed = config.seed;
+  rc.seed = config.seed;
+  rc.sessions.push_back({clip, "server", config.seed ^ 0x524D});
+  rc.player.wm = config.wm;
+  rc.player.rm = config.rm;
+  return rc;
+}
+
+}  // namespace
+
 CongestionResult run_congestion_experiment(const ClipInfo& clip,
                                            const CongestionConfig& config) {
-  PathConfig path;
-  path.hop_count = config.hop_count;
-  path.one_way_propagation = config.one_way_propagation;
-  path.bottleneck_bandwidth = config.bottleneck;
-  path.queue_limit_bytes = config.queue_limit_bytes;
-  path.loss_probability = 0.0;  // all loss comes from the drop-tail queue
-  path.jitter_stddev = Duration::micros(200);
-  path.seed = config.seed;
-
-  Network net(path);
-  Host& server_host = net.add_server("server");
-  const auto server = make_server(server_host, encode_clip(clip, config.seed), config.wm,
-                                 config.rm, config.seed ^ 0x524D);
-
-  StreamClient::Config cc;
-  cc.kind = clip.player;
-  cc.wm = config.wm;
-  cc.rm = config.rm;
-  StreamClient client(net.client(), server->clip(), server->endpoint(), cc);
-  PlayerTracker tracker(client);
-
+  SessionRig::Config rc = constrained_rig(clip, config);
+  rc.path.jitter_stddev = Duration::micros(200);
+  rc.trackers = true;
   // Only the wire byte count and the capture span are read, so the sniffer
   // feeds a sink that keeps those instead of a capture.
   std::uint64_t wire_bytes = 0;
   std::optional<SimTime> first_frame;
   SimTime last_frame;
-  Sniffer::Options sniff_opts;
-  sniff_opts.snaplen = 64;  // headers only; we need byte counts, not payloads
-  sniff_opts.capture_outbound = false;
-  Sniffer sniffer(net.client(), sniff_opts, [&](CaptureRecord&& record) {
+  rc.capture = [&](CaptureRecord&& record) {
     wire_bytes += record.original_length;
     if (!first_frame) first_frame = record.timestamp;
     last_frame = record.timestamp;
-  });
-
-  client.start();
-  tracker.start();
+  };
+  rc.snaplen = 64;  // headers only; we need byte counts, not payloads
+  SessionRig rig(rc);
+  rig.start();
   // Under overload the transfer stretches: allow generous run-off.
-  net.loop().run_until(net.loop().now() + clip.length * 2 + Duration::seconds(120));
+  EventLoop& loop = rig.network().loop();
+  loop.run_until(loop.now() + clip.length * 2 + Duration::seconds(120));
+  const StreamServer& server = rig.server(0);
+  const StreamClient& client = rig.client(0);
 
   CongestionResult result;
   result.clip = clip;
   result.bottleneck = config.bottleneck;
   result.offered_load = clip.encoded_rate / config.bottleneck;
 
-  const auto sent = server->stats().packets_sent;
+  const auto sent = server.stats().packets_sent;
   const auto received = client.stats().packets_received;
   // Count at the datagram level the client could observe; fragments lost
   // upstream surface as incomplete datagrams below.
@@ -83,8 +86,29 @@ CongestionResult run_congestion_experiment(const ClipInfo& clip,
       static_cast<double>(client.media_bytes_received()) * 8.0 / duration / 1000.0;
   result.wasted_kbps = std::max(0.0, result.throughput_kbps - result.goodput_kbps);
 
-  result.reception_quality = tracker.report().reception_quality();
+  result.reception_quality = rig.tracker(0).report().reception_quality();
   return result;
+}
+
+ScalingResult run_scaling_experiment(const ClipInfo& clip, const CongestionConfig& config) {
+  SessionRig::Config rc = constrained_rig(clip, config);
+  rc.player.scaling.enabled = true;
+  SessionRig rig(rc);
+  rig.start();
+  EventLoop& loop = rig.network().loop();
+  loop.run_until(loop.now() + clip.length * 2 + Duration::seconds(60));
+
+  const StreamServer& server = rig.server(0);
+  ScalingResult out;
+  out.keep_fraction = server.scaling_keep_fraction();
+  out.level_changes = server.scaling_level_changes();
+  out.frames_thinned = server.frames_thinned();
+  out.frames_rendered = rig.client(0).stats().frames_rendered;
+  out.frames_total = static_cast<std::uint32_t>(server.clip().frames().size());
+  out.reports = rig.client(0).receiver_reports_sent();
+  const double sent = static_cast<double>(out.frames_total) - out.frames_thinned;
+  out.quality_of_sent = sent > 0 ? 100.0 * out.frames_rendered / sent : 0.0;
+  return out;
 }
 
 std::vector<CongestionResult> sweep_bottleneck(const ClipInfo& clip,

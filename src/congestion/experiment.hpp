@@ -62,6 +62,23 @@ struct CongestionResult {
 CongestionResult run_congestion_experiment(const ClipInfo& clip,
                                            const CongestionConfig& config);
 
+/// What media scaling (Section VI) made of one overloaded stream.
+struct ScalingResult {
+  double keep_fraction = 1.0;        ///< the server's final frame keep fraction
+  std::size_t level_changes = 0;     ///< scaling level switches
+  std::uint32_t frames_thinned = 0;  ///< frames the server chose not to send
+  std::uint32_t frames_rendered = 0;
+  std::uint32_t frames_total = 0;    ///< frames in the clip
+  std::uint64_t reports = 0;         ///< receiver reports the client sent
+  /// Frames rendered on time, percent of the frames the server sent.
+  double quality_of_sent = 0.0;
+};
+
+/// Streams one clip through the constrained bottleneck with media scaling on
+/// at both ends: the server thins frames from the client's loss reports
+/// until the stream fits.
+ScalingResult run_scaling_experiment(const ClipInfo& clip, const CongestionConfig& config);
+
 /// Sweeps bottleneck capacities (Kbps) for one clip: one run_congestion_experiment
 /// per capacity, run side by side on the job pool, results in input order.
 std::vector<CongestionResult> sweep_bottleneck(const ClipInfo& clip,

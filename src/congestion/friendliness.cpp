@@ -2,8 +2,7 @@
 
 #include <algorithm>
 
-#include "dissect/dissector.hpp"
-#include "pcap/sniffer.hpp"
+#include "core/rig.hpp"
 #include "players/server.hpp"
 #include "tcp/receiver.hpp"
 
@@ -11,27 +10,20 @@ namespace streamlab {
 
 FriendlinessResult run_friendliness_experiment(const ClipInfo& clip,
                                                const FriendlinessConfig& config) {
-  PathConfig path;
-  path.hop_count = config.hop_count;
-  path.one_way_propagation = config.one_way_propagation;
-  path.bottleneck_bandwidth = config.bottleneck;
-  path.queue_limit_bytes = config.queue_limit_bytes;
-  path.loss_probability = 0.0;
-  path.seed = config.seed;
-
-  Network net(path);
-  Host& media_host = net.add_server("media-server");
+  SessionRig::Config rc;
+  rc.path.hop_count = config.hop_count;
+  rc.path.one_way_propagation = config.one_way_propagation;
+  rc.path.bottleneck_bandwidth = config.bottleneck;
+  rc.path.queue_limit_bytes = config.queue_limit_bytes;
+  rc.path.loss_probability = 0.0;
+  rc.path.seed = config.seed;
+  rc.seed = config.seed;
+  rc.sessions.push_back({clip, "media-server", config.seed ^ 0x524D});
+  rc.player.wm = config.wm;
+  rc.player.rm = config.rm;
+  SessionRig rig(rc);
+  Network& net = rig.network();
   Host& tcp_host = net.add_server("tcp-server");
-
-  // Media session.
-  const auto media_server = make_server(media_host, encode_clip(clip, config.seed),
-                                       config.wm, config.rm, config.seed ^ 0x524D);
-  StreamClient::Config cc;
-  cc.kind = clip.player;
-  cc.wm = config.wm;
-  cc.rm = config.rm;
-  StreamClient media_client(net.client(), media_server->clip(), media_server->endpoint(),
-                            cc);
 
   // TCP bulk transfer in the same downstream direction (server -> client):
   // the *sender* sits on the far host, the sink on the client.
@@ -55,13 +47,15 @@ FriendlinessResult run_friendliness_experiment(const ClipInfo& clip,
   net.loop().post_in(Duration::seconds(1), sample);
 
   tcp_sender.start();
-  media_client.start();
+  rig.start();
   net.loop().run_until(net.loop().now() + clip.length + Duration::seconds(60));
 
   FriendlinessResult result;
   result.clip = clip;
   result.bottleneck = config.bottleneck;
   result.fair_share_kbps = config.bottleneck.to_kbps() / 2.0;
+
+  const StreamClient& media_client = rig.client(0);
 
   if (!media_client.first_data_time() || !media_client.last_data_time())
     return result;
@@ -74,7 +68,7 @@ FriendlinessResult run_friendliness_experiment(const ClipInfo& clip,
   result.media_share_kbps =
       static_cast<double>(media_client.stats().wire_bytes) * 8.0 / window / 1000.0;
   result.media_fairness_index = result.media_share_kbps / result.fair_share_kbps;
-  const auto sent = media_server->stats().packets_sent;
+  const auto sent = rig.server(0).stats().packets_sent;
   result.media_loss =
       sent == 0 ? 0.0
                 : 1.0 - static_cast<double>(std::min<std::uint64_t>(

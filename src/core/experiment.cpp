@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
+#include "core/rig.hpp"
 #include "dissect/dissector.hpp"
-#include "pcap/sniffer.hpp"
 #include "players/server.hpp"
 #include "trackers/tracker.hpp"
 
@@ -21,75 +21,50 @@ ExperimentConfig seeded_path(const ExperimentConfig& config) {
 
 StreamRunResult stream_sessions(const std::vector<SessionSpec>& specs, bool probe_path,
                                 const ExperimentConfig& config) {
-  Network net(config.path);
-  std::vector<Host*> hosts;
-  hosts.reserve(specs.size());
+  SessionRig::Config rc;
+  rc.path = config.path;
+  rc.seed = config.seed;
   for (const SessionSpec& spec : specs)
-    hosts.push_back(&net.add_server("server-" + spec.clip.id()));
-
-  // Path characterisation before streaming, as the paper does with
-  // ping/tracert before each run.
-  StreamRunResult result;
-  if (probe_path && !hosts.empty()) {
-    result.ping = run_ping(net, hosts.front()->address(), /*count=*/10);
-    result.route = run_traceroute(net, hosts.front()->address());
-  }
-
-  struct Session {
-    std::unique_ptr<StreamServer> server;
-    std::unique_ptr<StreamClient> client;
-    std::unique_ptr<PlayerTracker> tracker;
-  };
-  std::vector<Session> sessions;
-  sessions.reserve(specs.size());
-  Duration longest = Duration::zero();
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const ClipInfo& clip = specs[i].clip;
-    Session& s = sessions.emplace_back();
-    s.server = make_server(*hosts[i], encode_clip(clip, config.seed), config.wm,
-                           config.rm, specs[i].rm_seed);
-    StreamClient::Config cc;
-    cc.kind = clip.player;
-    cc.wm = config.wm;
-    cc.rm = config.rm;
-    cc.local_port = specs[i].client_port;
-    s.client = std::make_unique<StreamClient>(net.client(), s.server->clip(),
-                                              s.server->endpoint(), cc);
-    s.tracker = std::make_unique<PlayerTracker>(*s.client);
-    longest = std::max(longest, clip.length);
-  }
-
+    rc.sessions.push_back({spec.clip, "server-" + spec.clip.id(), spec.rm_seed, spec.client_port});
+  rc.probe_path = probe_path;
+  rc.player.wm = config.wm;
+  rc.player.rm = config.rm;
+  rc.trackers = true;
   // Each captured frame is dissected once, as it arrives, and offered to
   // every session's flow; the frame itself is kept only for keep_capture.
+  // The sink first runs inside the loop, once the rig below exists.
   std::vector<FlowTrace> flows(specs.size());
   std::optional<CaptureTrace> capture;
   if (config.keep_capture) capture.emplace(config.snaplen);
-  Sniffer::Options sniff_opts;
-  sniff_opts.snaplen = config.snaplen;
-  sniff_opts.capture_outbound = false;  // the study analyses inbound traffic
-  Sniffer sniffer(net.client(), sniff_opts, [&](CaptureRecord&& record) {
+  std::optional<SessionRig> rig;
+  rc.capture = [&](CaptureRecord&& record) {
     const DissectedPacket packet = dissect(record);
-    for (std::size_t i = 0; i < sessions.size(); ++i)
-      flows[i].add(packet, sessions[i].server->endpoint().ip, sessions[i].client->port());
+    for (std::size_t i = 0; i < flows.size(); ++i)
+      flows[i].add(packet, rig->server(i).endpoint().ip, rig->client(i).port());
     if (capture) capture->add(std::move(record));
-  });
+  };
+  rc.snaplen = config.snaplen;
+  rig.emplace(rc);
 
-  // Every player starts simultaneously (Section 2.A).
-  for (Session& s : sessions) s.client->start();
-  for (Session& s : sessions) s.tracker->start();
-  net.loop().run_until(net.loop().now() + longest + config.extra_sim_time);
+  Duration longest = Duration::zero();
+  for (const SessionSpec& spec : specs) longest = std::max(longest, spec.clip.length);
+  rig->start();
+  EventLoop& loop = rig->network().loop();
+  loop.run_until(loop.now() + longest + config.extra_sim_time);
 
+  StreamRunResult result;
+  result.ping = rig->ping();
+  result.route = rig->route();
   result.sessions.reserve(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    Session& s = sessions[i];
     ClipRunResult& r = result.sessions.emplace_back();
     r.clip = specs[i].clip;
-    r.tracker = s.tracker->report();
+    r.tracker = rig->tracker(i).report();
     r.flow = std::move(flows[i]);
     r.buffering = analyze_buffering(r.flow.bandwidth_timeline(config.bandwidth_window),
                                     config.bandwidth_window);
-    r.server_streaming_duration = s.server->streaming_duration();
-    r.app_packets = s.client->take_packets();  // last: the client's counters read them
+    r.server_streaming_duration = rig->server(i).streaming_duration();
+    r.app_packets = rig->client(i).take_packets();  // last: the client's counters read them
   }
   result.capture = std::move(capture);
   return result;

@@ -11,61 +11,6 @@
 namespace streamlab {
 namespace {
 
-struct FaultedSession {
-  std::unique_ptr<StreamServer> server;
-  std::unique_ptr<StreamServer> mirror;  ///< failover target, when configured
-  std::unique_ptr<StreamClient> client;
-};
-
-FaultedSession make_session(Network& net, Host& server_host, Host* mirror_host,
-                            const ClipInfo& clip,
-                            const TurbulenceScenarioConfig& config) {
-  FaultedSession s;
-  const EncodedClip encoded = encode_clip(clip, config.seed);
-  s.server =
-      make_server(server_host, encoded, config.wm, config.rm, config.seed ^ 0x524D);
-  if (config.repair_layer.enabled()) s.server->enable_repair(config.repair_layer);
-  if (mirror_host != nullptr) {
-    // The mirror serves the same clip on the same port from its own host; a
-    // failover PLAY carrying a resume offset continues the stream there.
-    s.mirror =
-        make_server(*mirror_host, encoded, config.wm, config.rm, config.seed ^ 0x6D69);
-    if (config.repair_layer.enabled()) s.mirror->enable_repair(config.repair_layer);
-  }
-
-  StreamClient::Config cc;
-  cc.kind = clip.player;
-  cc.wm = config.wm;
-  cc.rm = config.rm;
-  cc.rebuffering = config.rebuffering;
-  cc.max_stall = config.max_stall;
-  cc.recovery = config.recovery;
-  cc.repair = config.repair_layer;
-  if (config.multipath.enabled && net.detour_hop_count() > 0) {
-    // Striping needs a second path: alias addresses steer subflow 1 down
-    // the detour branch without touching the primary routing. Only the
-    // primary server stripes — a mirror epoch is already degraded, and the
-    // client tears its multipath plane down at failover.
-    const Network::MultipathEndpoints ep = net.enable_multipath(server_host);
-    MultipathConfig mp = config.multipath;
-    mp.client_alias = ep.client_alias;
-    mp.server_alias = ep.server_alias;
-    s.server->enable_multipath(mp);
-    cc.multipath = mp;
-    // Striping jitter would otherwise read as gaps; arm NACKs only after
-    // the reorder-tolerance window proves a hole is real.
-    if (cc.repair.nack && cc.repair.nack_reorder_tolerance == 0)
-      cc.repair.nack_reorder_tolerance = mp.nack_reorder_tolerance;
-  }
-  if (mirror_host != nullptr) {
-    cc.failover.mirrors.push_back(s.mirror->endpoint());
-    cc.failover.icmp_unreachable_threshold = config.icmp_unreachable_threshold;
-  }
-  s.client = std::make_unique<StreamClient>(net.client(), s.server->clip(),
-                                            s.server->endpoint(), cc);
-  return s;
-}
-
 bool inside_any_episode(const std::vector<FaultEpisode>& episodes, SimTime t) {
   return std::any_of(episodes.begin(), episodes.end(),
                      [t](const FaultEpisode& e) { return e.covers(t); });
@@ -144,29 +89,6 @@ SimTime run_deadline(EventLoop& loop, Duration clip_length,
   return deadline;
 }
 
-/// Attaches the optional auditor/probe instrumentation before any session
-/// event is scheduled, so the audit and the replay digest cover the whole
-/// timeline.
-void attach_instrumentation(Network& net, const TurbulenceScenarioConfig& config) {
-  if (config.obs != nullptr) net.attach_observer(*config.obs);
-  if (config.auditor != nullptr) net.attach_auditor(*config.auditor);
-  if (config.probe != nullptr) net.set_determinism_probe(config.probe);
-}
-
-/// Builds the optional route-repair control plane. The RouteRepair ctor
-/// protects the detour span when the path has one; an explicit
-/// repair_span_first/last protects a chain span as well (the no-detour
-/// fast-fail setup).
-std::unique_ptr<RouteRepair> make_repair(Network& net,
-                                         const TurbulenceScenarioConfig& config) {
-  if (!config.repair) return nullptr;
-  auto repair = std::make_unique<RouteRepair>(net, *config.repair);
-  if (config.repair_span_first >= 0 &&
-      config.repair_span_last >= config.repair_span_first)
-    repair->protect(config.repair_span_first, config.repair_span_last);
-  return repair;
-}
-
 /// Runs the scenario timeline under the configured budgets: first to the
 /// scripted horizon, then the bounded stall/recovery tail (every remaining
 /// event source is bounded — per-frame stalls cap at max_stall, the watchdog
@@ -201,119 +123,86 @@ void run_budgeted(EventLoop& loop, SimTime deadline,
   }
 }
 
-/// A clip and the name of the host that serves it (the name labels the
-/// host's link in obs traces and audit reports).
-struct ServedClip {
-  ClipInfo clip;
-  const char* host;
-};
-
 /// The clip and pair forms: every clip streams from its own server over one
 /// path, and one fault schedule on the bottleneck link hits them all — the
 /// "same path, same turbulence" comparison the paper's simultaneous runs
 /// were designed to guarantee. With `mirror`, a mirror host serves each
 /// clip too, for failover.
-TurbulenceRunResult run_sessions(const std::vector<ServedClip>& served, bool mirror,
-                                 const TurbulenceScenarioConfig& config) {
-  PathConfig path = config.path;
-  path.seed = config.seed;
-  Network net(path);
-  attach_instrumentation(net, config);
-  std::vector<Host*> hosts;
-  for (const ServedClip& c : served) hosts.push_back(&net.add_server(c.host));
-  Host* mirror_host = mirror ? &net.add_server("mirror") : nullptr;
-  auto repair = make_repair(net, config);
+TurbulenceRun run_sessions(const std::vector<RigSession>& sessions, bool mirror,
+                           const TurbulenceScenarioConfig& config) {
+  SessionRig::Config rc;
+  rc.path = config.path;
+  rc.path.seed = config.seed;
+  rc.seed = config.seed;
+  rc.sessions = sessions;
+  rc.obs = config.obs;
+  rc.auditor = config.auditor;
+  rc.probe = config.probe;
+  rc.mirror = mirror;
+  rc.route_repair = config.repair;
+  rc.repair_span_first = config.repair_span_first;
+  rc.repair_span_last = config.repair_span_last;
+  rc.player.wm = config.wm;
+  rc.player.rm = config.rm;
+  rc.player.rebuffering = config.rebuffering;
+  rc.player.max_stall = config.max_stall;
+  rc.player.recovery = config.recovery;
+  rc.player.failover.icmp_unreachable_threshold = config.icmp_unreachable_threshold;
+  rc.player.repair = config.repair_layer;
+  rc.player.multipath = config.multipath;
+  rc.episodes = config.episodes;
 
-  std::vector<FaultedSession> sessions;
+  TurbulenceRun run{std::make_unique<SessionRig>(rc), {}};
+  SessionRig& rig = *run.rig;
+  TurbulenceRunResult& result = run.result;
   Duration longest = Duration::zero();
-  for (std::size_t i = 0; i < served.size(); ++i) {
-    sessions.push_back(make_session(net, *hosts[i], mirror_host, served[i].clip, config));
-    longest = std::max(longest, served[i].clip.length);
-  }
-
-  FaultScheduler faults(net.loop(), net.bottleneck_link(), net);
-  for (const FaultEpisode& e : config.episodes) faults.add(e);
-  faults.arm();
-
-  for (FaultedSession& s : sessions) s.client->start();
-  TurbulenceRunResult result;
-  run_budgeted(net.loop(), run_deadline(net.loop(), longest, config), config, result);
+  for (const RigSession& s : sessions) longest = std::max(longest, s.clip.length);
+  rig.start();
+  EventLoop& loop = rig.network().loop();
+  run_budgeted(loop, run_deadline(loop, longest, config), config, result);
   // Close any episode whose obs span is still open at the horizon (a budget
   // truncation can stop the loop mid-episode) and run the trial-end ledgers.
-  faults.finish();
-  if (repair) repair->finish();
-  if (config.auditor != nullptr) net.audit_finalize(*config.auditor);
+  rig.faults().finish();
+  RouteRepair* repair = rig.route_repair();
+  if (repair != nullptr) repair->finish();
+  if (config.auditor != nullptr) rig.network().audit_finalize(*config.auditor);
   // Each component's Stats record is the only count of its metrics; it
   // reaches the run's registry here, once, when the run is over.
-  if (config.obs != nullptr) {
-    obs::Registry& registry = config.obs->registry();
-    net.publish_stats(registry);
-    if (repair) publish_stats(*repair, registry);
-    for (const FaultedSession& s : sessions) {
-      publish_stats(*s.client, registry);
-      publish_stats(*s.server, registry);
-      if (s.mirror) publish_stats(*s.mirror, registry);
-    }
-  }
+  if (config.obs != nullptr) rig.publish_stats(config.obs->registry());
 
-  if (repair) {
+  if (repair != nullptr) {
     result.reroutes = repair->stats().reroutes;
     result.route_restores = repair->stats().restores;
   }
-  for (std::size_t i = 0; i < served.size(); ++i) {
-    const ClipInfo& clip = served[i].clip;
-    const FaultedSession& s = sessions[i];
+  for (std::size_t i = 0; i < sessions.size(); ++i) {
+    const ClipInfo& clip = sessions[i].clip;
     (clip.player == PlayerKind::kMediaPlayer ? result.media : result.real) =
-        collect(clip, *s.client, *s.server, s.mirror.get(), config.episodes);
+        collect(clip, rig.client(i), rig.server(i), rig.mirror(i), config.episodes);
   }
-  result.episodes = faults.records();
-  return result;
+  result.episodes = rig.faults().records();
+  return run;
 }
 
 }  // namespace
 
-void publish_stats(const StreamClient& client, obs::Registry& registry) {
-  const StreamClient::Stats s = client.stats();
-  const std::string prefix = client.obs_name() + ".";
-  registry.counter(prefix + "play_attempts").add(s.play_attempts);
-  registry.counter(prefix + "play_retries").add(s.play_attempts > 0 ? s.play_attempts - 1 : 0);
-  registry.counter(prefix + "watchdog_fired").add(s.watchdog_fired);
-  registry.counter(prefix + "rebuffer_events").add(s.rebuffer_events);
-  registry.counter(prefix + "failovers").add(s.failovers);
-  registry.counter(prefix + "icmp_unreachables").add(s.icmp_unreachables);
-  registry.counter(prefix + "packets_recovered").add(s.packets_recovered());
-  registry.counter(prefix + "nacks_sent").add(s.nacks_sent);
-  registry.counter(prefix + "nacks_suppressed").add(s.nack_suppressed);
-  registry.counter(prefix + "path_reports_sent").add(s.path_reports_sent);
-  obs::Histogram latency = registry.histogram(prefix + "repair_latency_ms", 5.0, 100);
-  for (const Duration d : client.repair_latencies()) latency.record(d.to_millis());
-}
-
-void publish_stats(const StreamServer& server, obs::Registry& registry) {
-  const StreamServer::Stats& s = server.stats();
-  const std::string prefix = server.obs_name() + ".";
-  registry.counter(prefix + "scaling_switches").add(server.scaling_level_changes());
-  registry.counter(prefix + "parity_sent").add(s.parity_packets);
-  registry.counter(prefix + "retx_sent").add(s.retx_packets);
-  registry.counter(prefix + "nacks_received").add(s.nacks_received);
-}
-
-void publish_stats(const RouteRepair& repair, obs::Registry& registry) {
-  registry.counter("repair.reroutes").add(repair.stats().reroutes);
-  registry.counter("repair.restores").add(repair.stats().restores);
+TurbulenceRun run_turbulence_rig(const ClipInfo& clip,
+                                 const TurbulenceScenarioConfig& config) {
+  return run_sessions({{clip, "server", config.seed ^ 0x524D}}, config.mirror_server, config);
 }
 
 TurbulenceRunResult run_turbulence_clip(const ClipInfo& clip,
                                         const TurbulenceScenarioConfig& config) {
-  return run_sessions({{clip, "server"}}, config.mirror_server, config);
+  return run_turbulence_rig(clip, config).result;
 }
 
 TurbulenceRunResult run_turbulence_pair(const ClipSet& set, RateTier tier,
                                         const TurbulenceScenarioConfig& config) {
   const auto pair = set.pair(tier);
   if (!pair) return {};
-  return run_sessions({{pair->first, "real-server"}, {pair->second, "media-server"}},
-                      /*mirror=*/false, config);
+  return run_sessions({{pair->first, "real-server", config.seed ^ 0x524D},
+                       {pair->second, "media-server", config.seed ^ 0x524D}},
+                      /*mirror=*/false, config)
+      .result;
 }
 
 TurbulenceScenarioConfig turbulence_base_config(const RepairLayerConfig& repair) {

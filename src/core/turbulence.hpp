@@ -9,11 +9,13 @@
 #pragma once
 
 #include <chrono>
+#include <memory>
 #include <optional>
 #include <string_view>
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "core/rig.hpp"
 #include "obs/obs.hpp"
 #include "players/client.hpp"
 #include "players/multipath.hpp"
@@ -23,8 +25,6 @@
 #include "sim/repair.hpp"
 
 namespace streamlab {
-
-class StreamServer;
 
 struct TurbulenceScenarioConfig {
   PathConfig path;
@@ -183,21 +183,18 @@ struct TurbulenceRunResult {
   }
 };
 
-// --- Metrics ---
-// A component's Stats record is the only count of its metrics. A run with
-// an Obs writes each component into the registry once, when it is over:
-// Network::publish_stats for the links and routers, and these for the rest.
+/// A turbulence run kept whole: the rig it ran on, whose components, ledgers
+/// and Stats records stay readable, and what the run measured. With an Obs,
+/// the run wrote every component's Stats into its registry
+/// (SessionRig::publish_stats) once the loop was done.
+struct TurbulenceRun {
+  std::unique_ptr<SessionRig> rig;
+  TurbulenceRunResult result;
+};
 
-/// "player.<real|media>.*": play_attempts, play_retries (play_attempts - 1),
-/// watchdog_fired, rebuffer_events, failovers, icmp_unreachables,
-/// packets_recovered, nacks_sent, nacks_suppressed and path_reports_sent,
-/// plus the histogram repair_latency_ms (5 ms buckets) of every recovery.
-void publish_stats(const StreamClient& client, obs::Registry& registry);
-/// "server.<rm|wm|port>.*": scaling_switches, parity_sent, retx_sent and
-/// nacks_received. A mirror on the same port adds into the same names.
-void publish_stats(const StreamServer& server, obs::Registry& registry);
-/// "repair.reroutes" and "repair.restores".
-void publish_stats(const RouteRepair& repair, obs::Registry& registry);
+/// run_turbulence_clip, keeping the rig: the clip streams from host "server"
+/// (a "mirror" host too with `mirror_server`).
+TurbulenceRun run_turbulence_rig(const ClipInfo& clip, const TurbulenceScenarioConfig& config);
 
 /// Streams one clip over a fresh faulted network.
 TurbulenceRunResult run_turbulence_clip(const ClipInfo& clip,

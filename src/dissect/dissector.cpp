@@ -1,18 +1,11 @@
 #include "dissect/dissector.hpp"
 
 #include <algorithm>
-#include <array>
 
 #include "net/headers.hpp"
 #include "util/strings.hpp"
 
 namespace streamlab {
-
-void DissectedPacket::set(FieldId id, MacAddress mac) {
-  std::int64_t bits = 0;
-  for (const std::uint8_t octet : mac.octets()) bits = bits << 8 | octet;
-  set(id, bits);
-}
 
 std::string DissectedPacket::display(FieldId id) const {
   const std::int64_t value = slots_[index_of(id)];
@@ -21,12 +14,6 @@ std::string DissectedPacket::display(FieldId id) const {
       return std::to_string(value);
     case FieldDisplay::kIpv4:
       return Ipv4Address(static_cast<std::uint32_t>(value)).to_string();
-    case FieldDisplay::kMac: {
-      std::array<std::uint8_t, 6> octets{};
-      for (std::size_t i = 0; i < octets.size(); ++i)
-        octets[i] = static_cast<std::uint8_t>(value >> (8 * (octets.size() - 1 - i)));
-      return MacAddress(octets).to_string();
-    }
   }
   return {};
 }
@@ -63,8 +50,9 @@ DissectedPacket dissect(const CaptureRecord& record) {
     return pkt;
   }
   pkt.add_layer(Layer::kEth);
-  pkt.set(kEthSrc, eth->src);
-  pkt.set(kEthDst, eth->dst);
+  // Presence only: no analysis reads the addresses (they stay in the frame).
+  pkt.set(kEthSrc, 0);
+  pkt.set(kEthDst, 0);
   pkt.set(kEthType, eth->ethertype);
   if (eth->ethertype != kEtherTypeIpv4) return pkt;
 

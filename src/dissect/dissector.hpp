@@ -23,9 +23,7 @@ class DissectedPacket {
 
   bool has(FieldId id) const { return (present_ >> index_of(id)) & 1; }
   /// The field's number, 0 when it is absent.
-  std::int64_t number(FieldId id) const {
-    return field_info(id).display == FieldDisplay::kMac ? 0 : slots_[index_of(id)];
-  }
+  std::int64_t number(FieldId id) const { return slots_[index_of(id)]; }
   bool has_layer(Layer layer) const { return (layers_ >> static_cast<unsigned>(layer)) & 1; }
   /// One bit per FieldId / Layer that is present.
   std::uint64_t field_mask() const { return present_; }
@@ -35,13 +33,12 @@ class DissectedPacket {
     slots_[index_of(id)] = value;
     present_ |= std::uint64_t{1} << index_of(id);
   }
-  void set(FieldId id, MacAddress mac);
   void add_layer(Layer layer) {
     layers_ |= static_cast<std::uint8_t>(1u << static_cast<unsigned>(layer));
   }
 
-  /// The field's display string ("192.168.100.10", "1755",
-  /// "02:53:4c:00:00:01", ...), formatted from its slot.
+  /// The field's display string ("192.168.100.10", "1755", ...), formatted
+  /// from its slot.
   std::string display(FieldId id) const;
   /// One-line summary ("12.345s IP 10.0.0.2 > 192.168.100.10 UDP 5005->4321 len=980").
   std::string summary() const;

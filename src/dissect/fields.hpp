@@ -11,18 +11,18 @@
 
 namespace streamlab {
 
-/// How a field's number is shown: in decimal, as a dotted quad, or as a MAC
-/// address. A MAC field keeps its 48 bits in its slot for display, but its
-/// number (what filters compare) is 0.
-enum class FieldDisplay : std::uint8_t { kDecimal, kIpv4, kMac };
+/// How a field's number is shown: in decimal or as a dotted quad.
+enum class FieldDisplay : std::uint8_t { kDecimal, kIpv4 };
 
 // (id, Wireshark name, display), grouped by layer in dissection order.
+// eth.src and eth.dst carry presence only: their number is 0, and the
+// addresses stay in the frame bytes.
 #define STREAMLAB_DISSECT_FIELDS(X)                \
   X(kFrameLen, "frame.len", kDecimal)              \
   X(kFrameCapLen, "frame.cap_len", kDecimal)       \
   X(kFrameTimeNs, "frame.time_ns", kDecimal)       \
-  X(kEthSrc, "eth.src", kMac)                      \
-  X(kEthDst, "eth.dst", kMac)                      \
+  X(kEthSrc, "eth.src", kDecimal)                  \
+  X(kEthDst, "eth.dst", kDecimal)                  \
   X(kEthType, "eth.type", kDecimal)                \
   X(kIpLen, "ip.len", kDecimal)                    \
   X(kIpId, "ip.id", kDecimal)                      \

@@ -13,13 +13,6 @@ MacAddress MacAddress::for_nic(std::uint32_t n) {
                      static_cast<std::uint8_t>(n >> 8), static_cast<std::uint8_t>(n)});
 }
 
-std::string MacAddress::to_string() const {
-  char buf[18];
-  std::snprintf(buf, sizeof buf, "%02x:%02x:%02x:%02x:%02x:%02x", octets_[0], octets_[1],
-                octets_[2], octets_[3], octets_[4], octets_[5]);
-  return buf;
-}
-
 Expected<Ipv4Address> Ipv4Address::parse(std::string_view text) {
   const auto parts = split(text, '.');
   if (parts.size() != 4) return Unexpected(std::string("IPv4 must have 4 octets"));

@@ -22,8 +22,6 @@ class MacAddress {
   constexpr const std::array<std::uint8_t, 6>& octets() const { return octets_; }
   constexpr auto operator<=>(const MacAddress&) const = default;
 
-  std::string to_string() const;
-
  private:
   std::array<std::uint8_t, 6> octets_{};
 };

@@ -35,7 +35,6 @@ class Sniffer {
   Sniffer& operator=(const Sniffer&) = delete;
 
   const CaptureTrace& trace() const { return trace_; }
-  CaptureTrace take_trace() { return std::move(trace_); }
   std::size_t packets_captured() const { return trace_.size(); }
 
  private:

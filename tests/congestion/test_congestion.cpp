@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "players/server.hpp"
 
 namespace streamlab {
 namespace {
@@ -122,45 +121,17 @@ TEST(CongestionWithScaling, ScalingRecoversQuality) {
   // Baseline: no adaptation.
   const auto baseline = run_congestion_experiment(clip, config);
 
-  // Adaptive run, assembled manually to flip scaling on.
-  PathConfig path;
-  path.hop_count = config.hop_count;
-  path.one_way_propagation = config.one_way_propagation;
-  path.bottleneck_bandwidth = config.bottleneck;
-  path.queue_limit_bytes = config.queue_limit_bytes;
-  path.loss_probability = 0.0;
-  path.seed = config.seed;
-
-  Network net(path);
-  Host& server_host = net.add_server("server");
-  const EncodedClip encoded = encode_clip(clip, config.seed);
-  WmServer server(server_host, encoded, config.wm, kMediaServerPort);
-
-  MediaScalingPolicy policy;
-  policy.enabled = true;
-  server.enable_scaling(policy);
-
-  StreamClient::Config cc;
-  cc.kind = clip.player;
-  cc.scaling = policy;
-  StreamClient client(net.client(), server.clip(),
-                      Endpoint{server_host.address(), kMediaServerPort}, cc);
-  client.start();
-  net.loop().run_until(net.loop().now() + clip.length * 2 + Duration::seconds(60));
+  const ScalingResult adaptive = run_scaling_experiment(clip, config);
 
   // The server actually adapted.
-  EXPECT_GT(server.scaling_level_changes(), 0u);
-  EXPECT_LT(server.scaling_keep_fraction(), 1.0);
-  EXPECT_GT(server.frames_thinned(), 0u);
-  EXPECT_GT(client.receiver_reports_sent(), 5u);
+  EXPECT_GT(adaptive.level_changes, 0u);
+  EXPECT_LT(adaptive.keep_fraction, 1.0);
+  EXPECT_GT(adaptive.frames_thinned, 0u);
+  EXPECT_GT(adaptive.reports, 5u);
 
   // Of the frames the server chose to send, far more arrive on time than in
-  // the unadapted overload run. Sent frames = total - thinned.
-  const double sent_frames =
-      static_cast<double>(encoded.frames().size()) - server.frames_thinned();
-  const double rendered = client.stats().frames_rendered;
-  const double adaptive_quality = 100.0 * rendered / sent_frames;
-  EXPECT_GT(adaptive_quality, baseline.reception_quality + 10.0);
+  // the unadapted overload run.
+  EXPECT_GT(adaptive.quality_of_sent, baseline.reception_quality + 10.0);
 }
 
 }  // namespace

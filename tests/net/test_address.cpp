@@ -5,11 +5,6 @@
 namespace streamlab {
 namespace {
 
-TEST(MacAddress, ToStringIsColonSeparatedLowercaseHex) {
-  const MacAddress mac({0x02, 0x53, 0x4c, 0x00, 0x01, 0xFF});
-  EXPECT_EQ(mac.to_string(), "02:53:4c:00:01:ff");
-}
-
 TEST(MacAddress, ForNicIsDeterministicAndDistinct) {
   EXPECT_EQ(MacAddress::for_nic(1), MacAddress::for_nic(1));
   EXPECT_NE(MacAddress::for_nic(1), MacAddress::for_nic(2));

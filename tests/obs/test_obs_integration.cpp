@@ -87,8 +87,7 @@ TEST(ObsIntegration, LinkAndPlayerCountersRecorded) {
 /// equals the sum of the Stats fields it is read from. The run is the
 /// multipath-flap scenario with FEC + NACK repair (a chain router dies and
 /// the repair plane reroutes, then a detour router flaps; a mirror stands
-/// by), built here the way
-/// run_turbulence_clip builds it so the records can be read afterwards.
+/// by), run by run_turbulence_rig, whose rig stays readable afterwards.
 /// Links are compared per family ("link.delivered" summed over every link):
 /// their labels are the network's own.
 TEST(ObsIntegration, RegistryCountersEqualStatsRecords) {
@@ -100,47 +99,18 @@ TEST(ObsIntegration, RegistryCountersEqualStatsRecords) {
   // A chain router dies before the detour flaps: the repair plane reroutes.
   cfg.episodes.push_back(router_down_episode(3, 15.0, 5.0));
   const ClipInfo clip = table1_catalog()[0].pair(RateTier::kLow)->second;
-
   obs::Obs obs;
-  PathConfig path = cfg.path;
-  path.seed = cfg.seed;
-  Network net(path);
-  net.attach_observer(obs);
-  Host& server_host = net.add_server("server");
-  Host& mirror_host = net.add_server("mirror");
-  RouteRepair repair(net, *cfg.repair);
-  const EncodedClip encoded = encode_clip(clip, cfg.seed);
-  const auto server = make_server(server_host, encoded, cfg.wm, cfg.rm, cfg.seed);
-  const auto mirror = make_server(mirror_host, encoded, cfg.wm, cfg.rm, cfg.seed);
-  server->enable_repair(cfg.repair_layer);
-  mirror->enable_repair(cfg.repair_layer);
-  const Network::MultipathEndpoints ep = net.enable_multipath(server_host);
-  MultipathConfig mp = cfg.multipath;
-  mp.client_alias = ep.client_alias;
-  mp.server_alias = ep.server_alias;
-  server->enable_multipath(mp);
-  StreamClient::Config cc;
-  cc.kind = clip.player;
-  cc.rebuffering = cfg.rebuffering;
-  cc.max_stall = cfg.max_stall;
-  cc.recovery = cfg.recovery;
-  cc.repair = cfg.repair_layer;
-  cc.repair.nack_reorder_tolerance = mp.nack_reorder_tolerance;
-  cc.multipath = mp;
-  cc.failover.mirrors.push_back(mirror->endpoint());
-  StreamClient client(net.client(), server->clip(), server->endpoint(), cc);
-  FaultScheduler faults(net.loop(), net.bottleneck_link(), net);
-  for (const FaultEpisode& e : cfg.episodes) faults.add(e);
-  faults.arm();
-  client.start();
-  net.loop().run();
-
-  obs::Registry& registry = obs.registry();
-  net.publish_stats(registry);
-  publish_stats(repair, registry);
-  publish_stats(client, registry);
-  publish_stats(*server, registry);
-  publish_stats(*mirror, registry);
+  cfg.obs = &obs;
+  const TurbulenceRun run = run_turbulence_rig(clip, cfg);
+  SessionRig& rig = *run.rig;
+  Network& net = rig.network();
+  const StreamClient& client = rig.client(0);
+  const StreamServer& server = rig.server(0);
+  ASSERT_NE(rig.mirror(0), nullptr);
+  const StreamServer& mirror = *rig.mirror(0);
+  ASSERT_NE(rig.route_repair(), nullptr);
+  const RouteRepair& repair = *rig.route_repair();
+  const obs::Registry& registry = obs.registry();
 
   std::map<std::string, std::uint64_t> want;
   for (std::size_t i = 0; i < net.link_count(); ++i) {
@@ -173,10 +143,10 @@ TEST(ObsIntegration, RegistryCountersEqualStatsRecords) {
   want["player.media.nacks_sent"] = c.nacks_sent;
   want["player.media.nacks_suppressed"] = c.nack_suppressed;
   want["player.media.path_reports_sent"] = c.path_reports_sent;
-  const StreamServer::Stats& s = server->stats();
-  const StreamServer::Stats& m = mirror->stats();
+  const StreamServer::Stats& s = server.stats();
+  const StreamServer::Stats& m = mirror.stats();
   want["server.wm.scaling_switches"] =
-      server->scaling_level_changes() + mirror->scaling_level_changes();
+      server.scaling_level_changes() + mirror.scaling_level_changes();
   want["server.wm.parity_sent"] = s.parity_packets + m.parity_packets;
   want["server.wm.retx_sent"] = s.retx_packets + m.retx_packets;
   want["server.wm.nacks_received"] = s.nacks_received + m.nacks_received;

@@ -11,6 +11,7 @@
 #include "dissect/conversations.hpp"
 #include "filter/evaluator.hpp"
 #include "net/fragmentation.hpp"
+#include "net/headers.hpp"
 #include "pcap/pcap_file.hpp"
 #include "util/rng.hpp"
 
@@ -78,10 +79,17 @@ std::optional<std::size_t> read_and_dissect(const std::string& bytes) {
     return std::nullopt;
   }
   const std::vector<DissectedPacket> packets = dissect_trace(*trace);
-  for (const DissectedPacket& d : packets) {
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    const DissectedPacket& d = packets[i];
     EXPECT_TRUE(d.has(FieldId::kFrameLen));
     for (const FieldInfo& f : kFields) (void)d.display(f.id);
     EXPECT_FALSE(d.summary().empty());
+    // The MAC addresses stay in the frame bytes; the dissection marks
+    // eth.src and eth.dst present exactly when the bytes hold them.
+    ByteReader frame(trace->records()[i].data);
+    const bool has_macs = EthernetHeader::decode(frame).has_value();
+    EXPECT_EQ(d.has(FieldId::kEthSrc), has_macs);
+    EXPECT_EQ(d.has(FieldId::kEthDst), has_macs);
   }
   (void)filter::DisplayFilter::compile("ip.frag_offset > 0 || udp.port == 1755")
       ->select(packets);

@@ -4,10 +4,10 @@
 
 #include <vector>
 
+#include "core/rig.hpp"
 #include "media/encoder.hpp"
 #include "players/client.hpp"
 #include "players/server.hpp"
-#include "sim/network.hpp"
 
 namespace streamlab::testutil {
 
@@ -39,30 +39,39 @@ inline void record_sends(StreamServer& server, std::vector<StreamServer::SendEve
   server.on_send([&log](const StreamServer::SendEvent& e) { log.push_back(e); });
 }
 
-/// One complete single-clip session over a fresh network, its server's
-/// sends recorded in `send_log`.
+/// One complete single-clip session on a fresh rig, its client configured
+/// by `player`, its server's sends recorded in `send_log`.
 struct Session {
-  Network net;
-  Host& server_host;
-  EncodedClip encoded;
-  std::unique_ptr<StreamServer> server;
-  std::unique_ptr<StreamClient> client;
+  SessionRig rig;
+  Network& net;
+  StreamServer* server;
+  StreamClient* client;
+  const EncodedClip& encoded;
   std::vector<StreamServer::SendEvent> send_log;
 
   explicit Session(const ClipInfo& clip, PathConfig path = fast_path(),
-                   std::uint64_t seed = 7)
-      : net(path), server_host(net.add_server("srv")), encoded(encode_clip(clip, seed)) {
-    server = make_server(server_host, encoded, WmBehavior{}, RmBehavior{}, seed);
+                   std::uint64_t seed = 7, const StreamClient::Config& player = {})
+      : rig(config(clip, path, seed, player)),
+        net(rig.network()),
+        server(&rig.server(0)),
+        client(&rig.client(0)),
+        encoded(server->clip()) {
     record_sends(*server, send_log);
-    StreamClient::Config cc;
-    cc.kind = clip.player;
-    client = std::make_unique<StreamClient>(net.client(), server->clip(),
-                                            server->endpoint(), cc);
+  }
+
+  static SessionRig::Config config(const ClipInfo& clip, const PathConfig& path,
+                                   std::uint64_t seed, const StreamClient::Config& player) {
+    SessionRig::Config rc;
+    rc.path = path;
+    rc.seed = seed;
+    rc.sessions.push_back({clip, "srv", seed});
+    rc.player = player;
+    return rc;
   }
 
   /// Starts and runs to quiescence (clip length + slack).
   void run(Duration slack = Duration::seconds(30)) {
-    client->start();
+    rig.start();
     net.loop().run_until(net.loop().now() + encoded.info().length + slack);
   }
 };

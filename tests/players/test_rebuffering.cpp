@@ -9,35 +9,17 @@ namespace {
 using testutil::fast_path;
 using testutil::short_clip;
 
-/// Session variant with a configurable client.
-struct RebufferSession {
-  Network net;
-  Host& server_host;
-  EncodedClip encoded;
-  std::unique_ptr<StreamServer> server;
-  std::unique_ptr<StreamClient> client;
-
-  RebufferSession(const ClipInfo& clip, PathConfig path, bool rebuffering)
-      : net(path), server_host(net.add_server("srv")), encoded(encode_clip(clip, 7)) {
-    server = std::make_unique<WmServer>(server_host, encoded, WmBehavior{},
-                                        kMediaServerPort);
-    StreamClient::Config cc;
-    cc.kind = clip.player;
-    cc.rebuffering = rebuffering;
-    client = std::make_unique<StreamClient>(
-        net.client(), server->clip(), Endpoint{server_host.address(), kMediaServerPort},
-        cc);
-  }
-
-  void run(Duration slack = Duration::seconds(120)) {
-    client->start();
-    net.loop().run_until(net.loop().now() + encoded.info().length + slack);
-  }
-};
+/// A session over `path` with its client in stall (rebuffering) or drop mode.
+testutil::Session rebuffer_session(const ClipInfo& clip, const PathConfig& path,
+                                   bool rebuffering) {
+  StreamClient::Config player;
+  player.rebuffering = rebuffering;
+  return testutil::Session(clip, path, 7, player);
+}
 
 TEST(Rebuffering, CleanPathBehavesLikeDropMode) {
   const auto clip = short_clip(PlayerKind::kMediaPlayer, 150, 15);
-  RebufferSession s(clip, fast_path(), /*rebuffering=*/true);
+  auto s = rebuffer_session(clip, fast_path(), /*rebuffering=*/true);
   s.run();
   EXPECT_TRUE(s.client->stats().completed);
   EXPECT_EQ(s.client->stats().frames_dropped, 0u);
@@ -56,9 +38,9 @@ TEST(Rebuffering, LossCausesStallsNotDrops) {
   lossy.seed = 3;
   const auto clip = short_clip(PlayerKind::kMediaPlayer, 150, 15);
 
-  RebufferSession drop(clip, lossy, false);
+  auto drop = rebuffer_session(clip, lossy, false);
   drop.run();
-  RebufferSession stall(clip, lossy, true);
+  auto stall = rebuffer_session(clip, lossy, true);
   stall.run(Duration::seconds(300));
 
   ASSERT_GT(drop.client->stats().frames_dropped, 0u);  // loss actually happened
@@ -75,7 +57,7 @@ TEST(Rebuffering, FrameEventsStayOrderedAndComplete) {
   lossy.loss_probability = 0.01;
   lossy.seed = 9;
   const auto clip = short_clip(PlayerKind::kMediaPlayer, 100, 12);
-  RebufferSession s(clip, lossy, true);
+  auto s = rebuffer_session(clip, lossy, true);
   s.run(Duration::seconds(300));
 
   ASSERT_TRUE(s.client->stats().completed);
@@ -95,7 +77,7 @@ TEST(Rebuffering, MaxStallBoundsSingleWait) {
   lossy.loss_probability = 0.02;
   lossy.seed = 5;
   const auto clip = short_clip(PlayerKind::kMediaPlayer, 100, 10);
-  RebufferSession s(clip, lossy, true);
+  auto s = rebuffer_session(clip, lossy, true);
   s.run(Duration::seconds(600));
   ASSERT_TRUE(s.client->stats().completed);
   // Total stall is bounded by events x max_stall.

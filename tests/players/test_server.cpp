@@ -26,7 +26,7 @@ TEST(StreamServer, IgnoresMismatchedClipId) {
   // A rogue client asks for a different clip id.
   ControlMessage wrong{ControlType::kPlayRequest, "set9/M-x"};
   const auto bytes = wrong.encode();
-  s.net.client().udp_send(5555, Endpoint{s.server_host.address(), kMediaServerPort},
+  s.net.client().udp_send(5555, Endpoint{s.server->endpoint().ip, kMediaServerPort},
                           bytes);
   s.net.loop().run_until(SimTime::from_seconds(2));
   EXPECT_FALSE(s.server->started());
@@ -58,7 +58,7 @@ TEST(StreamServer, PlayWithOffsetResumesMidClip) {
   const std::uint64_t resume = s.encoded.total_bytes() / 2;
   ControlMessage play{ControlType::kPlayRequest, s.encoded.info().id()};
   play.offset = resume;
-  s.net.client().udp_send(5555, Endpoint{s.server_host.address(), kMediaServerPort},
+  s.net.client().udp_send(5555, Endpoint{s.server->endpoint().ip, kMediaServerPort},
                           play.encode());
   s.net.loop().run_until(s.net.loop().now() + s.encoded.info().length +
                          Duration::seconds(30));
@@ -76,7 +76,7 @@ TEST(StreamServer, PlayOffsetPastEndClampsToEnd) {
   Session s(short_clip(PlayerKind::kMediaPlayer, 100));
   ControlMessage play{ControlType::kPlayRequest, s.encoded.info().id()};
   play.offset = s.encoded.total_bytes() + 1000;
-  s.net.client().udp_send(5555, Endpoint{s.server_host.address(), kMediaServerPort},
+  s.net.client().udp_send(5555, Endpoint{s.server->endpoint().ip, kMediaServerPort},
                           play.encode());
   s.net.loop().run_until(s.net.loop().now() + s.encoded.info().length +
                          Duration::seconds(30));

@@ -3,39 +3,42 @@
 #include <gtest/gtest.h>
 
 #include "../players/player_test_util.hpp"
+#include "core/rig.hpp"
 
 namespace streamlab {
 namespace {
 
-using testutil::Session;
 using testutil::short_clip;
 
-struct TrackedSession : Session {
-  PlayerTracker tracker;
-
-  explicit TrackedSession(const ClipInfo& clip) : Session(clip), tracker(*client) {}
-
-  void run_tracked() {
-    client->start();
-    tracker.start();
-    net.loop().run_until(net.loop().now() + encoded.info().length +
-                         Duration::seconds(30));
-  }
-};
+/// Streams `clip` over the fast test path with a tracker on its player, to
+/// the clip's end plus 30 s; `repair` runs at both ends.
+std::unique_ptr<SessionRig> tracked_run(const ClipInfo& clip, double loss = 0.0,
+                                        const RepairLayerConfig& repair = {}) {
+  SessionRig::Config rc;
+  rc.path = testutil::fast_path();
+  rc.path.loss_probability = loss;
+  rc.seed = 7;
+  rc.sessions.push_back({clip, "srv", 7});
+  rc.player.repair = repair;
+  rc.trackers = true;
+  auto rig = std::make_unique<SessionRig>(rc);
+  rig->start();
+  EventLoop& loop = rig->network().loop();
+  loop.run_until(loop.now() + clip.length + Duration::seconds(30));
+  return rig;
+}
 
 TEST(PlayerTracker, SamplesOncePerSecond) {
-  TrackedSession s(short_clip(PlayerKind::kMediaPlayer, 100, 20));
-  s.run_tracked();
-  const auto& samples = s.tracker.samples();
+  const auto rig = tracked_run(short_clip(PlayerKind::kMediaPlayer, 100, 20));
+  const auto& samples = rig->tracker(0).samples();
   ASSERT_GT(samples.size(), 15u);
   for (std::size_t i = 1; i < samples.size(); ++i)
     EXPECT_EQ((samples[i].time - samples[i - 1].time), Duration::seconds(1));
 }
 
 TEST(PlayerTracker, BufferingFlagDuringPreroll) {
-  TrackedSession s(short_clip(PlayerKind::kMediaPlayer, 100, 20));
-  s.run_tracked();
-  const auto& samples = s.tracker.samples();
+  const auto rig = tracked_run(short_clip(PlayerKind::kMediaPlayer, 100, 20));
+  const auto& samples = rig->tracker(0).samples();
   // First few samples are in the 5 s WM preroll; later ones are playing.
   EXPECT_TRUE(samples.front().buffering);
   EXPECT_FALSE(samples.back().buffering);
@@ -51,45 +54,41 @@ TEST(PlayerTracker, BufferingFlagDuringPreroll) {
 
 TEST(PlayerTracker, FrameRateReflectsNominalRate) {
   const auto clip = short_clip(PlayerKind::kRealPlayer, 100, 20);
-  TrackedSession s(clip);
-  s.run_tracked();
-  const TrackerReport report = s.tracker.report();
+  const TrackerReport report = tracked_run(clip)->tracker(0).report();
   const double nominal = nominal_frame_rate(clip.player, clip.encoded_rate);
   EXPECT_NEAR(report.average_frame_rate, nominal, 1.5);
 }
 
 TEST(PlayerTracker, ReportTotalsMatchClient) {
-  TrackedSession s(short_clip(PlayerKind::kMediaPlayer, 150, 15));
-  s.run_tracked();
-  const TrackerReport report = s.tracker.report();
-  EXPECT_EQ(report.total_packets, s.client->stats().packets_received);
-  EXPECT_EQ(report.total_lost, s.client->stats().packets_lost);
-  EXPECT_EQ(report.frames_rendered, s.client->stats().frames_rendered);
-  EXPECT_EQ(report.frames_dropped, s.client->stats().frames_dropped);
-  EXPECT_EQ(report.clip_id, s.encoded.info().id());
+  const auto clip = short_clip(PlayerKind::kMediaPlayer, 150, 15);
+  const auto rig = tracked_run(clip);
+  const TrackerReport report = rig->tracker(0).report();
+  const StreamClient::Stats stats = rig->client(0).stats();
+  EXPECT_EQ(report.total_packets, stats.packets_received);
+  EXPECT_EQ(report.total_lost, stats.packets_lost);
+  EXPECT_EQ(report.frames_rendered, stats.frames_rendered);
+  EXPECT_EQ(report.frames_dropped, stats.frames_dropped);
+  EXPECT_EQ(report.clip_id, clip.id());
   EXPECT_EQ(report.player, PlayerKind::kMediaPlayer);
-  EXPECT_EQ(report.encoded_rate, s.encoded.info().encoded_rate);
+  EXPECT_EQ(report.encoded_rate, clip.encoded_rate);
   EXPECT_EQ(report.transport, "UDP");
 }
 
 TEST(PlayerTracker, ReceptionQualityOnCleanPath) {
-  TrackedSession s(short_clip(PlayerKind::kRealPlayer, 60, 15));
-  s.run_tracked();
-  EXPECT_GT(s.tracker.report().reception_quality(), 98.0);
+  const auto rig = tracked_run(short_clip(PlayerKind::kRealPlayer, 60, 15));
+  EXPECT_GT(rig->tracker(0).report().reception_quality(), 98.0);
 }
 
 TEST(PlayerTracker, StartupDelayCoversPreroll) {
-  TrackedSession s(short_clip(PlayerKind::kMediaPlayer, 100, 15));
-  s.run_tracked();
-  const auto report = s.tracker.report();
+  const auto report =
+      tracked_run(short_clip(PlayerKind::kMediaPlayer, 100, 15))->tracker(0).report();
   EXPECT_GE(report.startup_delay, WmBehavior{}.preroll);
   EXPECT_LT(report.startup_delay, WmBehavior{}.preroll + Duration::seconds(2));
 }
 
 TEST(PlayerTracker, BandwidthSamplesTrackStreaming) {
-  TrackedSession s(short_clip(PlayerKind::kMediaPlayer, 200, 20));
-  s.run_tracked();
-  const auto& samples = s.tracker.samples();
+  const auto rig = tracked_run(short_clip(PlayerKind::kMediaPlayer, 200, 20));
+  const auto& samples = rig->tracker(0).samples();
   // Mid-stream samples show ~200 Kbps; after streaming ends they drop to 0.
   double mid = 0.0;
   int mid_n = 0;
@@ -129,57 +128,18 @@ TEST(TrackerReport, ReceptionQualitySumsInWideIntegerSpace) {
 
 // --- recovered-packet column ---
 
-/// A lossy session with the FEC+NACK repair layer attached to both ends, so
-/// the tracker has recoveries to record.
-struct RepairedTrackedSession {
-  Network net;
-  Host& server_host;
-  EncodedClip encoded;
-  std::unique_ptr<StreamServer> server;
-  std::unique_ptr<StreamClient> client;
-  std::unique_ptr<PlayerTracker> tracker;
-
-  explicit RepairedTrackedSession(const ClipInfo& clip, double loss)
-      : net([&] {
-          PathConfig path = testutil::fast_path();
-          path.loss_probability = loss;
-          return path;
-        }()),
-        server_host(net.add_server("srv")),
-        encoded(encode_clip(clip, 7)) {
-    RepairLayerConfig repair;
-    repair.fec_k = 8;
-    repair.fec_stride = 1;
-    repair.nack = true;
-    server = std::make_unique<WmServer>(server_host, encoded, WmBehavior{},
-                                        kMediaServerPort);
-    server->enable_repair(repair);
-    StreamClient::Config cc;
-    cc.kind = clip.player;
-    cc.repair = repair;
-    client = std::make_unique<StreamClient>(
-        net.client(), server->clip(),
-        Endpoint{server_host.address(), kMediaServerPort}, cc);
-    tracker = std::make_unique<PlayerTracker>(*client);
-  }
-
-  void run_tracked() {
-    client->start();
-    tracker->start();
-    net.loop().run_until(net.loop().now() + encoded.info().length +
-                         Duration::seconds(30));
-  }
-};
-
 TEST(PlayerTracker, RecoveredColumnTracksRepairLayer) {
-  RepairedTrackedSession s(short_clip(PlayerKind::kMediaPlayer, 150, 15), 0.05);
-  s.run_tracked();
-  const TrackerReport report = s.tracker->report();
-  EXPECT_GT(s.client->stats().packets_recovered(), 0u);
-  EXPECT_EQ(report.total_recovered, s.client->stats().packets_recovered());
+  RepairLayerConfig repair;
+  repair.fec_k = 8;
+  repair.fec_stride = 1;
+  repair.nack = true;
+  const auto rig = tracked_run(short_clip(PlayerKind::kMediaPlayer, 150, 15), 0.05, repair);
+  const TrackerReport report = rig->tracker(0).report();
+  EXPECT_GT(rig->client(0).stats().packets_recovered(), 0u);
+  EXPECT_EQ(report.total_recovered, rig->client(0).stats().packets_recovered());
   // Samples accumulate monotonically up to the session total.
   std::uint64_t prev = 0;
-  for (const auto& smp : s.tracker->samples()) {
+  for (const auto& smp : rig->tracker(0).samples()) {
     EXPECT_GE(smp.packets_recovered, prev);
     prev = smp.packets_recovered;
   }
@@ -187,11 +147,10 @@ TEST(PlayerTracker, RecoveredColumnTracksRepairLayer) {
 }
 
 TEST(PlayerTracker, RecoveredColumnStaysZeroWithoutRepair) {
-  TrackedSession s(short_clip(PlayerKind::kMediaPlayer, 100, 10));
-  s.run_tracked();
-  const TrackerReport report = s.tracker.report();
+  const auto rig = tracked_run(short_clip(PlayerKind::kMediaPlayer, 100, 10));
+  const TrackerReport report = rig->tracker(0).report();
   EXPECT_EQ(report.total_recovered, 0u);
-  for (const auto& smp : s.tracker.samples()) EXPECT_EQ(smp.packets_recovered, 0u);
+  for (const auto& smp : rig->tracker(0).samples()) EXPECT_EQ(smp.packets_recovered, 0u);
 }
 
 }  // namespace
