@@ -68,6 +68,38 @@ TEST(Fleet, AuditCleanAndProbeFolded) {
   EXPECT_EQ(probe.events(), r.packets_delivered);
 }
 
+// `turbulence_lab --fleet 10000 --verify-determinism` as a tier-1 test: the
+// default fleet, fully audited and probed, run twice. The digest pins the
+// scheduler's fire order over ~3.3M events at a ~10^4-deep queue.
+TEST(Fleet, TenThousandSessionsAuditedAndReplayVerified) {
+  struct Run {
+    FleetResult result;
+    audit::Auditor auditor;
+    audit::DeterminismProbe probe;
+  };
+  const auto run = [](Run& out) {
+    FleetConfig config;
+    config.sessions = 10'000;
+    config.seed = 1;
+    config.auditor = &out.auditor;
+    config.probe = &out.probe;
+    out.result = run_fleet(config);
+  };
+  Run first;
+  Run replay;
+  run(first);
+  run(replay);
+  for (const Run* r : {&first, &replay}) {
+    EXPECT_TRUE(r->auditor.report().clean()) << r->auditor.report().summary();
+    EXPECT_GT(r->auditor.report().checks_performed, r->result.events_executed);
+  }
+  EXPECT_EQ(first.result.digest, replay.result.digest);
+  EXPECT_EQ(first.result.events_executed, replay.result.events_executed);
+  EXPECT_EQ(first.probe.digest(), replay.probe.digest());
+  EXPECT_EQ(first.probe.events(), first.result.packets_delivered);
+  EXPECT_EQ(first.result.digest, 0x3d11cc04de89d0ecULL);
+}
+
 // --- Campaign worker parity on chaos + repair scenarios ---
 
 std::string read_file(const std::string& path) {
