@@ -5,7 +5,9 @@
 // scheduled event. EventFn is a move-only callable with 48 bytes of inline
 // storage — enough for the captures the players, links and fleet sessions
 // schedule (a couple of pointers and an index) — so the common path stores
-// the closure directly inside the queued event. Larger or throwing-move
+// the closure directly inside the event loop's slab slot, where it stays
+// until it has run: it is moved once, into the slot, and called in place
+// (sim/event_loop.hpp). Larger or throwing-move
 // captures fall back to a single heap cell, preserving std::function
 // semantics for the rare big capture. A packet is one such capture: an
 // Ipv4Packet is 48 bytes on its own, so a link's delivery event captures
@@ -21,9 +23,10 @@ namespace streamlab {
 
 class EventFn {
  public:
-  /// Inline capture budget. Sized so the queued Event (when + seq + fn + ctl)
-  /// still packs a handful per cache-line pair; captures up to this size with
-  /// a noexcept move constructor stay allocation-free.
+  /// Inline capture budget, sized for the simulator's captures (a couple of
+  /// pointers and an index); with the ops pointer and the cancel block an
+  /// event's slab slot is 80 bytes. Captures up to this size with a noexcept
+  /// move constructor stay allocation-free.
   static constexpr std::size_t kInlineBytes = 48;
 
   EventFn() noexcept = default;
@@ -62,6 +65,14 @@ class EventFn {
   /// True when the capture lives in the inline buffer (no heap cell).
   bool is_inline() const noexcept { return ops_ != nullptr && ops_->inline_storage; }
 
+  /// Destroys the capture, leaving the EventFn empty.
+  void reset() noexcept {
+    if (ops_ != nullptr) {
+      ops_->destroy(buf_);
+      ops_ = nullptr;
+    }
+  }
+
  private:
   struct Ops {
     void (*call)(void*);
@@ -97,13 +108,6 @@ class EventFn {
       other.ops_ = nullptr;
     }
   }
-  void reset() noexcept {
-    if (ops_ != nullptr) {
-      ops_->destroy(buf_);
-      ops_ = nullptr;
-    }
-  }
-
   alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
   const Ops* ops_ = nullptr;
 };

@@ -55,23 +55,48 @@ void EventCtl::release(EventCtl* ctl) {
 
 EventCtl::PoolStats EventCtl::pool_stats() { return ctl_pool().stats; }
 
-EventLoop::EventLoop() : wheel_(std::make_unique<detail::TimingWheel<Event>>()) {}
+EventLoop::EventLoop() : wheel_(std::make_unique<detail::TimingWheel>()) {}
 
 EventLoop::~EventLoop() {
   // Handles may outlive the loop: detach their count pointer so a late
-  // cancel() flips the flag without touching freed memory.
-  wheel_->for_each([](Event& ev) {
-    if (EventCtl* ctl = ev.ctl.get()) ctl->live = nullptr;
-  });
+  // cancel() flips the flag without touching freed memory. Free slots hold
+  // no control block, so walking every slot visits exactly the queued ones.
+  for (const auto& chunk : chunks_) {
+    for (std::uint32_t i = 0; i < kChunkSlots; ++i) {
+      if (EventCtl* ctl = chunk[i].ctl.get()) ctl->live = nullptr;
+    }
+  }
 }
 
-void EventLoop::enqueue(SimTime when, EventFn fn, obs::EventCategory category,
+std::uint32_t EventLoop::acquire_slot() {
+  if (free_slots_.empty()) {
+    // Grow by one chunk; the ones before it stay where they are, so a
+    // callback running in place in one of them is unaffected.
+    const auto base = static_cast<std::uint32_t>(chunks_.size()) * kChunkSlots;
+    chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+    for (std::uint32_t i = kChunkSlots; i-- > 0;) free_slots_.push_back(base + i);
+  }
+  const std::uint32_t i = free_slots_.back();
+  free_slots_.pop_back();
+  return i;
+}
+
+void EventLoop::release_slot(std::uint32_t i) {
+  Slot& s = slot(i);
+  s.fn.reset();
+  s.ctl = EventCtlRef();
+  free_slots_.push_back(i);
+}
+
+void EventLoop::enqueue(SimTime when, EventFn&& fn, obs::EventCategory category,
                         EventCtlRef ctl) {
   if (when < now_) when = now_;
-  Event ev{when,
-           (next_seq_++ << kCategoryBits) | static_cast<std::uint64_t>(category),
-           std::move(fn), std::move(ctl)};
-  wheel_->push(std::move(ev));
+  const std::uint32_t i = acquire_slot();
+  Slot& s = slot(i);
+  s.fn = std::move(fn);
+  s.ctl = std::move(ctl);
+  wheel_->push(detail::EventKey{
+      when, (next_seq_++ << kCategoryBits) | static_cast<std::uint64_t>(category), i});
   ++live_count_;
 }
 
@@ -99,27 +124,32 @@ void EventLoop::post_in(Duration delay, EventFn fn, obs::EventCategory category)
 
 bool EventLoop::fire_next(SimTime deadline) {
   for (;;) {
-    Event* top = wheel_->peek();
+    const detail::EventKey* top = wheel_->peek();
     if (top == nullptr) return false;
     if (top->when > deadline) return false;
-    if (EventCtl* ctl = top->ctl.get(); ctl != nullptr && !ctl->alive) {
+    const detail::EventKey key = wheel_->pop();
+    // The slot stays owned by this event until release_slot(), and its
+    // chunk never moves, so the callback runs in place even if it
+    // schedules enough events to grow the slab.
+    Slot& s = slot(key.slot);
+    if (EventCtl* ctl = s.ctl.get(); ctl != nullptr && !ctl->alive) {
       // Cancelled: the live count was settled at cancel() time.
-      (void)wheel_->pop();
+      release_slot(key.slot);
       continue;
     }
-    Event ev = wheel_->pop();
-    if (auditor_ != nullptr) auditor_->on_event_dispatch(ev.when, now_);
-    now_ = ev.when;
+    if (auditor_ != nullptr) auditor_->on_event_dispatch(key.when, now_);
+    now_ = key.when;
     // Settle the bookkeeping whether fn returns or throws: the event *did*
     // fire either way, so the liveness flag flips (making the handle report
     // not-pending and a late cancel() a harmless no-op — it may already be
     // false if fn cancelled its own handle, in which case cancel() settled
-    // the count) and the executed count advances. Without this a throwing
-    // callback would leave live_count_ permanently overstating the queue.
-    // Handle-free post_* events have no control block and cannot be
-    // cancelled, so their liveness settles unconditionally here.
-    const auto settle = [this, &ev] {
-      if (EventCtl* ctl = ev.ctl.get()) {
+    // the count), the executed count advances and the slot is freed.
+    // Without this a throwing callback would leave live_count_ permanently
+    // overstating the queue and its slot lost to the slab. Handle-free
+    // post_* events have no control block and cannot be cancelled, so their
+    // liveness settles unconditionally here.
+    const auto settle = [this, &s, key] {
+      if (EventCtl* ctl = s.ctl.get()) {
         if (ctl->alive) {
           ctl->alive = false;
           --live_count_;
@@ -129,11 +159,12 @@ bool EventLoop::fire_next(SimTime deadline) {
       }
       ++executed_;
       if (obs_ != nullptr)
-        obs_->on_loop_event(static_cast<obs::EventCategory>(ev.seq & kCategoryMask),
+        obs_->on_loop_event(static_cast<obs::EventCategory>(key.seq & kCategoryMask),
                             live_count_, now_);
+      release_slot(key.slot);
     };
     try {
-      ev.fn();
+      s.fn();
     } catch (...) {
       settle();
       throw;

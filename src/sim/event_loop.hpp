@@ -6,10 +6,16 @@
 // behaviour — link serialization, propagation, player send timers, client
 // playout — is expressed as events on one loop.
 //
-// The queue is a hierarchical timing wheel (sim/timing_wheel.hpp) with O(1)
-// insert and cursor-jump bucket drains. The binary heap it replaced survives
-// only as a test oracle: tests/sim/test_scheduler_differential.cpp replays
-// adversarial schedules through both and demands identical recordings.
+// The queue is split in two. A hierarchical timing wheel
+// (sim/timing_wheel.hpp) orders 24-byte keys (when, seq, slot) with O(1)
+// insert and cursor-jump bucket drains; the callback and its cancel block
+// are written once into `slot` of a per-loop slab and stay there until the
+// event settles. The slab is a list of fixed-size chunks, so a slot's
+// address is stable: fire_next() runs the callback in place even when it
+// schedules enough events to grow the slab. The binary heap the wheel
+// replaced survives only as a test oracle:
+// tests/sim/test_scheduler_differential.cpp replays adversarial schedules
+// through both and demands identical recordings.
 #pragma once
 
 #include <cstdint>
@@ -174,22 +180,30 @@ class EventLoop {
   static_assert(static_cast<std::uint64_t>(obs::EventCategory::kCount) <=
                 (std::uint64_t{1} << kCategoryBits));
 
-  struct Event {
-    SimTime when;
-    std::uint64_t seq;
+  // A queued event's payload, written once by enqueue() and cleared by
+  // release_slot() when the event fires or is purged after a cancel.
+  struct Slot {
     EventFn fn;
     EventCtlRef ctl;  // null for post_at/post_in events (never cancellable)
   };
+  static constexpr std::uint32_t kChunkSlots = 256;
 
-  void enqueue(SimTime when, EventFn fn, obs::EventCategory category, EventCtlRef ctl);
+  void enqueue(SimTime when, EventFn&& fn, obs::EventCategory category, EventCtlRef ctl);
   bool fire_next(SimTime deadline);
+  Slot& slot(std::uint32_t i) { return chunks_[i / kChunkSlots][i % kChunkSlots]; }
+  std::uint32_t acquire_slot();
+  void release_slot(std::uint32_t i);
 
   SimTime now_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::size_t live_count_ = 0;
-  // The wheel is ~70KB of bucket headers, so it lives behind a pointer.
-  std::unique_ptr<detail::TimingWheel<Event>> wheel_;
+  // The wheel is ~14KB of bucket headers, so it lives behind a pointer.
+  std::unique_ptr<detail::TimingWheel> wheel_;
+  // The slab: chunks never move once allocated, and free_slots_ holds every
+  // slot index not owned by a queued or firing event.
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::vector<std::uint32_t> free_slots_;
   obs::Obs* obs_ = nullptr;
   audit::Auditor* auditor_ = nullptr;
 };

@@ -13,6 +13,8 @@
 #include <functional>
 #include <memory>
 #include <queue>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,8 +29,8 @@ namespace {
 // The oracle: the textbook discrete-event queue, a min-heap on (when, seq).
 // It mirrors EventLoop's contract (past times clamp to now, cancel settles
 // the live count at once, a budget-truncated run_until leaves the clock at
-// the last fired event) and nothing else: no pooling, no categories, no
-// observer, no exception bookkeeping.
+// the last fired event, a throwing event counts as fired) and nothing else:
+// no pooling, no slab, no categories, no observer.
 class ReferenceHeapLoop {
   struct Control {
     bool alive = true;
@@ -38,6 +40,7 @@ class ReferenceHeapLoop {
  public:
   class Handle {
    public:
+    Handle() = default;
     void cancel() {
       if (ctl_ != nullptr && ctl_->alive) {
         ctl_->alive = false;
@@ -96,10 +99,18 @@ class ReferenceHeapLoop {
       heap_.pop();
       if (ev.ctl != nullptr && !ev.ctl->alive) continue;  // cancelled
       now_ = ev.when;
-      ev.fn();
-      if (ev.ctl == nullptr || ev.ctl->alive) --live_;
-      if (ev.ctl != nullptr) ev.ctl->alive = false;
-      ++executed_;
+      const auto settle = [this, &ev] {
+        if (ev.ctl == nullptr || ev.ctl->alive) --live_;
+        if (ev.ctl != nullptr) ev.ctl->alive = false;
+        ++executed_;
+      };
+      try {
+        ev.fn();
+      } catch (...) {
+        settle();
+        throw;
+      }
+      settle();
       return true;
     }
     return false;
@@ -206,6 +217,215 @@ TEST(SchedulerDifferential, WheelMatchesHeapOnAdversarialPrograms) {
     ASSERT_FALSE(wheel.fired.empty());
     EXPECT_EQ(wheel, heap) << "divergence at seed " << seed;
   }
+}
+
+// Sparse link-like traffic: a few flows, each a chain of hops 1-40 ms apart
+// (wheel levels 1-2) that re-arms a 0.3-5 s retransmit timer (level 3) on
+// every hop, cancelling the previous one. One hop in 50 stalls for 0.5-6 s,
+// so some timers fire. Almost every event reaches level 0 through one or
+// more cascades, and level 0 is nearly always empty when it does.
+template <typename Loop>
+struct SparseHops {
+  static constexpr int kFlows = 6;
+  using Handle = decltype(std::declval<Loop&>().schedule_at(SimTime(), [] {}));
+
+  Loop loop;
+  Lcg rng{0};
+  Recording rec;
+  std::array<Handle, kFlows> timers{};
+  std::array<int, kFlows> hops{};
+
+  void hop(int flow) {
+    const auto f = static_cast<std::size_t>(flow);
+    rec.fired.emplace_back(flow * 100000 + hops[f]++, loop.now().ns());
+    timers[f].cancel();
+    timers[f] = loop.schedule_at(
+        loop.now() + Duration(static_cast<std::int64_t>(300'000'000 + rng.below(4'700'000'000))),
+        [this, flow] { rec.fired.emplace_back(-flow - 1, loop.now().ns()); });
+    const std::uint64_t gap = rng.below(50) == 0 ? 500'000'000 + rng.below(5'500'000'000)
+                                                 : 1'000'000 + rng.below(39'000'000);
+    loop.post_in(Duration(static_cast<std::int64_t>(gap)), [this, flow] { hop(flow); });
+  }
+
+  Recording run(std::uint64_t seed) {
+    rng.x = seed;
+    for (int f = 0; f < kFlows; ++f) {
+      loop.post_at(SimTime(static_cast<std::int64_t>(rng.below(20'000'000))),
+                   [this, f] { hop(f); });
+    }
+    for (int slice = 1; slice <= 300; ++slice) {
+      loop.run_until(SimTime::from_seconds(0.1 * slice), 5000);
+      rec.checkpoints.emplace_back(loop.executed_events(), loop.pending_events());
+    }
+    return rec;
+  }
+};
+
+TEST(SchedulerDifferential, SparseMillisecondHopsCascadeFromUpperLevels) {
+  for (const std::uint64_t seed : {3ULL, 99ULL}) {
+    const Recording wheel = SparseHops<EventLoop>().run(seed);
+    const Recording heap = SparseHops<ReferenceHeapLoop>().run(seed);
+    ASSERT_GT(wheel.fired.size(), 2000u);
+    EXPECT_EQ(wheel, heap) << "divergence at seed " << seed;
+  }
+}
+
+// A ring 10^4 deep: every member re-arms itself 1-64 µs ahead with a drawn
+// jitter, so each level-0 tick drains a few hundred events into the ready
+// heap and many re-posts land inside the drained window. Every eighth member
+// holds a handle, and each thousandth firing cancels one of those.
+template <typename Loop>
+struct DeepRing {
+  static constexpr std::uint32_t kDepth = 10'000;
+  using Handle = decltype(std::declval<Loop&>().schedule_at(SimTime(), [] {}));
+
+  Loop loop;
+  Lcg rng{0};
+  Recording rec;
+  std::vector<Handle> handles = std::vector<Handle>(kDepth / 8);
+
+  void arm(std::uint32_t i) {
+    const Duration in(static_cast<std::int64_t>(1000 + (i % 64) * 997 + rng.below(700)));
+    if (i % 8 == 0) {
+      handles[i / 8] = loop.schedule_at(loop.now() + in, [this, i] { fire(i); });
+    } else {
+      loop.post_in(in, [this, i] { fire(i); });
+    }
+  }
+  void fire(std::uint32_t i) {
+    rec.fired.emplace_back(static_cast<int>(i), loop.now().ns());
+    if (rec.fired.size() % 1000 == 0) handles[rng.below(handles.size())].cancel();
+    arm(i);
+  }
+
+  Recording run(std::uint64_t seed) {
+    rng.x = seed;
+    for (std::uint32_t i = 0; i < kDepth; ++i) arm(i);
+    while (loop.executed_events() < 200'000) {
+      loop.run_until(SimTime::from_seconds(10.0), 7919);
+      rec.checkpoints.emplace_back(loop.executed_events(), loop.pending_events());
+    }
+    return rec;
+  }
+};
+
+TEST(SchedulerDifferential, RingTenThousandDeep) {
+  const Recording wheel = DeepRing<EventLoop>().run(11);
+  const Recording heap = DeepRing<ReferenceHeapLoop>().run(11);
+  ASSERT_GE(wheel.fired.size(), 200'000u);
+  EXPECT_EQ(wheel, heap);
+}
+
+// One callback schedules 1,000 events (several slab chunks) while it runs,
+// some at its own instant, some with handles it then half cancels, and it
+// reads its own captures after the slab has grown under it: the callback
+// runs in place, so its chunk must not have moved. A tenth of its children
+// fan out again, one level deep.
+template <typename Loop>
+struct FanOut {
+  using Handle = decltype(std::declval<Loop&>().schedule_at(SimTime(), [] {}));
+
+  Loop loop;
+  Lcg rng{0};
+  Recording rec;
+  std::vector<Handle> handles;
+
+  void child(int id) {
+    rec.fired.emplace_back(id, loop.now().ns());
+    if (id % 10 != 0) return;
+    for (int k = 1; k <= 3; ++k) {
+      loop.post_in(Duration(static_cast<std::int64_t>(rng.below(50'000))),
+                   [this, id, k] { rec.fired.emplace_back(id * 10 + k, loop.now().ns()); });
+    }
+  }
+  void root(int r) {
+    for (int i = 0; i < 1000; ++i) {
+      const int id = (r + 1) * 10'000 + i;
+      const Duration in(i % 4 == 0 ? 0 : static_cast<std::int64_t>(rng.below(3'000'000)));
+      if (i % 3 == 0) {
+        handles.push_back(loop.schedule_at(loop.now() + in, [this, id] { child(id); }));
+      } else {
+        loop.post_in(in, [this, id] { child(id); });
+      }
+    }
+    for (std::size_t h = 0; h < handles.size(); h += 2) handles[h].cancel();
+  }
+
+  Recording run(std::uint64_t seed) {
+    rng.x = seed;
+    for (int r = 0; r < 3; ++r) {
+      const std::int64_t tag = 7'000'000 + r;
+      loop.post_at(SimTime((r + 1) * 1'000'000), [this, r, tag] {
+        root(r);
+        rec.fired.emplace_back(r, tag);  // captures read after the slab grew
+      });
+    }
+    loop.run_until(SimTime::from_seconds(1.0), UINT64_MAX);
+    rec.checkpoints.emplace_back(loop.executed_events(), loop.pending_events());
+    return rec;
+  }
+};
+
+TEST(SchedulerDifferential, CallbackGrowsTheSlabWhileItRuns) {
+  const Recording wheel = FanOut<EventLoop>().run(5);
+  const Recording heap = FanOut<ReferenceHeapLoop>().run(5);
+  ASSERT_GT(wheel.fired.size(), 2000u);
+  EXPECT_EQ(wheel, heap);
+}
+
+// A ring of four whose every second firing throws after re-arming itself.
+// Each throw unwinds out of run_until and the driver resumes. The loops must
+// agree on order and accounting, and on EventLoop the callbacks must keep
+// running in the same few slab slots: a slot the throw path failed to free
+// would never be reused, and 10^4 throws would leave 10^4 distinct slots.
+struct ThrowingStep {
+  static constexpr int kThrows = 10'000;
+  template <typename Loop>
+  struct Step {
+    Loop* loop;
+    Recording* rec;
+    std::set<const void*>* sites;
+    int* fired;
+    int id;
+    void operator()() const {
+      if (sites != nullptr) sites->insert(this);
+      rec->fired.emplace_back(id, loop->now().ns());
+      loop->post_in(Duration(700 + id * 331), Step{*this});
+      if (++*fired % 2 == 0) throw std::runtime_error("step");
+    }
+  };
+
+  template <typename Loop>
+  static Recording run(std::set<const void*>* sites) {
+    Recording rec;
+    Loop loop;
+    int fired = 0;
+    for (int id = 0; id < 4; ++id)
+      loop.post_at(SimTime(id * 100), Step<Loop>{&loop, &rec, sites, &fired, id});
+    int throws = 0;
+    while (throws < kThrows) {
+      try {
+        loop.run_until(SimTime::from_seconds(3600.0), 1000);
+      } catch (const std::runtime_error&) {
+        ++throws;
+        rec.checkpoints.emplace_back(loop.executed_events(), loop.pending_events());
+      }
+    }
+    return rec;
+  }
+};
+
+TEST(SchedulerDifferential, ThrowingCallbacksFreeTheirSlots) {
+  std::set<const void*> sites;
+  const Recording wheel = ThrowingStep::run<EventLoop>(&sites);
+  const Recording heap = ThrowingStep::run<ReferenceHeapLoop>(nullptr);
+  ASSERT_EQ(wheel.checkpoints.size(), static_cast<std::size_t>(ThrowingStep::kThrows));
+  EXPECT_EQ(wheel.checkpoints.back(),
+            (std::pair<std::uint64_t, std::size_t>{2u * ThrowingStep::kThrows, 4u}));
+  EXPECT_EQ(wheel, heap);
+  // Four pending steps plus the one re-posting from the running slot: the
+  // slab never needed a second 256-slot chunk.
+  EXPECT_LE(sites.size(), 8u);
 }
 
 // Satellite: a budget-truncated run resumed mid-bucket must keep the
