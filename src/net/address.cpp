@@ -20,7 +20,8 @@ Expected<Ipv4Address> Ipv4Address::parse(std::string_view text) {
   for (const auto& p : parts) {
     unsigned value = 0;
     const auto [ptr, ec] = std::from_chars(p.data(), p.data() + p.size(), value, 10);
-    if (ec != std::errc{} || ptr != p.data() + p.size() || value > 255 || p.empty())
+    if (ec != std::errc{} || ptr != p.data() + p.size() || value > 255 || p.empty() ||
+        (p.size() > 1 && p[0] == '0'))
       return Unexpected("bad IPv4 octet: " + p);
     addr = (addr << 8) | value;
   }

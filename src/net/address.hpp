@@ -35,6 +35,9 @@ class Ipv4Address {
       : addr_((static_cast<std::uint32_t>(a) << 24) | (static_cast<std::uint32_t>(b) << 16) |
               (static_cast<std::uint32_t>(c) << 8) | d) {}
 
+  /// Strict dotted quad: four decimal octets 0-255, no sign, space or
+  /// leading zero ("0" itself is fine). A leading zero is rejected because
+  /// inet_aton reads such an octet as octal ("192.168.096.1").
   static Expected<Ipv4Address> parse(std::string_view text);
 
   constexpr std::uint32_t value() const { return addr_; }

@@ -104,6 +104,7 @@ TEST(Lexer, RejectsMalformedIpv4Literals) {
       {"ip.src == 1..2.3", 10},           // empty octet
       {"1.2.3.99999999999999999999", 0},  // octet overflows 64 bits
       {"ip.dst == 10.0.0.2 || ip.src == 256.0.0.1", 32},
+      {"ip.src == 192.168.096.1", 10},    // leading zero (octal to inet_aton)
   };
   for (const auto& c : cases) {
     const auto tokens = tokenize(c.input);

@@ -1,5 +1,7 @@
 #include "net/address.hpp"
 
+#include <string_view>
+
 #include <gtest/gtest.h>
 
 namespace streamlab {
@@ -19,20 +21,65 @@ TEST(Ipv4Address, OctetConstructorAndToString) {
 }
 
 TEST(Ipv4Address, ParseValid) {
-  const auto parsed = Ipv4Address::parse("10.0.0.2");
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(*parsed, Ipv4Address(10, 0, 0, 2));
-  EXPECT_EQ(Ipv4Address::parse("0.0.0.0")->value(), 0u);
-  EXPECT_EQ(Ipv4Address::parse("255.255.255.255")->value(), 0xFFFFFFFFu);
+  const struct {
+    const char* text;
+    Ipv4Address want;
+  } rows[] = {
+      {"10.0.0.2", Ipv4Address(10, 0, 0, 2)},
+      {"0.0.0.0", Ipv4Address(0, 0, 0, 0)},
+      {"255.255.255.255", Ipv4Address(255, 255, 255, 255)},
+      {"192.168.100.10", Ipv4Address(192, 168, 100, 10)},
+      {"1.0.20.0", Ipv4Address(1, 0, 20, 0)},  // a lone 0 is not a leading zero
+  };
+  for (const auto& row : rows) {
+    const auto parsed = Ipv4Address::parse(row.text);
+    ASSERT_TRUE(parsed.has_value()) << row.text;
+    EXPECT_EQ(*parsed, row.want) << row.text;
+    EXPECT_EQ(parsed->to_string(), row.text);
+  }
 }
 
 TEST(Ipv4Address, ParseRejectsMalformed) {
-  EXPECT_FALSE(Ipv4Address::parse("10.0.0").has_value());
-  EXPECT_FALSE(Ipv4Address::parse("10.0.0.256").has_value());
-  EXPECT_FALSE(Ipv4Address::parse("10.0.0.2.3").has_value());
-  EXPECT_FALSE(Ipv4Address::parse("10.0.0.x").has_value());
-  EXPECT_FALSE(Ipv4Address::parse("10..0.2").has_value());
-  EXPECT_FALSE(Ipv4Address::parse("").has_value());
+  const struct {
+    std::string_view text;
+    const char* why;
+  } rows[] = {
+      {"", "empty"},
+      {"10.0.0", "three octets"},
+      {"10.0.0.2.3", "five octets"},
+      {"114.114.114.114.114.114.114.114", "eight octets"},
+      {"10..0.2", "empty inner octet"},
+      {".10.0.2", "empty first octet"},
+      {"10.0.0.", "trailing dot"},
+      {"10.0.0.2.", "trailing dot after four octets"},
+      {"...", "only dots"},
+      {" 10.0.0.2", "leading space"},
+      {"10.0.0.2 ", "trailing space"},
+      {"10.0. 0.2", "inner space"},
+      {"10.0.0.2\n", "trailing newline"},
+      {"+10.0.0.2", "plus sign"},
+      {"10.-0.0.2", "minus sign"},
+      {"10.0.0.256", "256"},
+      {"256.256.256.256", "256 everywhere"},
+      {"10.0.0.1234", "four digits"},
+      {"10.0.0.99999999999999999999", "overlong digit run"},
+      {"10.0.0.0000000001", "overlong run of zeros"},
+      {"1.2.3.04", "leading zero"},
+      {"192.168.096.1", "leading zero, octal to inet_aton"},
+      {"00.0.0.0", "double zero"},
+      {"10.0.0.x", "letter"},
+      {"127.0.0.1x", "trailing letter"},
+      {"127.0x.0.1", "hex prefix"},
+      {"0x7f.0.0.1", "hex octet"},
+      {"127.0.0.1:8080", "port"},
+      {"::1", "IPv6"},
+      {"\xef\xbc\x91.2.3.4", "fullwidth digit one (non-ASCII)"},
+      {"10.0.0.\xff", "non-ASCII byte"},
+      {std::string_view("10.0\0.0.2", 9), "embedded NUL"},
+  };
+  for (const auto& row : rows) {
+    EXPECT_FALSE(Ipv4Address::parse(row.text).has_value()) << row.why;
+  }
 }
 
 TEST(Ipv4Address, SameSlash24) {
