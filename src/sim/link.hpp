@@ -96,18 +96,6 @@ class Link {
   /// events, including budget-truncated trials.
   void audit_conservation(audit::Auditor& auditor, SimTime now) const;
 
-  /// Packets dropped on the wire (outage + burst + random loss, baseline
-  /// loss included) summed over both directions. Diagnostic aggregate; the
-  /// fault scheduler's per-episode accounting differences only the counter
-  /// matching each episode's kind.
-  std::uint64_t impairment_drops() const {
-    std::uint64_t total = 0;
-    for (const Direction& d : dir_)
-      total += d.stats.packets_dropped_loss + d.stats.packets_dropped_outage +
-               d.stats.packets_dropped_burst;
-    return total;
-  }
-
  private:
   struct Direction {
     std::deque<Ipv4Packet> queue;
