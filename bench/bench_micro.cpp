@@ -75,10 +75,12 @@ void BM_EventLoopScheduleRun(benchmark::State& state) {
 BENCHMARK(BM_EventLoopScheduleRun)->Arg(1000)->Arg(100000);
 
 // A self-rescheduling timer ring: `depth` timers stay pending forever, each
-// firing reposts itself one staggered interval ahead. This is the
-// constant-depth workload the timing wheel is judged on — O(1) amortized
-// per event, and the handle-free post path with an inline EventFn capture
-// allocates nothing once the bucket vectors are warm.
+// firing reposts itself one staggered interval ahead (1-64 µs, so every
+// event lands on wheel level 0). This is the constant-depth workload the
+// scheduler is judged on: O(1) amortized per event, the wheel moving only
+// 24-byte keys while each closure is written once into its slab slot and
+// runs there, and the handle-free post path with an inline EventFn capture
+// allocating nothing once the bucket vectors and the slab are warm.
 struct TimerRing {
   EventLoop* loop;
   void arm(std::uint32_t i) {

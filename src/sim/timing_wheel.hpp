@@ -47,6 +47,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "util/time.hpp"
@@ -60,6 +61,7 @@ struct EventKey {
   std::uint64_t seq;
   std::uint32_t slot;
 };
+static_assert(sizeof(EventKey) == 24 && std::is_trivially_copyable_v<EventKey>);
 
 class TimingWheel {
  public:
@@ -72,8 +74,6 @@ class TimingWheel {
   static constexpr int kLevels = 9;
 
   TimingWheel() { start_.fill(kNone); }
-
-  bool empty() const { return size_ == 0 && ready_.empty(); }
 
   void push(EventKey key) {
     const std::int64_t when = key.when.ns();
