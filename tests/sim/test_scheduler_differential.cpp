@@ -272,8 +272,8 @@ TEST(SchedulerDifferential, SparseMillisecondHopsCascadeFromUpperLevels) {
 
 // A ring 10^4 deep: every member re-arms itself 1-64 µs ahead with a drawn
 // jitter, so each level-0 tick drains a few hundred events into the ready
-// heap and many re-posts land inside the drained window. Every eighth member
-// holds a handle, and each thousandth firing cancels one of those.
+// heap and the shortest re-posts land inside the drained window. Every
+// eighth member holds a handle, and each thousandth firing cancels one.
 template <typename Loop>
 struct DeepRing {
   static constexpr std::uint32_t kDepth = 10'000;
