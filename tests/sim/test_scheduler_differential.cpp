@@ -374,10 +374,10 @@ TEST(SchedulerDifferential, CallbackGrowsTheSlabWhileItRuns) {
 }
 
 // A ring of four whose every second firing throws after re-arming itself.
-// Each throw unwinds out of run_until and the driver resumes. The loops must
-// agree on order and accounting, and on EventLoop the callbacks must keep
-// running in the same few slab slots: a slot the throw path failed to free
-// would never be reused, and 10^4 throws would leave 10^4 distinct slots.
+// Each throw unwinds out of run_until and the test resumes the run. The
+// loops must agree on order and accounting, and on EventLoop the callbacks
+// must keep running in the same few slab slots: a slot the throw path failed
+// to free would never be reused, and 10^4 throws would leave 10^4 slots.
 struct ThrowingStep {
   static constexpr int kThrows = 10'000;
   template <typename Loop>
