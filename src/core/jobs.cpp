@@ -8,6 +8,10 @@
 #include <utility>
 #include <vector>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 namespace streamlab {
 namespace {
 
@@ -65,6 +69,11 @@ std::size_t run_jobs(std::size_t jobs, std::size_t workers,
       slots[k].error = std::move(error);
     }
     job_done.notify_all();
+    // Hand the job's freed pages back before its runner's arena holds them
+    // through the next job (the memory contract in jobs.hpp).
+#ifdef __GLIBC__
+    if (workers > 1) malloc_trim(0);
+#endif
     return true;
   };
   const auto runner = [&](std::size_t id) {

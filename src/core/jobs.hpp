@@ -2,14 +2,14 @@
 // are committed one by one in job-index order.
 //
 // Every parallel loop of the program runs here: campaign trials
-// (run_campaign), bottleneck sweep points (sweep_bottleneck) and the
-// friendliness runs of `reproduce`. A job owns everything it simulates —
-// EventLoop, Network, Rng, capture — and writes its result into a slot of
-// its own, so the only state runners share is the claim counter and the
-// completion records guarded here. Results are committed on the calling
-// thread in index order, so whatever the commit step builds (a manifest, a
-// table, a result vector) is identical at any worker count. DESIGN.md §10
-// gives the isolation argument.
+// (run_campaign), the study's clip pairs (run_study_subset), bottleneck
+// sweep points (sweep_bottleneck) and the friendliness runs of `reproduce`.
+// A job owns everything it simulates — EventLoop, Network, Rng, capture —
+// and writes its result into a slot of its own, so the only state runners
+// share is the claim counter and the completion records guarded here.
+// Results are committed on the calling thread in index order, so whatever
+// the commit step builds (a manifest, a table, a result vector) is identical
+// at any worker count. DESIGN.md §10 gives the isolation argument.
 #pragma once
 
 #include <atomic>
@@ -35,6 +35,13 @@ std::size_t job_workers(std::size_t requested, std::size_t jobs);
 /// Cancellation: once `*cancel` reads true no further job is claimed; jobs
 /// in flight finish, and commits continue in order up to the first job that
 /// never ran. Returns the number of jobs committed (`jobs` unless cancelled).
+///
+/// Memory: with more than one runner, each runner calls malloc_trim(0)
+/// (glibc only) after each job it ran. glibc gives every thread an arena of
+/// its own and keeps the blocks a job freed there, so without the trim the
+/// arenas' resident pages add up across runners and peak RSS grows with
+/// the worker count (DESIGN.md §18). With one runner the jobs run one after
+/// another on the calling thread and reuse its free blocks; no trim is made.
 ///
 /// Failure: a job that throws stops further claims. Every job below it still
 /// commits; then, after every spawned runner has joined, the exception of

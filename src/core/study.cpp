@@ -1,6 +1,9 @@
 #include "core/study.hpp"
 
 #include <algorithm>
+#include <utility>
+
+#include "core/jobs.hpp"
 
 namespace streamlab {
 
@@ -56,25 +59,34 @@ const ClipRunResult* StudyResults::find(std::string_view id) const {
 
 StudyResults run_study_subset(const StudyConfig& config,
                               const std::vector<int>& data_sets) {
-  StudyResults results;
-  results.config = config;
+  // The selected (set, tier) pairs in catalog order: pair k is job k, and
+  // its result goes into runs[k].
+  std::vector<std::pair<const ClipSet*, RateTier>> pairs;
   for (const auto& set : table1_catalog()) {
     if (std::find(data_sets.begin(), data_sets.end(), set.id) == data_sets.end())
       continue;
     for (const RateTier tier :
-         {RateTier::kLow, RateTier::kHigh, RateTier::kVeryHigh}) {
-      if (!set.pair(tier)) continue;
-      ExperimentConfig ec;
-      ec.path = path_for_data_set(set.id, config.seed);
-      ec.seed = config.seed ^ (static_cast<std::uint64_t>(set.id) << 8) ^
-                static_cast<std::uint64_t>(tier);
-      ec.wm = config.wm;
-      ec.rm = config.rm;
-      ec.bandwidth_window = config.bandwidth_window;
-      ec.keep_capture = config.keep_captures;
-      results.runs.push_back(run_clip_pair(set, tier, ec));
-    }
+         {RateTier::kLow, RateTier::kHigh, RateTier::kVeryHigh})
+      if (set.pair(tier)) pairs.emplace_back(&set, tier);
   }
+  StudyResults results;
+  results.config = config;
+  results.runs.resize(pairs.size());
+  run_jobs(
+      pairs.size(), /*workers=*/0,
+      [&](std::size_t k, std::size_t) {
+        const auto [set, tier] = pairs[k];
+        ExperimentConfig ec;
+        ec.path = path_for_data_set(set->id, config.seed);
+        ec.seed = config.seed ^ (static_cast<std::uint64_t>(set->id) << 8) ^
+                  static_cast<std::uint64_t>(tier);
+        ec.wm = config.wm;
+        ec.rm = config.rm;
+        ec.bandwidth_window = config.bandwidth_window;
+        ec.keep_capture = config.keep_captures;
+        results.runs[k] = run_clip_pair(*set, tier, ec);
+      },
+      [](std::size_t) {});
   return results;
 }
 
