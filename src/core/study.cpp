@@ -1,6 +1,7 @@
 #include "core/study.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "core/jobs.hpp"
@@ -59,8 +60,8 @@ const ClipRunResult* StudyResults::find(std::string_view id) const {
 
 StudyResults run_study_subset(const StudyConfig& config,
                               const std::vector<int>& data_sets) {
-  // The selected (set, tier) pairs in catalog order: pair k is job k, and
-  // its result goes into runs[k].
+  // The selected (set, tier) pairs in catalog order: pair k's result goes
+  // into runs[k].
   std::vector<std::pair<const ClipSet*, RateTier>> pairs;
   for (const auto& set : table1_catalog()) {
     if (std::find(data_sets.begin(), data_sets.end(), set.id) == data_sets.end())
@@ -69,15 +70,34 @@ StudyResults run_study_subset(const StudyConfig& config,
          {RateTier::kLow, RateTier::kHigh, RateTier::kVeryHigh})
       if (set.pair(tier)) pairs.emplace_back(&set, tier);
   }
+  // Runners claim the pairs longest first, so the longest pair does not
+  // start last and set the study's wall time. A pair's cost is estimated
+  // from its own inputs: the hops its frames cross times the media bytes
+  // its two clips send. Job j runs pair order[j], and its result still
+  // goes into runs[order[j]].
+  std::vector<PathConfig> paths;
+  std::vector<double> cost;
+  for (const auto& [set, tier] : pairs) {
+    paths.push_back(path_for_data_set(set->id, config.seed));
+    const auto clips = set->pair(tier);
+    cost.push_back(static_cast<double>(paths.back().hop_count) *
+                   static_cast<double>(clips->first.media_bytes() + clips->second.media_bytes()));
+  }
+  std::vector<std::size_t> order(pairs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) { return cost[a] > cost[b]; });
+
   StudyResults results;
   results.config = config;
   results.runs.resize(pairs.size());
   run_jobs(
       pairs.size(), /*workers=*/0,
-      [&](std::size_t k, std::size_t) {
+      [&](std::size_t j, std::size_t) {
+        const std::size_t k = order[j];
         const auto [set, tier] = pairs[k];
         ExperimentConfig ec;
-        ec.path = path_for_data_set(set->id, config.seed);
+        ec.path = paths[k];
         ec.seed = config.seed ^ (static_cast<std::uint64_t>(set->id) << 8) ^
                   static_cast<std::uint64_t>(tier);
         ec.wm = config.wm;
