@@ -182,7 +182,7 @@ void BM_DissectFrame(benchmark::State& state) {
   CaptureTrace trace;
   trace.add_packet(SimTime::zero(), MacAddress::for_nic(1), MacAddress::for_nic(2),
                    make_udp_packet(kServer, kClient, random_bytes(900), 7));
-  const CaptureRecord& rec = trace.records()[0];
+  const CaptureRecord rec = trace[0];  // a view into the trace's buffer
   for (auto _ : state) benchmark::DoNotOptimize(dissect(rec));
 }
 BENCHMARK(BM_DissectFrame);
@@ -199,7 +199,7 @@ void BM_FilterMatch(benchmark::State& state) {
   CaptureTrace trace;
   trace.add_packet(SimTime::zero(), MacAddress::for_nic(1), MacAddress::for_nic(2),
                    make_udp_packet(kServer, kClient, random_bytes(900), 7));
-  const DissectedPacket pkt = dissect(trace.records()[0]);
+  const DissectedPacket pkt = dissect(trace[0]);
   const auto f = filter::DisplayFilter::compile(
       "ip.src == 192.168.100.10 && (udp.dstport == 7000 || ip.frag_offset > 0)");
   for (auto _ : state) benchmark::DoNotOptimize(f->matches(pkt));

@@ -40,10 +40,11 @@ CongestionResult run_congestion_experiment(const ClipInfo& clip,
   std::uint64_t wire_bytes = 0;
   std::optional<SimTime> first_frame;
   SimTime last_frame;
-  rc.capture = [&](CaptureRecord&& record) {
+  rc.capture = [&](const CaptureRecord& record) {
     wire_bytes += record.original_length;
     if (!first_frame) first_frame = record.timestamp;
     last_frame = record.timestamp;
+    return false;
   };
   rc.snaplen = 64;  // headers only; we need byte counts, not payloads
   SessionRig rig(rc);

@@ -31,17 +31,16 @@ StreamRunResult stream_sessions(const std::vector<SessionSpec>& specs, bool prob
   rc.player.rm = config.rm;
   rc.trackers = true;
   // Each captured frame is dissected once, as it arrives, and offered to
-  // every session's flow; the frame itself is kept only for keep_capture.
-  // The sink first runs inside the loop, once the rig below exists.
+  // every session's flow; the sniffer keeps the frame only for
+  // keep_capture. The sink first runs inside the loop, once the rig below
+  // exists.
   std::vector<FlowTrace> flows(specs.size());
-  std::optional<CaptureTrace> capture;
-  if (config.keep_capture) capture.emplace(config.snaplen);
   std::optional<SessionRig> rig;
-  rc.capture = [&](CaptureRecord&& record) {
+  rc.capture = [&](const CaptureRecord& record) {
     const DissectedPacket packet = dissect(record);
     for (std::size_t i = 0; i < flows.size(); ++i)
       flows[i].add(packet, rig->server(i).endpoint().ip, rig->client(i).port());
-    if (capture) capture->add(std::move(record));
+    return config.keep_capture;
   };
   rc.snaplen = config.snaplen;
   rig.emplace(rc);
@@ -66,7 +65,7 @@ StreamRunResult stream_sessions(const std::vector<SessionSpec>& specs, bool prob
     r.server_streaming_duration = rig->server(i).streaming_duration();
     r.app_packets = rig->client(i).take_packets();  // last: the client's counters read them
   }
-  result.capture = std::move(capture);
+  if (config.keep_capture) result.capture = rig->take_capture();
   return result;
 }
 

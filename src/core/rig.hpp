@@ -68,7 +68,8 @@ class SessionRig {
     StreamClient::Config player;
     bool trackers = false;  ///< a PlayerTracker on every client
     /// When set, a sniffer on the client NIC hands it each inbound frame,
-    /// cut to `snaplen` bytes, as it is captured.
+    /// cut to `snaplen` bytes, as it is captured; the frames it keeps are
+    /// take_capture()'s.
     Sniffer::Sink capture;
     std::uint32_t snaplen = 65535;
     /// Played onto the bottleneck link (kRouterDown: onto a router).
@@ -101,6 +102,8 @@ class SessionRig {
   /// The path probe's results; empty without Config::probe_path.
   const PingResult& ping() const { return ping_; }
   const TracerouteResult& route() const { return route_; }
+  /// The frames the capture sink kept (Config::capture); empty without one.
+  CaptureTrace take_capture() { return sniffer_ ? sniffer_->take_trace() : CaptureTrace{}; }
 
   /// Writes every component's Stats record into `registry`, once, when the
   /// run is over: the links and routers (Network::publish_stats), then

@@ -34,9 +34,11 @@ std::string DissectedPacket::summary() const {
   return out;
 }
 
-DissectedPacket dissect(const CaptureRecord& record) {
+namespace {
+
+/// Dissects `record` into `pkt`, a freshly built packet.
+void dissect_into(DissectedPacket& pkt, const CaptureRecord& record) {
   using enum FieldId;
-  DissectedPacket pkt;
   pkt.timestamp = record.timestamp;
   pkt.frame_length = record.original_length;
   pkt.set(kFrameLen, static_cast<std::int64_t>(record.original_length));
@@ -47,19 +49,19 @@ DissectedPacket dissect(const CaptureRecord& record) {
   auto eth = EthernetHeader::decode(r);
   if (!eth) {
     pkt.add_layer(Layer::kMalformed);
-    return pkt;
+    return;
   }
   pkt.add_layer(Layer::kEth);
   // Presence only: no analysis reads the addresses (they stay in the frame).
   pkt.set(kEthSrc, 0);
   pkt.set(kEthDst, 0);
   pkt.set(kEthType, eth->ethertype);
-  if (eth->ethertype != kEtherTypeIpv4) return pkt;
+  if (eth->ethertype != kEtherTypeIpv4) return;
 
   auto ip = Ipv4Header::decode(r);
   if (!ip) {
     pkt.add_layer(Layer::kMalformed);
-    return pkt;
+    return;
   }
   pkt.add_layer(Layer::kIp);
   pkt.set(kIpLen, ip->total_length);
@@ -76,7 +78,7 @@ DissectedPacket dissect(const CaptureRecord& record) {
   if (ip->is_trailing_fragment()) {
     // Trailing fragments carry no transport header; data bytes only.
     pkt.set(kIpPayloadLen, static_cast<std::int64_t>(ip->payload_length()));
-    return pkt;
+    return;
   }
 
   const std::size_t ip_payload = std::min<std::size_t>(ip->payload_length(), r.remaining());
@@ -87,7 +89,7 @@ DissectedPacket dissect(const CaptureRecord& record) {
       auto udp = UdpHeader::decode(tr);
       if (!udp) {
         pkt.add_layer(Layer::kMalformed);
-        return pkt;
+        return;
       }
       pkt.add_layer(Layer::kUdp);
       pkt.set(kUdpSrcPort, udp->src_port);
@@ -100,7 +102,7 @@ DissectedPacket dissect(const CaptureRecord& record) {
       auto tcp = TcpHeader::decode(tr);
       if (!tcp) {
         pkt.add_layer(Layer::kMalformed);
-        return pkt;
+        return;
       }
       pkt.add_layer(Layer::kTcp);
       pkt.set(kTcpSrcPort, tcp->src_port);
@@ -118,7 +120,7 @@ DissectedPacket dissect(const CaptureRecord& record) {
       auto icmp = IcmpHeader::decode(tr);
       if (!icmp) {
         pkt.add_layer(Layer::kMalformed);
-        return pkt;
+        return;
       }
       pkt.add_layer(Layer::kIcmp);
       pkt.set(kIcmpType, static_cast<std::int64_t>(icmp->type));
@@ -130,13 +132,21 @@ DissectedPacket dissect(const CaptureRecord& record) {
     default:
       break;
   }
+}
+
+}  // namespace
+
+DissectedPacket dissect(const CaptureRecord& record) {
+  DissectedPacket pkt;
+  dissect_into(pkt, record);
   return pkt;
 }
 
 std::vector<DissectedPacket> dissect_trace(const CaptureTrace& trace) {
   std::vector<DissectedPacket> out;
   out.reserve(trace.size());
-  for (const auto& rec : trace.records()) out.push_back(dissect(rec));
+  // Each packet is built where it is stored, not copied there.
+  for (const CaptureRecord& rec : trace) dissect_into(out.emplace_back(), rec);
   return out;
 }
 

@@ -1,72 +1,92 @@
 #include "net/headers.hpp"
 
+#include <algorithm>
+
 #include "net/checksum.hpp"
 
 namespace streamlab {
 
-void EthernetHeader::encode(ByteWriter& w) const {
+void EthernetHeader::write(SpanWriter& w) const {
   w.bytes(dst.octets());
   w.bytes(src.octets());
   w.u16be(ethertype);
 }
 
 Expected<EthernetHeader> EthernetHeader::decode(ByteReader& r) {
+  const auto b = r.bytes(kEthernetHeaderSize);
+  if (b.size() != kEthernetHeaderSize) return Unexpected(std::string("truncated Ethernet header"));
   EthernetHeader h;
-  auto dst_bytes = r.bytes(6);
-  auto src_bytes = r.bytes(6);
-  h.ethertype = r.u16be();
-  if (!r.ok()) return Unexpected(std::string("truncated Ethernet header"));
-  std::array<std::uint8_t, 6> tmp{};
-  std::copy(dst_bytes.begin(), dst_bytes.end(), tmp.begin());
-  h.dst = MacAddress(tmp);
-  std::copy(src_bytes.begin(), src_bytes.end(), tmp.begin());
-  h.src = MacAddress(tmp);
+  std::array<std::uint8_t, 6> mac;
+  std::copy_n(b.data(), mac.size(), mac.begin());
+  h.dst = MacAddress(mac);
+  std::copy_n(b.data() + 6, mac.size(), mac.begin());
+  h.src = MacAddress(mac);
+  h.ethertype = load_u16be(b.data() + 12);
   return h;
 }
 
-void Ipv4Header::encode(ByteWriter& w) const {
-  const std::size_t start = w.size();
-  w.u8(0x45);  // version 4, IHL 5
-  w.u8(dscp);
-  w.u16be(total_length);
-  w.u16be(identification);
+void Ipv4Header::write(SpanWriter& w) const {
+  std::uint8_t bytes[kIpv4HeaderSize];
+  SpanWriter out(bytes);
+  out.u8(0x45);  // version 4, IHL 5
+  out.u8(dscp);
+  out.u16be(total_length);
+  out.u16be(identification);
   std::uint16_t flags_frag = fragment_offset_units & 0x1FFF;
   if (dont_fragment) flags_frag |= 0x4000;
   if (more_fragments) flags_frag |= 0x2000;
-  w.u16be(flags_frag);
-  w.u8(ttl);
-  w.u8(protocol);
-  w.u16be(0);  // checksum placeholder
-  w.u32be(src.value());
-  w.u32be(dst.value());
-  const auto header = w.view().subspan(start, kIpv4HeaderSize);
-  w.patch_u16be(start + 10, internet_checksum(header));
+  out.u16be(flags_frag);
+  out.u8(ttl);
+  out.u8(protocol);
+  out.u16be(0);  // checksum placeholder
+  out.u32be(src.value());
+  out.u32be(dst.value());
+  store_u16be(bytes + 10, internet_checksum(bytes));
+  w.bytes(bytes);
 }
 
+void Ipv4Header::encode(ByteWriter& w) const {
+  std::uint8_t bytes[kIpv4HeaderSize];
+  SpanWriter out(bytes);
+  write(out);
+  w.bytes(bytes);
+}
+
+namespace {
+
+/// internet_checksum(header) == 0 for a 20-byte IPv4 header, unrolled: the
+/// RFC 1071 sum of its five 32-bit words folded to 16 bits is 0xFFFF
+/// exactly when the header checksum verifies (the sum is 0 only when
+/// every byte is).
+bool header_checksum_verifies(const std::uint8_t* p) {
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < kIpv4HeaderSize; i += 4) sum += load_u32be(p + i);
+  while (sum >> 16) sum = (sum & 0xFFFF) + (sum >> 16);
+  return sum == 0xFFFF;
+}
+
+}  // namespace
+
 Expected<Ipv4Header> Ipv4Header::decode(ByteReader& r) {
-  const auto header_view = r.bytes(kIpv4HeaderSize);
-  if (header_view.size() != kIpv4HeaderSize)
-    return Unexpected(std::string("truncated IPv4 header"));
-  ByteReader hr(header_view);
+  const auto b = r.bytes(kIpv4HeaderSize);
+  if (b.size() != kIpv4HeaderSize) return Unexpected(std::string("truncated IPv4 header"));
+  const std::uint8_t* p = b.data();
+  if ((p[0] >> 4) != 4) return Unexpected(std::string("not IPv4"));
+  if ((p[0] & 0x0F) != 5) return Unexpected(std::string("IPv4 options unsupported"));
   Ipv4Header h;
-  const std::uint8_t ver_ihl = hr.u8();
-  if ((ver_ihl >> 4) != 4) return Unexpected(std::string("not IPv4"));
-  if ((ver_ihl & 0x0F) != 5)
-    return Unexpected(std::string("IPv4 options unsupported"));
-  h.dscp = hr.u8();
-  h.total_length = hr.u16be();
-  h.identification = hr.u16be();
-  const std::uint16_t flags_frag = hr.u16be();
+  h.dscp = p[1];
+  h.total_length = load_u16be(p + 2);
+  h.identification = load_u16be(p + 4);
+  const std::uint16_t flags_frag = load_u16be(p + 6);
   h.dont_fragment = (flags_frag & 0x4000) != 0;
   h.more_fragments = (flags_frag & 0x2000) != 0;
   h.fragment_offset_units = flags_frag & 0x1FFF;
-  h.ttl = hr.u8();
-  h.protocol = hr.u8();
-  h.header_checksum = hr.u16be();
-  h.src = Ipv4Address(hr.u32be());
-  h.dst = Ipv4Address(hr.u32be());
-  if (internet_checksum(header_view) != 0)
-    return Unexpected(std::string("bad IPv4 header checksum"));
+  h.ttl = p[8];
+  h.protocol = p[9];
+  h.header_checksum = load_u16be(p + 10);
+  h.src = Ipv4Address(load_u32be(p + 12));
+  h.dst = Ipv4Address(load_u32be(p + 16));
+  if (!header_checksum_verifies(p)) return Unexpected(std::string("bad IPv4 header checksum"));
   return h;
 }
 
@@ -89,12 +109,13 @@ void UdpHeader::encode(ByteWriter& w, Ipv4Address src_ip, Ipv4Address dst_ip,
 }
 
 Expected<UdpHeader> UdpHeader::decode(ByteReader& r) {
+  const auto b = r.bytes(kUdpHeaderSize);
+  if (b.size() != kUdpHeaderSize) return Unexpected(std::string("truncated UDP header"));
   UdpHeader h;
-  h.src_port = r.u16be();
-  h.dst_port = r.u16be();
-  h.length = r.u16be();
-  h.checksum = r.u16be();
-  if (!r.ok()) return Unexpected(std::string("truncated UDP header"));
+  h.src_port = load_u16be(b.data());
+  h.dst_port = load_u16be(b.data() + 2);
+  h.length = load_u16be(b.data() + 4);
+  h.checksum = load_u16be(b.data() + 6);
   if (h.length < kUdpHeaderSize) return Unexpected(std::string("bad UDP length"));
   return h;
 }
@@ -128,16 +149,18 @@ void TcpHeader::encode(ByteWriter& w, Ipv4Address src_ip, Ipv4Address dst_ip,
 }
 
 Expected<TcpHeader> TcpHeader::decode(ByteReader& r) {
+  const auto b = r.bytes(kTcpHeaderSize);
+  if (b.size() != kTcpHeaderSize) return Unexpected(std::string("truncated TCP header"));
+  const std::uint8_t* p = b.data();
   TcpHeader h;
-  h.src_port = r.u16be();
-  h.dst_port = r.u16be();
-  h.seq = r.u32be();
-  h.ack = r.u32be();
-  const std::uint16_t off_flags = r.u16be();
-  h.window = r.u16be();
-  h.checksum = r.u16be();
-  r.u16be();  // urgent pointer
-  if (!r.ok()) return Unexpected(std::string("truncated TCP header"));
+  h.src_port = load_u16be(p);
+  h.dst_port = load_u16be(p + 2);
+  h.seq = load_u32be(p + 4);
+  h.ack = load_u32be(p + 8);
+  const std::uint16_t off_flags = load_u16be(p + 12);
+  h.window = load_u16be(p + 14);
+  h.checksum = load_u16be(p + 16);
+  // Bytes 18-19: the urgent pointer, unused.
   const unsigned data_offset = off_flags >> 12;
   if (data_offset < 5) return Unexpected(std::string("bad TCP data offset"));
   // Skip TCP options so the reader is positioned at the payload.
@@ -173,13 +196,14 @@ void IcmpHeader::encode(ByteWriter& w, std::span<const std::uint8_t> payload) co
 }
 
 Expected<IcmpHeader> IcmpHeader::decode(ByteReader& r) {
+  const auto b = r.bytes(kIcmpHeaderSize);
+  if (b.size() != kIcmpHeaderSize) return Unexpected(std::string("truncated ICMP header"));
   IcmpHeader h;
-  h.type = static_cast<IcmpType>(r.u8());
-  h.code = r.u8();
-  h.checksum = r.u16be();
-  h.identifier = r.u16be();
-  h.sequence = r.u16be();
-  if (!r.ok()) return Unexpected(std::string("truncated ICMP header"));
+  h.type = static_cast<IcmpType>(b[0]);
+  h.code = b[1];
+  h.checksum = load_u16be(b.data() + 2);
+  h.identifier = load_u16be(b.data() + 4);
+  h.sequence = load_u16be(b.data() + 6);
   return h;
 }
 

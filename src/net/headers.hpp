@@ -1,9 +1,11 @@
 // Wire-format codecs for the protocol headers that appear in the study:
 // Ethernet II, IPv4 (no options), UDP, TCP and ICMP. Encoders compute
 // checksums; decoders validate lengths and report failures via Expected.
-// The transport headers also have write(), which lays the fields out as
-// they are (checksum included) — the packet builders use it to write a
-// header in place and patch the checksum once the payload is beside it.
+// Each decoder checks the reader holds the whole header once, then loads
+// every field from its fixed offset. The transport headers also have
+// write(), which lays the fields out as they are (checksum included) — the
+// packet builders use it to write a header in place and patch the checksum
+// once the payload is beside it.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +38,7 @@ struct EthernetHeader {
   MacAddress src;
   std::uint16_t ethertype = kEtherTypeIpv4;
 
-  void encode(ByteWriter& w) const;
+  void write(SpanWriter& w) const;
   static Expected<EthernetHeader> decode(ByteReader& r);
 };
 
@@ -70,6 +72,7 @@ struct Ipv4Header {
 
   /// Encodes with a freshly computed header checksum.
   void encode(ByteWriter& w) const;
+  void write(SpanWriter& w) const;  ///< as encode(), in place
   /// Decodes and verifies the checksum; rejects IHL != 5 (options unused in
   /// the study) and version != 4.
   static Expected<Ipv4Header> decode(ByteReader& r);

@@ -101,14 +101,15 @@ Ipv4Packet make_icmp_packet(Ipv4Address src, Ipv4Address dst, const IcmpHeader& 
 }
 
 Frame frame_ipv4(MacAddress src_mac, MacAddress dst_mac, const Ipv4Packet& packet) {
-  ByteWriter w(kEthernetHeaderSize + packet.total_length());
+  std::vector<std::uint8_t> bytes(kEthernetHeaderSize + packet.total_length());
+  SpanWriter w(bytes);
   EthernetHeader eth;
   eth.src = src_mac;
   eth.dst = dst_mac;
-  eth.encode(w);
-  packet.header.encode(w);
+  eth.write(w);
+  packet.header.write(w);
   w.bytes(packet.payload.bytes());
-  return Frame(Buffer::copy_of(w.view()));
+  return Frame(Buffer::copy_of(bytes));
 }
 
 namespace {

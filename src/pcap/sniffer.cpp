@@ -15,10 +15,8 @@ Sniffer::Sniffer(Host& host, Options options, Sink sink)
     // gateway's MAC on the far side, the host's own MAC on the near side.
     const MacAddress src = dir == TapDirection::kInbound ? gateway_mac_ : host_.mac();
     const MacAddress dst = dir == TapDirection::kInbound ? host_.mac() : gateway_mac_;
-    if (sink_)
-      sink_(capture_record(when, src, dst, packet, options_.snaplen));
-    else
-      trace_.add_packet(when, src, dst, packet);
+    trace_.add_packet(when, src, dst, packet);
+    if (sink_ && !sink_(trace_.back())) trace_.pop_back();
   });
 }
 

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <functional>
+#include <utility>
 
 #include "pcap/capture.hpp"
 #include "sim/host.hpp"
@@ -13,9 +14,11 @@ namespace streamlab {
 /// sniffer observes packets at the link layer — trailing IP fragments are
 /// recorded individually, before reassembly, exactly as in the paper.
 ///
-/// Records go to trace(), or, for a sniffer built with a sink, to the sink
-/// as each frame is captured: a consumer that analyses frames one by one
-/// need not hold the whole capture.
+/// Each frame is written once, cut to the snaplen, into trace()'s buffer.
+/// A sniffer built with a sink also hands the sink each record as it is
+/// captured, and keeps it only when the sink says so: a consumer that
+/// analyses frames one by one need not hold the whole capture, and then
+/// every frame reuses the bytes of the one before.
 class Sniffer {
  public:
   struct Options {
@@ -24,8 +27,9 @@ class Sniffer {
     bool capture_outbound = true;
   };
 
-  /// Receives each record in capture order; trace() then stays empty.
-  using Sink = std::function<void(CaptureRecord&&)>;
+  /// Receives each record in capture order, as a view that is valid while
+  /// the sink runs, and returns whether trace() keeps it.
+  using Sink = std::function<bool(const CaptureRecord&)>;
 
   explicit Sniffer(Host& host) : Sniffer(host, Options{}) {}
   Sniffer(Host& host, Options options) : Sniffer(host, options, nullptr) {}
@@ -35,6 +39,8 @@ class Sniffer {
   Sniffer& operator=(const Sniffer&) = delete;
 
   const CaptureTrace& trace() const { return trace_; }
+  /// Moves the kept records out; the sniffer goes on with an empty trace.
+  CaptureTrace take_trace() { return std::exchange(trace_, CaptureTrace(options_.snaplen)); }
   std::size_t packets_captured() const { return trace_.size(); }
 
  private:

@@ -93,9 +93,4 @@ void ByteWriter::bytes(std::span<const std::uint8_t> data) {
   buf_.insert(buf_.end(), data.begin(), data.end());
 }
 
-void ByteWriter::patch_u16be(std::size_t offset, std::uint16_t v) {
-  if (offset + 2 > buf_.size()) return;
-  store_u16be(buf_.data() + offset, v);
-}
-
 }  // namespace streamlab

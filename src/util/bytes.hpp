@@ -1,8 +1,9 @@
 // Serialization helpers for network headers and pcap files.
 //
 // Network headers are big-endian; the pcap file format is host-endian (we
-// always write little-endian and accept either on read). These two small
-// cursor types centralise bounds checking so header codecs stay branch-light.
+// always write little-endian and accept either on read). The cursor types
+// centralise bounds checking; a decoder of a fixed-size header checks its
+// length once with ByteReader::bytes() and reads the fields with the loads.
 #pragma once
 
 #include <cstdint>
@@ -53,9 +54,6 @@ class ByteWriter {
   void u16le(std::uint16_t v);
   void u32le(std::uint32_t v);
   void bytes(std::span<const std::uint8_t> data);
-  /// Overwrites 2 bytes at an absolute offset (used to patch checksums and
-  /// length fields after the payload is known).
-  void patch_u16be(std::size_t offset, std::uint16_t v);
 
   std::size_t size() const { return buf_.size(); }
   std::span<const std::uint8_t> view() const { return buf_; }
@@ -71,6 +69,19 @@ inline void store_u16be(std::uint8_t* p, std::uint16_t v) {
   p[1] = static_cast<std::uint8_t>(v);
 }
 
+/// Loads from `p`, for decoders that have checked their length once.
+inline std::uint16_t load_u16be(const std::uint8_t* p) {
+  return static_cast<std::uint16_t>((p[0] << 8) | p[1]);
+}
+inline std::uint32_t load_u32be(const std::uint8_t* p) {
+  return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
+         (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
+}
+inline std::uint32_t load_u32le(const std::uint8_t* p) {
+  return std::uint32_t{p[0]} | (std::uint32_t{p[1]} << 8) | (std::uint32_t{p[2]} << 16) |
+         (std::uint32_t{p[3]} << 24);
+}
+
 /// Big-endian writer into a caller-sized span: how a packet is built in
 /// place in its buffer. The span is sized from the wire size of what is
 /// written, so a write past its end is a caller bug; it is dropped rather
@@ -83,6 +94,7 @@ class SpanWriter {
   std::span<std::uint8_t> rest() const { return out_.subspan(pos_); }
 
   void u8(std::uint8_t v) { put(&v, 1); }
+  void bytes(std::span<const std::uint8_t> data) { put(data.data(), data.size()); }
   void u16be(std::uint16_t v) {
     std::uint8_t b[2];
     store_u16be(b, v);

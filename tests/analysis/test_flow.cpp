@@ -12,10 +12,9 @@ const Endpoint kServerA{Ipv4Address(192, 168, 100, 10), 1755};
 const Endpoint kServerB{Ipv4Address(192, 168, 100, 11), 7070};
 const Endpoint kClient{Ipv4Address(10, 0, 0, 2), 7000};
 
-/// Builds a capture of n unfragmented packets from a server, `gap` apart.
-CaptureTrace simple_trace(const Endpoint& server, int n, double gap_s,
-                          std::size_t payload = 500, std::uint16_t dst_port = 7000) {
-  CaptureTrace trace;
+/// Appends n unfragmented packets from a server, `gap` apart, to `trace`.
+void add_flow(CaptureTrace& trace, const Endpoint& server, int n, double gap_s,
+              std::size_t payload = 500, std::uint16_t dst_port = 7000) {
   for (int i = 0; i < n; ++i) {
     const auto pkt = make_udp_packet(server, Endpoint{kClient.ip, dst_port},
                                      std::vector<std::uint8_t>(payload, 1),
@@ -23,17 +22,21 @@ CaptureTrace simple_trace(const Endpoint& server, int n, double gap_s,
     trace.add_packet(SimTime::from_seconds(1.0 + i * gap_s), MacAddress::for_nic(1),
                      MacAddress::for_nic(2), pkt);
   }
+}
+
+/// A capture of n unfragmented packets from a server, `gap` apart.
+CaptureTrace simple_trace(const Endpoint& server, int n, double gap_s,
+                          std::size_t payload = 500) {
+  CaptureTrace trace;
+  add_flow(trace, server, n, gap_s, payload);
   return trace;
 }
 
 TEST(FlowTrace, ExtractsBySourceAndPort) {
   CaptureTrace trace = simple_trace(kServerA, 5, 0.1);
-  // Mix in traffic from another server and another port. (Keep the source
-  // traces alive: records() is a view into them.)
-  const CaptureTrace other_server = simple_trace(kServerB, 3, 0.1);
-  const CaptureTrace other_port = simple_trace(kServerA, 2, 0.1, 500, 9999);
-  for (const auto& rec : other_server.records()) trace.add(rec);
-  for (const auto& rec : other_port.records()) trace.add(rec);
+  // Mix in traffic from another server and another port.
+  add_flow(trace, kServerB, 3, 0.1);
+  add_flow(trace, kServerA, 2, 0.1, 500, 9999);
 
   const auto packets = dissect_trace(trace);
   const auto flow = FlowTrace::extract(packets, kServerA.ip, 7000);

@@ -2,6 +2,8 @@
 // crashing — a sniffer cannot choose what appears on the wire.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "dissect/dissector.hpp"
 #include "net/packet.hpp"
 #include "util/rng.hpp"
@@ -12,14 +14,13 @@ namespace {
 TEST(DissectFuzz, RandomBytesNeverCrash) {
   Rng rng(424242);
   for (int i = 0; i < 3000; ++i) {
-    CaptureRecord rec;
-    rec.timestamp = SimTime(rng.uniform_int(0, 1'000'000'000));
+    CaptureTrace trace;
+    const SimTime when(rng.uniform_int(0, 1'000'000'000));
     const auto len = static_cast<std::size_t>(rng.uniform_int(0, 200));
-    rec.data.resize(len);
-    for (auto& b : rec.data) b = static_cast<std::uint8_t>(rng.next_u64());
-    rec.original_length = static_cast<std::uint32_t>(len);
+    for (auto& b : trace.append(when, static_cast<std::uint32_t>(len), len))
+      b = static_cast<std::uint8_t>(rng.next_u64());
 
-    const DissectedPacket pkt = dissect(rec);
+    const DissectedPacket pkt = dissect(trace[0]);
     // Frame-level fields always present, whatever the bytes were.
     ASSERT_TRUE(pkt.has(FieldId::kFrameLen));
     EXPECT_EQ(pkt.number(FieldId::kFrameLen), static_cast<std::int64_t>(len));
@@ -37,19 +38,19 @@ TEST(DissectFuzz, BitFlippedRealFramesNeverCrash) {
   const Frame frame = frame_ipv4(MacAddress::for_nic(1), MacAddress::for_nic(2), pkt);
 
   for (int i = 0; i < 2000; ++i) {
-    CaptureRecord rec;
-    rec.timestamp = SimTime::zero();
-    auto bytes = frame.bytes();
-    rec.data.assign(bytes.begin(), bytes.end());
-    rec.original_length = static_cast<std::uint32_t>(rec.data.size());
+    CaptureTrace trace;
+    const auto bytes = frame.bytes();
+    const auto data =
+        trace.append(SimTime::zero(), static_cast<std::uint32_t>(bytes.size()), bytes.size());
+    std::ranges::copy(bytes, data.begin());
     // Flip 1-4 random bits.
     const int flips = static_cast<int>(rng.uniform_int(1, 4));
     for (int f = 0; f < flips; ++f) {
       const auto pos = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(rec.data.size()) - 1));
-      rec.data[pos] ^= static_cast<std::uint8_t>(1u << rng.uniform_int(0, 7));
+          rng.uniform_int(0, static_cast<std::int64_t>(data.size()) - 1));
+      data[pos] ^= static_cast<std::uint8_t>(1u << rng.uniform_int(0, 7));
     }
-    const DissectedPacket out = dissect(rec);
+    const DissectedPacket out = dissect(trace[0]);
     ASSERT_TRUE(out.has(FieldId::kFrameLen));
   }
 }
@@ -75,11 +76,11 @@ TEST(DissectFuzz, TruncationSweepOnValidFrame) {
   const auto bytes = frame.bytes();
   // Every prefix length must be handled.
   for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
-    CaptureRecord rec;
-    rec.timestamp = SimTime::zero();
-    rec.data.assign(bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(cut));
-    rec.original_length = static_cast<std::uint32_t>(bytes.size());
-    const DissectedPacket out = dissect(rec);
+    CaptureTrace trace;
+    std::ranges::copy(bytes.first(cut),
+                      trace.append(SimTime::zero(), static_cast<std::uint32_t>(bytes.size()), cut)
+                          .begin());
+    const DissectedPacket out = dissect(trace[0]);
     ASSERT_TRUE(out.has(FieldId::kFrameCapLen));
     EXPECT_EQ(out.number(FieldId::kFrameCapLen), static_cast<std::int64_t>(cut));
   }

@@ -13,16 +13,18 @@ namespace {
 const Endpoint kServer{Ipv4Address(192, 168, 100, 10), 1755};
 const Endpoint kClient{Ipv4Address(10, 0, 0, 2), 7000};
 
-CaptureRecord record_of(const Ipv4Packet& pkt, double t = 1.0) {
-  CaptureTrace trace;
+/// The dissection of the packet's frame captured at `t`, cut to `snaplen`.
+DissectedPacket dissect_of(const Ipv4Packet& pkt, double t = 1.0,
+                           std::uint32_t snaplen = 65535) {
+  CaptureTrace trace(snaplen);
   trace.add_packet(SimTime::from_seconds(t), MacAddress::for_nic(1),
                    MacAddress::for_nic(2), pkt);
-  return trace.records()[0];
+  return dissect(trace[0]);
 }
 
 TEST(Dissector, UdpFieldTree) {
   const auto pkt = make_udp_packet(kServer, kClient, std::vector<std::uint8_t>(100, 1), 42);
-  const auto d = dissect(record_of(pkt));
+  const auto d = dissect_of(pkt);
 
   EXPECT_TRUE(d.has_layer(Layer::kEth));
   EXPECT_TRUE(d.has_layer(Layer::kIp));
@@ -47,18 +49,18 @@ TEST(Dissector, FragmentFields) {
   const auto frags = fragment_packet(pkt, kDefaultMtu);
   ASSERT_EQ(frags.size(), 3u);
 
-  const auto first = dissect(record_of(frags[0]));
+  const auto first = dissect_of(frags[0]);
   EXPECT_TRUE(first.has_layer(Layer::kUdp));  // leading fragment carries UDP header
   EXPECT_EQ(first.number(FieldId::kIpFlagsMf), 1);
   EXPECT_EQ(first.number(FieldId::kIpFragOffset), 0);
   EXPECT_EQ(first.number(FieldId::kIpFragment), 1);
 
-  const auto mid = dissect(record_of(frags[1]));
+  const auto mid = dissect_of(frags[1]);
   EXPECT_FALSE(mid.has_layer(Layer::kUdp));  // no transport header
   EXPECT_EQ(mid.number(FieldId::kIpFlagsMf), 1);
   EXPECT_EQ(mid.number(FieldId::kIpFragOffset), 1480);
 
-  const auto last = dissect(record_of(frags[2]));
+  const auto last = dissect_of(frags[2]);
   EXPECT_EQ(last.number(FieldId::kIpFlagsMf), 0);
   EXPECT_EQ(last.number(FieldId::kIpFragOffset), 2960);
   EXPECT_EQ(last.number(FieldId::kIpFragment), 1);
@@ -69,7 +71,7 @@ TEST(Dissector, TcpFieldTree) {
   tcp.seq = 5;
   tcp.flag_syn = true;
   const auto pkt = make_tcp_packet(kServer, kClient, tcp, {}, 3);
-  const auto d = dissect(record_of(pkt));
+  const auto d = dissect_of(pkt);
   EXPECT_TRUE(d.has_layer(Layer::kTcp));
   EXPECT_EQ(d.number(FieldId::kTcpSeq), 5);
   EXPECT_EQ(d.number(FieldId::kTcpFlagsSyn), 1);
@@ -83,7 +85,7 @@ TEST(Dissector, IcmpFieldTree) {
   icmp.identifier = 7;
   icmp.sequence = 2;
   const auto pkt = make_icmp_packet(kServer.ip, kClient.ip, icmp, {}, 4);
-  const auto d = dissect(record_of(pkt));
+  const auto d = dissect_of(pkt);
   EXPECT_TRUE(d.has_layer(Layer::kIcmp));
   EXPECT_EQ(d.number(FieldId::kIcmpType), 0);
   EXPECT_EQ(d.number(FieldId::kIcmpIdent), 7);
@@ -91,11 +93,10 @@ TEST(Dissector, IcmpFieldTree) {
 }
 
 TEST(Dissector, MalformedFrameMarked) {
-  CaptureRecord rec;
-  rec.timestamp = SimTime::zero();
-  rec.original_length = 5;
-  rec.data = {1, 2, 3, 4, 5};
-  const auto d = dissect(rec);
+  CaptureTrace trace;
+  const std::uint8_t bytes[] = {1, 2, 3, 4, 5};
+  std::ranges::copy(bytes, trace.append(SimTime::zero(), 5, sizeof bytes).begin());
+  const auto d = dissect(trace[0]);
   EXPECT_TRUE(d.has_layer(Layer::kMalformed));
   EXPECT_EQ(d.number(FieldId::kFrameLen), 5);
 }
@@ -106,7 +107,7 @@ TEST(Dissector, TruncatedByShortSnaplenStillYieldsHeaders) {
   CaptureTrace trace(96);
   const auto pkt = make_udp_packet(kServer, kClient, std::vector<std::uint8_t>(800, 1), 6);
   trace.add_packet(SimTime::zero(), MacAddress::for_nic(1), MacAddress::for_nic(2), pkt);
-  const auto d = dissect(trace.records()[0]);
+  const auto d = dissect(trace[0]);
   EXPECT_TRUE(d.has_layer(Layer::kUdp));
   EXPECT_EQ(d.number(FieldId::kFrameLen), 14 + 20 + 8 + 800);
   EXPECT_EQ(d.number(FieldId::kFrameCapLen), 96);
@@ -114,7 +115,7 @@ TEST(Dissector, TruncatedByShortSnaplenStillYieldsHeaders) {
 
 TEST(Dissector, SummaryLine) {
   const auto pkt = make_udp_packet(kServer, kClient, std::vector<std::uint8_t>(10, 1), 1);
-  const auto d = dissect(record_of(pkt, 12.5));
+  const auto d = dissect_of(pkt, 12.5);
   const std::string s = d.summary();
   EXPECT_NE(s.find("192.168.100.10"), std::string::npos);
   EXPECT_NE(s.find("UDP"), std::string::npos);
@@ -168,25 +169,24 @@ struct FieldDump {
 // and eth.dst carry presence only, so both display as their number, 0.
 TEST(Dissector, FieldDumpGolden) {
   FieldDump dump;
-  dump.packet(dissect(record_of(
-      make_udp_packet(kServer, kClient, std::vector<std::uint8_t>(100, 1), 42), 1.25)));
+  dump.packet(dissect_of(
+      make_udp_packet(kServer, kClient, std::vector<std::uint8_t>(100, 1), 42), 1.25));
   const auto big = make_udp_packet(kServer, kClient, std::vector<std::uint8_t>(3000, 1), 9);
   for (const auto& frag : fragment_packet(big, kDefaultMtu))
-    dump.packet(dissect(record_of(frag, 2.5)));
+    dump.packet(dissect_of(frag, 2.5));
   TcpHeader syn;
   syn.seq = 1000;
   syn.flag_syn = true;
   syn.window = 8192;
-  dump.packet(dissect(record_of(make_tcp_packet(kClient, kServer, syn, {}, 3), 3.0)));
+  dump.packet(dissect_of(make_tcp_packet(kClient, kServer, syn, {}, 3), 3.0));
   IcmpHeader echo;
   echo.type = IcmpType::kEchoRequest;
   echo.identifier = 7;
   echo.sequence = 2;
-  dump.packet(dissect(record_of(make_icmp_packet(kClient.ip, kServer.ip, echo, {}, 4), 4.0)));
-  CaptureRecord cut = record_of(
-      make_udp_packet(kServer, kClient, std::vector<std::uint8_t>(100, 1), 5), 5.0);
-  cut.data.resize(30);
-  dump.packet(dissect(cut));
+  dump.packet(dissect_of(make_icmp_packet(kClient.ip, kServer.ip, echo, {}, 4), 4.0));
+  // Cut inside the IP header by a 30-byte snaplen.
+  dump.packet(dissect_of(
+      make_udp_packet(kServer, kClient, std::vector<std::uint8_t>(100, 1), 5), 5.0, 30));
 
   char hex[17];
   std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(dump.hash));
@@ -209,14 +209,13 @@ TEST(Dissector, RegistryNamesRoundTrip) {
   const std::uint64_t fields = kFieldCount == 64 ? ~0ull : (1ull << kFieldCount) - 1;
   const unsigned layers = (1u << std::size(kLayerNames)) - 1;
   const auto big = make_udp_packet(kServer, kClient, std::vector<std::uint8_t>(3000, 1), 9);
-  std::vector<CaptureRecord> records;
-  for (const auto& frag : fragment_packet(big, kDefaultMtu)) records.push_back(record_of(frag));
+  std::vector<Ipv4Packet> packets = fragment_packet(big, kDefaultMtu);
   TcpHeader tcp;
   tcp.flag_ack = true;
-  records.push_back(record_of(make_tcp_packet(kServer, kClient, tcp, {}, 1)));
-  records.push_back(record_of(make_icmp_packet(kServer.ip, kClient.ip, IcmpHeader{}, {}, 2)));
-  for (const auto& rec : records) {
-    const auto d = dissect(rec);
+  packets.push_back(make_tcp_packet(kServer, kClient, tcp, {}, 1));
+  packets.push_back(make_icmp_packet(kServer.ip, kClient.ip, IcmpHeader{}, {}, 2));
+  for (const auto& pkt : packets) {
+    const auto d = dissect_of(pkt);
     EXPECT_EQ(d.field_mask() & ~fields, 0u);
     EXPECT_EQ(d.layer_mask() & ~layers, 0u);
   }

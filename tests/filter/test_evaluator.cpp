@@ -26,7 +26,7 @@ streamlab::DissectedPacket dissected_udp(std::size_t payload = 100,
   CaptureTrace trace;
   trace.add_packet(SimTime::zero(), MacAddress::for_nic(1), MacAddress::for_nic(2),
                    make_udp_packet(src, dst, std::vector<std::uint8_t>(payload, 1), 5));
-  return streamlab::dissect(trace.records()[0]);
+  return streamlab::dissect(trace[0]);
 }
 
 bool matches(std::string_view expr, const streamlab::DissectedPacket& pkt) {
@@ -131,7 +131,7 @@ TEST(Evaluator, IcmpFilter) {
   CaptureTrace trace;
   trace.add_packet(SimTime::zero(), MacAddress::for_nic(1), MacAddress::for_nic(2),
                    make_icmp_packet(kServer.ip, kClient.ip, icmp, {}, 1));
-  const auto pkt = streamlab::dissect(trace.records()[0]);
+  const auto pkt = streamlab::dissect(trace[0]);
   EXPECT_TRUE(matches("icmp.type == 11", pkt));
   EXPECT_FALSE(matches("icmp.type == 0", pkt));
 }

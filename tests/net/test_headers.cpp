@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+
 #include "net/checksum.hpp"
+#include "util/rng.hpp"
 
 namespace streamlab {
 namespace {
@@ -13,12 +17,12 @@ TEST(EthernetHeader, EncodeDecodeRoundTrip) {
   h.src = MacAddress({7, 8, 9, 10, 11, 12});
   h.ethertype = kEtherTypeIpv4;
 
-  ByteWriter w;
-  h.encode(w);
-  EXPECT_EQ(w.size(), kEthernetHeaderSize);
+  std::uint8_t buf[kEthernetHeaderSize + 1];
+  SpanWriter w(buf);
+  h.write(w);
+  EXPECT_EQ(w.rest().size(), 1u);  // the header took its 14 bytes
 
-  const auto buf = w.take();
-  ByteReader r(buf);
+  ByteReader r(std::span<const std::uint8_t>(buf, kEthernetHeaderSize));
   const auto decoded = EthernetHeader::decode(r);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->dst, h.dst);
@@ -82,6 +86,30 @@ TEST(Ipv4Header, CorruptedChecksumRejected) {
   buf[8] ^= 0xFF;  // flip TTL bits
   ByteReader r(buf);
   EXPECT_FALSE(Ipv4Header::decode(r).has_value());
+}
+
+// decode verifies the checksum with its own unrolled sum over the 20
+// bytes; its verdict must be internet_checksum's on any header. Half the
+// headers carry their correct checksum, the rest one flipped bit, and the
+// sums include the ones that fold through 0xFFFF.
+TEST(Ipv4Header, DecodeChecksumVerdictIsInternetChecksums) {
+  Rng rng(1071);
+  for (int i = 0; i < 20000; ++i) {
+    std::array<std::uint8_t, kIpv4HeaderSize> h;
+    for (auto& b : h) b = static_cast<std::uint8_t>(rng.next_u64());
+    if (i % 7 == 0) std::fill(h.begin() + 1, h.end(), 0xFF);
+    h[0] = 0x45;
+    h[10] = h[11] = 0;
+    store_u16be(h.data() + 10, internet_checksum(h));
+    if (i % 2 == 1) h[rng.uniform_int(0, 19)] ^= static_cast<std::uint8_t>(1u << (i % 8));
+    if (h[0] != 0x45) continue;  // the flip hit the version or IHL
+    ByteReader r(h);
+    const auto decoded = Ipv4Header::decode(r);
+    EXPECT_EQ(decoded.has_value(), internet_checksum(h) == 0) << "header " << i;
+    if (!decoded) {
+      EXPECT_EQ(decoded.error(), "bad IPv4 header checksum");
+    }
+  }
 }
 
 TEST(Ipv4Header, FragmentPredicates) {

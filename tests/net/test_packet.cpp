@@ -102,11 +102,11 @@ TEST(ParseFrame, TrailingFragmentHasNoTransportHeader) {
 
 TEST(ParseFrame, RejectsNonIpv4AndTruncation) {
   // Wrong ethertype.
-  ByteWriter w;
+  std::uint8_t arp[kEthernetHeaderSize];
+  SpanWriter w(arp);
   EthernetHeader eth;
   eth.ethertype = 0x0806;  // ARP
-  eth.encode(w);
-  const auto arp = w.take();
+  eth.write(w);
   EXPECT_FALSE(parse_frame(arp).has_value());
 
   // Truncated mid-IP-header.

@@ -31,7 +31,7 @@ TEST(CaptureTrace, AddPacketFramesAndTimestamps) {
   trace.add_packet(SimTime::from_seconds(1.5), MacAddress::for_nic(1),
                    MacAddress::for_nic(2), pkt);
   ASSERT_EQ(trace.size(), 1u);
-  const auto& rec = trace.records()[0];
+  const CaptureRecord rec = trace[0];
   EXPECT_EQ(rec.timestamp, SimTime::from_seconds(1.5));
   EXPECT_EQ(rec.original_length, kEthernetHeaderSize + pkt.total_length());
   EXPECT_EQ(rec.data.size(), rec.original_length);
@@ -41,7 +41,7 @@ TEST(CaptureTrace, SnaplenTruncatesStoredBytesNotLength) {
   CaptureTrace trace(64);
   trace.add_packet(SimTime::zero(), MacAddress::for_nic(1), MacAddress::for_nic(2),
                    sample_packet(1000));
-  const auto& rec = trace.records()[0];
+  const CaptureRecord rec = trace[0];
   EXPECT_EQ(rec.data.size(), 64u);
   EXPECT_EQ(rec.original_length, kEthernetHeaderSize + kIpv4HeaderSize + kUdpHeaderSize + 1000);
 }
@@ -64,12 +64,10 @@ void expect_record_is_truncated_frame(const Ipv4Packet& pkt) {
   for (const std::uint32_t snaplen : {96u, 65535u}) {
     CaptureTrace trace(snaplen);
     trace.add_packet(SimTime::from_seconds(2), src, dst, pkt);
-    const CaptureRecord& rec = trace.records()[0];
+    const CaptureRecord rec = trace[0];
     const std::size_t keep = std::min<std::size_t>(frame.size(), snaplen);
     EXPECT_EQ(rec.original_length, frame.size()) << snaplen;
-    EXPECT_EQ(rec.data, std::vector<std::uint8_t>(frame.bytes().begin(),
-                                                  frame.bytes().begin() + keep))
-        << snaplen;
+    EXPECT_TRUE(std::ranges::equal(rec.data, frame.bytes().first(keep))) << snaplen;
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "util/bytes.hpp"
@@ -32,11 +33,11 @@ TEST(PcapFile, RoundTripsExactly) {
   ASSERT_EQ(loaded->size(), original.size());
   EXPECT_EQ(loaded->snaplen(), original.snaplen());
   for (std::size_t i = 0; i < original.size(); ++i) {
-    const auto& a = original.records()[i];
-    const auto& b = loaded->records()[i];
+    const CaptureRecord a = original[i];
+    const CaptureRecord b = (*loaded)[i];
     EXPECT_EQ(a.timestamp, b.timestamp) << "record " << i;  // nanosecond exact
     EXPECT_EQ(a.original_length, b.original_length);
-    EXPECT_EQ(a.data, b.data);
+    EXPECT_TRUE(std::ranges::equal(a.data, b.data));
   }
 }
 
@@ -81,7 +82,7 @@ TEST(PcapFile, ReadsMicrosecondVariant) {
   const auto loaded = read_pcap(buf);
   ASSERT_TRUE(loaded.has_value());
   ASSERT_EQ(loaded->size(), 1u);
-  EXPECT_EQ(loaded->records()[0].timestamp, SimTime::from_seconds(10.5));
+  EXPECT_EQ((*loaded)[0].timestamp, SimTime::from_seconds(10.5));
 }
 
 TEST(PcapFile, RejectsBadMagic) {

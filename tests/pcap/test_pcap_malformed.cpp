@@ -146,7 +146,7 @@ TEST(PcapMalformed, AcceptsZeroLengthRecords) {
       read(with_records({{5, 7, 0, 0, ""}, {6, 0, 0, 60, ""}, {}, {7, 0, 0, 0, ""}}).bytes());
   ASSERT_TRUE(trace.has_value()) << trace.error();
   ASSERT_EQ(trace->size(), 4u);
-  const auto& records = trace->records();
+  const CaptureTrace& records = *trace;
   EXPECT_EQ(records[0].timestamp, SimTime(5'000'000'007));
   EXPECT_TRUE(records[0].data.empty());
   EXPECT_EQ(records[1].original_length, 60u);
@@ -175,7 +175,7 @@ TEST(PcapMalformed, ByteOrderAndResolutionTwinsReadEqual) {
   const auto twin = variant(false, true);
   ASSERT_TRUE(twin.has_value()) << twin.error();
   ASSERT_EQ(twin->size(), frames.size());
-  EXPECT_EQ(twin->records()[0].timestamp, SimTime(10'500'000'000));
+  EXPECT_EQ((*twin)[0].timestamp, SimTime(10'500'000'000));
   for (const auto& [big_endian, nanos] :
        {std::pair{false, false}, std::pair{true, false}, std::pair{true, true}}) {
     const auto trace = variant(big_endian, nanos);
@@ -183,8 +183,8 @@ TEST(PcapMalformed, ByteOrderAndResolutionTwinsReadEqual) {
     EXPECT_EQ(trace->snaplen(), twin->snaplen());
     ASSERT_EQ(trace->size(), twin->size());
     for (std::size_t i = 0; i < trace->size(); ++i) {
-      const auto& a = trace->records()[i];
-      const auto& b = twin->records()[i];
+      const CaptureRecord a = (*trace)[i];
+      const CaptureRecord b = (*twin)[i];
       EXPECT_EQ(a.timestamp, b.timestamp) << big_endian << nanos << " record " << i;
       EXPECT_EQ(a.original_length, b.original_length);
       EXPECT_TRUE(std::ranges::equal(a.data, b.data));

@@ -26,7 +26,7 @@ TEST(Sniffer, CapturesInboundTraffic) {
   net.loop().run();
 
   ASSERT_EQ(sniffer.packets_captured(), 1u);
-  const auto& rec = sniffer.trace().records()[0];
+  const auto& rec = sniffer.trace()[0];
   const auto parsed = parse_frame(rec.data);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->ip.src, server.address());
@@ -48,7 +48,7 @@ TEST(Sniffer, CapturesFragmentsIndividually) {
   EXPECT_EQ(sniffer.packets_captured(), 3u);
 
   int fragments = 0;
-  for (const auto& rec : sniffer.trace().records()) {
+  for (const CaptureRecord& rec : sniffer.trace()) {
     const auto parsed = parse_frame(rec.data);
     ASSERT_TRUE(parsed.has_value());
     fragments += parsed->ip.is_trailing_fragment();
@@ -73,7 +73,7 @@ TEST(Sniffer, DirectionFiltering) {
   net.loop().run();
 
   ASSERT_EQ(sniffer.packets_captured(), 1u);
-  const auto parsed = parse_frame(sniffer.trace().records()[0].data);
+  const auto parsed = parse_frame(sniffer.trace()[0].data);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->ip.src, net.client().address());
 }
@@ -91,8 +91,8 @@ TEST(Sniffer, SnaplenApplied) {
   net.loop().run();
 
   ASSERT_EQ(sniffer.packets_captured(), 1u);
-  EXPECT_EQ(sniffer.trace().records()[0].data.size(), 96u);
-  EXPECT_EQ(sniffer.trace().records()[0].original_length, 14u + 20 + 8 + 1000);
+  EXPECT_EQ(sniffer.trace()[0].data.size(), 96u);
+  EXPECT_EQ(sniffer.trace()[0].original_length, 14u + 20 + 8 + 1000);
 }
 
 TEST(Sniffer, DetachesOnDestruction) {
@@ -118,7 +118,7 @@ TEST(Sniffer, TimestampsAreArrivalTimes) {
                   std::vector<std::uint8_t>(100, 1));
   net.loop().run();
   ASSERT_EQ(sniffer.packets_captured(), 1u);
-  EXPECT_GT(sniffer.trace().records()[0].timestamp, SimTime::zero());
+  EXPECT_GT(sniffer.trace()[0].timestamp, SimTime::zero());
 }
 
 }  // namespace

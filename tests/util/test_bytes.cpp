@@ -35,24 +35,6 @@ TEST(ByteWriter, LittleEndianLayout) {
   EXPECT_EQ(v[5], 0xDE);
 }
 
-TEST(ByteWriter, PatchOverwritesInPlace) {
-  ByteWriter w;
-  w.u16be(0);
-  w.u16be(0xFFFF);
-  w.patch_u16be(0, 0xBEEF);
-  const auto v = w.view();
-  EXPECT_EQ(v[0], 0xBE);
-  EXPECT_EQ(v[1], 0xEF);
-  EXPECT_EQ(v[2], 0xFF);
-}
-
-TEST(ByteWriter, PatchOutOfRangeIsIgnored) {
-  ByteWriter w;
-  w.u8(1);
-  w.patch_u16be(0, 0xABCD);  // needs 2 bytes, only 1 present
-  EXPECT_EQ(w.view()[0], 1);
-}
-
 TEST(ByteReader, RoundTripsWriter) {
   ByteWriter w;
   w.u8(7);
