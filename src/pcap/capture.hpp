@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iterator>
 #include <memory>
 #include <span>
 #include <vector>
@@ -21,22 +20,15 @@ struct CaptureRecord {
 
 /// A std::allocator whose value-initialisation leaves bytes as they are, so
 /// growing a byte buffer does not zero what is about to be written over.
+/// Construction with arguments falls back to std::construct_at.
 template <class T>
 struct UninitAllocator : std::allocator<T> {
-  template <class U>
-  struct rebind {
-    using other = UninitAllocator<U>;
-  };
   UninitAllocator() = default;
   template <class U>
   UninitAllocator(const UninitAllocator<U>&) noexcept {}
   template <class U>
   void construct(U* p) noexcept {
     ::new (static_cast<void*>(p)) U;
-  }
-  template <class U, class... Args>
-  void construct(U* p, Args&&... args) {
-    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
   }
 };
 
@@ -48,23 +40,20 @@ class CaptureTrace {
  public:
   using Bytes = std::vector<std::uint8_t, UninitAllocator<std::uint8_t>>;
 
+  /// Walks the records, handing out each as a view.
   class Iterator {
    public:
-    using value_type = CaptureRecord;
-    using difference_type = std::ptrdiff_t;
-    Iterator() = default;
     Iterator(const CaptureTrace* trace, std::size_t i) : trace_(trace), i_(i) {}
     CaptureRecord operator*() const { return (*trace_)[i_]; }
     Iterator& operator++() {
       ++i_;
       return *this;
     }
-    Iterator operator++(int) { return {trace_, i_++}; }
     bool operator==(const Iterator&) const = default;
 
    private:
-    const CaptureTrace* trace_ = nullptr;
-    std::size_t i_ = 0;
+    const CaptureTrace* trace_;
+    std::size_t i_;
   };
 
   CaptureTrace() = default;
@@ -80,7 +69,7 @@ class CaptureTrace {
     index_.push_back({when, offset, original_length, length});
   }
   /// Appends a record of `length` bytes at the end of the buffer and returns
-  /// them for the caller to write.
+  /// them, uninitialised, for the caller to write in full.
   std::span<std::uint8_t> append(SimTime when, std::uint32_t original_length,
                                  std::size_t length);
   /// Appends the record of an IPv4 packet's Ethernet frame cut to snaplen():
