@@ -1,7 +1,6 @@
 #include "pcap/capture.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 namespace streamlab {
 
@@ -30,7 +29,7 @@ void CaptureTrace::add_packet(SimTime when, MacAddress src_mac, MacAddress dst_m
   const std::size_t wire = kEthernetHeaderSize + packet.total_length();
   const std::size_t keep = std::min<std::size_t>(wire, snaplen_);
   const std::span<std::uint8_t> out = append(when, static_cast<std::uint32_t>(wire), keep);
-  std::memcpy(out.data(), headers, std::min(keep, kHeaders));
+  std::copy_n(headers, std::min(keep, kHeaders), out.begin());
   if (keep > kHeaders)
     std::ranges::copy(packet.payload.bytes().first(keep - kHeaders), out.begin() + kHeaders);
 }
