@@ -105,9 +105,13 @@ Expected<std::vector<Token>> tokenize(std::string_view input) {
         base = 16;
         digits = word.substr(2);
       }
+      // Wireshark reads a leading zero as octal ("01750" is 1000), so a
+      // decimal reading of one would silently differ: it is refused, as an
+      // IPv4 octet with a leading zero is.
+      const bool octal = base == 10 && digits.size() > 1 && digits[0] == '0';
       const auto [ptr, ec] =
           std::from_chars(digits.data(), digits.data() + digits.size(), value, base);
-      if (ec != std::errc{} || ptr != digits.data() + digits.size())
+      if (octal || ec != std::errc{} || ptr != digits.data() + digits.size())
         return Unexpected("bad number '" + std::string(word) + "' at offset " +
                           std::to_string(start));
       push(TokenKind::kNumber, start, std::string(word), value);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace streamlab::filter {
 namespace {
 
@@ -111,6 +113,58 @@ TEST(Lexer, RejectsMalformedIpv4Literals) {
     ASSERT_FALSE(tokens.has_value()) << c.input;
     EXPECT_NE(tokens.error().find("at offset " + std::to_string(c.offset)), std::string::npos)
         << c.input << ": " << tokens.error();
+  }
+}
+
+// A malformed number is a lexer error with its exact text and offset, never
+// a wrapped, truncated or partly read value.
+TEST(Lexer, RejectsMalformedNumberLiterals) {
+  const struct {
+    const char* input;
+    const char* error;
+  } cases[] = {
+      {"ip.len == 9223372036854775808", "bad number '9223372036854775808' at offset 10"},
+      {"99999999999999999999", "bad number '99999999999999999999' at offset 0"},
+      {"0x", "bad number '0x' at offset 0"},
+      {"ip.ttl == 0X", "bad number '0X' at offset 10"},
+      {"0x1g", "bad number '0x1g' at offset 0"},
+      {"0xx1", "bad number '0xx1' at offset 0"},
+      {"1e3", "bad number '1e3' at offset 0"},
+      {"1_000", "bad number '1_000' at offset 0"},
+      {"-1", "unexpected character '-' at offset 0"},
+      {"ip.ttl == +1", "unexpected character '+' at offset 10"},
+      {"ip.ttl == -0x1", "unexpected character '-' at offset 10"},
+      {"0x8000000000000000", "bad number '0x8000000000000000' at offset 0"},
+      {"0x10000000000000000", "bad number '0x10000000000000000' at offset 0"},
+      {"ip.len <= 01750", "bad number '01750' at offset 10"},  // octal in Wireshark
+      {"00", "bad number '00' at offset 0"},
+  };
+  for (const auto& c : cases) {
+    const auto tokens = tokenize(c.input);
+    ASSERT_FALSE(tokens.has_value()) << c.input;
+    EXPECT_EQ(tokens.error(), c.error) << c.input;
+  }
+}
+
+TEST(Lexer, AcceptsNumberLiteralCorners) {
+  const struct {
+    const char* input;
+    std::int64_t value;
+  } cases[] = {
+      {"0", 0},
+      {"9223372036854775807", INT64_MAX},
+      {"0x7fffffffffffffff", INT64_MAX},
+      {"0X7FFFFFFFFFFFFFFF", INT64_MAX},
+      {"0x0", 0},
+      {"0x00ff", 255},
+      {"0xAbC", 0xABC},
+  };
+  for (const auto& c : cases) {
+    const auto tokens = tokenize(c.input);
+    ASSERT_TRUE(tokens.has_value()) << c.input << ": " << tokens.error();
+    ASSERT_EQ(tokens->size(), 2u) << c.input;
+    EXPECT_EQ((*tokens)[0].kind, TokenKind::kNumber) << c.input;
+    EXPECT_EQ((*tokens)[0].number, c.value) << c.input;
   }
 }
 
