@@ -13,10 +13,17 @@
 #   [-DCOUNT_OF=<text> -DSAME_COUNT_AS=<file>] with SHA256: the first
 #                       `<n>/<m> packets` after <text> in stdout must equal
 #                       the first one after <text> in <file>
+#   -DSTDOUT_CONTAINS=<text> the run must exit 0 and its stdout hold <text>
+#   [-DRUNS=<n>]        runs the program n times in the same DIR (default 1);
+#                       each run before the last must exit 0, and the check
+#                       above applies to the last run
+#   [-DNONEMPTY=<files>] after every run, each of the space-separated files
+#                       (relative to DIR) must exist and be non-empty
 if(NOT FILE)
   set(FILE stdout)
 endif()
 separate_arguments(args UNIX_COMMAND "${ARGS}")
+separate_arguments(nonempty UNIX_COMMAND "${NONEMPTY}")
 file(REMOVE_RECURSE ${DIR})
 file(MAKE_DIRECTORY ${DIR})
 if(INPUT)
@@ -37,12 +44,30 @@ set(stderr_file)
 if(STDERR_PREFIX)
   set(stderr_file ERROR_FILE ${DIR}/stderr)
 endif()
-execute_process(COMMAND ${PROGRAM} ${args}
-                WORKING_DIRECTORY ${DIR}
-                OUTPUT_FILE ${DIR}/stdout
-                ${stderr_file}
-                RESULT_VARIABLE rc)
 get_filename_component(name ${PROGRAM} NAME)
+if(NOT RUNS)
+  set(RUNS 1)
+endif()
+foreach(run RANGE 1 ${RUNS})
+  execute_process(COMMAND ${PROGRAM} ${args}
+                  WORKING_DIRECTORY ${DIR}
+                  OUTPUT_FILE ${DIR}/stdout
+                  ${stderr_file}
+                  RESULT_VARIABLE rc)
+  if(run LESS RUNS AND NOT rc EQUAL 0)
+    message(FATAL_ERROR "${name} ${ARGS}: run ${run} of ${RUNS} exited ${rc}")
+  endif()
+  foreach(file IN LISTS nonempty)
+    set(size 0)
+    if(EXISTS ${DIR}/${file})
+      file(SIZE ${DIR}/${file} size)
+    endif()
+    if(size EQUAL 0)
+      message(FATAL_ERROR "${name} ${ARGS}: run ${run} of ${RUNS} left no "
+                          "non-empty ${file}")
+    endif()
+  endforeach()
+endforeach()
 
 # The `<n>/<m> packets` count that follows the first <COUNT_OF> in <file>.
 function(packet_count_after file out)
@@ -94,6 +119,13 @@ elseif(EMBEDDED_IN)
     message(FATAL_ERROR "${name} ${ARGS}: exit ${rc}; its stdout (${DIR}/stdout) "
                         "differs from the block in ${EMBEDDED_IN}. Regenerate the "
                         "block with `${name} ${ARGS}` and review the diff.")
+  endif()
+elseif(STDOUT_CONTAINS)
+  file(READ ${DIR}/stdout out)
+  string(FIND "${out}" "${STDOUT_CONTAINS}" at)
+  if(NOT rc EQUAL 0 OR at EQUAL -1)
+    message(FATAL_ERROR "${name} ${ARGS}: exit ${rc}; stdout (${DIR}/stdout) "
+                        "does not contain '${STDOUT_CONTAINS}'")
   endif()
 elseif(NOT EXISTS ${DIR}/${FILE})
   message(FATAL_ERROR "${name} ${ARGS}: exit ${rc}, wrote no ${FILE}")
