@@ -24,8 +24,8 @@ void FlowTrace::add(const DissectedPacket& p, Ipv4Address src,
   // Trailing fragments are accepted on source+protocol alone: their IP id
   // ties them to the preceding first fragment of the same datagram.
   FlowPacket fp;
-  fp.time = p.timestamp;
-  fp.wire_length = static_cast<std::uint32_t>(p.frame_length);
+  fp.time = p.timestamp();
+  fp.wire_length = static_cast<std::uint32_t>(p.frame_length());
   fp.trailing_fragment = trailing;
   fp.first_of_group = !trailing;
   fp.ip_id = static_cast<std::uint16_t>(p.number(kIpId));

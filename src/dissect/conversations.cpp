@@ -75,10 +75,10 @@ void ConversationTable::add(const DissectedPacket& packet) {
   ConversationStats& stats = entry->second;
   if (inserted) {
     stats.key = key;
-    stats.first_seen = packet.timestamp;
+    stats.first_seen = packet.timestamp();
   }
-  stats.last_seen = std::max(stats.last_seen, packet.timestamp);
-  const auto bytes = static_cast<std::uint64_t>(packet.frame_length);
+  stats.last_seen = std::max(stats.last_seen, packet.timestamp());
+  const auto bytes = static_cast<std::uint64_t>(packet.frame_length());
   if (src_addr == key.addr_a && (!have_ports || src_port == key.port_a)) {
     ++stats.packets_a_to_b;
     stats.bytes_a_to_b += bytes;

@@ -8,7 +8,7 @@
 namespace streamlab {
 
 std::string DissectedPacket::display(FieldId id) const {
-  const std::int64_t value = slots_[index_of(id)];
+  const std::int64_t value = number(id);
   switch (field_info(id).display) {
     case FieldDisplay::kDecimal:
       return std::to_string(value);
@@ -20,7 +20,7 @@ std::string DissectedPacket::display(FieldId id) const {
 
 std::string DissectedPacket::summary() const {
   using enum FieldId;
-  std::string out = fmt_double(timestamp.to_seconds(), 6) + "s";
+  std::string out = fmt_double(timestamp().to_seconds(), 6) + "s";
   if (has(kIpSrc) && has(kIpDst)) out += " IP " + display(kIpSrc) + " > " + display(kIpDst);
   if (has_layer(Layer::kUdp)) {
     out += " UDP " + display(kUdpSrcPort) + "->" + display(kUdpDstPort);
@@ -30,103 +30,92 @@ std::string DissectedPacket::summary() const {
     out += " ICMP type=" + display(kIcmpType);
   }
   if (number(kIpFragOffset) > 0) out += " frag@" + display(kIpFragOffset);
-  out += " len=" + std::to_string(frame_length);
+  out += " len=" + std::to_string(frame_length());
   return out;
 }
 
 namespace {
 
-/// Dissects `record` into `pkt`, a freshly built packet.
+/// Dissects `record` into `pkt`, a freshly built packet, in one pass: each
+/// layer's length is checked once, its view's rule applied, and its fields
+/// loaded from their offsets straight into the record.
 void dissect_into(DissectedPacket& pkt, const CaptureRecord& record) {
   using enum FieldId;
-  pkt.timestamp = record.timestamp;
-  pkt.frame_length = record.original_length;
-  pkt.set(kFrameLen, static_cast<std::int64_t>(record.original_length));
+  pkt.set(kFrameLen, record.original_length);
   pkt.set(kFrameCapLen, static_cast<std::int64_t>(record.data.size()));
   pkt.set(kFrameTimeNs, record.timestamp.ns());
 
-  ByteReader r(record.data);
-  auto eth = EthernetHeader::decode(r);
-  if (!eth) {
-    pkt.add_layer(Layer::kMalformed);
-    return;
-  }
+  const std::uint8_t* p = record.data.data();
+  std::size_t left = record.data.size();
+  if (left < kEthernetHeaderSize) return pkt.add_layer(Layer::kMalformed);
+  const EthernetView eth{p};
   pkt.add_layer(Layer::kEth);
   // Presence only: no analysis reads the addresses (they stay in the frame).
   pkt.set(kEthSrc, 0);
   pkt.set(kEthDst, 0);
-  pkt.set(kEthType, eth->ethertype);
-  if (eth->ethertype != kEtherTypeIpv4) return;
+  pkt.set(kEthType, eth.ethertype());
+  if (eth.ethertype() != kEtherTypeIpv4) return;
+  p += kEthernetHeaderSize;
+  left -= kEthernetHeaderSize;
 
-  auto ip = Ipv4Header::decode(r);
-  if (!ip) {
-    pkt.add_layer(Layer::kMalformed);
-    return;
-  }
+  if (left < kIpv4HeaderSize) return pkt.add_layer(Layer::kMalformed);
+  const Ipv4View ip{p};
+  if (ip.error()) return pkt.add_layer(Layer::kMalformed);
   pkt.add_layer(Layer::kIp);
-  pkt.set(kIpLen, ip->total_length);
-  pkt.set(kIpId, ip->identification);
-  pkt.set(kIpFlagsDf, ip->dont_fragment ? 1 : 0);
-  pkt.set(kIpFlagsMf, ip->more_fragments ? 1 : 0);
-  pkt.set(kIpFragOffset, static_cast<std::int64_t>(ip->fragment_offset_bytes()));
-  pkt.set(kIpFragment, ip->is_fragment() ? 1 : 0);
-  pkt.set(kIpTtl, ip->ttl);
-  pkt.set(kIpProto, ip->protocol);
-  pkt.set(kIpSrc, ip->src.value());
-  pkt.set(kIpDst, ip->dst.value());
-
-  if (ip->is_trailing_fragment()) {
+  const std::uint16_t frag_units = ip.fragment_offset_units();
+  pkt.set(kIpLen, ip.total_length());
+  pkt.set(kIpId, ip.identification());
+  pkt.set(kIpFlagsDf, ip.dont_fragment());
+  pkt.set(kIpFlagsMf, ip.more_fragments());
+  pkt.set(kIpFragOffset, frag_units * 8);
+  pkt.set(kIpFragment, ip.more_fragments() || frag_units != 0);
+  pkt.set(kIpTtl, ip.ttl());
+  pkt.set(kIpProto, ip.protocol());
+  pkt.set(kIpSrc, ip.src());
+  pkt.set(kIpDst, ip.dst());
+  if (frag_units != 0) {
     // Trailing fragments carry no transport header; data bytes only.
-    pkt.set(kIpPayloadLen, static_cast<std::int64_t>(ip->payload_length()));
+    pkt.set(kIpPayloadLen, static_cast<std::int64_t>(ip.payload_length()));
     return;
   }
+  p += kIpv4HeaderSize;
+  left -= kIpv4HeaderSize;
+  const std::size_t segment = std::min(ip.payload_length(), left);
 
-  const std::size_t ip_payload = std::min<std::size_t>(ip->payload_length(), r.remaining());
-  ByteReader tr(r.bytes(ip_payload));
-
-  switch (ip->protocol) {
+  switch (ip.protocol()) {
     case kIpProtoUdp: {
-      auto udp = UdpHeader::decode(tr);
-      if (!udp) {
-        pkt.add_layer(Layer::kMalformed);
-        return;
-      }
+      const UdpView udp{p};
+      if (segment < kUdpHeaderSize || udp.error()) return pkt.add_layer(Layer::kMalformed);
       pkt.add_layer(Layer::kUdp);
-      pkt.set(kUdpSrcPort, udp->src_port);
-      pkt.set(kUdpDstPort, udp->dst_port);
-      pkt.set(kUdpLength, udp->length);
-      pkt.set(kUdpChecksum, udp->checksum);
+      pkt.set(kUdpSrcPort, udp.src_port());
+      pkt.set(kUdpDstPort, udp.dst_port());
+      pkt.set(kUdpLength, udp.length());
+      pkt.set(kUdpChecksum, udp.checksum());
       break;
     }
     case kIpProtoTcp: {
-      auto tcp = TcpHeader::decode(tr);
-      if (!tcp) {
-        pkt.add_layer(Layer::kMalformed);
-        return;
-      }
+      const TcpView tcp{p};
+      if (segment < kTcpHeaderSize || tcp.error(segment)) return pkt.add_layer(Layer::kMalformed);
       pkt.add_layer(Layer::kTcp);
-      pkt.set(kTcpSrcPort, tcp->src_port);
-      pkt.set(kTcpDstPort, tcp->dst_port);
-      pkt.set(kTcpSeq, tcp->seq);
-      pkt.set(kTcpAck, tcp->ack);
-      pkt.set(kTcpFlagsSyn, tcp->flag_syn ? 1 : 0);
-      pkt.set(kTcpFlagsAck, tcp->flag_ack ? 1 : 0);
-      pkt.set(kTcpFlagsFin, tcp->flag_fin ? 1 : 0);
-      pkt.set(kTcpFlagsRst, tcp->flag_rst ? 1 : 0);
-      pkt.set(kTcpWindow, tcp->window);
+      pkt.set(kTcpSrcPort, tcp.src_port());
+      pkt.set(kTcpDstPort, tcp.dst_port());
+      pkt.set(kTcpSeq, tcp.seq());
+      pkt.set(kTcpAck, tcp.ack());
+      pkt.set(kTcpFlagsSyn, tcp.flag_syn());
+      pkt.set(kTcpFlagsAck, tcp.flag_ack());
+      pkt.set(kTcpFlagsFin, tcp.flag_fin());
+      pkt.set(kTcpFlagsRst, tcp.flag_rst());
+      pkt.set(kTcpWindow, tcp.window());
       break;
     }
     case kIpProtoIcmp: {
-      auto icmp = IcmpHeader::decode(tr);
-      if (!icmp) {
-        pkt.add_layer(Layer::kMalformed);
-        return;
-      }
+      if (segment < kIcmpHeaderSize) return pkt.add_layer(Layer::kMalformed);
+      const IcmpView icmp{p};
       pkt.add_layer(Layer::kIcmp);
-      pkt.set(kIcmpType, static_cast<std::int64_t>(icmp->type));
-      pkt.set(kIcmpCode, icmp->code);
-      pkt.set(kIcmpIdent, icmp->identifier);
-      pkt.set(kIcmpSeq, icmp->sequence);
+      pkt.set(kIcmpType, icmp.type());
+      pkt.set(kIcmpCode, icmp.code());
+      pkt.set(kIcmpIdent, icmp.identifier());
+      pkt.set(kIcmpSeq, icmp.sequence());
       break;
     }
     default:

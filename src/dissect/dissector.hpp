@@ -1,10 +1,13 @@
-// Protocol dissection: turns a captured frame into a flat record of the
+// Protocol dissection: turns a captured frame into a packed record of the
 // registry's fields ("ip.frag_offset", "udp.dstport", ...) in the style of
 // Ethereal / Wireshark, which is what the display-filter language evaluates
-// against.
+// against. The dissector reads each header through the fixed-offset views
+// of net/headers.hpp, the same views and validity rules the header decoders
+// use, and stores each field straight into the record.
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -13,24 +16,47 @@
 
 namespace streamlab {
 
-/// The result of dissecting one frame: a fixed-slot record with one number
-/// per registered field (fields.hpp), a presence mask and a layer mask. It
-/// allocates nothing; display strings are formatted when asked for.
+/// The result of dissecting one frame: a packed record holding each
+/// registered field (fields.hpp) in its own width at its own offset, a
+/// presence mask and a layer mask. It allocates nothing; display strings are
+/// formatted when asked for.
 class DissectedPacket {
  public:
-  SimTime timestamp;
-  std::size_t frame_length = 0;
+  /// The capture time and wire length: frame.time_ns and frame.len.
+  SimTime timestamp() const { return SimTime(number(FieldId::kFrameTimeNs)); }
+  std::size_t frame_length() const {
+    return static_cast<std::size_t>(number(FieldId::kFrameLen));
+  }
 
   bool has(FieldId id) const { return (present_ >> index_of(id)) & 1; }
   /// The field's number, 0 when it is absent.
-  std::int64_t number(FieldId id) const { return slots_[index_of(id)]; }
+  std::int64_t number(FieldId id) const {
+    const FieldSlot slot = kFieldSlots[index_of(id)];
+    const std::uint8_t* p = bytes_ + slot.offset;
+    switch (slot.width) {
+      case 1: return *p;
+      case 2: return load<std::uint16_t>(p);
+      case 4: return load<std::uint32_t>(p);
+      case 8: return load<std::int64_t>(p);
+      default: return 0;
+    }
+  }
   bool has_layer(Layer layer) const { return (layers_ >> static_cast<unsigned>(layer)) & 1; }
   /// One bit per FieldId / Layer that is present.
   std::uint64_t field_mask() const { return present_; }
   std::uint8_t layer_mask() const { return layers_; }
 
+  /// Stores the field's number, which must fit its width.
   void set(FieldId id, std::int64_t value) {
-    slots_[index_of(id)] = value;
+    const FieldSlot slot = kFieldSlots[index_of(id)];
+    std::uint8_t* p = bytes_ + slot.offset;
+    switch (slot.width) {
+      case 1: *p = static_cast<std::uint8_t>(value); break;
+      case 2: store(p, static_cast<std::uint16_t>(value)); break;
+      case 4: store(p, static_cast<std::uint32_t>(value)); break;
+      case 8: store(p, value); break;
+      default: break;
+    }
     present_ |= std::uint64_t{1} << index_of(id);
   }
   void add_layer(Layer layer) {
@@ -38,16 +64,28 @@ class DissectedPacket {
   }
 
   /// The field's display string ("192.168.100.10", "1755", ...), formatted
-  /// from its slot.
+  /// from its number.
   std::string display(FieldId id) const;
   /// One-line summary ("12.345s IP 10.0.0.2 > 192.168.100.10 UDP 5005->4321 len=980").
   std::string summary() const;
 
  private:
-  std::int64_t slots_[kFieldCount] = {};
+  template <class T>
+  static T load(const std::uint8_t* p) {
+    T v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+  }
+  template <class T>
+  static void store(std::uint8_t* p, T v) {
+    std::memcpy(p, &v, sizeof v);
+  }
+
   std::uint64_t present_ = 0;
+  alignas(8) std::uint8_t bytes_[kPackedFieldBytes] = {};
   std::uint8_t layers_ = 0;
 };
+static_assert(sizeof(DissectedPacket) <= 104, "a dissected packet is one packed record");
 
 /// Dissects a single captured frame. Malformed frames yield a packet with
 /// whatever layers parsed plus a "_malformed" marker layer, rather than an

@@ -1,7 +1,5 @@
 #include "net/headers.hpp"
 
-#include <algorithm>
-
 #include "net/checksum.hpp"
 
 namespace streamlab {
@@ -10,19 +8,6 @@ void EthernetHeader::write(SpanWriter& w) const {
   w.bytes(dst.octets());
   w.bytes(src.octets());
   w.u16be(ethertype);
-}
-
-Expected<EthernetHeader> EthernetHeader::decode(ByteReader& r) {
-  const auto b = r.bytes(kEthernetHeaderSize);
-  if (b.size() != kEthernetHeaderSize) return Unexpected(std::string("truncated Ethernet header"));
-  EthernetHeader h;
-  std::array<std::uint8_t, 6> mac;
-  std::copy_n(b.data(), mac.size(), mac.begin());
-  h.dst = MacAddress(mac);
-  std::copy_n(b.data() + 6, mac.size(), mac.begin());
-  h.src = MacAddress(mac);
-  h.ethertype = load_u16be(b.data() + 12);
-  return h;
 }
 
 void Ipv4Header::write(SpanWriter& w) const {
@@ -52,41 +37,23 @@ void Ipv4Header::encode(ByteWriter& w) const {
   w.bytes(bytes);
 }
 
-namespace {
-
-/// internet_checksum(header) == 0 for a 20-byte IPv4 header, unrolled: the
-/// RFC 1071 sum of its five 32-bit words folded to 16 bits is 0xFFFF
-/// exactly when the header checksum verifies (the sum is 0 only when
-/// every byte is).
-bool header_checksum_verifies(const std::uint8_t* p) {
-  std::uint64_t sum = 0;
-  for (std::size_t i = 0; i < kIpv4HeaderSize; i += 4) sum += load_u32be(p + i);
-  while (sum >> 16) sum = (sum & 0xFFFF) + (sum >> 16);
-  return sum == 0xFFFF;
-}
-
-}  // namespace
-
 Expected<Ipv4Header> Ipv4Header::decode(ByteReader& r) {
   const auto b = r.bytes(kIpv4HeaderSize);
   if (b.size() != kIpv4HeaderSize) return Unexpected(std::string("truncated IPv4 header"));
-  const std::uint8_t* p = b.data();
-  if ((p[0] >> 4) != 4) return Unexpected(std::string("not IPv4"));
-  if ((p[0] & 0x0F) != 5) return Unexpected(std::string("IPv4 options unsupported"));
+  const Ipv4View v{b.data()};
+  if (const char* error = v.error()) return Unexpected(std::string(error));
   Ipv4Header h;
-  h.dscp = p[1];
-  h.total_length = load_u16be(p + 2);
-  h.identification = load_u16be(p + 4);
-  const std::uint16_t flags_frag = load_u16be(p + 6);
-  h.dont_fragment = (flags_frag & 0x4000) != 0;
-  h.more_fragments = (flags_frag & 0x2000) != 0;
-  h.fragment_offset_units = flags_frag & 0x1FFF;
-  h.ttl = p[8];
-  h.protocol = p[9];
-  h.header_checksum = load_u16be(p + 10);
-  h.src = Ipv4Address(load_u32be(p + 12));
-  h.dst = Ipv4Address(load_u32be(p + 16));
-  if (!header_checksum_verifies(p)) return Unexpected(std::string("bad IPv4 header checksum"));
+  h.dscp = v.dscp();
+  h.total_length = v.total_length();
+  h.identification = v.identification();
+  h.dont_fragment = v.dont_fragment();
+  h.more_fragments = v.more_fragments();
+  h.fragment_offset_units = v.fragment_offset_units();
+  h.ttl = v.ttl();
+  h.protocol = v.protocol();
+  h.header_checksum = v.header_checksum();
+  h.src = Ipv4Address(v.src());
+  h.dst = Ipv4Address(v.dst());
   return h;
 }
 
@@ -111,12 +78,13 @@ void UdpHeader::encode(ByteWriter& w, Ipv4Address src_ip, Ipv4Address dst_ip,
 Expected<UdpHeader> UdpHeader::decode(ByteReader& r) {
   const auto b = r.bytes(kUdpHeaderSize);
   if (b.size() != kUdpHeaderSize) return Unexpected(std::string("truncated UDP header"));
+  const UdpView v{b.data()};
+  if (const char* error = v.error()) return Unexpected(std::string(error));
   UdpHeader h;
-  h.src_port = load_u16be(b.data());
-  h.dst_port = load_u16be(b.data() + 2);
-  h.length = load_u16be(b.data() + 4);
-  h.checksum = load_u16be(b.data() + 6);
-  if (h.length < kUdpHeaderSize) return Unexpected(std::string("bad UDP length"));
+  h.src_port = v.src_port();
+  h.dst_port = v.dst_port();
+  h.length = v.length();
+  h.checksum = v.checksum();
   return h;
 }
 
@@ -151,26 +119,23 @@ void TcpHeader::encode(ByteWriter& w, Ipv4Address src_ip, Ipv4Address dst_ip,
 Expected<TcpHeader> TcpHeader::decode(ByteReader& r) {
   const auto b = r.bytes(kTcpHeaderSize);
   if (b.size() != kTcpHeaderSize) return Unexpected(std::string("truncated TCP header"));
-  const std::uint8_t* p = b.data();
+  const TcpView v{b.data()};
+  if (const char* error = v.error(kTcpHeaderSize + r.remaining()))
+    return Unexpected(std::string(error));
+  // Skip the options so the reader is positioned at the payload.
+  r.skip(v.options_length());
   TcpHeader h;
-  h.src_port = load_u16be(p);
-  h.dst_port = load_u16be(p + 2);
-  h.seq = load_u32be(p + 4);
-  h.ack = load_u32be(p + 8);
-  const std::uint16_t off_flags = load_u16be(p + 12);
-  h.window = load_u16be(p + 14);
-  h.checksum = load_u16be(p + 16);
-  // Bytes 18-19: the urgent pointer, unused.
-  const unsigned data_offset = off_flags >> 12;
-  if (data_offset < 5) return Unexpected(std::string("bad TCP data offset"));
-  // Skip TCP options so the reader is positioned at the payload.
-  r.skip((data_offset - 5) * 4);
-  if (!r.ok()) return Unexpected(std::string("truncated TCP options"));
-  h.flag_fin = off_flags & 0x001;
-  h.flag_syn = off_flags & 0x002;
-  h.flag_rst = off_flags & 0x004;
-  h.flag_psh = off_flags & 0x008;
-  h.flag_ack = off_flags & 0x010;
+  h.src_port = v.src_port();
+  h.dst_port = v.dst_port();
+  h.seq = v.seq();
+  h.ack = v.ack();
+  h.flag_syn = v.flag_syn();
+  h.flag_ack = v.flag_ack();
+  h.flag_fin = v.flag_fin();
+  h.flag_rst = v.flag_rst();
+  h.flag_psh = v.flag_psh();
+  h.window = v.window();
+  h.checksum = v.checksum();
   return h;
 }
 
@@ -198,12 +163,13 @@ void IcmpHeader::encode(ByteWriter& w, std::span<const std::uint8_t> payload) co
 Expected<IcmpHeader> IcmpHeader::decode(ByteReader& r) {
   const auto b = r.bytes(kIcmpHeaderSize);
   if (b.size() != kIcmpHeaderSize) return Unexpected(std::string("truncated ICMP header"));
+  const IcmpView v{b.data()};
   IcmpHeader h;
-  h.type = static_cast<IcmpType>(b[0]);
-  h.code = b[1];
-  h.checksum = load_u16be(b.data() + 2);
-  h.identifier = load_u16be(b.data() + 4);
-  h.sequence = load_u16be(b.data() + 6);
+  h.type = static_cast<IcmpType>(v.type());
+  h.code = v.code();
+  h.checksum = v.checksum();
+  h.identifier = v.identifier();
+  h.sequence = v.sequence();
   return h;
 }
 

@@ -1,5 +1,7 @@
 #include "net/packet.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "net/checksum.hpp"
@@ -121,9 +123,15 @@ Expected<std::pair<std::size_t, std::size_t>> parse_frame_headers(
     std::span<const std::uint8_t> frame, ParsedFrame& out) {
   ByteReader r(frame);
 
-  auto eth = EthernetHeader::decode(r);
-  if (!eth) return Unexpected(eth.error());
-  out.eth = *eth;
+  const auto eth = r.bytes(kEthernetHeaderSize);
+  if (eth.size() != kEthernetHeaderSize)
+    return Unexpected(std::string("truncated Ethernet header"));
+  std::array<std::uint8_t, 6> mac;
+  std::copy_n(eth.data(), mac.size(), mac.begin());
+  out.eth.dst = MacAddress(mac);
+  std::copy_n(eth.data() + 6, mac.size(), mac.begin());
+  out.eth.src = MacAddress(mac);
+  out.eth.ethertype = EthernetView{eth.data()}.ethertype();
   if (out.eth.ethertype != kEtherTypeIpv4)
     return Unexpected(std::string("not an IPv4 frame"));
 

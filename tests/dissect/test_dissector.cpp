@@ -41,7 +41,7 @@ TEST(Dissector, UdpFieldTree) {
   EXPECT_EQ(d.number(FieldId::kUdpSrcPort), 1755);
   EXPECT_EQ(d.number(FieldId::kUdpDstPort), 7000);
   EXPECT_EQ(d.number(FieldId::kUdpLength), 108);
-  EXPECT_EQ(d.timestamp, SimTime::from_seconds(1.0));
+  EXPECT_EQ(d.timestamp(), SimTime::from_seconds(1.0));
 }
 
 TEST(Dissector, FragmentFields) {

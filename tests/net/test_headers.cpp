@@ -6,6 +6,7 @@
 #include <array>
 
 #include "net/checksum.hpp"
+#include "net/packet.hpp"
 #include "util/rng.hpp"
 
 namespace streamlab {
@@ -22,18 +23,16 @@ TEST(EthernetHeader, EncodeDecodeRoundTrip) {
   h.write(w);
   EXPECT_EQ(w.rest().size(), 1u);  // the header took its 14 bytes
 
-  ByteReader r(std::span<const std::uint8_t>(buf, kEthernetHeaderSize));
-  const auto decoded = EthernetHeader::decode(r);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->dst, h.dst);
-  EXPECT_EQ(decoded->src, h.src);
-  EXPECT_EQ(decoded->ethertype, kEtherTypeIpv4);
+  EXPECT_TRUE(std::equal(h.dst.octets().begin(), h.dst.octets().end(), buf));
+  EXPECT_TRUE(std::equal(h.src.octets().begin(), h.src.octets().end(), buf + 6));
+  EXPECT_EQ(EthernetView{buf}.ethertype(), kEtherTypeIpv4);
 }
 
 TEST(EthernetHeader, DecodeTruncatedFails) {
   const std::uint8_t short_buf[10] = {};
-  ByteReader r(short_buf);
-  EXPECT_FALSE(EthernetHeader::decode(r).has_value());
+  const auto parsed = parse_frame(short_buf);
+  ASSERT_FALSE(parsed.has_value());
+  EXPECT_EQ(parsed.error(), "truncated Ethernet header");
 }
 
 Ipv4Header sample_ip_header() {

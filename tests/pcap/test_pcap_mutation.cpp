@@ -86,8 +86,7 @@ std::optional<std::size_t> read_and_dissect(const std::string& bytes) {
     EXPECT_FALSE(d.summary().empty());
     // The MAC addresses stay in the frame bytes; the dissection marks
     // eth.src and eth.dst present exactly when the bytes hold them.
-    ByteReader frame((*trace)[i].data);
-    const bool has_macs = EthernetHeader::decode(frame).has_value();
+    const bool has_macs = (*trace)[i].data.size() >= kEthernetHeaderSize;
     EXPECT_EQ(d.has(FieldId::kEthSrc), has_macs);
     EXPECT_EQ(d.has(FieldId::kEthDst), has_macs);
   }
