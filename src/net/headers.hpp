@@ -167,9 +167,6 @@ struct Ipv4Header {
   /// `is_trailing_fragment` captures.
   bool is_fragment() const { return more_fragments || fragment_offset_units != 0; }
   bool is_trailing_fragment() const { return fragment_offset_units != 0; }
-  std::size_t payload_length() const {
-    return total_length >= kIpv4HeaderSize ? total_length - kIpv4HeaderSize : 0;
-  }
 
   /// Encodes with a freshly computed header checksum.
   void encode(ByteWriter& w) const;

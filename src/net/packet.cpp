@@ -138,10 +138,12 @@ Expected<std::pair<std::size_t, std::size_t>> parse_frame_headers(
   auto ip = Ipv4Header::decode(r);
   if (!ip) return Unexpected(ip.error());
   out.ip = *ip;
-  if (out.ip.payload_length() > r.remaining())
+  const std::size_t payload_length =
+      Ipv4View{frame.data() + kEthernetHeaderSize}.payload_length();
+  if (payload_length > r.remaining())
     return Unexpected(std::string("IPv4 total length exceeds frame"));
   const std::size_t ip_payload_offset = r.offset();
-  auto ip_payload = r.bytes(out.ip.payload_length());
+  auto ip_payload = r.bytes(payload_length);
 
   if (out.ip.is_trailing_fragment()) {
     // No transport header: this is a middle/last slice of a larger datagram.

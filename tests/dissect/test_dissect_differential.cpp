@@ -82,12 +82,14 @@ class ReferenceDissector {
     pkt.set(kIpProto, ip->protocol);
     pkt.set(kIpSrc, ip->src.value());
     pkt.set(kIpDst, ip->dst.value());
+    const std::size_t payload_length =
+        ip->total_length >= kIpv4HeaderSize ? ip->total_length - kIpv4HeaderSize : 0;
     if (ip->is_trailing_fragment()) {
-      pkt.set(kIpPayloadLen, static_cast<std::int64_t>(ip->payload_length()));
+      pkt.set(kIpPayloadLen, static_cast<std::int64_t>(payload_length));
       return pkt;
     }
 
-    const std::size_t ip_payload = std::min<std::size_t>(ip->payload_length(), r.remaining());
+    const std::size_t ip_payload = std::min<std::size_t>(payload_length, r.remaining());
     ByteReader tr(r.bytes(ip_payload));
     switch (ip->protocol) {
       case kIpProtoUdp: {
