@@ -6,6 +6,7 @@
 // use, and stores each field straight into the record.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -13,6 +14,7 @@
 
 #include "dissect/fields.hpp"
 #include "pcap/capture.hpp"
+#include "util/bytes.hpp"
 
 namespace streamlab {
 
@@ -29,34 +31,23 @@ class DissectedPacket {
   }
 
   bool has(FieldId id) const { return (present_ >> index_of(id)) & 1; }
-  /// The field's number, 0 when it is absent.
+  /// The field's number, 0 when it is absent: one 64-bit load at the
+  /// field's offset, masked to its width.
   std::int64_t number(FieldId id) const {
-    const FieldSlot slot = kFieldSlots[index_of(id)];
-    const std::uint8_t* p = bytes_ + slot.offset;
-    switch (slot.width) {
-      case 1: return *p;
-      case 2: return load<std::uint16_t>(p);
-      case 4: return load<std::uint32_t>(p);
-      case 8: return load<std::int64_t>(p);
-      default: return 0;
-    }
+    const FieldSlot& slot = kFieldSlots[index_of(id)];
+    return static_cast<std::int64_t>(load_u64le(bytes_ + slot.offset) & slot.mask);
   }
   bool has_layer(Layer layer) const { return (layers_ >> static_cast<unsigned>(layer)) & 1; }
   /// One bit per FieldId / Layer that is present.
   std::uint64_t field_mask() const { return present_; }
   std::uint8_t layer_mask() const { return layers_; }
 
-  /// Stores the field's number, which must fit its width.
+  /// Stores the field's number, which must fit its width, little-endian.
   void set(FieldId id, std::int64_t value) {
-    const FieldSlot slot = kFieldSlots[index_of(id)];
-    std::uint8_t* p = bytes_ + slot.offset;
-    switch (slot.width) {
-      case 1: *p = static_cast<std::uint8_t>(value); break;
-      case 2: store(p, static_cast<std::uint16_t>(value)); break;
-      case 4: store(p, static_cast<std::uint32_t>(value)); break;
-      case 8: store(p, value); break;
-      default: break;
-    }
+    const FieldSlot& slot = kFieldSlots[index_of(id)];
+    auto le = static_cast<std::uint64_t>(value);
+    if constexpr (std::endian::native == std::endian::big) le = __builtin_bswap64(le);
+    std::memcpy(bytes_ + slot.offset, &le, slot.width);
     present_ |= std::uint64_t{1} << index_of(id);
   }
   void add_layer(Layer layer) {
@@ -70,19 +61,8 @@ class DissectedPacket {
   std::string summary() const;
 
  private:
-  template <class T>
-  static T load(const std::uint8_t* p) {
-    T v;
-    std::memcpy(&v, p, sizeof v);
-    return v;
-  }
-  template <class T>
-  static void store(std::uint8_t* p, T v) {
-    std::memcpy(p, &v, sizeof v);
-  }
-
   std::uint64_t present_ = 0;
-  alignas(8) std::uint8_t bytes_[kPackedFieldBytes] = {};
+  std::uint8_t bytes_[kPackedFieldBytes] = {};
   std::uint8_t layers_ = 0;
 };
 static_assert(sizeof(DissectedPacket) <= 104, "a dissected packet is one packed record");

@@ -86,39 +86,48 @@ static_assert(kFieldCount <= 64, "a packet's field presence is one 64-bit mask")
 constexpr std::size_t index_of(FieldId id) { return static_cast<std::size_t>(id); }
 constexpr const FieldInfo& field_info(FieldId id) { return kFields[index_of(id)]; }
 
-/// Where a field lies in a packed record: its byte offset and width.
-struct FieldSlot {
-  std::uint8_t offset;
-  std::uint8_t width;
-};
-
-/// Every field's slot, indexed by FieldId. The widest fields come first, so
-/// each field is aligned to its width in a record aligned to 8 bytes;
-/// width-0 fields take no bytes.
-inline constexpr std::array<FieldSlot, kFieldCount> kFieldSlots = [] {
-  std::array<FieldSlot, kFieldCount> slots{};
-  std::size_t at = 0;
-  for (std::size_t width = 8; width > 0; width /= 2)
-    for (std::size_t i = 0; i < kFieldCount; ++i)
-      if (kFields[i].width == width) {
-        slots[i] = {static_cast<std::uint8_t>(at), kFields[i].width};
-        at += width;
-      }
-  return slots;
-}();
-
 static_assert(std::ranges::all_of(kFields, [](const FieldInfo& f) {
                 return f.width == 0 || f.width == 1 || f.width == 2 || f.width == 4 ||
                        f.width == 8;
               }),
               "a field is 0, 1, 2, 4 or 8 bytes wide");
 
-/// The bytes a packed record holds: every field's width, summed.
+/// Where a field lies in a packed record: its byte offset, its width, and
+/// the mask that keeps its bytes of a 64-bit little-endian load at the
+/// offset.
+struct FieldSlot {
+  std::uint64_t mask;
+  std::uint8_t offset;
+  std::uint8_t width;
+};
+
+/// Every field's slot, indexed by FieldId. Fields are laid out narrowest
+/// first, so the 8-byte timestamp comes last and a 64-bit load at any
+/// field's offset stays inside the record. Width-0 fields take no bytes and
+/// mask everything off.
+inline constexpr std::array<FieldSlot, kFieldCount> kFieldSlots = [] {
+  std::array<FieldSlot, kFieldCount> slots{};
+  std::size_t at = 0;
+  for (std::size_t width = 1; width <= 8; width *= 2)
+    for (std::size_t i = 0; i < kFieldCount; ++i)
+      if (kFields[i].width == width) {
+        const std::uint64_t mask =
+            width == 8 ? ~std::uint64_t{0} : (std::uint64_t{1} << (8 * width)) - 1;
+        slots[i] = {mask, static_cast<std::uint8_t>(at), kFields[i].width};
+        at += width;
+      }
+  return slots;
+}();
+
+/// The bytes of a packed record: every field's width, summed.
 inline constexpr std::size_t kPackedFieldBytes = [] {
   std::size_t sum = 0;
   for (const FieldInfo& f : kFields) sum += f.width;
   return sum;
 }();
+static_assert(std::ranges::all_of(kFieldSlots,
+                                  [](const FieldSlot& s) { return s.offset + 8u <= kPackedFieldBytes; }),
+              "a 64-bit load at a field's offset stays inside the record");
 
 /// The protocol layers a dissection can find; `_malformed` marks a frame
 /// whose next header did not parse.

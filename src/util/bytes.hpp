@@ -81,6 +81,9 @@ inline std::uint32_t load_u32le(const std::uint8_t* p) {
   return std::uint32_t{p[0]} | (std::uint32_t{p[1]} << 8) | (std::uint32_t{p[2]} << 16) |
          (std::uint32_t{p[3]} << 24);
 }
+inline std::uint64_t load_u64le(const std::uint8_t* p) {
+  return std::uint64_t{load_u32le(p)} | (std::uint64_t{load_u32le(p + 4)} << 32);
+}
 
 /// Big-endian writer into a caller-sized span: how a packet is built in
 /// place in its buffer. The span is sized from the wire size of what is
