@@ -18,11 +18,12 @@ namespace streamlab {
 enum class FieldDisplay : std::uint8_t { kDecimal, kIpv4 };
 
 // (id, Wireshark name, display, width), grouped by layer in dissection
-// order. The width is the field's own in the header, in bytes: 1, 2 or 4,
-// and 8 for the capture timestamp. eth.src and eth.dst have width 0: they
-// carry presence only, their number is 0, and the addresses stay in the
-// frame bytes.
-#define STREAMLAB_DISSECT_FIELDS(X)                \
+// order. The width is the bytes the value takes in a record: a header
+// field's own width (a flag takes a byte, the fragment offset in bytes two),
+// 4 for the frame lengths and 8 for the capture timestamp. eth.src and
+// eth.dst have width 0: they carry presence only, their number is 0, and
+// the addresses stay in the frame bytes.
+#define STREAMLAB_DISSECT_FIELDS(X)                    \
   X(kFrameLen, "frame.len", kDecimal, 4)           \
   X(kFrameCapLen, "frame.cap_len", kDecimal, 4)    \
   X(kFrameTimeNs, "frame.time_ns", kDecimal, 8)    \
@@ -126,7 +127,9 @@ inline constexpr std::size_t kPackedFieldBytes = [] {
   return sum;
 }();
 static_assert(std::ranges::all_of(kFieldSlots,
-                                  [](const FieldSlot& s) { return s.offset + 8u <= kPackedFieldBytes; }),
+                                  [](const FieldSlot& s) {
+                                    return s.offset + 8u <= kPackedFieldBytes;
+                                  }),
               "a 64-bit load at a field's offset stays inside the record");
 
 /// The protocol layers a dissection can find; `_malformed` marks a frame

@@ -12,7 +12,7 @@ namespace streamlab::filter {
 
 /// A compiled display filter. Compile once, match many packets: compiling
 /// resolves every field and layer name to its registry id, so matching reads
-/// packet slots and masks with no name lookup.
+/// packet fields and masks with no name lookup.
 class DisplayFilter {
  public:
   /// Compiles an expression; reports lexer/parser errors with positions.

@@ -226,7 +226,7 @@ CaptureTrace mixed_capture(int rounds) {
   return trace;
 }
 
-// Dissection fills a fixed-slot record per frame: the output vector is the
+// Dissection fills a packed record per frame: the output vector is the
 // only allocation, whatever the trace holds.
 TEST(Allocations, DissectingATraceAllocatesOnlyItsOutput) {
   const CaptureTrace trace = mixed_capture(200);
@@ -237,7 +237,7 @@ TEST(Allocations, DissectingATraceAllocatesOnlyItsOutput) {
   EXPECT_LE(allocs, 1u) << allocs << " allocations for " << packets.size() << " frames";
 }
 
-// A compiled filter reads slots and masks; select allocates its output only.
+// A compiled filter reads field numbers and masks; select allocates its output only.
 TEST(Allocations, SelectAllocatesOnlyItsOutput) {
   const std::vector<DissectedPacket> packets = dissect_trace(mixed_capture(200));
   for (const char* expr : {"ip.frag_offset > 0", "frame.len == 1514 && udp.port == 1755",

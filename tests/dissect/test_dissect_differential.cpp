@@ -362,18 +362,19 @@ TEST(DissectDifferential, LargestFieldValuesRoundTrip) {
     FieldId id;
     std::int64_t largest;
   } rows[] = {
-      {kFrameLen, u32},        {kFrameCapLen, u32},      {kFrameTimeNs, std::numeric_limits<std::int64_t>::max()},
-      {kEthSrc, 0},            {kEthDst, 0},             {kEthType, u16},
-      {kIpLen, u16},           {kIpId, u16},             {kIpFlagsDf, 1},
-      {kIpFlagsMf, 1},         {kIpFragOffset, 0x1FFF * 8}, {kIpFragment, 1},
-      {kIpTtl, u8},            {kIpProto, u8},           {kIpSrc, u32},
-      {kIpDst, u32},           {kIpPayloadLen, u16 - 20}, {kUdpSrcPort, u16},
-      {kUdpDstPort, u16},      {kUdpLength, u16},        {kUdpChecksum, u16},
-      {kTcpSrcPort, u16},      {kTcpDstPort, u16},       {kTcpSeq, u32},
-      {kTcpAck, u32},          {kTcpFlagsSyn, 1},        {kTcpFlagsAck, 1},
-      {kTcpFlagsFin, 1},       {kTcpFlagsRst, 1},        {kTcpWindow, u16},
-      {kIcmpType, u8},         {kIcmpCode, u8},          {kIcmpIdent, u16},
-      {kIcmpSeq, u16},
+      {kFrameLen, u32},     {kFrameCapLen, u32},
+      {kFrameTimeNs, std::numeric_limits<std::int64_t>::max()},
+      {kEthSrc, 0},         {kEthDst, 0},          {kEthType, u16},
+      {kIpLen, u16},        {kIpId, u16},          {kIpFlagsDf, 1},
+      {kIpFlagsMf, 1},      {kIpFragOffset, 0x1FFF * 8},
+      {kIpFragment, 1},     {kIpTtl, u8},          {kIpProto, u8},
+      {kIpSrc, u32},        {kIpDst, u32},         {kIpPayloadLen, u16 - 20},
+      {kUdpSrcPort, u16},   {kUdpDstPort, u16},    {kUdpLength, u16},
+      {kUdpChecksum, u16},  {kTcpSrcPort, u16},    {kTcpDstPort, u16},
+      {kTcpSeq, u32},       {kTcpAck, u32},        {kTcpFlagsSyn, 1},
+      {kTcpFlagsAck, 1},    {kTcpFlagsFin, 1},     {kTcpFlagsRst, 1},
+      {kTcpWindow, u16},    {kIcmpType, u8},       {kIcmpCode, u8},
+      {kIcmpIdent, u16},    {kIcmpSeq, u16},
   };
   ASSERT_EQ(std::size(rows), kFieldCount);
 
