@@ -38,8 +38,9 @@ inline constexpr std::size_t kIcmpHeaderSize = 8;
 /// default"), giving the 1514-byte wire frames the paper observes.
 inline constexpr std::size_t kDefaultMtu = 1500;
 
-// The views. A view does not check its length: whoever makes one has
-// checked that the header's whole size lies at `p`.
+// The views. A view does not check its length: its accessors and its rule
+// may be called only once the caller has checked that the header's whole
+// size lies at `p`.
 
 /// Ethernet II: destination MAC, source MAC, ethertype. Any whole header is
 /// valid.
