@@ -71,7 +71,7 @@ std::size_t run_jobs(std::size_t jobs, std::size_t workers,
     job_done.notify_all();
     // Hand the job's freed pages back before its runner's arena holds them
     // through the next job (the memory contract in jobs.hpp).
-#ifdef __GLIBC__
+#if defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
     if (workers > 1) malloc_trim(0);
 #endif
     return true;

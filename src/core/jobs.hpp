@@ -42,6 +42,8 @@ std::size_t job_workers(std::size_t requested, std::size_t jobs);
 /// arenas' resident pages add up across runners and peak RSS grows with
 /// the worker count (DESIGN.md §18). With one runner the jobs run one after
 /// another on the calling thread and reuse its free blocks; no trim is made.
+/// Nor is one in an ASan or TSan build: those replace malloc, and glibc's
+/// trim can crash walking arenas it never set up. No output depends on it.
 ///
 /// Failure: a job that throws stops further claims. Every job below it still
 /// commits; then, after every spawned runner has joined, the exception of
