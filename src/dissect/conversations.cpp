@@ -97,8 +97,10 @@ std::vector<ConversationStats> ConversationTable::by_bytes() const {
   std::vector<ConversationStats> out;
   out.reserve(table_.size());
   for (const auto& [key, stats] : table_) out.push_back(stats);
+  // Equal byte counts sort by key, so the order never rests on std::sort's.
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    return a.total_bytes() > b.total_bytes();
+    if (a.total_bytes() != b.total_bytes()) return a.total_bytes() > b.total_bytes();
+    return a.key < b.key;
   });
   return out;
 }

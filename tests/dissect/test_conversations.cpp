@@ -36,6 +36,24 @@ TEST(Conversations, GroupsByFiveTuple) {
   EXPECT_EQ(convs[1].total_packets(), 1u);
 }
 
+// Equal byte counts come out in key order, whatever order they were added
+// in. Twenty of them take std::sort past its insertion-sort cutoff, where
+// equal elements need not keep their order.
+TEST(Conversations, EqualBytesSortByKey) {
+  CaptureTrace trace;
+  for (std::uint16_t port = 7020; port > 7000; --port)
+    add_udp(trace, kServerA, {kClient.ip, port}, 100, 1.0);
+
+  ConversationTable table;
+  table.add_all(dissect_trace(trace));
+  const auto convs = table.by_bytes();
+  ASSERT_EQ(convs.size(), 20u);
+  for (std::size_t i = 1; i < convs.size(); ++i) {
+    EXPECT_EQ(convs[i].total_bytes(), convs[0].total_bytes());
+    EXPECT_LT(convs[i - 1].key, convs[i].key) << i;
+  }
+}
+
 TEST(Conversations, MergesBothDirections) {
   CaptureTrace trace;
   add_udp(trace, kServerA, kClient, 100, 1.0);
