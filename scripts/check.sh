@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 verification under ASan/UBSan: configures a dedicated build tree
+# Tier-1 verification under sanitizers: configures a dedicated build tree
 # with STREAMLAB_SANITIZE, builds everything, and runs the full test suite.
-# Usage: scripts/check.sh [sanitizer-list]   (default: address,undefined)
+# Usage: scripts/check.sh [sanitizer-list]   (default: address,undefined;
+# CI also runs `scripts/check.sh thread`)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

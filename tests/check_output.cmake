@@ -1,29 +1,35 @@
 # Runs PROGRAM with ARGS (space-separated, may be empty) in a fresh directory DIR
-# and checks one of its outputs.
+# and checks its outputs. The run must exit 0 unless REJECT or FAILS is given.
+# A list below is space-separated; quote an item that holds spaces (\"a b\").
 #   -DPROGRAM=<binary> -DDIR=<work dir> [-DARGS=<args>]
-#   -DSHA256=<digest>   the run must exit 0 and the hashed file have this digest
-#   [-DFILE=<path>]     the file to hash, relative to DIR (default: stdout)
+#   -DSHA256=<digests>  each hashed file must have its digest, in order
+#   [-DFILE=<paths>]    the files to hash, relative to DIR (default: stdout)
 #   -DREJECT=1          the run must exit nonzero with empty stdout
 #   [-DSTDERR_PREFIX=<text>] with REJECT: a stderr line must start with <text>
-#   -DEMBEDDED_IN=<doc> the run must exit 0 and its stdout equal the text of
-#                       <doc> between the lines `<!-- begin: <name> ARGS -->`
-#                       and `<!-- end: <name> ARGS -->`
+#   -DFAILS=1           the run must exit nonzero; its outputs are checked as
+#                       in any other run
+#   -DEMBEDDED_IN=<doc> the run's stdout must equal the text of <doc> between
+#                       the lines `<!-- begin: <name> ARGS -->` and
+#                       `<!-- end: <name> ARGS -->`
 #   [-DINPUT=<file>]    copied into DIR under its own name before the run,
 #                       [-DCUT=<n>] without its last n bytes
-#   [-DCOUNT_OF=<text> -DSAME_COUNT_AS=<file>] with SHA256: the first
-#                       `<n>/<m> packets` after <text> in stdout must equal
-#                       the first one after <text> in <file>
-#   -DSTDOUT_CONTAINS=<text> the run must exit 0 and its stdout hold <text>
+#   [-DCOUNT_OF=<text> -DSAME_COUNT_AS=<file>] the first `<n>/<m> packets`
+#                       after <text> in stdout must equal the first one after
+#                       <text> in <file>
+#   -DSTDOUT_CONTAINS=<texts> stdout must hold each of the texts
 #   [-DRUNS=<n>]        runs the program n times in the same DIR (default 1);
-#                       each run before the last must exit 0, and the check
-#                       above applies to the last run
-#   [-DNONEMPTY=<files>] after every run, each of the space-separated files
-#                       (relative to DIR) must exist and be non-empty
+#                       each run before the last must exit 0, and the checks
+#                       apply to the last run
+#   [-DNONEMPTY=<files>] after every run, each of the files (relative to DIR)
+#                       must exist and be non-empty
 if(NOT FILE)
   set(FILE stdout)
 endif()
 separate_arguments(args UNIX_COMMAND "${ARGS}")
 separate_arguments(nonempty UNIX_COMMAND "${NONEMPTY}")
+separate_arguments(files UNIX_COMMAND "${FILE}")
+separate_arguments(digests UNIX_COMMAND "${SHA256}")
+separate_arguments(texts UNIX_COMMAND "${STDOUT_CONTAINS}")
 file(REMOVE_RECURSE ${DIR})
 file(MAKE_DIRECTORY ${DIR})
 if(INPUT)
@@ -101,8 +107,16 @@ if(REJECT)
                           "'${STDERR_PREFIX}' (${DIR}/stderr)")
     endif()
   endif()
-elseif(EMBEDDED_IN)
-  file(READ ${DIR}/stdout out)
+elseif(FAILS)
+  if(rc EQUAL 0)
+    message(FATAL_ERROR "${name} ${ARGS}: exit 0; want nonzero")
+  endif()
+elseif(NOT rc EQUAL 0)
+  message(FATAL_ERROR "${name} ${ARGS}: exit ${rc}; want 0")
+endif()
+
+file(READ ${DIR}/stdout out)
+if(EMBEDDED_IN)
   file(READ ${EMBEDDED_IN} doc)
   set(begin "<!-- begin: ${name} ${ARGS} -->\n")
   set(end "<!-- end: ${name} ${ARGS} -->")
@@ -115,32 +129,47 @@ elseif(EMBEDDED_IN)
   math(EXPR b "${b} + ${begin_length}")
   math(EXPR length "${e} - ${b}")
   string(SUBSTRING "${doc}" ${b} ${length} embedded)
-  if(NOT rc EQUAL 0 OR NOT out STREQUAL embedded)
-    message(FATAL_ERROR "${name} ${ARGS}: exit ${rc}; its stdout (${DIR}/stdout) "
-                        "differs from the block in ${EMBEDDED_IN}. Regenerate the "
-                        "block with `${name} ${ARGS}` and review the diff.")
-  endif()
-elseif(STDOUT_CONTAINS)
-  file(READ ${DIR}/stdout out)
-  string(FIND "${out}" "${STDOUT_CONTAINS}" at)
-  if(NOT rc EQUAL 0 OR at EQUAL -1)
-    message(FATAL_ERROR "${name} ${ARGS}: exit ${rc}; stdout (${DIR}/stdout) "
-                        "does not contain '${STDOUT_CONTAINS}'")
-  endif()
-elseif(NOT EXISTS ${DIR}/${FILE})
-  message(FATAL_ERROR "${name} ${ARGS}: exit ${rc}, wrote no ${FILE}")
-else()
-  file(SHA256 ${DIR}/${FILE} digest)
-  if(NOT rc EQUAL 0 OR NOT digest STREQUAL SHA256)
-    message(FATAL_ERROR "${name} ${ARGS}: exit ${rc}, ${FILE} sha256 ${digest}; "
-                        "want exit 0 and ${SHA256}")
-  endif()
-  if(SAME_COUNT_AS)
-    packet_count_after(${DIR}/stdout ours)
-    packet_count_after(${SAME_COUNT_AS} theirs)
-    if(ours STREQUAL "" OR NOT ours STREQUAL theirs)
-      message(FATAL_ERROR "${name} ${ARGS}: '${COUNT_OF}' counts '${ours}', "
-                          "${SAME_COUNT_AS} counts '${theirs}'")
-    endif()
+  if(NOT out STREQUAL embedded)
+    message(FATAL_ERROR "${name} ${ARGS}: its stdout (${DIR}/stdout) differs from "
+                        "the block in ${EMBEDDED_IN}. Regenerate the block with "
+                        "`${name} ${ARGS}` and review the diff.")
   endif()
 endif()
+
+if(SHA256)
+  list(LENGTH files file_count)
+  list(LENGTH digests digest_count)
+  if(NOT file_count EQUAL digest_count)
+    message(FATAL_ERROR "${name} ${ARGS}: ${file_count} FILE paths for "
+                        "${digest_count} SHA256 digests")
+  endif()
+  math(EXPR last "${digest_count} - 1")
+  foreach(i RANGE ${last})
+    list(GET files ${i} file)
+    list(GET digests ${i} digest)
+    if(NOT EXISTS ${DIR}/${file})
+      message(FATAL_ERROR "${name} ${ARGS}: wrote no ${file}")
+    endif()
+    file(SHA256 ${DIR}/${file} actual)
+    if(NOT actual STREQUAL digest)
+      message(FATAL_ERROR "${name} ${ARGS}: ${file} sha256 ${actual}; want ${digest}")
+    endif()
+  endforeach()
+endif()
+
+if(SAME_COUNT_AS)
+  packet_count_after(${DIR}/stdout ours)
+  packet_count_after(${SAME_COUNT_AS} theirs)
+  if(ours STREQUAL "" OR NOT ours STREQUAL theirs)
+    message(FATAL_ERROR "${name} ${ARGS}: '${COUNT_OF}' counts '${ours}', "
+                        "${SAME_COUNT_AS} counts '${theirs}'")
+  endif()
+endif()
+
+foreach(text IN LISTS texts)
+  string(FIND "${out}" "${text}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "${name} ${ARGS}: stdout (${DIR}/stdout) "
+                        "does not contain '${text}'")
+  endif()
+endforeach()

@@ -512,6 +512,7 @@ TEST(CampaignTelemetry, QuarantineWritesPostmortemFlightRecord) {
   EXPECT_NE(body.find("\"record\":\"header\""), std::string::npos);
   EXPECT_NE(body.find("\"record\":\"audit\""), std::string::npos);
   EXPECT_NE(body.find("\"record\":\"violation\""), std::string::npos);
+  EXPECT_NE(body.find("\"record\":\"metric\""), std::string::npos);
   EXPECT_NE(body.find("planted by test"), std::string::npos);
   EXPECT_NE(body.find("\"seed\":102"), std::string::npos);
   // Every line is a {...} object and the trace tail respects the record cap.
